@@ -11,7 +11,9 @@
 use proptest::prelude::*;
 use tsj::{ApproximationScheme, DedupStrategy, SimilarPair, TsjConfig, TsjJoiner};
 use tsj_datagen::workload;
-use tsj_mapreduce::{Cluster, ClusterConfig, FaultConfig, ShuffleConfig, Transport};
+use tsj_mapreduce::{
+    Cluster, ClusterConfig, FaultConfig, SchedulerConfig, SchedulerMode, ShuffleConfig, Transport,
+};
 use tsj_tokenize::{Corpus, NameTokenizer};
 
 fn cluster_with(
@@ -99,7 +101,8 @@ proptest! {
     /// to the job's run server and reducers assemble their partitions
     /// over ranged socket fetches, yet the verified join output must
     /// stay byte-identical to the in-process reference across threads,
-    /// partitions, and spill pressure.
+    /// partitions, and spill pressure — and when speculation replays
+    /// reduce tasks over the same remote runs.
     #[test]
     fn remote_join_is_byte_identical_to_inprocess(
         seed in 0u64..1_000,
@@ -119,6 +122,28 @@ proptest! {
                 prop_assert_eq!(&got, &reference, "partitions = {}", partitions);
             }
         }
+        // Remote × speculative × bounded: every reduce task is all runs,
+        // hence replayable, and a zero threshold makes idle workers
+        // re-fetch them through a second connection while the primary is
+        // still reading.
+        let speculative = cluster_with(
+            4,
+            0,
+            16,
+            ShuffleConfig::bounded(8, 8).with_transport(Transport::Remote),
+        )
+        .with_scheduler(SchedulerConfig {
+            mode: SchedulerMode::Speculative,
+            speculate_after: std::time::Duration::ZERO,
+            ..SchedulerConfig::default()
+        });
+        let out = join(&speculative, &corpus, t);
+        prop_assert_eq!(&out.pairs, &reference, "speculative");
+        prop_assert_eq!(
+            out.report.total_fetch_bytes(),
+            out.report.total_transport_bytes(),
+            "only winning attempts' reads are counted"
+        );
     }
 
     /// The merge fan-in cap composes with every transport at pipeline

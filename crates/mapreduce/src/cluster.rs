@@ -12,10 +12,9 @@
 //! cannot drift apart.
 
 use std::collections::HashMap;
-use std::fs::File;
 use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -28,11 +27,12 @@ use crate::merge::{merge_segments_capped, MergeEffort, Segment};
 use crate::pool::{
     lock, panic_message, Pool, SchedStats, SchedulerConfig, SchedulerMode, TaskBody,
 };
-use crate::shuffle::{Combiner, PartitionedBuffer, ShuffleConfig, ShuffleRecord};
+use crate::shuffle::{Combiner, PartitionedBuffer, ShuffleConfig};
 use crate::spill::{
-    reserve_job_dir, reserve_job_spill_dir, RunMeta, RunReader, Spill, SpillDirGuard, SpillWriter,
+    reserve_job_dir, reserve_job_spill_dir, RunMeta, RunReader, RunSource, Spill, SpillDirGuard,
+    SpillWriter,
 };
-use crate::transport::{InProcess, MapOutput, MultiProcess, Remote, ShuffleTransport, Transport};
+use crate::transport::{exchange, MapOutput, Remote, Transport};
 
 /// Spill/scratch/output file names must be distinct across a task's
 /// concurrent attempts ([`SchedulerMode::Speculative`] runs a primary and
@@ -630,16 +630,10 @@ struct MapTaskOut<K, V> {
     shuffled: u64,
     /// High-water mark of in-memory buffered records.
     peak_buffered: u64,
-    /// Partition-indexed in-memory output buffers (drained to the
-    /// task's exchange file instead when `published` is set).
-    parts: Vec<Vec<ShuffleRecord<K, V>>>,
-    /// Spill file + run directory, if this task spilled (kept for stats
-    /// accounting even when published — the runs were raw-copied into
-    /// the exchange file).
-    spill: Option<crate::shuffle::TaskSpill>,
-    /// Run-server key this task's output was published under (remote
-    /// transport only).
-    published: Option<u64>,
+    /// Partition-indexed in-memory output buffers, plus the task's run
+    /// file if it wrote one (then holding everything, under a publishing
+    /// transport).
+    output: MapOutput<K, V>,
     counters: HashMap<&'static str, u64>,
 }
 
@@ -809,37 +803,37 @@ where
         .filter(|s| s.stage == spec.name)
         .map(|s| s.micros);
 
-    // Base directory for this job's spill / exchange / stage-output
-    // subdirectories; each is RAII-guarded so a job that fails mid-wave
-    // still removes everything it created.
+    // Base directory for this job's own and stage-output subdirectories;
+    // each is RAII-guarded so a job that fails mid-wave still removes
+    // everything it created.
     let dir_base = shuffle.spill_base();
+    let transport = shuffle.transport;
 
-    // One uniquely named spill directory per job, removed (with its
-    // segments) when the job finishes or fails. Tasks create it lazily
-    // on first spill (`create_dir_all` is racy-safe), so an unspilled
-    // bounded job touches the filesystem not at all.
-    let spill_dir: Option<Arc<SpillDirGuard>> = shuffle
-        .spill_threshold
-        .map(|_| Arc::new(SpillDirGuard(reserve_job_spill_dir(&dir_base))));
+    // One uniquely named directory per job — map-task run files (spilled
+    // and published runs) and merge scratch — removed with its contents
+    // when the job finishes or fails. Every task holds the guard, so a
+    // speculative attempt still writing after the stage moves on cannot
+    // outlive it. Tasks create the directory lazily on the first written
+    // run (`create_dir_all` is racy-safe), so an unspilled in-process job
+    // touches the filesystem not at all.
+    let job_dir: Option<Arc<SpillDirGuard>> = (shuffle.spill_threshold.is_some()
+        || transport != Transport::InProcess)
+        .then(|| Arc::new(SpillDirGuard(reserve_job_spill_dir(&dir_base))));
 
     // Remote transport: this stage's run server must exist *before* the
-    // map wave, because map tasks publish their exchange runs to it as
-    // they finish (overlapping the wave). Shared with every map task; the
-    // exchange-dir guard it holds keeps the directory alive for any
-    // speculative attempt still writing after the stage moves on.
-    let remote: Option<Arc<Remote>> = match shuffle.transport {
-        Transport::Remote => Some(Arc::new(
-            Remote::start(
-                reserve_job_dir(&dir_base, "tsj-exchange"),
-                shuffle.net_fault,
-            )
-            .map_err(|e| {
+    // map wave, because map tasks publish their run files to it as they
+    // finish (overlapping the wave). The stage owns the server; tasks
+    // share the handle.
+    let (run_server, remote) = match transport {
+        Transport::Remote => {
+            let (server, remote) = Remote::start(shuffle.net_fault).map_err(|e| {
                 StageFailure::Job(JobError::Transport {
                     message: format!("starting the run server: {e}"),
                 })
-            })?,
-        )),
-        Transport::InProcess | Transport::MultiProcess => None,
+            })?;
+            (Some(server), Some(Arc::new(remote)))
+        }
+        Transport::InProcess | Transport::MultiProcess => (None, None),
     };
 
     // ---- Map wave (streaming) -----------------------------------------
@@ -864,7 +858,7 @@ where
                 submitted += 1;
                 let spec = Arc::clone(&spec);
                 let shuffle = Arc::clone(&shuffle);
-                let spill_dir = spill_dir.clone();
+                let job_dir = job_dir.clone();
                 let remote = remote.clone();
                 let ticket = WaveTicket::new(Arc::clone(&map_gather), ordinal);
                 let body = if speculative {
@@ -886,7 +880,7 @@ where
                             run_map_task(
                                 &spec,
                                 &shuffle,
-                                spill_dir.as_deref(),
+                                job_dir.as_deref(),
                                 remote.as_deref(),
                                 partitions,
                                 task + attempt * ATTEMPT_STRIDE,
@@ -921,7 +915,7 @@ where
                             run_map_task(
                                 &spec,
                                 &shuffle,
-                                spill_dir.as_deref(),
+                                job_dir.as_deref(),
                                 remote.as_deref(),
                                 partitions,
                                 task,
@@ -960,13 +954,13 @@ where
 
     // ---- Shuffle -------------------------------------------------------
     // Records were already routed to `hash % partitions` at emit time;
-    // how each partition's per-task segments — spilled sorted runs
-    // first, then the task's in-memory leftover, in task (= ordinal)
-    // order — reach the reduce side is the transport's job (in-process
-    // handoff, or serialization into per-partition exchange files;
-    // see `crate::transport`). Cost is charged on the post-combine
-    // volume, plus spill I/O on the spilled bytes (written once, read
-    // back once), plus transport time on the exchanged bytes.
+    // how each partition's per-task segments — sorted runs first, then
+    // the task's in-memory leftover, in task (= ordinal) order — reach
+    // the reduce side is the transport's job (in-process handoff, or
+    // published run files read locally or over a socket; see
+    // `crate::transport`). Cost is charged on the post-combine volume,
+    // plus spill I/O on the spilled bytes (written once, read back
+    // once), plus transport time on the published bytes.
     let mut counters: HashMap<&'static str, u64> = HashMap::new();
     let mut map_output_records = 0u64;
     let mut shuffle_records = 0u64;
@@ -982,45 +976,18 @@ where
         for (k, v) in &task.counters {
             *counters.entry(k).or_insert(0) += v;
         }
-        if let Some(spill) = &task.spill {
+        if let Some(spill) = &task.output.spill {
             spilled_records += spill.records;
             spill_bytes += spill.bytes;
-            spill_runs += spill.runs.iter().map(|runs| runs.len() as u64).sum::<u64>();
+            spill_runs += spill.spill_runs;
         }
-        outputs.push(MapOutput::new(task.parts, task.spill).with_published(task.published));
+        outputs.push(task.output);
     }
-    let transport = shuffle.transport;
-    let exchange = match (transport, &remote) {
-        (Transport::InProcess, _) => InProcess.exchange(outputs, partitions),
-        (Transport::MultiProcess, _) => {
-            MultiProcess::new(reserve_job_dir(&dir_base, "tsj-exchange"))
-                .exchange(outputs, partitions)
-        }
-        (Transport::Remote, Some(remote)) => {
-            let exchange = remote.exchange(outputs, partitions);
-            // Everything is fetched (or the exchange failed); either way
-            // nothing fetches after this — stop serving.
-            remote.stop();
-            exchange
-        }
-        // `remote` is Some exactly when the transport is Remote (set a
-        // few lines up); a structured error beats a panic in the data
-        // plane if that invariant ever breaks.
-        (Transport::Remote, None) => Err(std::io::Error::other(
-            "remote transport configured but no run server was started",
-        )),
-    }
-    .map_err(|e| {
-        StageFailure::Job(JobError::Transport {
-            message: e.to_string(),
-        })
-    })?;
+    let exchange = exchange(outputs, partitions, transport, remote.as_deref())
+        .map_err(|e| StageFailure::Job(e.into()))?;
     let transport_bytes = exchange.bytes_moved;
-    let fetch_stats = exchange.fetch;
+    let mut fetch_stats = exchange.fetch;
     let partition_segments = exchange.partition_segments;
-    // The exchange directory (if any) must outlive the reduce phase,
-    // which streams the partition files it holds.
-    let exchange_guard = exchange.guard;
     let shuffle_secs = cost.shuffle_secs_per_record * shuffle_records as f64 / machines as f64;
     let spill_secs = cost.spill_secs_per_byte * 2.0 * spill_bytes as f64 / machines as f64;
     let transport_secs = cost.transport_secs_per_byte * transport_bytes as f64 / machines as f64;
@@ -1047,18 +1014,6 @@ where
         _ => None,
     };
 
-    // Scratch base for fan-in-capped hierarchical merges: the job's
-    // exchange dir (multi-process) or spill dir (in-process spilling)
-    // — whichever exists is also where every spilled segment lives,
-    // and its guard already handles cleanup. Purely in-memory
-    // partitions never merge, so needing scratch implies one exists.
-    let merge_scratch: Option<PathBuf> = shuffle.merge_fan_in.and_then(|_| {
-        exchange_guard
-            .as_ref()
-            .map(|guard| guard.0.clone())
-            .or_else(|| spill_dir.as_ref().map(|guard| guard.0.clone()))
-    });
-
     let reduce_gather = WaveGather::<ReduceTaskOut<O>>::cell();
     let mut reduce_submitted = 0usize;
     for (partition, segments) in partition_segments.into_iter().enumerate() {
@@ -1070,20 +1025,20 @@ where
         let spec = Arc::clone(&spec);
         let shuffle = Arc::clone(&shuffle);
         let stage_out_dir = stage_out_dir.clone();
-        let merge_scratch = merge_scratch.clone();
+        let job_dir = job_dir.clone();
         let feed_sink = feed_sink.clone();
         let ticket = WaveTicket::new(Arc::clone(&reduce_gather), task as u64);
         // A reduce task is replayable only when every segment is a spilled
-        // run: runs are re-readable (positional reads over shared files),
-        // so each attempt can rebuild its own segment set, whereas
-        // in-memory segments are consumed by grouping and cannot feed two
-        // attempts without `K: Clone`/`V: Clone` bounds the engine doesn't
-        // have.
-        let spilled_runs: Vec<(Arc<File>, RunMeta)> = if speculative {
+        // run: runs are re-readable (positioned reads or ranged fetches of
+        // files nobody writes any more), so each attempt can rebuild its
+        // own segment set, whereas in-memory segments are consumed by
+        // grouping and cannot feed two attempts without `K: Clone`/
+        // `V: Clone` bounds the engine doesn't have.
+        let spilled_runs: Vec<(RunSource, RunMeta)> = if speculative {
             segments
                 .iter()
                 .filter_map(|seg| match seg {
-                    Segment::Spilled { file, meta } => Some((Arc::clone(file), *meta)),
+                    Segment::Spilled { source, meta } => Some((source.clone(), *meta)),
                     Segment::Mem(_) => None,
                 })
                 .collect()
@@ -1097,8 +1052,8 @@ where
             TaskBody::Replayable(Arc::new(move |attempt| {
                 let segments: Vec<Segment<K, V>> = spilled_runs
                     .iter()
-                    .map(|(file, meta)| Segment::Spilled {
-                        file: Arc::clone(file),
+                    .map(|(source, meta)| Segment::Spilled {
+                        source: source.clone(),
                         meta: *meta,
                     })
                     .collect();
@@ -1108,7 +1063,7 @@ where
                         &shuffle,
                         feed_sink.is_some(),
                         stage_out_dir.as_ref().map(|g| g.0.as_path()),
-                        merge_scratch.as_deref(),
+                        job_dir.as_deref(),
                         machines,
                         partition,
                         attempt,
@@ -1145,7 +1100,7 @@ where
                         &shuffle,
                         feed_sink.is_some(),
                         stage_out_dir.as_ref().map(|g| g.0.as_path()),
-                        merge_scratch.as_deref(),
+                        job_dir.as_deref(),
                         machines,
                         partition,
                         0,
@@ -1173,8 +1128,10 @@ where
         pool.submit(body, priority, Some(Arc::clone(&sched_stats)));
     }
     let reduce_tasks = wave_barrier(&reduce_gather, reduce_submitted).map_err(StageFailure::Job)?;
-    // Reduce has drained every exchange file; the directory can go.
-    drop(exchange_guard);
+    // Every winning reduce attempt has read its runs: stop serving. A
+    // speculative loser still fetching fails fast against the closed port
+    // and is discarded with its result.
+    drop(run_server);
 
     // Deterministic per-partition loads: each partition is charged its
     // declared work at the job-wide measured rate, plus the per-group
@@ -1195,6 +1152,9 @@ where
         max_group_size = max_group_size.max(t.max_group);
         merge_passes += t.merge.passes;
         merge_scratch_bytes += t.merge.scratch_bytes;
+        fetch_stats.requests += t.merge.fetch.requests;
+        fetch_stats.retries += t.merge.fetch.retries;
+        fetch_stats.bytes += t.merge.fetch.bytes;
         output_records += t.emitted;
         output.extend(t.out);
         for (k, v) in t.counters {
@@ -1265,11 +1225,11 @@ where
 /// and spill under a bounded shuffle. Runs on a pool worker. Takes its
 /// source by reference so a speculative attempt can re-read it; `task`
 /// is already attempt-distinct (see [`ATTEMPT_STRIDE`]) so concurrent
-/// attempts never collide on a spill file name.
+/// attempts never collide on a run file name or run-server key.
 fn run_map_task<'f, I, K, V, O>(
     spec: &StageSpec<'f, I, K, V, O>,
     shuffle: &ShuffleConfig,
-    spill_dir: Option<&SpillDirGuard>,
+    job_dir: Option<&SpillDirGuard>,
     remote: Option<&Remote>,
     partitions: usize,
     task: usize,
@@ -1282,14 +1242,14 @@ where
     O: Send + Spill,
 {
     let start = Instant::now();
-    let mut emitter = match (spill_dir, shuffle.spill_threshold) {
-        (Some(guard), Some(threshold)) => Emitter::with_buffer(PartitionedBuffer::with_spill(
+    let mut emitter = match job_dir {
+        Some(guard) => Emitter::with_buffer(PartitionedBuffer::with_spill(
             partitions,
-            threshold,
+            shuffle.spill_threshold,
             guard.0.clone(),
             task,
         )),
-        _ => Emitter::with_partitions(partitions),
+        None => Emitter::with_partitions(partitions),
     };
     // Periodic combine watermark: re-combine only after the buffer
     // has grown by combine_threshold records since the last pass,
@@ -1356,25 +1316,30 @@ where
         }
         None => emitter.buffer.len() as u64,
     };
-    let spill = emitter.buffer.take_spill();
+    // Out-of-process transports publish *inside* the timed task: what is
+    // still buffered is flushed as the last runs of the task's run file —
+    // the writing overlaps the map wave and the buffers are freed here
+    // instead of being held until the exchange — and under the remote
+    // transport the file is registered with the stage's run server,
+    // servable the moment the task finishes. `spill.records` counts only
+    // what the memory bound spilled, so the work term ignores the flush.
+    let publish = shuffle.transport != Transport::InProcess;
+    let spill = emitter.buffer.finish_spill(publish).map_err(|e| {
+        if publish {
+            JobError::Transport {
+                message: format!("publishing map task {task} runs: {e}"),
+            }
+        } else {
+            JobError::Spill {
+                message: format!("finalizing map task {task} spill file: {e}"),
+            }
+        }
+    })?;
     let spilled = spill.as_ref().map_or(0, |s| s.records);
     let peak_buffered = emitter.buffer.peak_buffered() as u64;
-    // Remote transport: serialize this task's output into its own
-    // exchange file and register it with the stage's run server *inside*
-    // the timed task — runs are servable the moment the task finishes,
-    // the writing overlaps the map wave, and the in-memory buffers are
-    // freed here instead of being held until the exchange.
-    let (parts, published) = match remote {
-        Some(remote) => {
-            remote
-                .publish_task(task as u64, emitter.buffer.into_parts(), spill.as_ref())
-                .map_err(|e| JobError::Transport {
-                    message: format!("publishing map task {task} runs: {e}"),
-                })?;
-            (Vec::new(), Some(task as u64))
-        }
-        None => (emitter.buffer.into_parts(), None),
-    };
+    if let (Some(remote), Some(spill)) = (remote, &spill) {
+        remote.publish(spill);
+    }
     let cpu_secs = start.elapsed().as_secs_f64();
     let work = task_input + emitted + combine_work + spilled + emitter.work_units;
     Ok(MapTaskOut {
@@ -1384,9 +1349,10 @@ where
         emitted,
         shuffled: shuffled_in_mem + spilled,
         peak_buffered,
-        parts,
-        spill,
-        published,
+        output: MapOutput {
+            parts: emitter.buffer.into_parts(),
+            spill,
+        },
         counters: emitter.counters,
     })
 }
@@ -1396,15 +1362,16 @@ where
 /// values to `reduce`. Returns the measured task plus — for dataset
 /// stages — the finished output partition to deliver downstream. Runs on
 /// a pool worker. `attempt > 0` (a speculative copy) suffixes the merge
-/// scratch and stage-output file names so concurrent attempts never
-/// collide; a losing attempt's files are swept with the job directories.
+/// scratch (under `job_dir`) and stage-output file names so concurrent
+/// attempts never collide; a losing attempt's files are swept with the
+/// job directories.
 #[allow(clippy::too_many_arguments, clippy::type_complexity)]
 fn run_reduce_task<'f, I, K, V, O>(
     spec: &StageSpec<'f, I, K, V, O>,
     shuffle: &ShuffleConfig,
     dataset_sink: bool,
     stage_out_dir: Option<&Path>,
-    merge_scratch: Option<&Path>,
+    job_dir: Option<&SpillDirGuard>,
     machines: usize,
     partition: usize,
     attempt: usize,
@@ -1424,8 +1391,8 @@ where
     let start = Instant::now();
     if segments.iter().any(Segment::is_spilled) {
         // External path: stream a k-way sort-merge over the sorted
-        // spill/exchange runs and the (sorted-on-the-fly)
-        // in-memory segments, reducing each key as its run
+        // runs (spilled or published, local or remote) and the
+        // (sorted-on-the-fly) in-memory segments, reducing each key as its run
         // completes — the partition is never materialized. With a
         // merge fan-in cap, runs beyond the cap are first folded
         // hierarchically into scratch runs. Group order: ascending
@@ -1433,11 +1400,11 @@ where
         merge = merge_segments_capped(
             segments,
             shuffle.merge_fan_in,
-            merge_scratch.map(|dir| {
+            job_dir.map(|dir| {
                 if attempt == 0 {
-                    dir.join(format!("reduce{partition}.merge"))
+                    dir.0.join(format!("reduce{partition}.merge"))
                 } else {
-                    dir.join(format!("reduce{partition}.s{attempt}.merge"))
+                    dir.0.join(format!("reduce{partition}.s{attempt}.merge"))
                 }
             }),
             |key, values| {

@@ -148,9 +148,11 @@ pub enum JobError {
         phase: &'static str,
         message: String,
     },
-    /// The shuffle transport failed to move map output to the reduce side
-    /// (an I/O error writing or finalizing the exchange files). Mirrors a
-    /// shuffle-fetch failure on a real cluster.
+    /// The shuffle transport failed to move map output to the reduce side:
+    /// the stage's run server would not start, a map task could not
+    /// publish its runs (an I/O error writing or finalizing its run file),
+    /// or a run-directory lookup or mid-merge ranged fetch ran out of
+    /// retries. Mirrors a shuffle-fetch failure on a real cluster.
     Transport { message: String },
     /// A spill-format file failed under a job: an I/O error or corruption
     /// reading a run back ([`SpillError`](crate::spill::SpillError)), or
@@ -167,8 +169,10 @@ pub enum JobError {
 
 impl From<crate::spill::SpillError> for JobError {
     fn from(e: crate::spill::SpillError) -> Self {
-        JobError::Spill {
-            message: e.to_string(),
+        let message = e.to_string();
+        match e {
+            crate::spill::SpillError::Fetch(_) => JobError::Transport { message },
+            _ => JobError::Spill { message },
         }
     }
 }
@@ -310,8 +314,9 @@ pub struct JobStats {
     /// Total microseconds this job's tasks spent queued before a worker
     /// picked them up (scheduler observability, nondeterministic).
     pub queue_wait_us: u64,
-    /// Logical fetch requests the remote transport's exchange issued
-    /// (directory lookups + ranged reads; 0 for the other transports).
+    /// Logical fetch requests the remote transport issued (the exchange's
+    /// directory lookups + the winning reduce attempts' ranged reads; 0
+    /// for the other transports).
     /// Real-network observability (like `wall_secs`): never feeds
     /// simulated stats — `transport_bytes` carries the deterministic
     /// exchanged volume.

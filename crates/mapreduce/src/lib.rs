@@ -14,12 +14,12 @@
 //!   to disk ([`spill`]) and reducers consume their partitions through a
 //!   streaming k-way sort-merge ([`merge`]), modelling genuinely
 //!   out-of-core workloads. The [`transport`] layer decides how map
-//!   output reaches reducers: an in-process segment handoff (default), a
-//!   multi-process file exchange over the spill-run wire format, or a
-//!   network exchange ([`Transport::Remote`]) where map tasks publish
-//!   runs to a per-stage run server and reducers fetch them over a
-//!   socket with ranged reads, retries, and deadlines
-//!   ([`tsj_netshuffle`]), and
+//!   output reaches reducers: an in-process segment handoff (default),
+//!   or map tasks publishing their output as run files in the spill-run
+//!   wire format that reducers read in place — from the local
+//!   filesystem ([`Transport::MultiProcess`]) or from a per-stage run
+//!   server over a socket with ranged reads, retries, and deadlines
+//!   ([`Transport::Remote`], [`tsj_netshuffle`]), and
 //! * **A simulated cluster clock** — every map task and every reduce group
 //!   is individually timed, charged to one of `machines` *simulated*
 //!   machines (map tasks round-robin, reduce groups by key hash — exactly
@@ -81,6 +81,6 @@ pub use shuffle::{
     combine_records, Combiner, Count, Dedup, Min, PartitionedBuffer, ShuffleConfig, Sum,
 };
 pub use spill::{read_varint, write_varint, RunMeta, RunReader, Spill, SpillError, SpillWriter};
-pub use transport::{InProcess, MultiProcess, Remote, ShuffleTransport, Transport};
+pub use transport::Transport;
 // The network-shuffle knobs callers configure through [`ShuffleConfig`].
 pub use tsj_netshuffle::{FaultConfig, FetchStats};

@@ -3,13 +3,14 @@
 //!
 //! A reduce partition's input arrives as *segments*: the in-memory buffers
 //! of map tasks that never spilled, plus zero or more sorted runs in the
-//! tasks' spill files or — under the `MultiProcess` transport
-//! ([`crate::transport`]) — in per-partition exchange files (see
-//! [`crate::spill`]). When any segment is spilled, the partition is
-//! reduced by merging all segments in key-fingerprint order — the
-//! external-sort discipline real MapReduce reducers use — so the partition
-//! is never materialized: at any moment the reducer holds one read buffer
-//! per spilled run plus the value run of the single key being reduced.
+//! map tasks' run files (see [`crate::spill`]), each read where it already
+//! is — a local file, or the stage's run server under the remote
+//! transport ([`crate::transport`]), through one connection per reduce
+//! task. When any segment is a run, the partition is reduced by merging
+//! all segments in key-fingerprint order — the external-sort discipline
+//! real MapReduce reducers use — so the partition is never materialized:
+//! at any moment the reducer holds one read buffer per open run plus the
+//! value run of the single key being reduced.
 //!
 //! # Bounded fan-in
 //!
@@ -34,13 +35,15 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::fs::File;
 use std::hash::Hash;
 use std::path::PathBuf;
-use std::sync::Arc;
+
+use tsj_netshuffle::FetchStats;
 
 use crate::shuffle::{for_each_key_group, ShuffleRecord};
-use crate::spill::{RunMeta, RunReader, Spill, SpillError, SpillWriter};
+use crate::spill::{
+    RunMeta, RunReader, RunSource, SharedFetchClient, Spill, SpillError, SpillWriter,
+};
 
 /// One input segment of a reduce partition.
 #[derive(Debug)]
@@ -48,8 +51,9 @@ pub(crate) enum Segment<K, V> {
     /// A map task's in-memory records for this partition (any order; the
     /// merge sorts them stably by fingerprint first).
     Mem(Vec<ShuffleRecord<K, V>>),
-    /// One sorted run inside a map task's spill file.
-    Spilled { file: Arc<File>, meta: RunMeta },
+    /// One sorted run of a map task's run file (or of a merge scratch
+    /// file), wherever its bytes live.
+    Spilled { source: RunSource, meta: RunMeta },
 }
 
 impl<K, V> Segment<K, V> {
@@ -75,8 +79,12 @@ impl<K: Spill + Hash, V: Spill> Stream<K, V> {
 }
 
 /// Turns segments into sorted record streams (in-memory segments are
-/// sorted stably here; spilled runs were sorted at write time).
-fn make_streams<K: Spill + Hash, V: Spill>(segments: Vec<Segment<K, V>>) -> Vec<Stream<K, V>> {
+/// sorted stably here; spilled runs were sorted at write time). Remote
+/// runs all read through `client`, the reduce task's one connection.
+fn make_streams<K: Spill + Hash, V: Spill>(
+    segments: Vec<Segment<K, V>>,
+    client: &mut Option<SharedFetchClient>,
+) -> Vec<Stream<K, V>> {
     segments
         .into_iter()
         .map(|seg| match seg {
@@ -85,7 +93,7 @@ fn make_streams<K: Spill + Hash, V: Spill>(segments: Vec<Segment<K, V>>) -> Vec<
                 records.sort_by_key(|(h, _, _)| *h);
                 Stream::Mem(records.into_iter())
             }
-            Segment::Spilled { file, meta } => Stream::Run(RunReader::new(file, meta)),
+            Segment::Spilled { source, meta } => Stream::Run(RunReader::open(source, meta, client)),
         })
         .collect()
 }
@@ -162,14 +170,16 @@ where
     .map(|_| ())
 }
 
-/// What a capped merge did beyond the flat path: pre-merge passes run and
+/// What a merge did beyond streaming local runs: pre-merge passes run and
 /// scratch bytes written (each scratch byte is also read back by the next
 /// pass or the final merge, so the cost model charges both directions,
-/// like mapper spill I/O).
+/// like mapper spill I/O), and what its fetch client observed reading
+/// remote runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct MergeEffort {
     pub(crate) passes: u64,
     pub(crate) scratch_bytes: u64,
+    pub(crate) fetch: FetchStats,
 }
 
 /// [`merge_segments`] with a fan-in cap: when `fan_in` is set and
@@ -199,6 +209,7 @@ where
 {
     let mut segments = segments;
     let mut effort = MergeEffort::default();
+    let mut client: Option<SharedFetchClient> = None;
     if let (Some(cap), Some(scratch)) = (fan_in, scratch_file) {
         let cap = cap.max(2);
         while segments.len() > cap {
@@ -213,7 +224,7 @@ where
                 let chunk: Vec<Segment<K, V>> = chunks.by_ref().take(cap).collect();
                 let offset = writer.offset();
                 let mut records = 0u64;
-                merge_streams(make_streams(chunk), |(h, k, v)| {
+                merge_streams(make_streams(chunk, &mut client), |(h, k, v)| {
                     writer.write_record(h, &k, &v)?;
                     records += 1;
                     Ok(())
@@ -225,11 +236,11 @@ where
                 });
             }
             effort.scratch_bytes += writer.bytes();
-            let (file, _path) = writer.into_reader()?;
+            let source = RunSource::Local(writer.into_reader()?.0);
             segments = metas
                 .into_iter()
                 .map(|meta| Segment::Spilled {
-                    file: Arc::clone(&file),
+                    source: source.clone(),
                     meta,
                 })
                 .collect();
@@ -238,7 +249,7 @@ where
 
     let mut run: Vec<(K, V)> = Vec::new(); // records of the current fingerprint
     let mut run_h = 0u64;
-    merge_streams(make_streams(segments), |(h, key, value)| {
+    merge_streams(make_streams(segments, &mut client), |(h, key, value)| {
         if h != run_h && !run.is_empty() {
             // The shared helper applies the same collision-grouping
             // discipline as the map-side combine (full key equality,
@@ -250,6 +261,9 @@ where
         Ok(())
     })?;
     for_each_key_group(&mut run, &mut each_group)?;
+    if let Some(client) = client {
+        effort.fetch = client.borrow().stats();
+    }
     Ok(effort)
 }
 
@@ -257,6 +271,7 @@ where
 mod tests {
     use super::*;
     use crate::spill::{create_job_spill_dir, SpillDirGuard, SpillWriter};
+    use std::sync::Arc;
 
     /// Runs the merge and collects `(key, values)` groups in call order.
     fn collect<K: Spill + Eq + Hash, V: Spill>(segments: Vec<Segment<K, V>>) -> Vec<(K, Vec<V>)> {
@@ -307,10 +322,13 @@ mod tests {
         let mem: Vec<ShuffleRecord<u64, u64>> = vec![(4, 400, 9), (1, 100, 7)];
         let got = collect(vec![
             Segment::Spilled {
-                file: Arc::clone(&file),
+                source: RunSource::Local(Arc::clone(&file)),
                 meta: m1,
             },
-            Segment::Spilled { file, meta: m2 },
+            Segment::Spilled {
+                source: RunSource::Local(file),
+                meta: m2,
+            },
             Segment::Mem(mem),
         ]);
         assert_eq!(
@@ -348,7 +366,7 @@ mod tests {
         let mut segments: Vec<Segment<u64, u64>> = metas
             .into_iter()
             .map(|meta| Segment::Spilled {
-                file: Arc::clone(&file),
+                source: RunSource::Local(Arc::clone(&file)),
                 meta,
             })
             .collect();

@@ -210,13 +210,13 @@ pub struct ShuffleConfig {
     /// Hard per-mapper buffer cap, enforced at every emit: reaching it
     /// sorts and spills the buffer to disk. `None` (default) never spills.
     pub spill_threshold: Option<usize>,
-    /// Directory for per-job spill *and exchange* subdirectories; `None`
-    /// uses the system temp dir. Both are deleted when their job
-    /// completes.
+    /// Directory for per-job subdirectories (map-task run files, merge
+    /// scratch, spilled stage output); `None` uses the system temp dir.
+    /// Each is deleted when its job completes.
     pub spill_dir: Option<PathBuf>,
     /// How map output physically reaches reduce tasks: the in-process
-    /// segment handoff (default) or the multi-process file exchange over
-    /// the spill-run wire format (see [`crate::transport`]).
+    /// segment handoff (default), published run files read locally, or the
+    /// same files fetched from a run server (see [`crate::transport`]).
     pub transport: Transport,
     /// Cap on the reduce-side merge's open runs: a partition with more
     /// segments than this is merged hierarchically (consecutive chunks
@@ -347,9 +347,9 @@ impl ShuffleConfig {
         }
     }
 
-    /// The base directory for job spill / exchange / stage-output
-    /// subdirectories: the configured
-    /// [`spill_dir`](ShuffleConfig::spill_dir), or the system temp dir.
+    /// The base directory for job and stage-output subdirectories: the
+    /// configured [`spill_dir`](ShuffleConfig::spill_dir), or the system
+    /// temp dir.
     ///
     /// This is the one place the runtime consults ambient process state
     /// for a filesystem location — every job path goes through here, so
@@ -361,25 +361,34 @@ impl ShuffleConfig {
     }
 }
 
-/// A map task's spill output: the read-only file handle, every partition's
-/// sorted runs, and the spilled volume (for [`JobStats`] accounting).
+/// A map task's finished run file: the read-only handle, every
+/// partition's sorted runs, and how much of it was spilled under memory
+/// pressure (for [`JobStats`] accounting — a published leftover is
+/// exchange volume, not spill).
 ///
 /// [`JobStats`]: crate::job::JobStats
 #[derive(Debug)]
 pub(crate) struct TaskSpill {
+    /// The attempt-distinct task id in the file's name — and the key the
+    /// task's runs are registered under on a run server.
+    pub(crate) task: u64,
     pub(crate) file: Arc<File>,
-    /// Partition-indexed run locations, in spill order.
+    /// Partition-indexed run locations, in write order.
     pub(crate) runs: Vec<Vec<RunMeta>>,
+    /// Records, bytes and runs spilled by the memory bound alone.
     pub(crate) records: u64,
     pub(crate) bytes: u64,
+    pub(crate) spill_runs: u64,
 }
 
-/// Spill machinery of one map task's buffer (present only when a
-/// [`ShuffleConfig`] sets `spill_threshold`).
+/// Run-file machinery of one map task's buffer (present when the job has
+/// a directory: a `spill_threshold` is set, or the transport publishes
+/// map output as run files).
 #[derive(Debug)]
 struct BufferSpill {
+    /// `usize::MAX` when only publishing: the buffer never spills early.
     threshold: usize,
-    /// Job spill dir; the task's file is created lazily on first spill.
+    /// Job dir; the task's file is created lazily on first written run.
     dir: PathBuf,
     task: usize,
     writer: Option<SpillWriter>,
@@ -416,18 +425,20 @@ impl<K, V> PartitionedBuffer<K, V> {
         }
     }
 
-    /// A buffer that spills to `<dir>/task<task>.spill` whenever `len()`
-    /// reaches `threshold` (the directory must exist; clean-up is the
-    /// job's responsibility).
+    /// A buffer whose runs go to `<dir>/task<task>.spill`: spilled
+    /// whenever `len()` reaches `threshold` (never, for `None`), and
+    /// flushed at task end when the transport publishes (see
+    /// [`PartitionedBuffer::finish_spill`]). The first written run creates
+    /// the directory; removing it is the job's responsibility.
     pub(crate) fn with_spill(
         partitions: usize,
-        threshold: usize,
+        threshold: Option<usize>,
         dir: PathBuf,
         task: usize,
     ) -> Self {
         let mut buf = Self::new(partitions);
         buf.spill = Some(BufferSpill {
-            threshold: threshold.max(1),
+            threshold: threshold.map_or(usize::MAX, |t| t.max(1)),
             dir,
             task,
             writer: None,
@@ -483,30 +494,30 @@ impl<K: Spill + Hash, V: Spill> PartitionedBuffer<K, V> {
     pub(crate) fn maybe_spill(&mut self) {
         if let Some(spill) = &self.spill {
             if self.len >= spill.threshold {
-                self.spill_now();
+                // tsjlint:allow(no-panic-in-data-plane) emit() is infallible by
+                // signature; the wave's catch_unwind converts this into a
+                // structured JobError::WorkerPanic that fails only the job
+                self.write_runs()
+                    .unwrap_or_else(|e| panic!("shuffle spill write failed: {e}"));
             }
         }
     }
 
     /// Stable-sorts each non-empty partition by fingerprint and appends it
-    /// to the task's spill file as one sorted run, emptying the buffer.
-    fn spill_now(&mut self) {
+    /// to the task's run file as one sorted run, emptying the buffer. The
+    /// one place map output becomes runs — spilled or published.
+    fn write_runs(&mut self) -> std::io::Result<()> {
         let Some(spill) = self.spill.as_mut() else {
-            return;
+            return Ok(());
         };
         if self.len == 0 {
-            return;
+            return Ok(());
         }
         let writer = match spill.writer.take() {
             Some(w) => spill.writer.insert(w),
             None => {
                 let path = spill.dir.join(format!("task{}.spill", spill.task));
-                // tsjlint:allow(no-panic-in-data-plane) emit() is infallible by
-                // signature; the wave's catch_unwind converts this into a
-                // structured JobError::WorkerPanic that fails only the job
-                let created = SpillWriter::create(path)
-                    .unwrap_or_else(|e| panic!("shuffle spill file creation failed: {e}"));
-                spill.writer.insert(created)
+                spill.writer.insert(SpillWriter::create(path)?)
             }
         };
         for (p, part) in self.parts.iter_mut().enumerate() {
@@ -515,37 +526,52 @@ impl<K: Spill + Hash, V: Spill> PartitionedBuffer<K, V> {
             }
             // Stable: equal-fingerprint records keep emit order within the run.
             part.sort_by_key(|(h, _, _)| *h);
-            // tsjlint:allow(no-panic-in-data-plane) emit() is infallible by
-            // signature; the wave's catch_unwind converts this into a
-            // structured JobError::WorkerPanic that fails only the job
-            let meta = writer
-                .write_run(part)
-                .unwrap_or_else(|e| panic!("shuffle spill write failed: {e}"));
-            spill.runs[p].push(meta);
+            spill.runs[p].push(writer.write_run(part)?);
             part.clear();
         }
         self.len = 0;
+        Ok(())
     }
 
-    /// Finishes spilling: flushes the task's spill file and returns its
-    /// read-only handle plus run directory, or `None` if nothing spilled.
-    /// The remaining in-memory records stay in the buffer.
-    pub(crate) fn take_spill(&mut self) -> Option<TaskSpill> {
-        let spill = self.spill.take()?;
-        let writer = spill.writer?;
-        let (records, bytes) = (writer.records, writer.bytes);
-        // tsjlint:allow(no-panic-in-data-plane) finalize runs inside the map
-        // task's catch_unwind; the panic becomes a structured
-        // JobError::WorkerPanic that fails only the job
-        let (file, _path) = writer
-            .into_reader()
-            .unwrap_or_else(|e| panic!("shuffle spill finalize failed: {e}"));
-        Some(TaskSpill {
+    /// Finishes the task's run file and returns its read-only handle plus
+    /// run directory, or `None` if no run was ever written. With
+    /// `publish`, what is still buffered is first flushed as each
+    /// partition's last run, so the file holds the task's whole output;
+    /// otherwise the remaining in-memory records stay in the buffer. The
+    /// spill accounting is taken *before* that flush.
+    pub(crate) fn finish_spill(&mut self, publish: bool) -> std::io::Result<Option<TaskSpill>> {
+        let Some(spill) = self.spill.as_ref() else {
+            return Ok(None);
+        };
+        let spill_runs = spill.runs.iter().map(|runs| runs.len() as u64).sum();
+        let (records, bytes) = spill
+            .writer
+            .as_ref()
+            .map_or((0, 0), |w| (w.records, w.bytes));
+        if publish {
+            self.write_runs()?;
+            // Free the buffers now, inside the map task, rather than when
+            // the exchange drops the (empty) leftovers after the barrier.
+            self.parts.iter_mut().for_each(|part| *part = Vec::new());
+        }
+        let Some(BufferSpill {
+            task,
+            writer: Some(writer),
+            runs,
+            ..
+        }) = self.spill.take()
+        else {
+            return Ok(None);
+        };
+        let (file, _path) = writer.into_reader()?;
+        Ok(Some(TaskSpill {
+            task: task as u64,
             file,
-            runs: spill.runs,
+            runs,
             records,
             bytes,
-        })
+            spill_runs,
+        }))
     }
 }
 
@@ -818,13 +844,13 @@ mod tests {
         let dir = crate::spill::create_job_spill_dir(&std::env::temp_dir()).unwrap();
         let _guard = crate::spill::SpillDirGuard(dir.clone());
         let mut buf: PartitionedBuffer<u64, u64> =
-            PartitionedBuffer::with_spill(4, 16, dir.clone(), 0);
+            PartitionedBuffer::with_spill(4, Some(16), dir.clone(), 0);
         for k in 0u64..1000 {
             buf.emit(k, k * 2);
             buf.maybe_spill();
         }
         assert!(buf.peak_buffered() <= 16, "peak {}", buf.peak_buffered());
-        let spill = buf.take_spill().expect("must have spilled");
+        let spill = buf.finish_spill(false).unwrap().expect("must have spilled");
         let leftover: usize = buf.len();
         assert_eq!(spill.records as usize + leftover, 1000);
         assert!(spill.bytes > 0);
@@ -935,6 +961,6 @@ mod tests {
         }
         assert_eq!(buf.len(), 100);
         assert_eq!(buf.peak_buffered(), 100);
-        assert!(buf.take_spill().is_none());
+        assert!(buf.finish_spill(false).unwrap().is_none());
     }
 }

@@ -1,19 +1,22 @@
-//! On-disk spill segments: the serialization and file format behind the
-//! memory-bounded shuffle — and, since the transport layer
-//! ([`crate::transport`]), the runtime's *wire format*.
+//! On-disk sorted runs: the serialization and file format behind the
+//! memory-bounded shuffle — and the runtime's *wire format*.
 //!
-//! When a map task's buffered output crosses its
-//! [`ShuffleConfig::spill_threshold`](crate::shuffle::ShuffleConfig), the
-//! task sorts each partition's buffer by key fingerprint and appends it to
-//! the task's spill file as one *run* — a sorted, self-delimiting sequence
-//! of records. The reduce phase later streams every run back through a
-//! [`RunReader`] and k-way-merges them (see [`crate::merge`]), so neither
-//! side ever materializes a full partition in memory. The `MultiProcess`
-//! shuffle transport ships every map task's post-combine output between
-//! workers as exactly these sorted runs, written to per-partition exchange
-//! files; [`SpillWriter`] and [`RunReader`] are public so external tools
-//! (and future remote workers) can produce and consume the exchange
-//! format.
+//! A map task has **one run file** (`task<N>.spill` in the job
+//! directory) plus a per-partition run directory ([`RunMeta`]s). When the
+//! task's buffered output crosses its
+//! [`ShuffleConfig::spill_threshold`](crate::shuffle::ShuffleConfig), it
+//! sorts each partition's buffer by key fingerprint and appends it to that
+//! file as one *run* — a sorted, self-delimiting sequence of records.
+//! Under the out-of-process transports ([`crate::transport`]) the same
+//! file is also the task's *published* output: the buffer left at task
+//! end is flushed as each partition's last run, so nothing is ever
+//! copied into a second layout. The reduce phase streams every run
+//! through a [`RunReader`] — refilled by positioned reads of the local
+//! file, or by ranged fetches from the stage's run server — and
+//! k-way-merges them (see [`crate::merge`]), so neither side ever
+//! materializes a full partition in memory. [`SpillWriter`] and
+//! [`RunReader`] are public so external tools can produce and consume
+//! the format.
 //!
 //! # File format (v2)
 //!
@@ -56,17 +59,24 @@
 //! dependency-free binary codec implemented for the primitive types,
 //! tuples, `String`, `Vec<T>` and `Option<T>`. Job-specific key or value
 //! types implement it in a few lines (see `ChunkRole` in `tsj-passjoin`
-//! for an example). Read-side failures — an I/O error or a
-//! truncated/undecodable frame — surface as a structured [`SpillError`]
-//! from [`RunReader::next`]; inside a job the runtime converts that into
-//! [`JobError::Spill`](crate::job::JobError), so a lost or corrupt local
-//! disk fails the *job*, never the process.
+//! for an example). Read-side failures — an I/O error, a
+//! truncated/undecodable frame, or a ranged fetch that ran out of
+//! retries — surface as a structured [`SpillError`] from
+//! [`RunReader::next`]; inside a job the runtime converts that into
+//! [`JobError::Spill`](crate::job::JobError) (`JobError::Transport` for
+//! the fetch), so a lost or corrupt disk or a dead run server fails the
+//! *job*, never the process.
 
+use std::cell::RefCell;
 use std::fs::File;
 use std::hash::Hash;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
+use std::rc::Rc;
 use std::sync::Arc;
+
+use tsj_netshuffle::protocol::MAX_FETCH_BYTES;
+use tsj_netshuffle::{FetchClient, FetchConfig, FetchError, RunKey, ServerAddr};
 
 use crate::hash::fingerprint64;
 use crate::shuffle::ShuffleRecord;
@@ -116,12 +126,14 @@ pub fn read_varint(buf: &mut &[u8]) -> Option<u64> {
     None
 }
 
-/// Why reading a spill-format run back failed: the disk, or the bytes.
+/// Why reading a spill-format run back failed: the disk, the bytes, or
+/// the network.
 ///
-/// Produced by [`RunReader`]; the runtime wraps it into
-/// [`JobError::Spill`](crate::job::JobError) on the job path, so spill,
-/// exchange, and stage-output files that go bad fail the job with a
-/// structured error instead of panicking the process.
+/// Produced by [`RunReader`]; the runtime wraps it into a
+/// [`JobError`](crate::job::JobError) on the job path (`Spill`, or
+/// `Transport` for [`SpillError::Fetch`]), so spill, published, and
+/// stage-output runs that go bad fail the job with a structured error
+/// instead of panicking the process.
 #[derive(Debug)]
 pub enum SpillError {
     /// The underlying positioned read (or scratch write) failed.
@@ -129,6 +141,9 @@ pub enum SpillError {
     /// The file's bytes do not parse as the wire format: a frame truncated
     /// mid-run, or a payload the [`Spill`] codec rejects.
     Corrupt(&'static str),
+    /// The run lives on a run server and a ranged fetch of it failed for
+    /// good (retry budget exhausted, or a definitive server refusal).
+    Fetch(FetchError),
 }
 
 impl From<std::io::Error> for SpillError {
@@ -142,6 +157,7 @@ impl std::fmt::Display for SpillError {
         match self {
             SpillError::Io(e) => write!(f, "spill file I/O error: {e}"),
             SpillError::Corrupt(what) => write!(f, "spill file corrupt: {what}"),
+            SpillError::Fetch(e) => write!(f, "run fetch failed: {e}"),
         }
     }
 }
@@ -151,6 +167,7 @@ impl std::error::Error for SpillError {
         match self {
             SpillError::Io(e) => Some(e),
             SpillError::Corrupt(_) => None,
+            SpillError::Fetch(e) => Some(e),
         }
     }
 }
@@ -328,13 +345,13 @@ pub struct RunMeta {
     pub records: u64,
 }
 
-/// Append-only writer of sorted-run files in the spill/exchange wire
-/// format: one length-prefixed frame per record (see the module docs).
+/// Append-only writer of sorted-run files in the wire format: one
+/// length-prefixed frame per record (see the module docs).
 ///
-/// Used by memory-bounded mappers for task spill files, by the
-/// `MultiProcess` shuffle transport for per-partition exchange files, and
-/// by the reduce-side hierarchical merge for intermediate runs. Public so
-/// external processes can produce wire-compatible run files.
+/// Used by map tasks for their run file (spilled and published runs), by
+/// dataset stages for spilled stage output, and by the reduce-side
+/// hierarchical merge for intermediate runs. Public so external processes
+/// can produce wire-compatible run files.
 #[derive(Debug)]
 pub struct SpillWriter {
     path: PathBuf,
@@ -416,66 +433,6 @@ impl SpillWriter {
         Ok(())
     }
 
-    /// Appends an already-encoded sorted run, copied byte-for-byte from
-    /// `src` at `meta`'s location — the frames are the wire format on
-    /// both sides, so re-shipping a spilled run (e.g. through a transport
-    /// exchange file) needs no decode/re-encode. Returns the run's
-    /// location in *this* file.
-    pub fn copy_raw_run(&mut self, src: &File, meta: RunMeta) -> std::io::Result<RunMeta> {
-        let offset = self.offset;
-        // Reuse the frame-encoding scratch as the copy buffer: one
-        // allocation per writer, not one per copied run.
-        const COPY_CHUNK: usize = 64 * 1024;
-        if self.scratch.len() < COPY_CHUNK {
-            self.scratch.resize(COPY_CHUNK, 0);
-        }
-        let mut pos = meta.offset;
-        let end = meta.offset + meta.bytes;
-        while pos < end {
-            let want = self.scratch.len().min((end - pos) as usize);
-            let got = read_at(src, &mut self.scratch[..want], pos)?;
-            if got == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "spill file truncated while copying a run",
-                ));
-            }
-            self.file.write_all(&self.scratch[..got])?;
-            pos += got as u64;
-        }
-        self.offset += meta.bytes;
-        self.records += meta.records;
-        self.bytes += meta.bytes;
-        Ok(RunMeta {
-            offset,
-            bytes: meta.bytes,
-            records: meta.records,
-        })
-    }
-
-    /// Appends raw, already-framed wire-format bytes — e.g. a range of a
-    /// remote run fetched over the network shuffle. The caller brackets a
-    /// run with [`SpillWriter::offset`] before the first chunk and
-    /// [`SpillWriter::seal_raw_run`] after the last.
-    pub fn append_raw(&mut self, chunk: &[u8]) -> std::io::Result<()> {
-        self.file.write_all(chunk)?;
-        self.offset += chunk.len() as u64;
-        self.bytes += chunk.len() as u64;
-        Ok(())
-    }
-
-    /// Seals everything [`append_raw`](SpillWriter::append_raw)ed since
-    /// `offset` into one run of `records` records, returning its location
-    /// in this file.
-    pub fn seal_raw_run(&mut self, offset: u64, records: u64) -> RunMeta {
-        self.records += records;
-        RunMeta {
-            offset,
-            bytes: self.offset - offset,
-            records,
-        }
-    }
-
     /// Appends `records` (already sorted by fingerprint) as one run.
     pub fn write_run<K: Spill + Hash, V: Spill>(
         &mut self,
@@ -512,23 +469,67 @@ fn read_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<usize> {
     std::os::windows::fs::FileExt::seek_read(file, buf, offset)
 }
 
-/// Streams one sorted run back from a spill or exchange file, one record
-/// at a time, holding only a fixed-size read buffer (no per-run memory
-/// proportional to the run length). Public counterpart of [`SpillWriter`]
-/// for consuming the wire format.
+/// Where a sorted run's bytes live — what a reduce-side
+/// [`Segment::Spilled`](crate::merge::Segment) carries. Cheap to clone, so
+/// a speculative reduce attempt re-reads the same runs.
+#[derive(Debug, Clone)]
+pub(crate) enum RunSource {
+    /// A run file on this machine, read with positioned reads.
+    Local(Arc<File>),
+    /// A run published to the run server at `addr`, read with ranged
+    /// fetches.
+    Remote { addr: ServerAddr, key: RunKey },
+}
+
+/// One reduce task's connection to the stage's run server, shared by all
+/// of that task's [`RunReader`]s (connections scale with reduce tasks,
+/// never with runs). Opened by the first remote run the task reads.
+pub(crate) type SharedFetchClient = Rc<RefCell<FetchClient>>;
+
+/// The client knobs every fetch of the runtime uses: the defaults, with a
+/// retry budget sized for *concurrent* clients. Reduce tasks fetch side
+/// by side, so a lossy link — or the server's every-n-th-request fault
+/// schedule — hits one client's consecutive attempts independently
+/// rather than never twice in a row: at the 1-in-3 loss the fault tests
+/// inject, a request gives up with probability `3^-(budget + 1)`, which
+/// this budget makes negligible over millions of requests, while a dead
+/// server still costs under a second of capped backoff.
+pub(crate) fn fetch_config() -> FetchConfig {
+    FetchConfig {
+        retry_budget: 20,
+        ..FetchConfig::default()
+    }
+}
+
+/// What an open [`RunReader`] refills from.
+#[derive(Debug)]
+enum RunBytes {
+    Local(Arc<File>),
+    Remote {
+        client: SharedFetchClient,
+        key: RunKey,
+    },
+}
+
+/// Streams one sorted run back, one record at a time, holding only a
+/// fixed-size read buffer (no per-run memory proportional to the run
+/// length). Public counterpart of [`SpillWriter`] for consuming the wire
+/// format.
 #[derive(Debug)]
 pub struct RunReader {
-    file: Arc<File>,
-    /// Next file offset to refill from.
+    bytes: RunBytes,
+    /// Next run-file offset to refill from.
     offset: u64,
     /// One past the run's last byte.
     end: u64,
+    /// Refill size: small runs read in one shot; large runs stream
+    /// through at most this much memory per open run.
+    chunk: usize,
     buf: Vec<u8>,
     pos: usize,
 }
 
-/// Read-buffer refill size. Small runs read in one shot; large runs
-/// stream through at most this much memory per open run.
+/// Read-buffer refill size for local runs.
 const READ_CHUNK: usize = 32 * 1024;
 
 impl RunReader {
@@ -536,13 +537,70 @@ impl RunReader {
     /// of readers can stream concurrently from one shared handle
     /// (positioned reads; no shared cursor).
     pub fn new(file: Arc<File>, meta: RunMeta) -> Self {
+        Self::open(RunSource::Local(file), meta, &mut None)
+    }
+
+    /// A reader over the run at `meta` of `source`. A remote run is read
+    /// through `client`, connecting it first if this is the task's first
+    /// remote run; its refill size is the client's ranged-read size, so a
+    /// run no larger than [`FetchConfig::chunk`] costs one request.
+    pub(crate) fn open(
+        source: RunSource,
+        meta: RunMeta,
+        client: &mut Option<SharedFetchClient>,
+    ) -> Self {
+        let (bytes, chunk) = match source {
+            RunSource::Local(file) => (RunBytes::Local(file), READ_CHUNK),
+            RunSource::Remote { addr, key } => {
+                let config = fetch_config();
+                let client = client
+                    .get_or_insert_with(|| Rc::new(RefCell::new(FetchClient::new(addr, config))));
+                (
+                    RunBytes::Remote {
+                        client: Rc::clone(client),
+                        key,
+                    },
+                    usize::try_from(config.chunk).unwrap_or(READ_CHUNK),
+                )
+            }
+        };
         Self {
-            file,
+            bytes,
             offset: meta.offset,
             end: meta.offset + meta.bytes,
+            chunk,
             buf: Vec::new(),
             pos: 0,
         }
+    }
+
+    /// Appends up to `want` more bytes of the run to the buffer; returns
+    /// how many arrived (0 only if a local file ended early).
+    fn refill(&mut self, want: usize) -> Result<usize, SpillError> {
+        let got = match &self.bytes {
+            RunBytes::Local(file) => {
+                let start = self.buf.len();
+                self.buf.resize(start + want, 0);
+                let got = read_at(file, &mut self.buf[start..], self.offset)?;
+                self.buf.truncate(start + got);
+                got
+            }
+            RunBytes::Remote { client, key } => {
+                // A ranged fetch returns exactly the bytes asked for, or
+                // fails (the client retries transport-level faults). One
+                // request never exceeds the protocol's cap; a frame
+                // larger than that takes another turn of `ensure`'s loop.
+                let len = (want as u64).min(MAX_FETCH_BYTES);
+                let fetched = client
+                    .borrow_mut()
+                    .fetch(*key, self.offset, len)
+                    .map_err(SpillError::Fetch)?;
+                self.buf.extend_from_slice(&fetched);
+                fetched.len()
+            }
+        };
+        self.offset += got as u64;
+        Ok(got)
     }
 
     /// Ensures ≥ `n` unread bytes are buffered; `Ok(false)` at clean end
@@ -551,7 +609,7 @@ impl RunReader {
         if self.buf.len() - self.pos >= n {
             return Ok(true);
         }
-        // Compact, then refill from the shared file with positioned reads.
+        // Compact, then refill from the run's source.
         self.buf.drain(..self.pos);
         self.pos = 0;
         while self.buf.len() < n {
@@ -559,15 +617,10 @@ impl RunReader {
             if remaining == 0 {
                 break;
             }
-            let want = remaining.min(READ_CHUNK.max(n - self.buf.len()));
-            let start = self.buf.len();
-            self.buf.resize(start + want, 0);
-            let got = read_at(&self.file, &mut self.buf[start..], self.offset)?;
-            if got == 0 {
+            let want = remaining.min(self.chunk.max(n - self.buf.len()));
+            if self.refill(want)? == 0 {
                 return Err(SpillError::Corrupt("file truncated mid-run"));
             }
-            self.buf.truncate(start + got);
-            self.offset += got as u64;
         }
         if self.buf.len() >= n {
             return Ok(true);
@@ -607,10 +660,9 @@ impl RunReader {
     }
 
     /// Next record of the run, `Ok(None)` when cleanly exhausted, or a
-    /// [`SpillError`] on an I/O failure, a truncated frame, or an
-    /// undecodable payload (spill/exchange file corruption); inside a job,
-    /// the runtime surfaces that as
-    /// [`JobError::Spill`](crate::job::JobError).
+    /// [`SpillError`] on an I/O or fetch failure, a truncated frame, or an
+    /// undecodable payload (run corruption); inside a job, the runtime
+    /// surfaces that as a structured [`JobError`](crate::job::JobError).
     // Not `Iterator`: the record type is chosen per *call*, and one frame
     // format serves any (K, V) the caller restores it as.
     #[allow(clippy::should_implement_trait)]
@@ -646,9 +698,9 @@ impl RunReader {
 }
 
 /// Reserves a uniquely named (prefix + process id + sequence number)
-/// directory path under `base` for one job — spill dirs and transport
-/// exchange dirs share the sequence. No I/O happens here — the directory
-/// is materialized lazily by the first writer that needs it.
+/// directory path under `base` for one job — job dirs and stage-output
+/// dirs share the sequence. No I/O happens here — the directory is
+/// materialized lazily by the first writer that needs it.
 pub(crate) fn reserve_job_dir(base: &Path, prefix: &str) -> PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
     static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -659,7 +711,8 @@ pub(crate) fn reserve_job_dir(base: &Path, prefix: &str) -> PathBuf {
     ))
 }
 
-/// Reserves a spill directory for one job (see [`reserve_job_dir`]).
+/// Reserves one job's directory — its map tasks' run files (spilled and
+/// published runs) and its merge scratch (see [`reserve_job_dir`]).
 pub(crate) fn reserve_job_spill_dir(base: &Path) -> PathBuf {
     reserve_job_dir(base, "tsj-spill")
 }
@@ -672,8 +725,8 @@ pub(crate) fn create_job_spill_dir(base: &Path) -> std::io::Result<PathBuf> {
     Ok(dir)
 }
 
-/// Best-effort recursive removal of a job's spill directory when the job
-/// finishes (or fails) — spill segments never outlive their job.
+/// Best-effort recursive removal of a job's directory when the job
+/// finishes (or fails) — run files never outlive their job.
 #[derive(Debug)]
 pub(crate) struct SpillDirGuard(pub(crate) PathBuf);
 

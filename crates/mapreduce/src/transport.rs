@@ -1,73 +1,63 @@
 //! The shuffle transport: how map output physically reaches reduce tasks.
 //!
 //! The runtime always *routes* records to partitions at emit time
-//! ([`crate::shuffle`]); the transport decides how a partition's segments
-//! travel from the map side to the reduce side:
+//! ([`crate::shuffle`]); the [`Transport`] decides how a partition's
+//! segments travel from the map side to the reduce side:
 //!
-//! * [`InProcess`] (the default) — the original segment handoff: each map
-//!   task's in-memory partition buffers and spill-run locations are moved
-//!   to the reduce tasks by reference, within one address space. Nothing
-//!   is serialized beyond what the mapper itself spilled; `bytes_moved`
-//!   is 0.
-//! * [`MultiProcess`] — a real exchange over the spill-run wire format
-//!   (see [`crate::spill`]): every map task's post-combine output — the
-//!   in-memory leftover *and* any runs the task spilled — is serialized
-//!   through the [`Spill`] codec into **per-partition sorted-run files**
-//!   under a shared exchange directory, exactly as a cluster of separate
-//!   worker processes would publish map output for reducers to fetch.
-//!   Reduce tasks then consume the exchange runs through the ordinary
-//!   k-way sort-merge ([`crate::merge`]) — reduce never special-cases the
-//!   transport, because an exchange run is indistinguishable from a spill
-//!   run. `bytes_moved` is the full serialized exchange volume, charged by
+//! * [`Transport::InProcess`] (the default) — each map task's in-memory
+//!   partition buffers and spilled runs are handed to the reduce tasks by
+//!   reference, within one address space. Nothing is serialized beyond
+//!   what the mapper itself spilled; `bytes_moved` is 0.
+//! * [`Transport::MultiProcess`] and [`Transport::Remote`] — every map
+//!   task *publishes* its whole post-combine output in the spill-run wire
+//!   format (see [`crate::spill`]), exactly as a cluster of separate
+//!   worker processes would. There is **one published layout**: the
+//!   task's own run file, `task<N>.spill` in the job directory — the runs
+//!   it spilled under memory pressure, then what was still buffered at
+//!   task end flushed as each partition's last run — plus its
+//!   per-partition run directory. Publishing happens inside the map task,
+//!   overlapping the map wave, and copies nothing: the spill file already
+//!   is the published file. Reduce tasks read each run where it lies
+//!   through the ordinary k-way sort-merge ([`crate::merge`]). The two
+//!   differ only in what the code can observe — whether bytes cross a
+//!   socket: `MultiProcess` reads the file with positioned reads;
+//!   `Remote` also registers it with the stage's [`RunServer`], learns
+//!   each run directory from the server, and reads the runs with ranged
+//!   fetches (retries, deadlines, one connection per reduce task).
+//!   `bytes_moved` is the full published volume, identical for both,
+//!   charged by
 //!   [`CostModel::transport_secs_per_byte`](crate::cluster::CostModel).
 //!
 //! # Determinism and equivalence
 //!
-//! For each partition, `MultiProcess` writes runs in map-task order, a
-//! task's spilled runs before its in-memory leftover — the same segment
-//! order `InProcess` hands to the merge. Since the merge resolves
-//! equal-fingerprint ties by segment index, the merged record order (and
-//! therefore grouping and job output) is identical across transports
-//! whenever the reduce side merges. The remaining difference — purely
-//! in-memory partitions reduce in first-occurrence order under
-//! `InProcess` but in fingerprint order under `MultiProcess` (everything
-//! is a sorted run there) — is the same deterministic reordering the
-//! spill path already introduces, and the pipeline output is
-//! property-tested byte-identical across transports in
-//! `crates/core/tests/transport_equivalence.rs`.
-//!
-//! # Wire format
-//!
-//! One exchange file per non-empty partition, named `part<p>.runs`,
-//! holding that partition's runs back-to-back in the [`SpillWriter`]
-//! v2 frame format (see [`crate::spill`]): per record, a LEB128 varint
-//! payload length, a varint fingerprint delta (`fp XOR
-//! fingerprint64(key)` — one zero byte for every runtime-emitted
-//! record), then the `Spill`-encoded key and value. For the dominant
-//! small-payload stages this is ≈2 B of framing per record where the v1
-//! fixed `[u32 len][u64 fp]` frame spent 12. A future genuinely-remote
-//! worker needs only the `(offset, bytes, records)` run directory — the
-//! same [`RunMeta`] the in-process reduce uses — to stream its
-//! partition over any byte transport.
-//!
-//! [`RunMeta`]: crate::spill::RunMeta
+//! The exchange hands every partition its segments in map-task order, a
+//! task's runs in write order (spilled runs before the published
+//! leftover) before its in-memory leftover — the same order under every
+//! transport. Since the merge resolves equal-fingerprint ties by segment
+//! index, the merged record order (and therefore grouping and job output)
+//! is identical across transports whenever the reduce side merges. The
+//! remaining difference — purely in-memory partitions reduce in
+//! first-occurrence order under `InProcess` but in fingerprint order when
+//! published (everything is a sorted run there) — is the same
+//! deterministic reordering the spill path already introduces, and the
+//! pipeline output is property-tested byte-identical across transports in
+//! `crates/core/tests/transport_equivalence.rs`. Retries cannot perturb
+//! any of this: every fetch is an idempotent ranged read, so a retried
+//! request yields the same bytes and only the wall-clock-class
+//! [`FetchStats`] differ.
 
 use std::hash::Hash;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 use tsj_netshuffle::{
-    FaultConfig, FetchClient, FetchConfig, FetchError, FetchStats, PublishedTask, Registry, RunKey,
-    RunServer, RunSpec, ServerAddr,
+    FaultConfig, FetchClient, FetchError, FetchStats, PublishedTask, Registry, RunKey, RunServer,
+    RunSpec, ServerAddr,
 };
 
 use crate::merge::Segment;
 use crate::shuffle::{ShuffleRecord, TaskSpill};
-use crate::spill::{RunMeta, Spill, SpillDirGuard, SpillWriter};
-
-#[cfg(test)]
-use crate::spill::RunReader;
+use crate::spill::{fetch_config, RunMeta, RunSource, Spill, SpillError};
 
 /// Which transport a job's shuffle uses (the configuration-level knob;
 /// see [`ShuffleConfig`](crate::shuffle::ShuffleConfig)).
@@ -76,11 +66,12 @@ pub enum Transport {
     /// In-process segment handoff (the default).
     #[default]
     InProcess,
-    /// File exchange over the spill-run wire format.
+    /// Map tasks publish their whole output as run files; reducers read
+    /// them from the local filesystem.
     MultiProcess,
-    /// Network exchange: map tasks publish their runs to a per-stage run
-    /// server ([`tsj_netshuffle`]) and the reduce side fetches them over
-    /// a socket with ranged reads, retries, and deadlines.
+    /// Map tasks publish the same run files to a per-stage run server
+    /// ([`tsj_netshuffle`]); reducers fetch them over a socket with ranged
+    /// reads, retries, and deadlines.
     Remote,
 }
 
@@ -115,258 +106,38 @@ impl Transport {
     }
 }
 
-/// One map task's complete post-combine output, as handed to the
-/// transport: partition-indexed in-memory buffers plus the task's spill
-/// file (if it spilled). Constructed by the runtime only.
+/// One map task's complete post-combine output, as handed to
+/// [`exchange`]: partition-indexed in-memory buffers (all empty once
+/// published) plus the task's run file, if it wrote one.
 #[derive(Debug)]
-pub struct MapOutput<K, V> {
+pub(crate) struct MapOutput<K, V> {
     pub(crate) parts: Vec<Vec<ShuffleRecord<K, V>>>,
     pub(crate) spill: Option<TaskSpill>,
-    /// The run-server task key this output was published under (set by
-    /// the map task itself, remote transport only): parts and spill were
-    /// already serialized into the task's exchange file, and the remote
-    /// exchange fetches by this key instead of touching them.
-    pub(crate) published: Option<u64>,
 }
 
-impl<K, V> MapOutput<K, V> {
-    pub(crate) fn new(parts: Vec<Vec<ShuffleRecord<K, V>>>, spill: Option<TaskSpill>) -> Self {
-        Self {
-            parts,
-            spill,
-            published: None,
-        }
-    }
-
-    /// Tags the output with its run-server key (builder style).
-    pub(crate) fn with_published(mut self, published: Option<u64>) -> Self {
-        self.published = published;
-        self
-    }
-}
-
-/// The transport's result: every partition's reduce-input segments, plus
-/// what moving them cost.
+/// Every partition's reduce-input segments, plus what moving them cost.
 #[derive(Debug)]
-pub struct Exchange<K, V> {
+pub(crate) struct Exchange<K, V> {
     pub(crate) partition_segments: Vec<Vec<Segment<K, V>>>,
-    /// Bytes serialized through the transport (0 for [`InProcess`]).
-    pub bytes_moved: u64,
-    /// Keeps the exchange directory alive until the reduce phase has
-    /// drained it; dropping the last reference removes the directory
-    /// (shared because [`Remote`] holds it too, transitively keeping it
-    /// alive for any still-running speculative map attempt).
-    pub(crate) guard: Option<Arc<SpillDirGuard>>,
-    /// What the fetch client observed ([`Remote`] only; zero elsewhere).
-    /// Wall-clock-class observability — retries depend on timing and
-    /// injected faults, never on job content.
-    pub fetch: FetchStats,
+    /// Bytes published through the transport (0 for
+    /// [`Transport::InProcess`]).
+    pub(crate) bytes_moved: u64,
+    /// What the run-directory lookups cost ([`Transport::Remote`] only).
+    pub(crate) fetch: FetchStats,
 }
 
-/// A shuffle transport: turns the map phase's per-task outputs into
-/// per-partition segment lists for the reduce phase.
-///
-/// Implementations must preserve the segment discipline the merge relies
-/// on: partition `p`'s segments appear in map-task order, a task's
-/// spilled runs (in spill order) before its in-memory leftover.
-pub trait ShuffleTransport {
-    /// The transport's stable name (reported in job stats).
-    fn name(&self) -> &'static str;
-
-    /// Moves `tasks`' outputs into per-partition reduce inputs.
-    fn exchange<K: Spill + Hash, V: Spill>(
-        &self,
-        tasks: Vec<MapOutput<K, V>>,
-        partitions: usize,
-    ) -> std::io::Result<Exchange<K, V>>;
-}
-
-/// The in-process segment handoff: buffers and spill-run handles move by
-/// reference. Zero serialization, zero bytes moved.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct InProcess;
-
-impl ShuffleTransport for InProcess {
-    fn name(&self) -> &'static str {
-        Transport::InProcess.name()
-    }
-
-    fn exchange<K: Spill + Hash, V: Spill>(
-        &self,
-        tasks: Vec<MapOutput<K, V>>,
-        partitions: usize,
-    ) -> std::io::Result<Exchange<K, V>> {
-        let mut partition_segments: Vec<Vec<Segment<K, V>>> =
-            (0..partitions).map(|_| Vec::new()).collect();
-        for task in tasks {
-            if let Some(spill) = task.spill {
-                for (p, runs) in spill.runs.into_iter().enumerate() {
-                    for meta in runs {
-                        partition_segments[p].push(Segment::Spilled {
-                            file: Arc::clone(&spill.file),
-                            meta,
-                        });
-                    }
-                }
-            }
-            for (p, segment) in task.parts.into_iter().enumerate() {
-                if !segment.is_empty() {
-                    partition_segments[p].push(Segment::Mem(segment));
-                }
-            }
-        }
-        Ok(Exchange {
-            partition_segments,
-            bytes_moved: 0,
-            guard: None,
-            fetch: FetchStats::default(),
-        })
-    }
-}
-
-/// The file-exchange transport: serializes every map task's output into
-/// per-partition sorted-run files under `exchange_dir` (see the module
-/// docs) and hands reducers only `Segment::Spilled` entries backed by
-/// those files.
-#[derive(Debug, Clone)]
-pub struct MultiProcess {
-    /// The job's shared exchange directory (reserved by the runtime,
-    /// materialized lazily by the first written partition, removed when
-    /// the returned [`Exchange`]'s guard drops).
-    pub exchange_dir: PathBuf,
-}
-
-impl MultiProcess {
-    pub fn new(exchange_dir: PathBuf) -> Self {
-        Self { exchange_dir }
-    }
-}
-
-/// One partition's exchange file while it is being written.
-struct PartitionFile {
-    writer: SpillWriter,
-    metas: Vec<RunMeta>,
-}
-
-impl PartitionFile {
-    /// The partition's exchange file, opened on first use.
-    fn open<'a>(
-        files: &'a mut [Option<PartitionFile>],
-        dir: &std::path::Path,
-        p: usize,
-    ) -> std::io::Result<&'a mut PartitionFile> {
-        let slot = &mut files[p];
-        match slot.take() {
-            Some(f) => Ok(slot.insert(f)),
-            None => Ok(slot.insert(PartitionFile {
-                writer: SpillWriter::create(dir.join(format!("part{p}.runs")))?,
-                metas: Vec::new(),
-            })),
-        }
-    }
-}
-
-impl ShuffleTransport for MultiProcess {
-    fn name(&self) -> &'static str {
-        Transport::MultiProcess.name()
-    }
-
-    fn exchange<K: Spill + Hash, V: Spill>(
-        &self,
-        tasks: Vec<MapOutput<K, V>>,
-        partitions: usize,
-    ) -> std::io::Result<Exchange<K, V>> {
-        let guard = Arc::new(SpillDirGuard(self.exchange_dir.clone()));
-        // One exchange file per partition, created lazily so sparse
-        // partitions (common with partitions ≈ machines ≫ keys) cost
-        // nothing.
-        let mut files: Vec<Option<PartitionFile>> = (0..partitions).map(|_| None).collect();
-
-        for task in tasks {
-            // The task's spilled runs first, then its in-memory leftover —
-            // the same segment order InProcess produces, so the reduce
-            // merge's tie-breaking (and thus job output) is unchanged.
-            if let Some(spill) = &task.spill {
-                for (p, runs) in spill.runs.iter().enumerate() {
-                    for meta in runs {
-                        let slot = PartitionFile::open(&mut files, &self.exchange_dir, p)?;
-                        // Re-ship the mapper-local run over the "wire": a
-                        // raw byte copy — spill runs are already in the
-                        // exchange frame format, so no decode/re-encode.
-                        let copied = slot.writer.copy_raw_run(&spill.file, *meta)?;
-                        slot.metas.push(copied);
-                    }
-                }
-            }
-            for (p, mut segment) in task.parts.into_iter().enumerate() {
-                if segment.is_empty() {
-                    continue;
-                }
-                // Stable sort: equal-fingerprint records keep emit order,
-                // mirroring the mapper's own spill discipline.
-                segment.sort_by_key(|(h, _, _)| *h);
-                let slot = PartitionFile::open(&mut files, &self.exchange_dir, p)?;
-                slot.metas.push(slot.writer.write_run(&segment)?);
-            }
-        }
-
-        let mut bytes_moved = 0u64;
-        let mut partition_segments: Vec<Vec<Segment<K, V>>> =
-            (0..partitions).map(|_| Vec::new()).collect();
-        for (p, file) in files.into_iter().enumerate() {
-            let Some(PartitionFile { writer, metas }) = file else {
-                continue;
-            };
-            bytes_moved += writer.bytes();
-            let (file, _path) = writer.into_reader()?;
-            partition_segments[p].extend(metas.into_iter().map(|meta| Segment::Spilled {
-                file: Arc::clone(&file),
-                meta,
-            }));
-        }
-        Ok(Exchange {
-            partition_segments,
-            bytes_moved,
-            guard: Some(guard),
-            fetch: FetchStats::default(),
-        })
-    }
-}
-
-/// The network transport: map tasks publish their output as per-task
-/// exchange files (`Remote::publish_task`, called *inside* the timed
-/// map task, overlapping the map wave) and register them with a per-stage
-/// [`RunServer`]; after the map barrier, [`Remote::exchange`] fetches
-/// every partition's runs back over a socket — directory lookups plus
-/// chunked ranged reads with retries — and assembles them into local
-/// per-partition run files for the ordinary sort-merge reduce.
+/// A stage's handle on its run server ([`Transport::Remote`]): what map
+/// tasks publish to and what reduce-side run sources point at.
 ///
 /// The server listens on a loopback TCP port, so every fetched byte
 /// genuinely crosses the host boundary machinery (sockets, framing,
 /// deadlines) even though the simulation runs in one process.
-///
-/// # Determinism
-///
-/// Per partition, runs are fetched in map-task order, each task's runs in
-/// its published directory order (spilled runs before the in-memory
-/// leftover) — the same segment discipline the other transports produce,
-/// so job output is byte-identical. Retries cannot perturb this: every
-/// fetch is an idempotent ranged read, so a retried request yields the
-/// same bytes and only the wall-clock-class [`FetchStats`] differ.
 #[derive(Debug)]
-pub struct Remote {
-    /// Exchange directory (task files + fetched partition files), shared
-    /// with the [`Exchange`] guard and any speculative map attempt still
-    /// holding the transport.
-    guard: Arc<SpillDirGuard>,
+pub(crate) struct Remote {
     /// This stage's job id in the run-server keyspace (process-unique).
     job: u64,
     registry: Arc<Registry>,
-    /// The stage's run server; taken out (and shut down) by
-    /// [`Remote::stop`] once the exchange has fetched everything.
-    server: Mutex<Option<RunServer>>,
     addr: ServerAddr,
-    fetch_config: FetchConfig,
 }
 
 /// Process-wide job-id allocator for the run-server keyspace: stages
@@ -374,233 +145,168 @@ pub struct Remote {
 static NEXT_JOB: AtomicU64 = AtomicU64::new(0);
 
 impl Remote {
-    /// Reserves `exchange_dir`, starts this stage's run server (loopback
-    /// TCP, ephemeral port) with `fault` injection, and allocates a fresh
-    /// job id.
-    pub(crate) fn start(exchange_dir: PathBuf, fault: FaultConfig) -> std::io::Result<Self> {
+    /// Starts a stage's run server (loopback TCP, ephemeral port) with
+    /// `fault` injection under a fresh job id. The caller owns the server
+    /// — dropping it stops serving — and shares the handle with its tasks.
+    pub(crate) fn start(fault: FaultConfig) -> std::io::Result<(RunServer, Self)> {
         let registry = Arc::new(Registry::new());
         let server = RunServer::bind_tcp(Arc::clone(&registry), fault)?;
         let addr = server.addr().clone();
-        Ok(Self {
-            guard: Arc::new(SpillDirGuard(exchange_dir)),
-            job: NEXT_JOB.fetch_add(1, Ordering::Relaxed),
-            registry,
-            server: Mutex::new(Some(server)),
-            addr,
-            fetch_config: FetchConfig::default(),
-        })
+        let job = NEXT_JOB.fetch_add(1, Ordering::Relaxed);
+        Ok((
+            server,
+            Self {
+                job,
+                registry,
+                addr,
+            },
+        ))
     }
 
-    /// Serializes one map task's output — spilled runs (raw byte copy)
-    /// then the sorted in-memory leftover, per partition — into the
-    /// task's own exchange file and registers it with the run server:
+    /// Registers a map task's finished run file with the run server:
     /// servable the moment the task finishes, while the map wave is still
-    /// running. Called from inside the map task; `task` is already
-    /// attempt-distinct under speculation, so concurrent attempts never
-    /// collide on a file or registry key.
-    ///
-    /// A task that produced nothing still registers (an empty directory
-    /// is a valid answer; an unknown task is an error).
-    pub(crate) fn publish_task<K: Spill + Hash, V: Spill>(
-        &self,
-        task: u64,
-        mut parts: Vec<Vec<ShuffleRecord<K, V>>>,
-        spill: Option<&TaskSpill>,
-    ) -> std::io::Result<()> {
-        let dir = &self.guard.0;
-        // The task's exchange file, opened on first written run.
-        fn open<'a>(
-            writer: &'a mut Option<SpillWriter>,
-            dir: &std::path::Path,
-            task: u64,
-        ) -> std::io::Result<&'a mut SpillWriter> {
-            match writer.take() {
-                Some(w) => Ok(writer.insert(w)),
-                None => {
-                    Ok(writer.insert(SpillWriter::create(dir.join(format!("task{task}.xruns")))?))
-                }
-            }
-        }
-        let mut writer: Option<SpillWriter> = None;
-        let mut dirs: Vec<Vec<RunSpec>> = Vec::with_capacity(parts.len());
-        for (p, segment) in parts.iter_mut().enumerate() {
-            let mut specs = Vec::new();
-            if let Some(spill) = spill {
-                for meta in &spill.runs[p] {
-                    let copied = open(&mut writer, dir, task)?.copy_raw_run(&spill.file, *meta)?;
-                    specs.push(run_spec(copied));
-                }
-            }
-            if !segment.is_empty() {
-                // Stable sort: equal-fingerprint records keep emit order,
-                // the same discipline as the other transports.
-                segment.sort_by_key(|(h, _, _)| *h);
-                specs.push(run_spec(open(&mut writer, dir, task)?.write_run(segment)?));
-            }
-            dirs.push(specs);
-        }
-        let file = match writer {
-            Some(w) => Some(w.into_reader()?.0),
-            None => None,
-        };
+    /// running. `spill.task` is attempt-distinct under speculation, so
+    /// concurrent attempts never collide on a registry key (and a loser
+    /// is simply never fetched).
+    pub(crate) fn publish(&self, spill: &TaskSpill) {
+        let parts = spill
+            .runs
+            .iter()
+            .map(|runs| {
+                runs.iter()
+                    .map(|meta| RunSpec {
+                        offset: meta.offset,
+                        bytes: meta.bytes,
+                        records: meta.records,
+                    })
+                    .collect()
+            })
+            .collect();
+        let file = Some(Arc::clone(&spill.file));
         self.registry
-            .publish(self.job, task, PublishedTask { file, parts: dirs });
-        Ok(())
-    }
-
-    /// Shuts the run server down (idempotent). Called once the exchange
-    /// has fetched every partition — nothing fetches after that.
-    pub(crate) fn stop(&self) {
-        let server = self
-            .server
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        drop(server);
+            .publish(self.job, spill.task, PublishedTask { file, parts });
     }
 }
 
-/// [`RunMeta`] → wire [`RunSpec`] (same fields, decoupled types: the
-/// netshuffle crate stays independent of the spill layer).
-fn run_spec(meta: RunMeta) -> RunSpec {
-    RunSpec {
-        offset: meta.offset,
-        bytes: meta.bytes,
-        records: meta.records,
-    }
-}
-
-fn fetch_io(err: FetchError) -> std::io::Error {
-    std::io::Error::other(format!("run fetch failed: {err}"))
-}
-
-impl ShuffleTransport for Remote {
-    fn name(&self) -> &'static str {
-        Transport::Remote.name()
-    }
-
-    fn exchange<K: Spill + Hash, V: Spill>(
-        &self,
-        tasks: Vec<MapOutput<K, V>>,
-        partitions: usize,
-    ) -> std::io::Result<Exchange<K, V>> {
-        // Map tasks already published everything; all the exchange needs
-        // is each winner's run-server key, in task order.
-        let mut keys = Vec::with_capacity(tasks.len());
-        for task in &tasks {
-            let Some(key) = task.published else {
-                return Err(std::io::Error::other(
-                    "remote exchange received a map output that was never published \
-                     to the run server",
-                ));
-            };
-            keys.push(key);
-        }
-        drop(tasks);
-
-        let mut client = FetchClient::new(self.addr.clone(), self.fetch_config);
-        let chunk = self
-            .fetch_config
-            .chunk
-            .clamp(1, tsj_netshuffle::protocol::MAX_FETCH_BYTES);
-        let mut bytes_moved = 0u64;
-        let mut partition_segments: Vec<Vec<Segment<K, V>>> =
-            (0..partitions).map(|_| Vec::new()).collect();
-        for (p, segments) in partition_segments.iter_mut().enumerate() {
-            // This partition's local reduce input, assembled run by run
-            // from the fetched byte ranges (created lazily: sparse
-            // partitions fetch nothing and cost nothing).
-            let mut writer: Option<SpillWriter> = None;
-            let mut metas: Vec<RunMeta> = Vec::new();
-            let partition = u32::try_from(p).map_err(|_| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("partition index {p} exceeds the u32 run-key field"),
-                )
-            })?;
-            for &task in &keys {
-                let key = RunKey {
-                    job: self.job,
-                    partition,
-                    task,
-                };
-                let specs = client.dir(key).map_err(fetch_io)?;
-                for spec in specs {
-                    let writer = match writer.take() {
-                        Some(w) => writer.insert(w),
-                        None => writer.insert(SpillWriter::create(
-                            self.guard.0.join(format!("part{p}.fetch")),
-                        )?),
-                    };
-                    let start = writer.offset();
-                    let mut done = 0u64;
-                    while done < spec.bytes {
-                        let len = chunk.min(spec.bytes - done);
-                        let bytes = client
-                            .fetch(key, spec.offset + done, len)
-                            .map_err(fetch_io)?;
-                        writer.append_raw(&bytes)?;
-                        done += len;
+/// The shuffle exchange: turns the map phase's per-task outputs into
+/// per-partition segment lists for the reduce phase, walking
+/// `(partition, task-in-order)`.
+///
+/// Partition `p`'s segments appear in map-task order, a task's runs (in
+/// write order) before its in-memory leftover — the discipline the merge
+/// relies on. A task's run directory comes from its [`TaskSpill`], or —
+/// with a `remote` — from the run server it was published to, and its
+/// runs carry the matching [`RunSource`]; nothing else depends on the
+/// transport.
+pub(crate) fn exchange<K: Spill + Hash, V: Spill>(
+    mut tasks: Vec<MapOutput<K, V>>,
+    partitions: usize,
+    transport: Transport,
+    remote: Option<&Remote>,
+) -> Result<Exchange<K, V>, SpillError> {
+    let mut remote = remote.map(|r| (r, FetchClient::new(r.addr.clone(), fetch_config())));
+    let mut bytes_moved = 0u64;
+    let mut partition_segments = Vec::with_capacity(partitions);
+    for p in 0..partitions {
+        let mut segments: Vec<Segment<K, V>> = Vec::new();
+        for task in &mut tasks {
+            if let Some(spill) = &mut task.spill {
+                let (source, metas) = match &mut remote {
+                    None => (
+                        RunSource::Local(Arc::clone(&spill.file)),
+                        std::mem::take(&mut spill.runs[p]),
+                    ),
+                    Some((remote, client)) => {
+                        let key = RunKey {
+                            job: remote.job,
+                            partition: u32::try_from(p).map_err(|_| {
+                                SpillError::Fetch(FetchError::Protocol(format!(
+                                    "partition index {p} exceeds the u32 run-key field"
+                                )))
+                            })?,
+                            task: spill.task,
+                        };
+                        let metas = client
+                            .dir(key)
+                            .map_err(SpillError::Fetch)?
+                            .into_iter()
+                            .map(|spec| RunMeta {
+                                offset: spec.offset,
+                                bytes: spec.bytes,
+                                records: spec.records,
+                            })
+                            .collect();
+                        let addr = remote.addr.clone();
+                        (RunSource::Remote { addr, key }, metas)
                     }
-                    metas.push(writer.seal_raw_run(start, spec.records));
-                    bytes_moved += spec.bytes;
+                };
+                for meta in metas {
+                    if transport != Transport::InProcess {
+                        bytes_moved += meta.bytes;
+                    }
+                    let source = source.clone();
+                    segments.push(Segment::Spilled { source, meta });
                 }
             }
-            if let Some(writer) = writer {
-                let (file, _path) = writer.into_reader()?;
-                segments.extend(metas.into_iter().map(|meta| Segment::Spilled {
-                    file: Arc::clone(&file),
-                    meta,
-                }));
+            let leftover = std::mem::take(&mut task.parts[p]);
+            if !leftover.is_empty() {
+                segments.push(Segment::Mem(leftover));
             }
         }
-        Ok(Exchange {
-            partition_segments,
-            bytes_moved,
-            guard: Some(Arc::clone(&self.guard)),
-            fetch: client.stats(),
-        })
+        partition_segments.push(segments);
     }
+    Ok(Exchange {
+        partition_segments,
+        bytes_moved,
+        fetch: remote.map_or_else(FetchStats::default, |(_, client)| client.stats()),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hash::fingerprint64;
-    use crate::spill::reserve_job_dir;
+    use crate::shuffle::PartitionedBuffer;
+    use crate::spill::{reserve_job_spill_dir, RunReader, SharedFetchClient, SpillDirGuard};
 
-    fn rec(key: u64, value: u64, partitions: usize) -> (usize, ShuffleRecord<u64, u64>) {
-        let h = fingerprint64(&key);
-        ((h % partitions as u64) as usize, (h, key, value))
+    /// One map task's output, produced the way `run_map_task` does: emit
+    /// into a partitioned buffer, then (with a job `dir`) publish it.
+    fn task(
+        dir: Option<&SpillDirGuard>,
+        id: usize,
+        records: &[(u64, u64)],
+        partitions: usize,
+    ) -> MapOutput<u64, u64> {
+        let mut buf = match dir {
+            Some(dir) => PartitionedBuffer::with_spill(partitions, None, dir.0.clone(), id),
+            None => PartitionedBuffer::new(partitions),
+        };
+        for &(k, v) in records {
+            buf.emit(k, v);
+        }
+        let spill = buf.finish_spill(dir.is_some()).unwrap();
+        MapOutput {
+            parts: buf.into_parts(),
+            spill,
+        }
     }
 
-    fn mem_task(keys: &[(u64, u64)], partitions: usize) -> MapOutput<u64, u64> {
-        let mut parts: Vec<Vec<ShuffleRecord<u64, u64>>> =
-            (0..partitions).map(|_| Vec::new()).collect();
-        for &(k, v) in keys {
-            let (p, r) = rec(k, v, partitions);
-            parts[p].push(r);
-        }
-        MapOutput {
-            parts,
-            spill: None,
-            published: None,
-        }
+    fn job_dir() -> SpillDirGuard {
+        SpillDirGuard(reserve_job_spill_dir(&std::env::temp_dir()))
     }
 
     /// Drains every segment of an exchange into (partition, record) order.
     fn drain(exchange: Exchange<u64, u64>) -> Vec<(usize, ShuffleRecord<u64, u64>)> {
         let mut out = Vec::new();
+        let mut client: Option<SharedFetchClient> = None;
         for (p, segments) in exchange.partition_segments.into_iter().enumerate() {
             for seg in segments {
                 match seg {
-                    Segment::Mem(records) => {
-                        let mut records = records;
+                    Segment::Mem(mut records) => {
                         records.sort_by_key(|(h, _, _)| *h);
                         out.extend(records.into_iter().map(|r| (p, r)));
                     }
-                    Segment::Spilled { file, meta } => {
-                        let mut r = RunReader::new(file, meta);
+                    Segment::Spilled { source, meta } => {
+                        let mut r = RunReader::open(source, meta, &mut client);
                         while let Some(record) = r.next::<u64, u64>().unwrap() {
                             out.push((p, record));
                         }
@@ -639,76 +345,68 @@ mod tests {
         let data_a: Vec<(u64, u64)> = (0..40).map(|i| (i % 11, i)).collect();
         let data_b: Vec<(u64, u64)> = (0..25).map(|i| (i % 7, 100 + i)).collect();
 
-        let in_proc = InProcess
-            .exchange(
-                vec![mem_task(&data_a, partitions), mem_task(&data_b, partitions)],
-                partitions,
-            )
-            .unwrap();
+        let in_proc = exchange(
+            vec![
+                task(None, 0, &data_a, partitions),
+                task(None, 1, &data_b, partitions),
+            ],
+            partitions,
+            Transport::InProcess,
+            None,
+        )
+        .unwrap();
 
-        let dir = reserve_job_dir(&std::env::temp_dir(), "tsj-remote-test");
-        let remote = Remote::start(dir.clone(), tsj_netshuffle::FaultConfig::default()).unwrap();
+        let dir = job_dir();
+        let (server, remote) = Remote::start(FaultConfig::default()).unwrap();
         // Publish exactly as the map tasks would, then exchange over the
         // socket.
-        let mut outputs = Vec::new();
-        for (task, data) in [(0u64, &data_a), (1, &data_b)] {
-            let out = mem_task(data, partitions);
-            remote.publish_task(task, out.parts, None).unwrap();
-            outputs.push(
-                MapOutput::new((0..partitions).map(|_| Vec::new()).collect(), None)
-                    .with_published(Some(task)),
-            );
+        let tasks = vec![
+            task(Some(&dir), 0, &data_a, partitions),
+            task(Some(&dir), 1, &data_b, partitions),
+        ];
+        for t in &tasks {
+            remote.publish(t.spill.as_ref().unwrap());
         }
-        let exchange = remote.exchange(outputs, partitions).unwrap();
-        remote.stop();
+        let exchange = exchange(tasks, partitions, Transport::Remote, Some(&remote)).unwrap();
         assert!(exchange.bytes_moved > 0);
         assert!(exchange.fetch.requests > 0);
-        assert_eq!(exchange.fetch.bytes, exchange.bytes_moved);
+        assert_eq!(exchange.fetch.bytes, 0, "the directory walk moves no runs");
 
         assert_eq!(drain(exchange), drain(in_proc));
-        drop(remote);
-        assert!(!dir.exists(), "guard removes the exchange dir on drop");
+        drop(server);
+        let path = dir.0.clone();
+        drop(dir);
+        assert!(!path.exists(), "guard removes the job dir on drop");
     }
 
     #[test]
-    fn remote_exchange_matches_multiprocess_volume() {
-        let partitions = 3;
-        let data: Vec<(u64, u64)> = (0..60).map(|i| (i % 13, i)).collect();
-
-        let dir = reserve_job_dir(&std::env::temp_dir(), "tsj-exchange-test");
-        let multi = MultiProcess::new(dir)
-            .exchange(vec![mem_task(&data, partitions)], partitions)
-            .unwrap();
-
-        let dir = reserve_job_dir(&std::env::temp_dir(), "tsj-remote-test");
-        let remote = Remote::start(dir, tsj_netshuffle::FaultConfig::default()).unwrap();
-        let out = mem_task(&data, partitions);
-        remote.publish_task(0, out.parts, None).unwrap();
-        let exchange = remote
-            .exchange(
-                vec![
-                    MapOutput::new((0..partitions).map(|_| Vec::new()).collect(), None)
-                        .with_published(Some(0)),
-                ],
-                partitions,
-            )
-            .unwrap();
-        remote.stop();
-        // Same runs, same frames: the serialized exchange volume is
-        // byte-for-byte the multi-process one.
-        assert_eq!(exchange.bytes_moved, multi.bytes_moved);
-        assert_eq!(drain(exchange), drain(multi));
-    }
-
-    #[test]
-    fn remote_exchange_rejects_unpublished_outputs() {
-        let dir = reserve_job_dir(&std::env::temp_dir(), "tsj-remote-test");
-        let remote = Remote::start(dir, tsj_netshuffle::FaultConfig::default()).unwrap();
-        let err = remote
-            .exchange(vec![mem_task(&[(1, 1)], 2)], 2)
-            .expect_err("unpublished output must be a structured error");
-        assert!(err.to_string().contains("never published"));
-        remote.stop();
+    fn a_run_server_dying_mid_merge_fails_the_job_as_a_transport_error() {
+        let partitions = 2;
+        let data: Vec<(u64, u64)> = (0..50).map(|i| (i, i)).collect();
+        let dir = job_dir();
+        let (server, remote) = Remote::start(FaultConfig::default()).unwrap();
+        let published = task(Some(&dir), 0, &data, partitions);
+        remote.publish(published.spill.as_ref().unwrap());
+        let exchange = exchange(
+            vec![published],
+            partitions,
+            Transport::Remote,
+            Some(&remote),
+        )
+        .unwrap();
+        // The directory walk succeeded; now the server goes away before
+        // the reduce side has read a byte.
+        drop(server);
+        for segments in exchange.partition_segments {
+            let err = crate::merge::merge_segments(segments, |_: u64, _: Vec<u64>| {})
+                .expect_err("nothing answers the ranged fetches");
+            assert!(matches!(err, SpillError::Fetch(_)), "{err}");
+            let job_err = crate::job::JobError::from(err);
+            assert!(
+                matches!(job_err, crate::job::JobError::Transport { .. }),
+                "{job_err}"
+            );
+        }
     }
 
     #[test]
@@ -717,80 +415,104 @@ mod tests {
         let data_a: Vec<(u64, u64)> = (0..40).map(|i| (i % 11, i)).collect();
         let data_b: Vec<(u64, u64)> = (0..25).map(|i| (i % 7, 100 + i)).collect();
 
-        let in_proc = InProcess
-            .exchange(
-                vec![mem_task(&data_a, partitions), mem_task(&data_b, partitions)],
-                partitions,
-            )
-            .unwrap();
+        let in_proc = exchange(
+            vec![
+                task(None, 0, &data_a, partitions),
+                task(None, 1, &data_b, partitions),
+            ],
+            partitions,
+            Transport::InProcess,
+            None,
+        )
+        .unwrap();
         assert_eq!(in_proc.bytes_moved, 0);
 
-        let dir = reserve_job_dir(&std::env::temp_dir(), "tsj-exchange-test");
-        let multi = MultiProcess::new(dir.clone())
-            .exchange(
-                vec![mem_task(&data_a, partitions), mem_task(&data_b, partitions)],
-                partitions,
-            )
-            .unwrap();
+        let dir = job_dir();
+        let multi = exchange(
+            vec![
+                task(Some(&dir), 0, &data_a, partitions),
+                task(Some(&dir), 1, &data_b, partitions),
+            ],
+            partitions,
+            Transport::MultiProcess,
+            None,
+        )
+        .unwrap();
         assert!(multi.bytes_moved > 0);
-        assert!(dir.exists(), "exchange dir materialized");
+        assert!(dir.0.exists(), "job dir materialized");
 
         // Same records per partition, in the same merged order (mem
         // segments compared post-sort, the order the merge consumes).
         assert_eq!(drain(multi), drain(in_proc));
-        assert!(!dir.exists(), "guard removes the exchange dir on drop");
     }
 
     #[test]
-    fn exchange_files_are_per_partition_and_runs_are_sorted() {
+    fn published_runs_are_per_task_sorted_and_routed_to_their_partition() {
         let partitions = 3;
-        let data: Vec<(u64, u64)> = (0..60).map(|i| (i, i * 2)).collect();
-        let dir = reserve_job_dir(&std::env::temp_dir(), "tsj-exchange-test");
-        let exchange = MultiProcess::new(dir.clone())
-            .exchange(vec![mem_task(&data, partitions)], partitions)
-            .unwrap();
-        let names: Vec<String> = std::fs::read_dir(&dir)
+        let data_a: Vec<(u64, u64)> = (0..60).map(|i| (i, i * 2)).collect();
+        let data_b: Vec<(u64, u64)> = (60..90).map(|i| (i, i * 2)).collect();
+        let dir = job_dir();
+        let exchange = exchange(
+            vec![
+                task(Some(&dir), 0, &data_a, partitions),
+                task(Some(&dir), 1, &data_b, partitions),
+            ],
+            partitions,
+            Transport::MultiProcess,
+            None,
+        )
+        .unwrap();
+        let mut names: Vec<String> = std::fs::read_dir(&dir.0)
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
             .collect();
-        for name in &names {
-            assert!(
-                name.starts_with("part") && name.ends_with(".runs"),
-                "{name}"
-            );
-        }
-        for (p, segments) in exchange.partition_segments.iter().enumerate() {
+        names.sort();
+        assert_eq!(
+            names,
+            ["task0.spill", "task1.spill"],
+            "one run file per task"
+        );
+        let mut records = 0;
+        for (p, segments) in exchange.partition_segments.into_iter().enumerate() {
+            assert_eq!(segments.len(), 2, "one published run per task");
             for seg in segments {
-                let Segment::Spilled { file, meta } = seg else {
-                    panic!("multi-process exchange must hand out spilled segments only");
+                let Segment::Spilled { source, meta } = seg else {
+                    panic!("a published task hands out spilled segments only");
                 };
-                let mut r = RunReader::new(Arc::clone(file), *meta);
+                let mut r = RunReader::open(source, meta, &mut None);
                 let mut last = 0u64;
                 while let Some((h, _, _)) = r.next::<u64, u64>().unwrap() {
-                    assert!(h >= last, "exchange run not sorted");
+                    assert!(h >= last, "published run not sorted");
                     assert_eq!((h % partitions as u64) as usize, p);
                     last = h;
+                    records += 1;
                 }
             }
         }
+        assert_eq!(records, 90);
     }
 
     #[test]
-    fn empty_partitions_create_no_exchange_files() {
+    fn empty_tasks_and_partitions_publish_nothing() {
         let partitions = 64;
-        let data: Vec<(u64, u64)> = vec![(1, 1)];
-        let dir = reserve_job_dir(&std::env::temp_dir(), "tsj-exchange-test");
-        let exchange = MultiProcess::new(dir.clone())
-            .exchange(vec![mem_task(&data, partitions)], partitions)
-            .unwrap();
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
-        assert_eq!(
-            exchange
-                .partition_segments
-                .iter()
-                .filter(|s| !s.is_empty())
-                .count(),
-            1
-        );
+        let dir = job_dir();
+        let empty = task(Some(&dir), 0, &[], partitions);
+        assert!(empty.spill.is_none(), "an empty task writes no run file");
+        assert!(!dir.0.exists(), "and never materializes the job dir");
+
+        let exchange = exchange(
+            vec![empty, task(Some(&dir), 1, &[(1, 1)], partitions)],
+            partitions,
+            Transport::MultiProcess,
+            None,
+        )
+        .unwrap();
+        assert_eq!(std::fs::read_dir(&dir.0).unwrap().count(), 1);
+        let non_empty = exchange
+            .partition_segments
+            .iter()
+            .filter(|s| !s.is_empty())
+            .count();
+        assert_eq!(non_empty, 1);
     }
 }

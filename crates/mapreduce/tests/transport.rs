@@ -1,16 +1,19 @@
-//! Job-level tests of the shuffle transport: the multi-process file
-//! exchange and the remote network exchange must reproduce the
-//! in-process handoff's output exactly, account their bytes (and
-//! fetches), charge simulated transport time, clean up their exchange
-//! directories, and compose with mapper spilling and the fan-in-capped
-//! hierarchical merge.
+//! Job-level tests of the shuffle transport: published run files read
+//! locally (multi-process) or fetched from the stage's run server
+//! (remote) must reproduce the in-process handoff's output exactly,
+//! account their bytes (and fetches), charge simulated transport time,
+//! store no byte twice, clean up their job directory — also when the
+//! network fails for good — and compose with mapper spilling and the
+//! fan-in-capped hierarchical merge.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 use tsj_mapreduce::{
-    Cluster, ClusterConfig, Count, Emitter, FaultConfig, JobResult, OutputSink, ShuffleConfig,
-    Transport,
+    Cluster, ClusterConfig, Count, Emitter, FaultConfig, JobError, JobResult, OutputSink,
+    SchedulerConfig, ShuffleConfig, Transport,
 };
+use tsj_netshuffle::FetchConfig;
 
 fn cluster(machines: usize, threads: usize, partitions: usize, shuffle: ShuffleConfig) -> Cluster {
     Cluster::new(ClusterConfig {
@@ -29,6 +32,10 @@ fn wordcount_docs(n: usize) -> Vec<String> {
 }
 
 fn wordcount(c: &Cluster, docs: &[String]) -> JobResult<(String, u64)> {
+    try_wordcount(c, docs).unwrap()
+}
+
+fn try_wordcount(c: &Cluster, docs: &[String]) -> Result<JobResult<(String, u64)>, JobError> {
     c.run_combined(
         "transport.wordcount",
         docs,
@@ -42,7 +49,20 @@ fn wordcount(c: &Cluster, docs: &[String]) -> JobResult<(String, u64)> {
             out.emit((w.clone(), counts.iter().sum()));
         },
     )
-    .unwrap()
+}
+
+/// Total size of every file under `dir`, recursively.
+fn bytes_under(dir: &Path) -> u64 {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return 0;
+    };
+    entries
+        .map(|e| e.unwrap().path())
+        .map(|p| match p.is_dir() {
+            true => bytes_under(&p),
+            false => std::fs::metadata(&p).unwrap().len(),
+        })
+        .sum()
 }
 
 fn sorted<T: Ord>(mut v: Vec<T>) -> Vec<T> {
@@ -341,4 +361,104 @@ fn remote_with_injected_faults_retries_and_output_is_unchanged() {
         "injected faults must never change job output"
     );
     assert_eq!(faulty.stats.transport_bytes, clean.stats.transport_bytes);
+}
+
+#[test]
+fn remote_with_every_request_dropped_fails_as_a_transport_error_and_leaks_nothing() {
+    // A hard network failure: the server hangs up on every request, so
+    // the first run-directory lookup exhausts its retry budget. The job
+    // must fail structurally — no panic, no hang — and clean up.
+    let base = std::env::temp_dir().join(format!("tsj-remote-dead-test-{}", std::process::id()));
+    std::fs::create_dir_all(&base).unwrap();
+    let docs = wordcount_docs(400);
+    let shuffle = ShuffleConfig {
+        spill_dir: Some(PathBuf::from(&base)),
+        transport: Transport::Remote,
+        net_fault: FaultConfig {
+            drop_nth: 1,
+            ..FaultConfig::default()
+        },
+        ..ShuffleConfig::default()
+    };
+    let started = std::time::Instant::now();
+    let err = try_wordcount(&cluster(8, 4, 0, shuffle), &docs)
+        .expect_err("no request is ever answered: the job cannot succeed");
+    assert!(
+        matches!(err, JobError::Transport { .. }),
+        "a dead run server is a transport failure, got {err:?}"
+    );
+    // Every attempt is hung up on at once, so exhausting the retry budget
+    // costs only its capped backoffs — inside a single request deadline.
+    let bound = FetchConfig::default().request_timeout;
+    assert!(
+        started.elapsed() < bound,
+        "one exhausted request bounds the failure: took {:?}, bound {bound:?}",
+        started.elapsed()
+    );
+    let leftovers: Vec<_> = std::fs::read_dir(&base).unwrap().collect();
+    assert!(
+        leftovers.is_empty(),
+        "a failed job must not leak its directory: {leftovers:?}"
+    );
+    std::fs::remove_dir_all(&base).unwrap();
+}
+
+#[test]
+fn published_runs_are_the_only_copy_of_the_exchanged_bytes() {
+    // While the reduce wave runs, everything the job has on disk is its
+    // map tasks' run files — and those hold each exchanged byte exactly
+    // once: no second layout beside the spill files, no re-assembled
+    // copy of what was fetched.
+    for (name, shuffle) in [
+        (
+            "multi-process, bounded",
+            ShuffleConfig::bounded(16, 32).with_transport(Transport::MultiProcess),
+        ),
+        (
+            "remote, unbounded",
+            ShuffleConfig::unbounded().with_transport(Transport::Remote),
+        ),
+    ] {
+        let base = std::env::temp_dir().join(format!(
+            "tsj-one-copy-test-{}-{}",
+            std::process::id(),
+            shuffle.transport.name()
+        ));
+        std::fs::create_dir_all(&base).unwrap();
+        let shuffle = ShuffleConfig {
+            spill_dir: Some(base.clone()),
+            ..shuffle
+        };
+        // Pinned scheduler: a speculative copy of a map task would
+        // (legitimately) write a second, never-read run file.
+        let c = cluster(8, 4, 0, shuffle).with_scheduler(SchedulerConfig::default());
+        let on_disk: Mutex<Vec<u64>> = Mutex::new(Vec::new());
+        let docs = wordcount_docs(600);
+        let out = c
+            .run_combined(
+                "transport.onecopy",
+                &docs,
+                |doc: &String, e: &mut Emitter<String, u64>| {
+                    for w in doc.split_whitespace() {
+                        e.emit(w.to_owned(), 1);
+                    }
+                },
+                &Count,
+                |w: &String, counts: Vec<u64>, out: &mut OutputSink<(String, u64)>| {
+                    on_disk.lock().unwrap().push(bytes_under(&base));
+                    out.emit((w.clone(), counts.iter().sum()));
+                },
+            )
+            .unwrap();
+        let on_disk = on_disk.into_inner().unwrap();
+        assert!(out.stats.transport_bytes > 0, "{name}");
+        assert!(!on_disk.is_empty(), "{name}");
+        for seen in on_disk {
+            assert_eq!(
+                seen, out.stats.transport_bytes,
+                "{name}: bytes on disk during reduce vs bytes exchanged"
+            );
+        }
+        std::fs::remove_dir_all(&base).unwrap();
+    }
 }

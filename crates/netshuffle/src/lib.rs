@@ -21,8 +21,8 @@
 //!   exercised by tests and CI rather than only by real network weather.
 //!
 //! Retries are safe by construction: a ranged read is idempotent, so a
-//! dropped connection or timeout refetches the same bytes and the
-//! assembled run is identical — faults change timing and the retry
+//! dropped connection or timeout refetches the same bytes and the run
+//! the reader sees is identical — faults change timing and the retry
 //! counters, never data.
 //!
 //! This crate is deliberately standalone (std only, no dependency on the

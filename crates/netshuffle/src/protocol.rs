@@ -54,7 +54,7 @@ pub struct RunKey {
     pub task: u64,
 }
 
-/// One run's location in its task's exchange file — the transportable
+/// One run's location in its task's run file — the transportable
 /// form of the runtime's `RunMeta`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunSpec {

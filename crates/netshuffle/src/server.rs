@@ -36,8 +36,8 @@ use crate::FaultConfig;
 /// latency (that is the client's deadline).
 pub const CONN_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// One published map task: its exchange file (if it produced any bytes)
-/// and each partition's run directory within it.
+/// One published map task: its run file (if it produced any bytes) and
+/// each partition's run directory within it.
 #[derive(Debug, Clone)]
 pub struct PublishedTask {
     /// The task's run file, opened read-only; `None` when the task
@@ -64,11 +64,6 @@ impl Registry {
     /// attempt-distinct task keys never actually collide).
     pub fn publish(&self, job: u64, task: u64, published: PublishedTask) {
         self.lock().insert((job, task), published);
-    }
-
-    /// Drops every entry of `job`, closing the published files.
-    pub fn retire_job(&self, job: u64) {
-        self.lock().retain(|(j, _), _| *j != job);
     }
 
     /// Published tasks currently registered (all jobs).

@@ -33,9 +33,9 @@ fn main() {
         );
         println!("{}", out.report);
         // The dataset layer's headline number (EXPERIMENTS.md): records
-        // crossing the driver boundary, vs what the collect-based
-        // chaining (`self_join_collected`) materializes by construction
-        // — every job's input + output.
+        // crossing the driver boundary, vs what chaining the same jobs
+        // through driver `Vec`s (`Cluster::run*` per stage) materializes
+        // by construction — every job's input + output.
         let collected: u64 = out
             .report
             .jobs()

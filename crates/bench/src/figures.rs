@@ -715,9 +715,11 @@ pub fn fig_overlap(p: &FigParams) -> FigData {
     // ---- Straggler / speculation series --------------------------------
     // A seeded *environmental* straggler: map task 0 of the candidates
     // stage sleeps `TSJ_FIG_STRAGGLE_US` (default 300 ms) on its primary
-    // attempt, simulating one slow node. FIFO has no answer — the map
-    // wave barrier (and every downstream task behind it) waits out the
-    // sleep. The speculative scheduler launches a second copy of the
+    // attempt, simulating one slow node. Plain work stealing has no answer
+    // — the map wave barrier (and every downstream task behind it) waits
+    // out the sleep — so it is the no-mitigation baseline: same queue
+    // discipline, same injection, only speculation differs. The
+    // speculative scheduler launches a second copy of the
     // stalled task on an idle worker once it has run `straggle/2`; the
     // copy wins (`speculative_won ≥ 1`, asserted), the barrier releases,
     // and the loser's remaining sleep overlaps the reduce + verify work
@@ -761,8 +763,8 @@ pub fn fig_overlap(p: &FigParams) -> FigData {
                 let (pairs, report) = last.expect("three runs happened");
                 (best, pairs, report)
             };
-            let (fifo_secs, fifo_pairs, _) = timed(SchedulerConfig {
-                mode: SchedulerMode::Fifo,
+            let (steal_secs, steal_pairs, _) = timed(SchedulerConfig {
+                mode: SchedulerMode::Stealing,
                 straggle: straggle.clone(),
                 ..SchedulerConfig::default()
             });
@@ -772,7 +774,7 @@ pub fn fig_overlap(p: &FigParams) -> FigData {
                 straggle: straggle.clone(),
             });
             assert_eq!(
-                fifo_pairs, spec_pairs,
+                steal_pairs, spec_pairs,
                 "speculative re-execution must not change the result"
             );
             assert!(
@@ -780,9 +782,9 @@ pub fn fig_overlap(p: &FigParams) -> FigData {
                 "the speculative copy should beat a {straggle_us} µs straggler"
             );
             rows.push(Row {
-                series: "straggler FIFO (no mitigation)".into(),
+                series: "straggler stealing (no mitigation)".into(),
                 x: threads as f64,
-                y: fifo_secs,
+                y: steal_secs,
             });
             rows.push(Row {
                 series: "straggler speculative".into(),
@@ -791,9 +793,9 @@ pub fn fig_overlap(p: &FigParams) -> FigData {
             });
             notes.push(format!(
                 "straggler ({straggle_us} µs on overlap.candidates) threads={threads}: \
-                 FIFO {fifo_secs:.3}s vs speculative {spec_secs:.3}s ({:+.1}% wall-clock; \
+                 stealing {steal_secs:.3}s vs speculative {spec_secs:.3}s ({:+.1}% wall-clock; \
                  steals={}, speculative launched/won={}/{})",
-                100.0 * (spec_secs / fifo_secs - 1.0),
+                100.0 * (spec_secs / steal_secs - 1.0),
                 spec_report.total_steals(),
                 spec_report.total_speculative_launched(),
                 spec_report.total_speculative_won(),

@@ -161,11 +161,11 @@ fn figoverlap_runs_and_modes_agree() {
     // The straggler series: the harness itself asserts the speculative
     // copy won and the pairs agree; here we check both series rendered
     // and the notes carry the scheduler counters.
-    let strag_fifo = fig.series("straggler FIFO (no mitigation)");
+    let strag_base = fig.series("straggler stealing (no mitigation)");
     let strag_spec = fig.series("straggler speculative");
-    assert_eq!(strag_fifo.len(), strag_spec.len());
-    assert!(!strag_fifo.is_empty());
-    for (threads, secs) in strag_fifo.iter().chain(&strag_spec) {
+    assert_eq!(strag_base.len(), strag_spec.len());
+    assert!(!strag_base.is_empty());
+    for (threads, secs) in strag_base.iter().chain(&strag_spec) {
         assert!(*secs > 0.0, "non-positive wall-clock at {threads} threads");
     }
     assert!(fig

@@ -27,11 +27,10 @@
 //! similar-token pairs (to build the histogram filter's [`SimilarMap`])
 //! collect early, so the report lists jobs in true execution order
 //! (token_stats, massjoin.*, then the lazily-run candidate stages and the
-//! verifier). [`TsjJoiner::self_join_collected`] is the collect-based form
-//! of the same pipeline (every stage a one-stage graph chained through
-//! driver `Vec`s), kept as the migration reference and differential
-//! baseline (`tests/dataset_equivalence.rs` pins lazy, eager, and
-//! collected byte-identical).
+//! verifier). `tests/dataset_equivalence.rs` pins this lazy execution
+//! byte-identical to stage-at-a-time execution
+//! ([`DatasetMode::Eager`](tsj_mapreduce::DatasetMode)) and to the
+//! brute-force [`reference`](crate::reference) join.
 
 use std::collections::HashSet;
 
@@ -145,12 +144,13 @@ impl JoinOutput {
 /// per job and the cost model charges its I/O.
 ///
 /// The config's [`Transport`](tsj_mapreduce::Transport) is inherited the
-/// same way: under `Transport::MultiProcess` every stage — the TSJ jobs
-/// *and* the MassJoin sub-pipeline — exchanges its map output through
-/// per-partition sorted-run files instead of the in-process handoff,
-/// again byte-identically (property-tested in
-/// `tests/transport_equivalence.rs`), with the exchanged bytes surfaced
-/// per job in `SimReport` and charged by
+/// same way: under `Transport::MultiProcess` or `Transport::Remote` every
+/// stage — the TSJ jobs *and* the MassJoin sub-pipeline — publishes each
+/// map task's output as one sorted-run file that the reduce side merges
+/// in place (by positioned reads, or ranged fetches from the stage's run
+/// server) instead of the in-process handoff, again byte-identically
+/// (property-tested in `tests/transport_equivalence.rs`), with the
+/// published bytes surfaced per job in `SimReport` and charged by
 /// `CostModel::transport_secs_per_byte`.
 ///
 /// With both knobs set, a bounded-shuffle dataset-chained join is
@@ -282,122 +282,9 @@ impl<'c> TsjJoiner<'c> {
         pairs.sort_unstable_by_key(|p| (p.a, p.b));
         Ok(JoinOutput { pairs, report })
     }
-
-    /// The collect-based form of [`TsjJoiner::self_join`]: identical jobs,
-    /// identical output, but every stage is a one-stage graph whose output
-    /// materializes in a driver `Vec` before feeding the next — driver
-    /// memory is O(candidates). Kept as the migration reference and the
-    /// baseline the dataset-chained pipeline is differentially tested
-    /// against (`tests/dataset_equivalence.rs`).
-    pub fn self_join_collected(
-        &self,
-        corpus: &Corpus,
-        cfg: &TsjConfig,
-    ) -> Result<JoinOutput, JoinError> {
-        cfg.validate()?;
-        let t = cfg.threshold;
-        let mut report = SimReport::new();
-        let string_ids: Vec<u32> = (0..corpus.len() as u32).collect();
-
-        // ---- Stage 0: token document frequencies → M eligibility --------
-        let mut stats = self.cluster.run_combined(
-            "tsj.token_stats",
-            &string_ids,
-            token_stats_map(corpus),
-            &Count,
-            token_stats_reduce(),
-        )?;
-        let (eligible, dropped_tokens) = apply_m_filter(corpus, cfg, stats.output);
-        stats
-            .stats
-            .counters
-            .insert("tokens_dropped_by_M", dropped_tokens);
-        report.push(stats.stats);
-
-        // ---- Stage 1: shared-token candidates (Sec. III-C) --------------
-        let shared = self.cluster.run(
-            "tsj.shared_token",
-            &string_ids,
-            shared_token_map(corpus, &eligible),
-            shared_token_reduce(),
-        )?;
-        report.push(shared.stats);
-        let mut candidates = shared.output;
-
-        // ---- Stage 2: similar-token candidates (Sec. III-D) -------------
-        let similar_map: Option<SimilarMap> = match cfg.scheme.candidates() {
-            CandidateGen::SharedOnly => None,
-            CandidateGen::SharedAndSimilar => {
-                // 2a: NLD self-join of the eligible token space.
-                let elig_tokens: Vec<TokenId> =
-                    corpus.token_ids().filter(|t| eligible[t.index()]).collect();
-                let texts: Vec<&str> = elig_tokens.iter().map(|&t| corpus.token_text(t)).collect();
-                let (token_pairs, mass_report) =
-                    MassJoin::new(self.cluster, t).nld_self_join_collected(&texts)?;
-                report.extend(mass_report);
-                let (map, expand_input) = build_similar_map(&elig_tokens, &token_pairs);
-
-                // 2b: expand similar token pairs through the postings.
-                let expanded = self.cluster.run_combined(
-                    "tsj.expand_similar",
-                    &expand_input,
-                    expand_similar_map(corpus),
-                    &Dedup,
-                    expand_similar_reduce(),
-                )?;
-                report.push(expanded.stats);
-                candidates.extend(expanded.output);
-                Some(map)
-            }
-        };
-
-        // ---- Stage 3: dedup + filter + verify (Sec. III-E/F/G3) ---------
-        let filter = FilterContext::new(
-            corpus,
-            t,
-            cfg.length_filter,
-            cfg.histogram_filter,
-            similar_map.as_ref(),
-            Some(&eligible),
-        );
-        let aligning = cfg.scheme.aligning();
-        let verify_overhead = self.cluster.config().cost.verify_group_overhead_secs;
-        let verified = match cfg.dedup {
-            DedupStrategy::BothStrings => self.cluster.run_combined_with_group_overhead(
-                "tsj.dedup_verify.both_strings",
-                verify_overhead,
-                &candidates,
-                |&pair, e: &mut Emitter<(u32, u32), ()>| e.emit(pair, ()),
-                &Dedup,
-                |&(a, b), _hits: Vec<()>, out: &mut OutputSink<SimilarPair>| {
-                    check_and_verify(corpus, &filter, aligning, t, a, b, out);
-                },
-            )?,
-            DedupStrategy::OneString => self.cluster.run_combined_with_group_overhead(
-                "tsj.dedup_verify.one_string",
-                verify_overhead,
-                &candidates,
-                |&(a, b), e: &mut Emitter<u32, u32>| {
-                    let (k, v) = one_string_key(a, b);
-                    e.emit(k, v);
-                },
-                &Dedup,
-                |&key, values: Vec<u32>, out: &mut OutputSink<SimilarPair>| {
-                    one_string_dedup(corpus, &filter, aligning, t, key, values, out);
-                },
-            )?,
-        };
-        report.push(verified.stats);
-        let mut pairs = verified.output;
-
-        join_empty_strings(corpus, &string_ids, &mut pairs);
-        pairs.sort_unstable_by_key(|p| (p.a, p.b));
-        Ok(JoinOutput { pairs, report })
-    }
 }
 
-// ---- Stage builders (shared by the dataset-chained and collect-based
-// pipelines, so the two forms cannot drift apart) -------------------------
+// ---- Stage builders ---------------------------------------------------
 
 /// Stage 0 mapper: one partial count per distinct token occurrence; the
 /// `Count` combiner folds them map-side, so the shuffle carries one record

@@ -2,10 +2,10 @@
 //! ([`TsjJoiner::self_join`]) — which since the lazy DAG executor runs
 //! its recorded stages with partition-level cross-stage overlap — must
 //! produce output *byte-identical* to eager stage-at-a-time execution
-//! ([`DatasetMode::Eager`]) and to the collect-based wrapper pipeline
-//! ([`TsjJoiner::self_join_collected`]) across real thread counts,
-//! shuffle partition counts, both transports, and bounded/unbounded
-//! shuffle memory — while its interior candidate-carrying stages move
+//! ([`DatasetMode::Eager`]), itself pinned to the brute-force join
+//! ([`brute_force_self_join`]), across real thread counts, shuffle
+//! partition counts, both transports, and bounded/unbounded shuffle
+//! memory — while its interior candidate-carrying stages move
 //! **zero** records across the driver boundary. A chaining or scheduling
 //! bug does not crash; it silently corrupts join output, silently
 //! reorders a wave, or silently re-materializes the candidate set — this
@@ -15,7 +15,9 @@
 use std::time::Duration;
 
 use proptest::prelude::*;
-use tsj::{ApproximationScheme, DedupStrategy, SimilarPair, TsjConfig, TsjJoiner};
+use tsj::{
+    brute_force_self_join, ApproximationScheme, DedupStrategy, SimilarPair, TsjConfig, TsjJoiner,
+};
 use tsj_datagen::workload;
 use tsj_mapreduce::{
     Cluster, ClusterConfig, DatasetMode, Emitter, OutputSink, SchedulerConfig, SchedulerMode,
@@ -66,11 +68,24 @@ fn chained_eager(cluster: &Cluster, corpus: &Corpus, t: f64) -> tsj::JoinOutput 
         .unwrap()
 }
 
-fn collected_pairs(cluster: &Cluster, corpus: &Corpus, t: f64) -> Vec<SimilarPair> {
-    TsjJoiner::new(cluster)
-        .self_join_collected(corpus, &config(t))
-        .unwrap()
-        .pairs
+fn ids(pairs: &[SimilarPair]) -> Vec<(u32, u32)> {
+    pairs.iter().map(|p| (p.a.0, p.b.0)).collect()
+}
+
+/// The reference every swept configuration must reproduce byte for byte:
+/// the eager run on the plain 4-thread in-process cluster, itself equal
+/// to the brute-force join (`config`'s scheme generates complete
+/// candidates and verifies exactly, and `M` = 100 cannot bite on 100
+/// strings).
+fn reference_pairs(corpus: &Corpus, t: f64) -> Vec<SimilarPair> {
+    let cluster = cluster_with(4, 0, 16, ShuffleConfig::unbounded());
+    let reference = chained_eager(&cluster, corpus, t).pairs;
+    assert_eq!(
+        ids(&reference),
+        ids(&brute_force_self_join(corpus, t, 4)),
+        "eager reference vs brute force"
+    );
+    reference
 }
 
 /// The shuffle configurations of the sweep: both transports, unbounded
@@ -122,10 +137,10 @@ fn assert_driver_accounting(report: &SimReport, n_strings: u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// The scheduler-mode guarantee: the FIFO pool, the priority
-    /// work-stealing scheduler, and speculative re-execution (with a
-    /// millisecond speculation threshold, so copies really launch) all
-    /// produce *byte-identical* verified join output — across threads ×
+    /// The scheduler-mode guarantee: the priority work-stealing
+    /// scheduler and speculative re-execution (with a millisecond
+    /// speculation threshold, so copies really launch) both produce
+    /// *byte-identical* verified join output — across threads ×
     /// partitions × both transports × bounded/unbounded shuffles — and
     /// the interior stages still cross zero driver records. Scheduling
     /// policy may only ever change wall-clock behaviour and the
@@ -138,20 +153,8 @@ proptest! {
         let w = workload(100, 0.3, seed);
         let corpus = Corpus::build(&w.strings, &NameTokenizer::default());
         let n = corpus.len() as u64;
-        let reference = collected_pairs(
-            &cluster_with(4, 0, 16, ShuffleConfig::unbounded())
-                .with_scheduler(SchedulerConfig {
-                    mode: SchedulerMode::Fifo,
-                    ..SchedulerConfig::default()
-                }),
-            &corpus,
-            t,
-        );
+        let reference = reference_pairs(&corpus, t);
         let modes = [
-            SchedulerConfig {
-                mode: SchedulerMode::Fifo,
-                ..SchedulerConfig::default()
-            },
             SchedulerConfig {
                 mode: SchedulerMode::Stealing,
                 ..SchedulerConfig::default()
@@ -204,24 +207,21 @@ proptest! {
     }
 
     /// The acceptance guarantee: lazy DAG execution (cross-stage
-    /// overlap), eager stage-at-a-time execution, and the collect-based
-    /// wrappers all produce *byte-identical* verified join output (ids
-    /// and distances) — across ≥3 real thread counts × ≥3 partition
-    /// counts × both transports × bounded/unbounded shuffles — and
-    /// interior stages cross zero driver records in every configuration.
+    /// overlap) and eager stage-at-a-time execution produce
+    /// *byte-identical* verified join output (ids and distances), equal
+    /// to the brute-force join — across ≥3 real thread counts × ≥3
+    /// partition counts × both transports × bounded/unbounded shuffles —
+    /// and interior stages cross zero driver records in every
+    /// configuration.
     #[test]
-    fn chained_join_is_byte_identical_to_collected(
+    fn chained_join_is_byte_identical_to_eager_and_brute_force(
         seed in 0u64..1_000,
         t in 0.05f64..0.2,
     ) {
         let w = workload(100, 0.3, seed);
         let corpus = Corpus::build(&w.strings, &NameTokenizer::default());
         let n = corpus.len() as u64;
-        let reference = collected_pairs(
-            &cluster_with(4, 0, 16, ShuffleConfig::unbounded()),
-            &corpus,
-            t,
-        );
+        let reference = reference_pairs(&corpus, t);
         for shuffle in shuffle_matrix() {
             for threads in [1usize, 2, 8] {
                 let cluster = cluster_with(threads, 0, 16, shuffle.clone());
@@ -307,11 +307,15 @@ fn chained_report_accounts_for_the_driver_boundary() {
 
 /// Both dedup strategies and all three approximation schemes survive the
 /// chaining (exercising the group-overhead dataset stages, the
-/// SharedOnly graph without a union, and greedy verification).
+/// SharedOnly graph without a union, and greedy verification): lazy ==
+/// eager byte for byte, and against brute force the exact scheme is equal
+/// while the two approximations (greedy aligning, shared-token-only
+/// candidates) may only lose pairs.
 #[test]
-fn all_schemes_and_dedups_match_collected_chaining() {
+fn all_schemes_and_dedups_match_eager_and_brute_force() {
     let w = workload(120, 0.3, 99);
     let corpus = Corpus::build(&w.strings, &NameTokenizer::default());
+    let truth = ids(&brute_force_self_join(&corpus, 0.15, 4));
     for (scheme, dedup) in [
         (
             ApproximationScheme::FuzzyTokenMatching,
@@ -333,16 +337,30 @@ fn all_schemes_and_dedups_match_collected_chaining() {
             dedup,
             ..TsjConfig::default()
         };
+        let eager_cluster = cluster_with(4, 0, 16, ShuffleConfig::unbounded())
+            .with_dataset_mode(DatasetMode::Eager);
+        let reference = TsjJoiner::new(&eager_cluster)
+            .self_join(&corpus, &cfg)
+            .unwrap()
+            .pairs;
+        if scheme == ApproximationScheme::FuzzyTokenMatching {
+            assert_eq!(ids(&reference), truth, "scheme {scheme:?} vs brute force");
+        } else {
+            assert!(
+                ids(&reference)
+                    .iter()
+                    .all(|p| truth.binary_search(p).is_ok()),
+                "scheme {scheme:?} found a pair brute force did not"
+            );
+        }
         for shuffle in [
             ShuffleConfig::unbounded(),
             ShuffleConfig::bounded(16, 32).with_transport(Transport::MultiProcess),
         ] {
             let cluster = cluster_with(4, 0, 16, shuffle);
-            let joiner = TsjJoiner::new(&cluster);
-            let chained = joiner.self_join(&corpus, &cfg).unwrap();
-            let collected = joiner.self_join_collected(&corpus, &cfg).unwrap();
+            let chained = TsjJoiner::new(&cluster).self_join(&corpus, &cfg).unwrap();
             assert_eq!(
-                chained.pairs, collected.pairs,
+                chained.pairs, reference,
                 "scheme {scheme:?}, dedup {dedup:?}"
             );
             assert_driver_accounting(&chained.report, corpus.len() as u64);
@@ -351,7 +369,7 @@ fn all_schemes_and_dedups_match_collected_chaining() {
 }
 
 /// Bad configurations surface as `JoinError::Config` before any job runs
-/// — no panic, and both pipeline forms agree on the error.
+/// — no panic.
 #[test]
 fn invalid_configs_error_instead_of_panicking() {
     let corpus = Corpus::build(["a b", "a c"], &NameTokenizer::default());
@@ -376,7 +394,6 @@ fn invalid_configs_error_instead_of_panicking() {
             matches!(err, tsj::JoinError::Config(_)),
             "expected a config error, got {err:?}"
         );
-        assert_eq!(err, joiner.self_join_collected(&corpus, &bad).unwrap_err());
     }
 }
 

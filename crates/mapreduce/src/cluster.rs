@@ -24,15 +24,14 @@ use crate::dag::{execute, Feed, MapSource, Recv};
 use crate::dataset::{DataPartition, DatasetMode};
 use crate::job::{Emitter, JobError, JobResult, JobStats, OutputSink, PhaseSim};
 use crate::merge::{merge_segments_capped, MergeEffort, Segment};
-use crate::pool::{
-    lock, panic_message, Pool, SchedStats, SchedulerConfig, SchedulerMode, TaskBody,
-};
+use crate::pool::{lock, panic_message, Pool, SchedStats, SchedulerConfig, Task};
 use crate::shuffle::{Combiner, PartitionedBuffer, ShuffleConfig};
 use crate::spill::{
     reserve_job_dir, reserve_job_spill_dir, RunMeta, RunReader, RunSource, Spill, SpillDirGuard,
     SpillWriter,
 };
 use crate::transport::{exchange, MapOutput, Remote, Transport};
+use tsj_netshuffle::RunServer;
 
 /// Spill/scratch/output file names must be distinct across a task's
 /// concurrent attempts ([`SchedulerMode::Speculative`] runs a primary and
@@ -655,6 +654,9 @@ struct ReduceTaskOut<O> {
     emitted: u64,
     /// Driver-bound output ([`StageSink::Driver`]; empty otherwise).
     out: Vec<O>,
+    /// The finished output partition of a dataset stage
+    /// ([`StageSink::Feed`]), taken by the winning attempt's delivery.
+    part: Option<DataPartition<O>>,
     counters: HashMap<&'static str, u64>,
 }
 
@@ -667,18 +669,7 @@ struct WaveGather<T> {
     done: usize,
 }
 
-impl<T> WaveGather<T> {
-    fn cell() -> Arc<(Mutex<Self>, Condvar)> {
-        Arc::new((
-            Mutex::new(Self {
-                outs: Vec::new(),
-                first_err: None,
-                done: 0,
-            }),
-            Condvar::new(),
-        ))
-    }
-}
+type WaveLatch<T> = Arc<(Mutex<WaveGather<T>>, Condvar)>;
 
 /// Records one task's result into its wave latch and wakes the driver.
 fn wave_record<T>(cell: &(Mutex<WaveGather<T>>, Condvar), key: u64, result: Result<T, JobError>) {
@@ -699,23 +690,15 @@ fn wave_record<T>(cell: &(Mutex<WaveGather<T>>, Condvar), key: u64, result: Resu
 /// A Drop-armed completion ticket: every submitted task holds one, and if
 /// the task unwinds before explicitly completing (a panic escaping the
 /// task's own `catch_unwind`, e.g. in result delivery), the ticket's Drop
-/// records a structured failure — so [`wave_barrier`] always terminates
+/// records a structured failure — so [`Wave::barrier`] always terminates
 /// and the stage fails instead of hanging the driver forever.
 struct WaveTicket<T> {
-    cell: Arc<(Mutex<WaveGather<T>>, Condvar)>,
+    cell: WaveLatch<T>,
     key: u64,
     armed: bool,
 }
 
 impl<T> WaveTicket<T> {
-    fn new(cell: Arc<(Mutex<WaveGather<T>>, Condvar)>, key: u64) -> Self {
-        Self {
-            cell,
-            key,
-            armed: true,
-        }
-    }
-
     /// Records the task's result and disarms the Drop fallback.
     fn complete(mut self, result: Result<T, JobError>) {
         self.armed = false;
@@ -738,23 +721,214 @@ impl<T> Drop for WaveTicket<T> {
     }
 }
 
-/// Blocks until `submitted` tasks have recorded, then returns the sorted
-/// results or the lowest-key error.
-fn wave_barrier<T>(
-    cell: &(Mutex<WaveGather<T>>, Condvar),
+/// One wave of pool tasks — a stage's map wave or its reduce wave: the
+/// completion latch plus what every submission of the wave shares.
+struct Wave<'p, 'f, T> {
+    pool: &'p Pool<'f>,
+    /// `"map"` or `"reduce"`: names the wave in [`JobError::WorkerPanic`].
+    phase: &'static str,
+    priority: u32,
+    sched_stats: Arc<SchedStats>,
+    latch: WaveLatch<T>,
     submitted: usize,
-) -> Result<Vec<T>, JobError> {
-    let mut g = lock(&cell.0);
-    while g.done < submitted {
-        g = cell.1.wait(g).unwrap_or_else(|e| e.into_inner());
+}
+
+impl<'p, 'f, T: Send + 'f> Wave<'p, 'f, T> {
+    fn new(
+        pool: &'p Pool<'f>,
+        phase: &'static str,
+        priority: u32,
+        sched_stats: &Arc<SchedStats>,
+    ) -> Self {
+        Self {
+            pool,
+            phase,
+            priority,
+            sched_stats: Arc::clone(sched_stats),
+            latch: Arc::new((
+                Mutex::new(WaveGather {
+                    outs: Vec::new(),
+                    first_err: None,
+                    done: 0,
+                }),
+                Condvar::new(),
+            )),
+            submitted: 0,
+        }
     }
-    if let Some((_, e)) = g.first_err.take() {
-        return Err(e);
+
+    /// Submits one task — the engine's only task shape, for both waves
+    /// under both scheduler modes. `run(attempt)` is the task proper,
+    /// re-callable; an attempt's panic becomes a structured
+    /// [`JobError::WorkerPanic`]. First result wins: whichever attempt
+    /// finishes first takes the ticket, runs `deliver` on its output and
+    /// reports under `key`; the loser's output (and its attempt-suffixed
+    /// files) is dropped on the floor. With `replayable` unset the pool
+    /// never runs a second attempt and the ticket is simply taken once.
+    /// `straggle` is the injected sleep of a seeded straggler: it hits the
+    /// primary attempt only — a slow *node*, the only slowness a re-run can
+    /// beat, since a re-run of a data-slow deterministic task is exactly as
+    /// slow — and in every mode, which is what lets benchmarks compare a
+    /// straggled baseline against speculation on equal footing.
+    fn submit(
+        &mut self,
+        key: u64,
+        replayable: bool,
+        straggle: Option<Duration>,
+        run: impl Fn(usize) -> Result<T, JobError> + Send + Sync + 'f,
+        deliver: impl Fn(&mut T) + Send + Sync + 'f,
+    ) {
+        self.submitted += 1;
+        let ticket = Mutex::new(Some(WaveTicket {
+            cell: Arc::clone(&self.latch),
+            key,
+            armed: true,
+        }));
+        let phase = self.phase;
+        let sched_stats = Arc::clone(&self.sched_stats);
+        let job = move |attempt: usize| {
+            if let (0, Some(sleep)) = (attempt, straggle) {
+                std::thread::sleep(sleep);
+            }
+            let result = catch_unwind(AssertUnwindSafe(|| run(attempt))).unwrap_or_else(|p| {
+                Err(JobError::WorkerPanic {
+                    phase,
+                    message: panic_message(p),
+                })
+            });
+            let won = lock(&ticket).take();
+            if let Some(ticket) = won {
+                if attempt > 0 {
+                    sched_stats.speculative_won.fetch_add(1, Ordering::Relaxed);
+                }
+                ticket.complete(result.map(|mut out| {
+                    deliver(&mut out);
+                    out
+                }));
+            }
+        };
+        self.pool.submit(
+            Task {
+                job: Arc::new(job),
+                replayable,
+            },
+            self.priority,
+            Some(Arc::clone(&self.sched_stats)),
+        );
     }
-    let mut outs = std::mem::take(&mut g.outs);
-    drop(g);
-    outs.sort_unstable_by_key(|(key, _)| *key);
-    Ok(outs.into_iter().map(|(_, t)| t).collect())
+
+    /// Blocks until every submitted task has reported, then returns the
+    /// results in key order or the lowest-key error.
+    fn barrier(self) -> Result<Vec<T>, JobError> {
+        let mut g = lock(&self.latch.0);
+        while g.done < self.submitted {
+            g = self.latch.1.wait(g).unwrap_or_else(|e| e.into_inner());
+        }
+        if let Some((_, e)) = g.first_err.take() {
+            return Err(e);
+        }
+        let mut outs = std::mem::take(&mut g.outs);
+        drop(g);
+        outs.sort_unstable_by_key(|(key, _)| *key);
+        Ok(outs.into_iter().map(|(_, t)| t).collect())
+    }
+}
+
+/// What one executing stage's wave units and tasks share. Every submitted
+/// task holds the `Arc`, so the directory guards in here outlive even a
+/// speculative attempt still writing after the stage has moved on.
+struct Stage<'f, I, K, V, O> {
+    spec: StageSpec<'f, I, K, V, O>,
+    shuffle: ShuffleConfig,
+    machines: usize,
+    /// The cluster's cost model with this stage's per-group overhead.
+    cost: CostModel,
+    /// Critical-path depth of the stage: its tasks' pool priority.
+    priority: u32,
+    /// Scheduler observability shared by every task of the stage; folded
+    /// into its [`JobStats`] at the end.
+    sched_stats: Arc<SchedStats>,
+    /// The seeded straggler's sleep, when it names this stage (see
+    /// [`StraggleInjection`](crate::pool::StraggleInjection)).
+    straggle: Option<Duration>,
+    /// One uniquely named directory per job — map-task run files (spilled
+    /// and published runs) and merge scratch — removed with its contents
+    /// when the job finishes or fails. Tasks create it lazily on the first
+    /// written run (`create_dir_all` is racy-safe), so an unspilled
+    /// in-process job touches the filesystem not at all.
+    job_dir: Option<SpillDirGuard>,
+    /// The stage's handle on its run server (`Transport::Remote`).
+    remote: Option<Remote>,
+    sink: StageSink<'f, O>,
+    /// Dataset stages under a bounded shuffle keep their output out of
+    /// memory too: each reduce task drains its sink into a sorted-run file
+    /// in here (wire format, fingerprint 0, unit key) after every group,
+    /// and the next stage's map wave streams it back. The directory must
+    /// outlive this job — its guard rides the output feed, held by the
+    /// consumer until its own map wave is done.
+    out_dir: Option<Arc<SpillDirGuard>>,
+}
+
+impl<'f, I, K, V, O> Stage<'f, I, K, V, O> {
+    /// Sets a stage up for execution. Under the remote transport the run
+    /// server must exist *before* the map wave, because map tasks publish
+    /// their run files to it as they finish (overlapping the wave); the
+    /// caller owns the server, tasks share the handle.
+    fn open(
+        cluster: &Cluster,
+        spec: StageSpec<'f, I, K, V, O>,
+        priority: u32,
+        sink: StageSink<'f, O>,
+        scheduler: &SchedulerConfig,
+    ) -> Result<(Self, Option<RunServer>), JobError> {
+        let shuffle = cluster.shuffle.clone();
+        let mut cost = cluster.cfg.cost;
+        cost.reduce_group_overhead_secs = spec.group_overhead_secs;
+        let straggle = scheduler
+            .straggle
+            .as_ref()
+            .filter(|s| s.stage == spec.name)
+            .map(|s| Duration::from_micros(s.micros));
+        // Base directory for this job's own and stage-output
+        // subdirectories; each is RAII-guarded so a job that fails mid-wave
+        // still removes everything it created.
+        let dir_base = shuffle.spill_base();
+        let job_dir = (shuffle.spill_threshold.is_some()
+            || shuffle.transport != Transport::InProcess)
+            .then(|| SpillDirGuard(reserve_job_spill_dir(&dir_base)));
+        let (run_server, remote) = match shuffle.transport {
+            Transport::Remote => {
+                let (server, remote) =
+                    Remote::start(shuffle.net_fault).map_err(|e| JobError::Transport {
+                        message: format!("starting the run server: {e}"),
+                    })?;
+                (Some(server), Some(remote))
+            }
+            Transport::InProcess | Transport::MultiProcess => (None, None),
+        };
+        let out_dir = match (&sink, shuffle.spill_threshold) {
+            (StageSink::Feed { feed, .. }, Some(_)) => {
+                let guard = Arc::new(SpillDirGuard(reserve_job_dir(&dir_base, "tsj-stage")));
+                feed.add_guard(Arc::clone(&guard));
+                Some(guard)
+            }
+            _ => None,
+        };
+        let stage = Self {
+            spec,
+            shuffle,
+            machines: cluster.cfg.machines,
+            cost,
+            priority,
+            sched_stats: Arc::new(SchedStats::default()),
+            straggle,
+            job_dir,
+            remote,
+            sink,
+            out_dir,
+        };
+        Ok((stage, run_server))
+    }
 }
 
 /// The streaming stage engine behind both the classic `run*` entry points
@@ -777,448 +951,261 @@ where
     V: Send + Spill + 'f,
     O: Send + Sync + Spill + 'f,
 {
-    let machines = cluster.cfg.machines;
-    let partitions = spec.partitions;
-    let shuffle = Arc::new(cluster.shuffle.clone());
-    let mut cost = cluster.cfg.cost;
-    cost.reduce_group_overhead_secs = spec.group_overhead_secs;
-    let spec = Arc::new(spec);
-
-    // Scheduler observability for this stage, shared by every submitted
-    // task; folded into the stage's JobStats at the end. Under
-    // [`SchedulerMode::Speculative`] tasks are submitted as replayable
-    // closures with a first-result-wins ticket cell: whichever attempt
-    // finishes first takes the ticket (and, for reduce tasks, the right to
-    // deliver the partition downstream); the loser's output is dropped.
-    let sched_stats = Arc::new(SchedStats::default());
-    let speculative = pool.scheduler().mode == SchedulerMode::Speculative;
-    // Injected straggler (tests/benchmarks): this stage's map task 0
-    // sleeps on its *primary* attempt only — simulating a slow node, the
-    // only slowness speculation can beat, since a re-run of a
-    // data-slow deterministic task is exactly as slow.
-    let straggle_us: Option<u64> = pool
-        .scheduler()
-        .straggle
-        .as_ref()
-        .filter(|s| s.stage == spec.name)
-        .map(|s| s.micros);
-
-    // Base directory for this job's own and stage-output subdirectories;
-    // each is RAII-guarded so a job that fails mid-wave still removes
-    // everything it created.
-    let dir_base = shuffle.spill_base();
-    let transport = shuffle.transport;
-
-    // One uniquely named directory per job — map-task run files (spilled
-    // and published runs) and merge scratch — removed with its contents
-    // when the job finishes or fails. Every task holds the guard, so a
-    // speculative attempt still writing after the stage moves on cannot
-    // outlive it. Tasks create the directory lazily on the first written
-    // run (`create_dir_all` is racy-safe), so an unspilled in-process job
-    // touches the filesystem not at all.
-    let job_dir: Option<Arc<SpillDirGuard>> = (shuffle.spill_threshold.is_some()
-        || transport != Transport::InProcess)
-        .then(|| Arc::new(SpillDirGuard(reserve_job_spill_dir(&dir_base))));
-
-    // Remote transport: this stage's run server must exist *before* the
-    // map wave, because map tasks publish their run files to it as they
-    // finish (overlapping the wave). The stage owns the server; tasks
-    // share the handle.
-    let (run_server, remote) = match transport {
-        Transport::Remote => {
-            let (server, remote) = Remote::start(shuffle.net_fault).map_err(|e| {
-                StageFailure::Job(JobError::Transport {
-                    message: format!("starting the run server: {e}"),
-                })
-            })?;
-            (Some(server), Some(Arc::new(remote)))
-        }
-        Transport::InProcess | Transport::MultiProcess => (None, None),
+    let (stage, run_server) =
+        Stage::open(cluster, spec, priority, sink, pool.scheduler()).map_err(StageFailure::Job)?;
+    let stage = Arc::new(stage);
+    let mut stats = JobStats {
+        name: stage.spec.name.clone(),
+        machines: stage.machines,
+        transport: stage.shuffle.transport.name(),
+        ..JobStats::default()
     };
-
-    // ---- Map wave (streaming) -----------------------------------------
-    // One map task per ready input item, submitted to the shared pool the
-    // moment the item arrives — for a driver slice every chunk is ready
-    // immediately (a single wave, as before); for an upstream stage each
-    // partition becomes ready as its producing reduce task finishes, which
-    // is exactly the cross-stage overlap. Each task partitions its output
-    // at emit time and (optionally) combines it before the shuffle; under
-    // a memory-bounded ShuffleConfig it also combines periodically
-    // mid-task and spills sorted runs when the buffer hits the threshold.
-    let map_gather = WaveGather::<MapTaskOut<K, V>>::cell();
-    let mut submitted = 0usize;
-    let mut wall_start: Option<Instant> = None;
-    let upstream_failed = loop {
-        match input.recv() {
-            Recv::Item(ordinal, source) => {
-                if wall_start.is_none() {
-                    wall_start = Some(Instant::now());
-                }
-                let task = submitted;
-                submitted += 1;
-                let spec = Arc::clone(&spec);
-                let shuffle = Arc::clone(&shuffle);
-                let job_dir = job_dir.clone();
-                let remote = remote.clone();
-                let ticket = WaveTicket::new(Arc::clone(&map_gather), ordinal);
-                let body = if speculative {
-                    // Map sources read-share cleanly (slices, in-memory
-                    // partitions by reference, positional spill reads), so
-                    // every map task is replayable: `attempt` only picks
-                    // distinct spill file names and skips the injected
-                    // straggle on the speculative copy.
-                    let source = Arc::new(source);
-                    let ticket = Arc::new(Mutex::new(Some(ticket)));
-                    let sched = Arc::clone(&sched_stats);
-                    TaskBody::Replayable(Arc::new(move |attempt| {
-                        if attempt == 0 && task == 0 {
-                            if let Some(us) = straggle_us {
-                                std::thread::sleep(Duration::from_micros(us));
-                            }
-                        }
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            run_map_task(
-                                &spec,
-                                &shuffle,
-                                job_dir.as_deref(),
-                                remote.as_deref(),
-                                partitions,
-                                task + attempt * ATTEMPT_STRIDE,
-                                &source,
-                            )
-                        }))
-                        .unwrap_or_else(|p| {
-                            Err(JobError::WorkerPanic {
-                                phase: "map",
-                                message: panic_message(p),
-                            })
-                        });
-                        if let Some(ticket) = lock(&ticket).take() {
-                            if attempt > 0 {
-                                sched.speculative_won.fetch_add(1, Ordering::Relaxed);
-                            }
-                            ticket.complete(result);
-                        }
-                    }))
-                } else {
-                    TaskBody::Once(Box::new(move || {
-                        // The injection fires in every mode (a straggling
-                        // node doesn't care about the scheduler) — which is
-                        // what lets benchmarks compare a straggled FIFO
-                        // baseline against speculation on equal footing.
-                        if task == 0 {
-                            if let Some(us) = straggle_us {
-                                std::thread::sleep(Duration::from_micros(us));
-                            }
-                        }
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            run_map_task(
-                                &spec,
-                                &shuffle,
-                                job_dir.as_deref(),
-                                remote.as_deref(),
-                                partitions,
-                                task,
-                                &source,
-                            )
-                        }))
-                        .unwrap_or_else(|p| {
-                            Err(JobError::WorkerPanic {
-                                phase: "map",
-                                message: panic_message(p),
-                            })
-                        });
-                        ticket.complete(result);
-                    }))
-                };
-                pool.submit(body, priority, Some(Arc::clone(&sched_stats)));
-            }
-            Recv::Closed { failed } => break failed,
-        }
-    };
-    if upstream_failed {
-        // The graph is doomed upstream; in-flight tasks of this stage
-        // drain harmlessly on the pool (they only touch Arc-shared state).
-        return Err(StageFailure::Upstream);
-    }
-    let wall_start = wall_start.unwrap_or_else(Instant::now);
-    let map_tasks = wave_barrier(&map_gather, submitted).map_err(StageFailure::Job)?;
-    let num_tasks = submitted;
-    let driver_in_records = input.driver_in();
-    let input_records: u64 = map_tasks.iter().map(|t| t.input).sum();
+    let (map_tasks, wall_start) = map_wave(&stage, &input, pool)?;
+    stats.driver_in_records = input.driver_in();
     // Every upstream segment has been streamed; release upstream dirs.
     drop(input.take_guards());
-
-    let map_loads = proportional_loads(map_tasks.iter().map(|t| (t.cpu_secs, t.work)), &cost);
-    let map_sim = phase_sim(&map_loads, machines.min(num_tasks.max(1)));
-
-    // ---- Shuffle -------------------------------------------------------
-    // Records were already routed to `hash % partitions` at emit time;
-    // how each partition's per-task segments — sorted runs first, then
-    // the task's in-memory leftover, in task (= ordinal) order — reach
-    // the reduce side is the transport's job (in-process handoff, or
-    // published run files read locally or over a socket; see
-    // `crate::transport`). Cost is charged on the post-combine volume,
-    // plus spill I/O on the spilled bytes (written once, read back
-    // once), plus transport time on the published bytes.
-    let mut counters: HashMap<&'static str, u64> = HashMap::new();
-    let mut map_output_records = 0u64;
-    let mut shuffle_records = 0u64;
-    let mut spilled_records = 0u64;
-    let mut spill_bytes = 0u64;
-    let mut spill_runs = 0u64;
-    let mut peak_buffered_records = 0u64;
-    let mut outputs: Vec<MapOutput<K, V>> = Vec::with_capacity(map_tasks.len());
-    for task in map_tasks {
-        map_output_records += task.emitted;
-        shuffle_records += task.shuffled;
-        peak_buffered_records = peak_buffered_records.max(task.peak_buffered);
-        for (k, v) in &task.counters {
-            *counters.entry(k).or_insert(0) += v;
-        }
-        if let Some(spill) = &task.output.spill {
-            spilled_records += spill.records;
-            spill_bytes += spill.bytes;
-            spill_runs += spill.spill_runs;
-        }
-        outputs.push(task.output);
-    }
-    let exchange = exchange(outputs, partitions, transport, remote.as_deref())
-        .map_err(|e| StageFailure::Job(e.into()))?;
-    let transport_bytes = exchange.bytes_moved;
-    let mut fetch_stats = exchange.fetch;
-    let partition_segments = exchange.partition_segments;
-    let shuffle_secs = cost.shuffle_secs_per_record * shuffle_records as f64 / machines as f64;
-    let spill_secs = cost.spill_secs_per_byte * 2.0 * spill_bytes as f64 / machines as f64;
-    let transport_secs = cost.transport_secs_per_byte * transport_bytes as f64 / machines as f64;
-
-    // ---- Reduce wave ---------------------------------------------------
-    // Dataset stages under a bounded shuffle keep their output out of
-    // memory too: each reduce task drains its sink into a sorted-run
-    // file (wire format, fingerprint 0, unit key) after every group,
-    // and the next stage's map wave streams it back. The directory
-    // must outlive this job — its guard rides the output feed, held by
-    // the consumer until its own map wave is done.
-    let feed_sink: Option<(Feed<'f, O>, u64)> = match &sink {
-        StageSink::Driver => None,
-        StageSink::Feed { feed, base } => Some((feed.clone(), *base)),
-    };
-    let stage_out_dir: Option<Arc<SpillDirGuard>> = match (&feed_sink, shuffle.spill_threshold) {
-        (Some(_), Some(_)) => {
-            let guard = Arc::new(SpillDirGuard(reserve_job_dir(&dir_base, "tsj-stage")));
-            if let Some((feed, _)) = &feed_sink {
-                feed.add_guard(Arc::clone(&guard));
-            }
-            Some(guard)
-        }
-        _ => None,
-    };
-
-    let reduce_gather = WaveGather::<ReduceTaskOut<O>>::cell();
-    let mut reduce_submitted = 0usize;
-    for (partition, segments) in partition_segments.into_iter().enumerate() {
-        if segments.is_empty() {
-            continue;
-        }
-        let task = reduce_submitted;
-        reduce_submitted += 1;
-        let spec = Arc::clone(&spec);
-        let shuffle = Arc::clone(&shuffle);
-        let stage_out_dir = stage_out_dir.clone();
-        let job_dir = job_dir.clone();
-        let feed_sink = feed_sink.clone();
-        let ticket = WaveTicket::new(Arc::clone(&reduce_gather), task as u64);
-        // A reduce task is replayable only when every segment is a spilled
-        // run: runs are re-readable (positioned reads or ranged fetches of
-        // files nobody writes any more), so each attempt can rebuild its
-        // own segment set, whereas in-memory segments are consumed by
-        // grouping and cannot feed two attempts without `K: Clone`/
-        // `V: Clone` bounds the engine doesn't have.
-        let spilled_runs: Vec<(RunSource, RunMeta)> = if speculative {
-            segments
-                .iter()
-                .filter_map(|seg| match seg {
-                    Segment::Spilled { source, meta } => Some((source.clone(), *meta)),
-                    Segment::Mem(_) => None,
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let body = if speculative && spilled_runs.len() == segments.len() {
-            drop(segments);
-            let ticket = Arc::new(Mutex::new(Some(ticket)));
-            let sched = Arc::clone(&sched_stats);
-            TaskBody::Replayable(Arc::new(move |attempt| {
-                let segments: Vec<Segment<K, V>> = spilled_runs
-                    .iter()
-                    .map(|(source, meta)| Segment::Spilled {
-                        source: source.clone(),
-                        meta: *meta,
-                    })
-                    .collect();
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    run_reduce_task(
-                        &spec,
-                        &shuffle,
-                        feed_sink.is_some(),
-                        stage_out_dir.as_ref().map(|g| g.0.as_path()),
-                        job_dir.as_deref(),
-                        machines,
-                        partition,
-                        attempt,
-                        segments,
-                    )
-                }))
-                .unwrap_or_else(|p| {
-                    Err(JobError::WorkerPanic {
-                        phase: "reduce",
-                        message: panic_message(p),
-                    })
-                });
-                // First result wins: only the ticket holder delivers the
-                // partition downstream and reports — the loser's output
-                // (and its run file, if any) is dropped on the floor.
-                if let Some(ticket) = lock(&ticket).take() {
-                    if attempt > 0 {
-                        sched.speculative_won.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let result = result.map(|(out, part)| {
-                        if let (Some((feed, base)), Some(part)) = (&feed_sink, part) {
-                            feed.push(base | task as u64, MapSource::Part(part));
-                        }
-                        out
-                    });
-                    ticket.complete(result);
-                }
-            }))
-        } else {
-            TaskBody::Once(Box::new(move || {
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    run_reduce_task(
-                        &spec,
-                        &shuffle,
-                        feed_sink.is_some(),
-                        stage_out_dir.as_ref().map(|g| g.0.as_path()),
-                        job_dir.as_deref(),
-                        machines,
-                        partition,
-                        0,
-                        segments,
-                    )
-                }))
-                .unwrap_or_else(|p| {
-                    Err(JobError::WorkerPanic {
-                        phase: "reduce",
-                        message: panic_message(p),
-                    })
-                });
-                let result = result.map(|(out, part)| {
-                    // Deliver the finished partition downstream immediately
-                    // — the moment that makes the next stage's map task
-                    // ready.
-                    if let (Some((feed, base)), Some(part)) = (&feed_sink, part) {
-                        feed.push(base | task as u64, MapSource::Part(part));
-                    }
-                    out
-                });
-                ticket.complete(result);
-            }))
-        };
-        pool.submit(body, priority, Some(Arc::clone(&sched_stats)));
-    }
-    let reduce_tasks = wave_barrier(&reduce_gather, reduce_submitted).map_err(StageFailure::Job)?;
+    let partition_segments =
+        shuffle_exchange(&stage, map_tasks, &mut stats).map_err(StageFailure::Job)?;
+    let reduce_tasks = reduce_wave(&stage, partition_segments, pool).map_err(StageFailure::Job)?;
     // Every winning reduce attempt has read its runs: stop serving. A
     // speculative loser still fetching fails fast against the closed port
     // and is discarded with its result.
     drop(run_server);
+    let output = reduce_accounting(&stage, reduce_tasks, &mut stats);
+    stats.wall_secs = wall_start.elapsed().as_secs_f64();
+    let sched = &stage.sched_stats;
+    stats.steals = sched.steals.load(Ordering::Relaxed);
+    stats.speculative_launched = sched.speculative_launched.load(Ordering::Relaxed);
+    stats.speculative_won = sched.speculative_won.load(Ordering::Relaxed);
+    stats.queue_wait_us = sched.queue_wait_us.load(Ordering::Relaxed);
+    Ok(StreamedResult { output, stats })
+}
 
-    // Deterministic per-partition loads: each partition is charged its
-    // declared work at the job-wide measured rate, plus the per-group
-    // worker-instantiation overheads; partitions sharing a simulated
-    // machine (partitions > machines) add up on it.
-    let base_loads = proportional_loads(reduce_tasks.iter().map(|t| (t.cpu_secs, t.work)), &cost);
+/// The streaming map wave: one map task per ready input item, submitted to
+/// the shared pool the moment the item arrives — for a driver slice every
+/// chunk is ready immediately (a single wave); for an upstream stage each
+/// partition becomes ready as its producing reduce task finishes, which is
+/// exactly the cross-stage overlap. Returns the task outputs in ordinal
+/// order and when the first item arrived (the stage's wall-clock start).
+fn map_wave<'f, I, K, V, O>(
+    stage: &Arc<Stage<'f, I, K, V, O>>,
+    input: &Feed<'f, I>,
+    pool: &Pool<'f>,
+) -> Result<(Vec<MapTaskOut<K, V>>, Instant), StageFailure>
+where
+    I: Send + Sync + Spill + 'f,
+    K: Hash + Eq + Send + Spill + 'f,
+    V: Send + Spill + 'f,
+    O: Send + Sync + Spill + 'f,
+{
+    let mut wave = Wave::new(pool, "map", stage.priority, &stage.sched_stats);
+    let mut wall_start: Option<Instant> = None;
+    loop {
+        match input.recv() {
+            Recv::Item(ordinal, source) => {
+                wall_start.get_or_insert_with(Instant::now);
+                let task = wave.submitted;
+                let straggle = stage.straggle.filter(|_| task == 0);
+                let stage = Arc::clone(stage);
+                // Map sources read-share cleanly (slices, in-memory
+                // partitions by reference, positional spill reads), so
+                // every map task is replayable: `attempt` only picks
+                // distinct run file names and run-server keys.
+                wave.submit(
+                    ordinal,
+                    true,
+                    straggle,
+                    move |attempt| run_map_task(&stage, task + attempt * ATTEMPT_STRIDE, &source),
+                    |_| {},
+                );
+            }
+            // The graph is doomed upstream; in-flight tasks of this stage
+            // drain harmlessly on the pool (they only touch Arc-shared
+            // state).
+            Recv::Closed { failed: true } => return Err(StageFailure::Upstream),
+            Recv::Closed { failed: false } => break,
+        }
+    }
+    let tasks = wave.barrier().map_err(StageFailure::Job)?;
+    Ok((tasks, wall_start.unwrap_or_else(Instant::now)))
+}
+
+/// The shuffle barrier: folds the map wave into `stats` and exchanges its
+/// output into per-partition reduce segments. Records were already routed
+/// to `hash % partitions` at emit time; how each partition's per-task
+/// segments — sorted runs first, then the task's in-memory leftover, in
+/// task (= ordinal) order — reach the reduce side is the transport's job
+/// (in-process handoff, or published run files read locally or over a
+/// socket; see [`crate::transport`]). Cost is charged on the post-combine
+/// volume, plus spill I/O on the spilled bytes (written once, read back
+/// once), plus transport time on the published bytes.
+fn shuffle_exchange<I, K, V, O>(
+    stage: &Stage<'_, I, K, V, O>,
+    map_tasks: Vec<MapTaskOut<K, V>>,
+    stats: &mut JobStats,
+) -> Result<Vec<Vec<Segment<K, V>>>, JobError>
+where
+    K: Hash + Spill,
+    V: Spill,
+{
+    let (cost, machines) = (&stage.cost, stage.machines);
+    let map_loads = proportional_loads(map_tasks.iter().map(|t| (t.cpu_secs, t.work)), cost);
+    stats.map = phase_sim(&map_loads, machines.min(map_tasks.len().max(1)));
+    let mut outputs: Vec<MapOutput<K, V>> = Vec::with_capacity(map_tasks.len());
+    for task in map_tasks {
+        stats.input_records += task.input;
+        stats.map_output_records += task.emitted;
+        stats.shuffle_records += task.shuffled;
+        stats.peak_buffered_records = stats.peak_buffered_records.max(task.peak_buffered);
+        add_counters(&mut stats.counters, task.counters);
+        if let Some(spill) = &task.output.spill {
+            stats.spilled_records += spill.records;
+            stats.spill_bytes += spill.bytes;
+            stats.spill_runs += spill.spill_runs;
+        }
+        outputs.push(task.output);
+    }
+    let exchange = exchange(
+        outputs,
+        stage.spec.partitions,
+        stage.shuffle.transport,
+        stage.remote.as_ref(),
+    )?;
+    stats.transport_bytes = exchange.bytes_moved;
+    stats.fetch_requests = exchange.fetch.requests;
+    stats.fetch_retries = exchange.fetch.retries;
+    stats.fetch_bytes = exchange.fetch.bytes;
+    // Each volume cost is spread across the simulated machines.
+    let spread = machines as f64;
+    stats.shuffle_secs = cost.shuffle_secs_per_record * stats.shuffle_records as f64 / spread;
+    stats.spill_secs = cost.spill_secs_per_byte * 2.0 * stats.spill_bytes as f64 / spread;
+    stats.transport_secs = cost.transport_secs_per_byte * stats.transport_bytes as f64 / spread;
+    Ok(exchange.partition_segments)
+}
+
+/// The reduce wave: one task per non-empty partition, each delivering its
+/// finished partition into the downstream feed (dataset stages) the moment
+/// it completes — the moment that makes the next stage's map task ready.
+fn reduce_wave<'f, I, K, V, O>(
+    stage: &Arc<Stage<'f, I, K, V, O>>,
+    partition_segments: Vec<Vec<Segment<K, V>>>,
+    pool: &Pool<'f>,
+) -> Result<Vec<ReduceTaskOut<O>>, JobError>
+where
+    I: Send + Sync + Spill + 'f,
+    K: Hash + Eq + Send + Spill + 'f,
+    V: Send + Spill + 'f,
+    O: Send + Sync + Spill + 'f,
+{
+    let mut wave = Wave::new(pool, "reduce", stage.priority, &stage.sched_stats);
+    for (partition, segments) in partition_segments.into_iter().enumerate() {
+        if segments.is_empty() {
+            continue;
+        }
+        let task = wave.submitted as u64;
+        // A reduce task is replayable only when every segment is a spilled
+        // run: runs are re-readable (positioned reads or ranged fetches of
+        // files nobody writes any more), so each attempt rebuilds its own
+        // segment set, whereas in-memory segments are consumed by grouping
+        // and cannot feed two attempts without `K: Clone`/`V: Clone` bounds
+        // the engine doesn't have — those are parked for attempt 0 to take
+        // and the task is never offered for speculation.
+        let runs: Option<Vec<(RunSource, RunMeta)>> = segments
+            .iter()
+            .map(|seg| match seg {
+                Segment::Spilled { source, meta } => Some((source.clone(), *meta)),
+                Segment::Mem(_) => None,
+            })
+            .collect();
+        let parked = Mutex::new(runs.is_none().then_some(segments));
+        let (runner, winner) = (Arc::clone(stage), Arc::clone(stage));
+        wave.submit(
+            task,
+            runs.is_some(),
+            None,
+            move |attempt| {
+                let segments = match &runs {
+                    Some(runs) => runs
+                        .iter()
+                        .map(|(source, meta)| Segment::Spilled {
+                            source: source.clone(),
+                            meta: *meta,
+                        })
+                        .collect(),
+                    None => lock(&parked).take().ok_or_else(|| JobError::WorkerPanic {
+                        phase: "reduce",
+                        message: "a non-replayable reduce task was run twice".to_owned(),
+                    })?,
+                };
+                run_reduce_task(&runner, partition, attempt, segments)
+            },
+            move |out| {
+                if let (StageSink::Feed { feed, base }, Some(part)) =
+                    (&winner.sink, out.part.take())
+                {
+                    feed.push(base | task, MapSource::Part(part));
+                }
+            },
+        );
+    }
+    wave.barrier()
+}
+
+/// Folds the reduce wave into `stats` — deterministic per-partition loads:
+/// each partition is charged its declared work at the job-wide measured
+/// rate, plus the per-group worker-instantiation overheads; partitions
+/// sharing a simulated machine (partitions > machines) add up on it — and
+/// totals the simulated clock. Returns the driver-bound output
+/// ([`StageSink::Driver`]; empty otherwise) in reduce-task order.
+fn reduce_accounting<I, K, V, O>(
+    stage: &Stage<'_, I, K, V, O>,
+    reduce_tasks: Vec<ReduceTaskOut<O>>,
+    stats: &mut JobStats,
+) -> Vec<O> {
+    let (cost, machines) = (&stage.cost, stage.machines);
+    let base_loads = proportional_loads(reduce_tasks.iter().map(|t| (t.cpu_secs, t.work)), cost);
     let mut machine_loads = vec![0.0f64; machines];
     let mut output = Vec::new();
-    let mut output_records = 0u64;
-    let mut reduce_groups = 0u64;
-    let mut max_group_size = 0u64;
-    let mut merge_passes = 0u64;
-    let mut merge_scratch_bytes = 0u64;
     for (t, base) in reduce_tasks.into_iter().zip(base_loads) {
         debug_assert!(t.machine < machines);
         machine_loads[t.machine] += base + t.groups as f64 * cost.reduce_group_overhead_secs;
-        reduce_groups += t.groups;
-        max_group_size = max_group_size.max(t.max_group);
-        merge_passes += t.merge.passes;
-        merge_scratch_bytes += t.merge.scratch_bytes;
-        fetch_stats.requests += t.merge.fetch.requests;
-        fetch_stats.retries += t.merge.fetch.retries;
-        fetch_stats.bytes += t.merge.fetch.bytes;
-        output_records += t.emitted;
+        stats.reduce_groups += t.groups;
+        stats.max_group_size = stats.max_group_size.max(t.max_group);
+        stats.merge_passes += t.merge.passes;
+        stats.merge_scratch_bytes += t.merge.scratch_bytes;
+        stats.fetch_requests += t.merge.fetch.requests;
+        stats.fetch_retries += t.merge.fetch.retries;
+        stats.fetch_bytes += t.merge.fetch.bytes;
+        stats.output_records += t.emitted;
         output.extend(t.out);
-        for (k, v) in t.counters {
-            *counters.entry(k).or_insert(0) += v;
-        }
+        add_counters(&mut stats.counters, t.counters);
     }
-    let reduce_sim = if reduce_groups == 0 {
-        PhaseSim::default()
-    } else {
-        phase_sim(&machine_loads, machines)
-    };
-
+    if stats.reduce_groups > 0 {
+        stats.reduce = phase_sim(&machine_loads, machines);
+    }
+    if matches!(stage.sink, StageSink::Driver) {
+        stats.driver_out_records = output.len() as u64;
+    }
     // Hierarchical-merge scratch runs are local-disk I/O exactly like
     // mapper spill (each scratch byte is written once and read back
     // once), so they are charged at the same rate, into the same line.
-    let spill_secs =
-        spill_secs + cost.spill_secs_per_byte * 2.0 * merge_scratch_bytes as f64 / machines as f64;
-    let sim_total_secs = cost.job_startup_secs
+    stats.spill_secs +=
+        cost.spill_secs_per_byte * 2.0 * stats.merge_scratch_bytes as f64 / machines as f64;
+    stats.sim_total_secs = cost.job_startup_secs
         + cost.map_worker_startup_secs
-        + map_sim.makespan_secs
-        + shuffle_secs
-        + spill_secs
-        + transport_secs
-        + reduce_sim.makespan_secs;
+        + stats.map.makespan_secs
+        + stats.shuffle_secs
+        + stats.spill_secs
+        + stats.transport_secs
+        + stats.reduce.makespan_secs;
+    output
+}
 
-    let stats = JobStats {
-        name: spec.name.clone(),
-        machines,
-        input_records,
-        map_output_records,
-        shuffle_records,
-        spilled_records,
-        spill_bytes,
-        spill_runs,
-        transport: transport.name(),
-        transport_bytes,
-        merge_passes,
-        merge_scratch_bytes,
-        peak_buffered_records,
-        reduce_groups,
-        max_group_size,
-        output_records,
-        driver_in_records,
-        driver_out_records: match &sink {
-            StageSink::Driver => output.len() as u64,
-            StageSink::Feed { .. } => 0,
-        },
-        map: map_sim,
-        shuffle_secs,
-        spill_secs,
-        transport_secs,
-        reduce: reduce_sim,
-        sim_total_secs,
-        wall_secs: wall_start.elapsed().as_secs_f64(),
-        steals: sched_stats.steals.load(Ordering::Relaxed),
-        speculative_launched: sched_stats.speculative_launched.load(Ordering::Relaxed),
-        speculative_won: sched_stats.speculative_won.load(Ordering::Relaxed),
-        queue_wait_us: sched_stats.queue_wait_us.load(Ordering::Relaxed),
-        fetch_requests: fetch_stats.requests,
-        fetch_retries: fetch_stats.retries,
-        fetch_bytes: fetch_stats.bytes,
-        counters,
-    };
-    Ok(StreamedResult { output, stats })
+/// Adds one task's user counters into the stage's.
+fn add_counters(total: &mut HashMap<&'static str, u64>, task: HashMap<&'static str, u64>) {
+    for (name, n) in task {
+        *total.entry(name).or_insert(0) += n;
+    }
 }
 
 /// One map task: streams its source through `map`, with periodic combine
@@ -1227,11 +1214,7 @@ where
 /// is already attempt-distinct (see [`ATTEMPT_STRIDE`]) so concurrent
 /// attempts never collide on a run file name or run-server key.
 fn run_map_task<'f, I, K, V, O>(
-    spec: &StageSpec<'f, I, K, V, O>,
-    shuffle: &ShuffleConfig,
-    job_dir: Option<&SpillDirGuard>,
-    remote: Option<&Remote>,
-    partitions: usize,
+    stage: &Stage<'f, I, K, V, O>,
     task: usize,
     source: &MapSource<'f, I>,
 ) -> Result<MapTaskOut<K, V>, JobError>
@@ -1239,10 +1222,10 @@ where
     I: Sync + Spill,
     K: Hash + Eq + Send + Spill,
     V: Send + Spill,
-    O: Send + Spill,
 {
+    let (spec, shuffle, partitions) = (&stage.spec, &stage.shuffle, stage.spec.partitions);
     let start = Instant::now();
-    let mut emitter = match job_dir {
+    let mut emitter = match &stage.job_dir {
         Some(guard) => Emitter::with_buffer(PartitionedBuffer::with_spill(
             partitions,
             shuffle.spill_threshold,
@@ -1337,7 +1320,7 @@ where
     })?;
     let spilled = spill.as_ref().map_or(0, |s| s.records);
     let peak_buffered = emitter.buffer.peak_buffered() as u64;
-    if let (Some(remote), Some(spill)) = (remote, &spill) {
+    if let (Some(remote), Some(spill)) = (&stage.remote, &spill) {
         remote.publish(spill);
     }
     let cpu_secs = start.elapsed().as_secs_f64();
@@ -1359,29 +1342,25 @@ where
 
 /// One reduce task: groups its partition's segments (in-memory, or a
 /// streaming k-way sort-merge when anything spilled) and feeds each key's
-/// values to `reduce`. Returns the measured task plus — for dataset
+/// values to `reduce`. Returns the measured task carrying — for dataset
 /// stages — the finished output partition to deliver downstream. Runs on
 /// a pool worker. `attempt > 0` (a speculative copy) suffixes the merge
-/// scratch (under `job_dir`) and stage-output file names so concurrent
-/// attempts never collide; a losing attempt's files are swept with the
-/// job directories.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-fn run_reduce_task<'f, I, K, V, O>(
-    spec: &StageSpec<'f, I, K, V, O>,
-    shuffle: &ShuffleConfig,
-    dataset_sink: bool,
-    stage_out_dir: Option<&Path>,
-    job_dir: Option<&SpillDirGuard>,
-    machines: usize,
+/// scratch (under the job directory) and stage-output file names so
+/// concurrent attempts never collide; a losing attempt's files are swept
+/// with the job directories.
+fn run_reduce_task<I, K, V, O>(
+    stage: &Stage<'_, I, K, V, O>,
     partition: usize,
     attempt: usize,
     segments: Vec<Segment<K, V>>,
-) -> Result<(ReduceTaskOut<O>, Option<DataPartition<O>>), JobError>
+) -> Result<ReduceTaskOut<O>, JobError>
 where
     K: Hash + Eq + Spill,
     V: Spill,
     O: Spill,
 {
+    let (spec, shuffle) = (&stage.spec, &stage.shuffle);
+    let stage_out_dir = stage.out_dir.as_ref().map(|guard| guard.0.as_path());
     let mut sink = OutputSink::new();
     let mut out_writer: Option<SpillWriter> = None;
     let mut max_group = 0u64;
@@ -1400,7 +1379,7 @@ where
         merge = merge_segments_capped(
             segments,
             shuffle.merge_fan_in,
-            job_dir.map(|dir| {
+            stage.job_dir.as_ref().map(|dir| {
                 if attempt == 0 {
                     dir.0.join(format!("reduce{partition}.merge"))
                 } else {
@@ -1457,6 +1436,7 @@ where
     }
     let cpu_secs = start.elapsed().as_secs_f64();
     work += sink.emitted + sink.work_units;
+    let dataset_sink = matches!(stage.sink, StageSink::Feed { .. });
     let part: Option<DataPartition<O>> = match (dataset_sink, out_writer) {
         // Bounded dataset stage: the sink was drained after every
         // group, so the run file *is* the partition.
@@ -1477,20 +1457,18 @@ where
         }
         _ => None,
     };
-    Ok((
-        ReduceTaskOut {
-            machine: partition % machines,
-            cpu_secs,
-            work,
-            groups: n_groups,
-            max_group,
-            merge,
-            emitted: sink.emitted,
-            out: sink.out,
-            counters: sink.counters,
-        },
+    Ok(ReduceTaskOut {
+        machine: partition % stage.machines,
+        cpu_secs,
+        work,
+        groups: n_groups,
+        max_group,
+        merge,
+        emitted: sink.emitted,
+        out: sink.out,
         part,
-    ))
+        counters: sink.counters,
+    })
 }
 
 /// Drains a reduce sink's buffered output records into the task's

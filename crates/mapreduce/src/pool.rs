@@ -23,15 +23,15 @@
 //! stage's freshly readied partitions keep flowing) and, when its deque is
 //! empty, steals the *globally oldest* highest-priority task from a peer
 //! (FIFO-steal: stragglers' oldest obligations drain first).
-//! [`SchedulerMode::Fifo`] is the pre-scheduler behaviour — one shared
-//! FIFO queue — kept as the differential baseline, and
-//! [`SchedulerMode::Speculative`] adds straggler mitigation: an idle
-//! worker re-executes the oldest primary attempt that has been running
-//! longer than [`SchedulerConfig::speculate_after`]. Tasks eligible for
-//! speculation are submitted as `TaskBody::Replayable` (deterministic,
-//! re-runnable closures); the engine's task wrappers keep a first-result-
-//! wins cell so exactly one attempt reports, and scheduling mode can never
-//! change output bytes — only wall-clock time.
+//! [`SchedulerMode::Speculative`] is the same policy plus straggler
+//! mitigation: an idle worker re-executes the oldest primary attempt that
+//! has been running longer than [`SchedulerConfig::speculate_after`].
+//! There is one task shape, `Task`: a re-callable `job(attempt)` plus a
+//! `replayable` flag saying whether a second attempt may run beside the
+//! first. Outside speculative mode — and for tasks not flagged — the pool
+//! calls attempt 0 and nothing else. The engine's task wrapper keeps a
+//! first-result-wins cell so exactly one attempt reports, and scheduling
+//! mode can never change output bytes — only wall-clock time.
 //!
 //! Submitters are responsible for capturing panics inside their tasks and
 //! for their own completion signalling (the pool itself only moves
@@ -56,10 +56,6 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// [`Cluster::with_scheduler`](crate::cluster::Cluster::with_scheduler)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SchedulerMode {
-    /// One shared FIFO queue, submission order — the pre-scheduler
-    /// behaviour, kept as the differential baseline the work-stealing
-    /// modes are property-tested against.
-    Fifo,
     /// Per-worker deques with LIFO-local pop and FIFO-steal, ordered by
     /// critical-path priority (the default).
     #[default]
@@ -76,7 +72,6 @@ impl SchedulerMode {
     /// Stable lowercase name (what `TSJ_SCHEDULER` accepts).
     pub fn name(&self) -> &'static str {
         match self {
-            SchedulerMode::Fifo => "fifo",
             SchedulerMode::Stealing => "stealing",
             SchedulerMode::Speculative => "speculative",
         }
@@ -85,7 +80,6 @@ impl SchedulerMode {
     /// Parses a `TSJ_SCHEDULER` value (ASCII case-insensitive).
     pub fn parse(s: &str) -> Option<Self> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "fifo" => Some(SchedulerMode::Fifo),
             "stealing" => Some(SchedulerMode::Stealing),
             "speculative" => Some(SchedulerMode::Speculative),
             _ => None,
@@ -150,7 +144,7 @@ impl SchedulerConfig {
                 Some(mode) => cfg.mode = mode,
                 None => eprintln!(
                     "tsj-mapreduce: ignoring invalid TSJ_SCHEDULER={raw:?} (expected \
-                     \"fifo\", \"stealing\" or \"speculative\"); using {}",
+                     \"stealing\" or \"speculative\"); using {}",
                     cfg.mode.name()
                 ),
             }
@@ -201,26 +195,27 @@ pub(crate) struct SchedStats {
     pub(crate) queue_wait_us: AtomicU64,
 }
 
-/// A unit of work on the shared pool. `'t` is the execution lifetime: task
-/// closures may borrow anything that outlives the executor run (stage
-/// closures, the corpus behind them, the cluster).
-pub(crate) enum TaskBody<'t> {
-    /// Run-exactly-once closure (the classic task shape; also everything
-    /// that cannot be safely re-executed, e.g. reduce tasks over in-memory
-    /// segments, which would have to be consumed twice).
-    Once(Box<dyn FnOnce() + Send + 't>),
-    /// A deterministic, re-runnable task: `job(attempt)` may be executed
-    /// concurrently for `attempt = 0` (primary) and `attempt = 1`
-    /// (speculative copy). The closure must keep concurrent attempts from
-    /// colliding (attempt-distinct scratch paths) and must deliver at most
-    /// one result (first-wins cell). Only [`SchedulerMode::Speculative`]
-    /// ever runs attempt 1.
-    Replayable(Arc<dyn Fn(usize) + Send + Sync + 't>),
+/// A task's re-callable body: `job(attempt)`. `'t` is the execution
+/// lifetime: task closures may borrow anything that outlives the executor
+/// run (stage closures, the corpus behind them, the cluster).
+pub(crate) type TaskFn<'t> = Arc<dyn Fn(usize) + Send + Sync + 't>;
+
+/// A unit of work on the shared pool — the one task shape. The pool always
+/// runs `job(0)` (the primary attempt); when `replayable`, an idle worker
+/// under [`SchedulerMode::Speculative`] may also run `job(1)` concurrently.
+pub(crate) struct Task<'t> {
+    pub(crate) job: TaskFn<'t>,
+    /// Whether the task is deterministic *and* safely re-runnable beside
+    /// its own primary: the closure must keep concurrent attempts from
+    /// colliding (attempt-distinct scratch paths) and deliver at most one
+    /// result (first-wins cell). A task that consumes its input (a reduce
+    /// over in-memory segments) is submitted with `false`.
+    pub(crate) replayable: bool,
 }
 
 /// One queued task with its scheduling metadata.
 struct QueuedTask<'t> {
-    body: TaskBody<'t>,
+    task: Task<'t>,
     /// Critical-path depth of the submitting stage: higher = more
     /// upstream = scheduled first.
     priority: u32,
@@ -234,7 +229,7 @@ struct QueuedTask<'t> {
 /// workers scan for speculation candidates.
 struct RunningEntry<'t> {
     id: u64,
-    job: Arc<dyn Fn(usize) + Send + Sync + 't>,
+    job: TaskFn<'t>,
     sched: Option<Arc<SchedStats>>,
     started: Instant,
     /// A speculative copy has been launched; never launch a second.
@@ -263,7 +258,7 @@ struct Coord<'t> {
 /// `Run` carries the dequeued task and whether it was stolen from a peer.
 enum Decision<'t> {
     Run(QueuedTask<'t>, bool),
-    Speculate(Arc<dyn Fn(usize) + Send + Sync + 't>),
+    Speculate(TaskFn<'t>),
     Exit,
 }
 
@@ -312,26 +307,21 @@ impl<'t> Pool<'t> {
     /// the submitting thread instead of silently rotting in the queue
     /// (which would stall the submitting wave forever on its Drop-armed
     /// completion ticket).
-    pub(crate) fn submit(&self, body: TaskBody<'t>, priority: u32, sched: Option<Arc<SchedStats>>) {
+    pub(crate) fn submit(&self, task: Task<'t>, priority: u32, sched: Option<Arc<SchedStats>>) {
         let mut coord = lock(&self.coord);
         if coord.shutdown && coord.live_workers == 0 {
             drop(coord);
-            run_primary(body);
+            // Swallow an escaped panic exactly like a worker would.
+            let _ = catch_unwind(AssertUnwindSafe(|| (task.job)(0)));
             return;
         }
         let seq = coord.next_seq;
         coord.next_seq += 1;
-        let target = match self.sched.mode {
-            SchedulerMode::Fifo => 0,
-            _ => {
-                let t = coord.next_worker % self.deques.len();
-                coord.next_worker = coord.next_worker.wrapping_add(1);
-                t
-            }
-        };
+        let target = coord.next_worker % self.deques.len();
+        coord.next_worker = coord.next_worker.wrapping_add(1);
         coord.queued += 1;
         lock(&self.deques[target]).push_back(QueuedTask {
-            body,
+            task,
             priority,
             seq,
             queued_at: Instant::now(),
@@ -407,9 +397,6 @@ impl<'t> Pool<'t> {
     /// lock (every deque mutation happens under it, so a `queued > 0`
     /// observation guarantees the scan finds a task).
     fn dequeue(&self, me: usize) -> Option<(QueuedTask<'t>, bool)> {
-        if self.sched.mode == SchedulerMode::Fifo {
-            return lock(&self.deques[0]).pop_front().map(|t| (t, false));
-        }
         // LIFO-local: the newest of this worker's highest-priority tasks
         // (hot caches; a stage's freshly readied partitions keep flowing).
         {
@@ -496,34 +483,30 @@ impl<'t> Pool<'t> {
                 Ordering::Relaxed,
             );
         }
-        match task.body {
-            TaskBody::Once(f) => {
-                let _ = catch_unwind(AssertUnwindSafe(f));
-            }
-            TaskBody::Replayable(job) => {
-                if self.sched.mode == SchedulerMode::Speculative {
-                    let id = {
-                        let mut coord = lock(&self.coord);
-                        let id = coord.next_run_id;
-                        coord.next_run_id += 1;
-                        coord.running.push(RunningEntry {
-                            id,
-                            job: Arc::clone(&job),
-                            sched: task.sched.clone(),
-                            started: Instant::now(),
-                            speculated: false,
-                        });
-                        id
-                    };
-                    // Idle workers may be parked in a plain wait; wake them
-                    // so they switch to the speculation timeout.
-                    self.ready.notify_all();
-                    let _ = catch_unwind(AssertUnwindSafe(|| job(0)));
-                    lock(&self.coord).running.retain(|e| e.id != id);
-                } else {
-                    let _ = catch_unwind(AssertUnwindSafe(|| job(0)));
-                }
-            }
+        let Task { job, replayable } = task.task;
+        // Only a replayable task under speculation is registered as
+        // running; everything else is attempt 0 and nothing more.
+        let speculable = replayable && self.sched.mode == SchedulerMode::Speculative;
+        let id = speculable.then(|| {
+            let mut coord = lock(&self.coord);
+            let id = coord.next_run_id;
+            coord.next_run_id += 1;
+            coord.running.push(RunningEntry {
+                id,
+                job: Arc::clone(&job),
+                sched: task.sched.clone(),
+                started: Instant::now(),
+                speculated: false,
+            });
+            drop(coord);
+            // Idle workers may be parked in a plain wait; wake them so they
+            // switch to the speculation timeout.
+            self.ready.notify_all();
+            id
+        });
+        let _ = catch_unwind(AssertUnwindSafe(|| job(0)));
+        if let Some(id) = id {
+            lock(&self.coord).running.retain(|e| e.id != id);
         }
     }
 }
@@ -531,24 +514,11 @@ impl<'t> Pool<'t> {
 /// What an idle worker's straggler scan yielded.
 enum Straggler<'t> {
     /// A speculative copy to run now.
-    Ripe(Arc<dyn Fn(usize) + Send + Sync + 't>),
+    Ripe(TaskFn<'t>),
     /// Nothing ripe yet; the earliest candidate ripens in this long.
     Pending(Duration),
     /// No unspeculated primaries are running.
     None,
-}
-
-/// Runs a task body's primary attempt inline (the submit-after-shutdown
-/// fallback), swallowing escaped panics exactly like a worker would.
-fn run_primary(body: TaskBody<'_>) {
-    match body {
-        TaskBody::Once(f) => {
-            let _ = catch_unwind(AssertUnwindSafe(f));
-        }
-        TaskBody::Replayable(job) => {
-            let _ = catch_unwind(AssertUnwindSafe(|| job(0)));
-        }
-    }
 }
 
 /// Runs `f(0..n_tasks)` on up to `threads` worker threads and returns the
@@ -648,8 +618,12 @@ mod tests {
     use std::sync::atomic::{AtomicU64, AtomicUsize};
     use std::sync::Barrier;
 
-    fn once<'t>(f: impl FnOnce() + Send + 't) -> TaskBody<'t> {
-        TaskBody::Once(Box::new(f))
+    /// A non-replayable task whose body ignores the attempt number.
+    fn once<'t>(f: impl Fn() + Send + Sync + 't) -> Task<'t> {
+        Task {
+            job: Arc::new(move |_| f()),
+            replayable: false,
+        }
     }
 
     #[test]
@@ -718,12 +692,8 @@ mod tests {
         );
     }
 
-    fn all_modes() -> [SchedulerConfig; 3] {
+    fn all_modes() -> [SchedulerConfig; 2] {
         [
-            SchedulerConfig {
-                mode: SchedulerMode::Fifo,
-                ..SchedulerConfig::default()
-            },
             SchedulerConfig {
                 mode: SchedulerMode::Stealing,
                 ..SchedulerConfig::default()
@@ -957,17 +927,20 @@ mod tests {
             }
             let winner = &winner;
             pool.submit(
-                TaskBody::Replayable(Arc::new(move |attempt| {
-                    if attempt == 0 {
-                        // The straggling primary: slow for environmental
-                        // reasons (the case speculation exists for).
-                        std::thread::sleep(Duration::from_millis(200));
-                    }
-                    let mut cell = lock(winner);
-                    if cell.is_none() {
-                        *cell = Some(attempt);
-                    }
-                })),
+                Task {
+                    job: Arc::new(move |attempt| {
+                        if attempt == 0 {
+                            // The straggling primary: slow for environmental
+                            // reasons (the case speculation exists for).
+                            std::thread::sleep(Duration::from_millis(200));
+                        }
+                        let mut cell = lock(winner);
+                        if cell.is_none() {
+                            *cell = Some(attempt);
+                        }
+                    }),
+                    replayable: true,
+                },
                 0,
                 Some(Arc::clone(&stats)),
             );
@@ -987,7 +960,6 @@ mod tests {
 
     #[test]
     fn scheduler_config_parses_and_defaults() {
-        assert_eq!(SchedulerMode::parse("fifo"), Some(SchedulerMode::Fifo));
         assert_eq!(
             SchedulerMode::parse(" STEALING "),
             Some(SchedulerMode::Stealing)
@@ -997,6 +969,8 @@ mod tests {
             Some(SchedulerMode::Speculative)
         );
         assert_eq!(SchedulerMode::parse("nope"), None);
+        // The FIFO queue is gone: its name is an invalid value now.
+        assert_eq!(SchedulerMode::parse("fifo"), None);
         assert_eq!(SchedulerMode::Speculative.name(), "speculative");
 
         let defaults = SchedulerConfig::from_lookup(|_| None);
@@ -1028,6 +1002,11 @@ mod tests {
             _ => None,
         });
         assert_eq!(bad, SchedulerConfig::default());
+        let fifo = SchedulerConfig::from_lookup(|k| match k {
+            "TSJ_SCHEDULER" => Some("fifo".into()),
+            _ => None,
+        });
+        assert_eq!(fifo.mode, SchedulerMode::Stealing);
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //! map/shuffle/reduce semantics, the simulated clock's qualitative
 //! behaviour (scaling, skew), and failure injection.
 
-use tsj_mapreduce::{Cluster, ClusterConfig, CostModel, Emitter, JobError, OutputSink};
+use tsj_mapreduce::{
+    Cluster, ClusterConfig, CostModel, Emitter, JobError, OutputSink, SchedulerConfig,
+    SchedulerMode, ShuffleConfig,
+};
 
 fn test_cluster(machines: usize) -> Cluster {
     Cluster::new(ClusterConfig {
@@ -126,48 +129,70 @@ fn counters_aggregate_across_phases() {
     assert_eq!(r.stats.counter("reduced_values"), 50);
 }
 
+/// [`test_cluster`] under each scheduler mode. The speculative one is
+/// eager (zero threshold) and spills everything, so its reduce tasks are
+/// replayable too and copies of the panicking task may launch in either
+/// wave.
+fn test_clusters_per_mode(machines: usize) -> [Cluster; 2] {
+    let speculative = SchedulerConfig {
+        mode: SchedulerMode::Speculative,
+        speculate_after: std::time::Duration::ZERO,
+        straggle: None,
+    };
+    [
+        test_cluster(machines).with_scheduler(SchedulerConfig::default()),
+        test_cluster(machines)
+            .with_scheduler(speculative)
+            .with_shuffle_config(ShuffleConfig::bounded(4, 4)),
+    ]
+}
+
 #[test]
 fn map_panic_surfaces_as_job_error() {
     let input: Vec<u32> = (0..64).collect();
-    let err = test_cluster(4)
-        .run(
-            "bad-map",
-            &input,
-            |n: &u32, _: &mut Emitter<u32, u32>| {
-                if *n == 33 {
-                    panic!("poison record {n}");
-                }
-            },
-            |_: &u32, _: Vec<u32>, _: &mut OutputSink<u32>| {},
-        )
-        .unwrap_err();
-    match err {
-        JobError::WorkerPanic { phase, message } => {
-            assert_eq!(phase, "map");
-            assert!(message.contains("poison record"));
+    for cluster in test_clusters_per_mode(4) {
+        let err = cluster
+            .run(
+                "bad-map",
+                &input,
+                |n: &u32, _: &mut Emitter<u32, u32>| {
+                    if *n == 33 {
+                        panic!("poison record {n}");
+                    }
+                },
+                |_: &u32, _: Vec<u32>, _: &mut OutputSink<u32>| {},
+            )
+            .unwrap_err();
+        match err {
+            JobError::WorkerPanic { phase, message } => {
+                assert_eq!(phase, "map");
+                assert!(message.contains("poison record"));
+            }
+            other => panic!("expected a map worker panic, got {other:?}"),
         }
-        other => panic!("expected a map worker panic, got {other:?}"),
     }
 }
 
 #[test]
 fn reduce_panic_surfaces_as_job_error() {
     let input: Vec<u32> = (0..64).collect();
-    let err = test_cluster(4)
-        .run(
-            "bad-reduce",
-            &input,
-            |n: &u32, e: &mut Emitter<u32, u32>| e.emit(*n, *n),
-            |k: &u32, _: Vec<u32>, _: &mut OutputSink<u32>| {
-                if *k == 7 {
-                    panic!("bad group");
-                }
-            },
-        )
-        .unwrap_err();
-    match err {
-        JobError::WorkerPanic { phase, .. } => assert_eq!(phase, "reduce"),
-        other => panic!("expected a reduce worker panic, got {other:?}"),
+    for cluster in test_clusters_per_mode(4) {
+        let err = cluster
+            .run(
+                "bad-reduce",
+                &input,
+                |n: &u32, e: &mut Emitter<u32, u32>| e.emit(*n, *n),
+                |k: &u32, _: Vec<u32>, _: &mut OutputSink<u32>| {
+                    if *k == 7 {
+                        panic!("bad group");
+                    }
+                },
+            )
+            .unwrap_err();
+        match err {
+            JobError::WorkerPanic { phase, .. } => assert_eq!(phase, "reduce"),
+            other => panic!("expected a reduce worker panic, got {other:?}"),
+        }
     }
 }
 

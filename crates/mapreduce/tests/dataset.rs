@@ -618,7 +618,7 @@ fn failing_jobs_leave_the_spill_dir_empty() {
         .expect_err("map panic must fail the job");
     assert!(matches!(err, JobError::WorkerPanic { phase: "map", .. }));
 
-    // Reduce-wave failure (spilled runs + exchange files exist by then).
+    // Reduce-wave failure (spilled and published runs exist by then).
     let err = c
         .run(
             "reduce-dies",

@@ -4,14 +4,18 @@
 //! execution with a structured [`JobError::Plan`].
 
 use tsj_mapreduce::{
-    Cluster, ClusterConfig, Dedup, Emitter, JobError, OutputSink, PlanCheck, PlanDiagnostic,
-    ShuffleConfig, SimReport, MERGE_FAN_IN_BUDGET,
+    Cluster, ClusterConfig, DatasetMode, Dedup, Emitter, JobError, OutputSink, PlanCheck,
+    PlanDiagnostic, ShuffleConfig, SimReport, MERGE_FAN_IN_BUDGET,
 };
 
 fn cluster() -> Cluster {
     // Pin warn mode so an ambient TSJ_PLAN_CHECK=deny cannot flip the
-    // warn-path assertions; deny-mode tests opt in explicitly.
-    Cluster::with_machines(4).with_plan_check(PlanCheck::Warn)
+    // warn-path assertions; deny-mode tests opt in explicitly. Pin lazy
+    // execution too: multi-stage diagnostics need the whole plan at the
+    // terminal, which an ambient TSJ_DATASET_MODE=eager never builds.
+    Cluster::with_machines(4)
+        .with_plan_check(PlanCheck::Warn)
+        .with_dataset_mode(DatasetMode::Lazy)
 }
 
 fn codes(report: &SimReport) -> Vec<&'static str> {
@@ -269,6 +273,7 @@ fn merge_fan_in_hazard_needs_uncapped_spilling_config() {
         })
         .with_shuffle_config(shuffle)
         .with_plan_check(PlanCheck::Warn)
+        .with_dataset_mode(DatasetMode::Lazy)
     };
     // 50 input records → 50 map tasks (one per machine, capped by len),
     // under the budget; only the 100-partition wide→narrow edge exceeds it.

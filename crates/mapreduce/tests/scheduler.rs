@@ -1,10 +1,14 @@
-//! Integration tests of the worker-pool scheduler: every scheduling
-//! policy (FIFO, priority work stealing, speculative re-execution)
-//! produces byte-identical output; a seeded straggler is beaten by a
-//! speculative copy (first completed result wins, the loser is
-//! dropped); and the automatic skew response inserts a `repartition`
-//! stage that routes records exactly like the manual one.
+//! Integration tests of the worker-pool scheduler: both scheduling
+//! policies (priority work stealing, with and without speculative
+//! re-execution) produce byte-identical output at every thread count; a
+//! seeded straggler is beaten by a speculative copy (first completed
+//! result wins, the loser is dropped); a reduce task over in-memory
+//! segments is never offered for speculation; and the automatic skew
+//! response inserts a `repartition` stage that routes records exactly
+//! like the manual one.
 
+use std::collections::HashMap;
+use std::sync::Mutex;
 use std::time::Duration;
 
 use tsj_mapreduce::{
@@ -23,9 +27,9 @@ fn cluster(threads: usize, partitions: usize, shuffle: ShuffleConfig) -> Cluster
     .with_dataset_mode(DatasetMode::Lazy)
 }
 
-fn fifo() -> SchedulerConfig {
+fn stealing() -> SchedulerConfig {
     SchedulerConfig {
-        mode: SchedulerMode::Fifo,
+        mode: SchedulerMode::Stealing,
         ..SchedulerConfig::default()
     }
 }
@@ -69,8 +73,10 @@ fn docs(n: usize) -> Vec<String> {
 
 #[test]
 fn scheduler_modes_are_byte_identical() {
-    // The non-negotiable invariant: scheduling policy changes wall-clock
-    // behaviour and observability counters, never output bytes or order.
+    // The non-negotiable invariant: scheduling policy and worker count
+    // change wall-clock behaviour and observability counters, never
+    // output bytes or order. The reference is the one-worker stealing
+    // pool, which just pops its own deque in priority order.
     let input = docs(120);
     let speculative = SchedulerConfig {
         mode: SchedulerMode::Speculative,
@@ -81,24 +87,19 @@ fn scheduler_modes_are_byte_identical() {
         ShuffleConfig::unbounded(),
         ShuffleConfig::bounded(8, 8).with_transport(Transport::MultiProcess),
     ] {
-        for threads in [1usize, 4] {
-            for partitions in [0usize, 5] {
-                let base = cluster(threads, partitions, shuffle.clone());
-                let (reference, _) = chained(&base.clone().with_scheduler(fifo()), &input);
-                for mode in [SchedulerMode::Stealing, SchedulerMode::Speculative] {
-                    let sched = match mode {
-                        SchedulerMode::Speculative => speculative.clone(),
-                        mode => SchedulerConfig {
-                            mode,
-                            ..SchedulerConfig::default()
-                        },
-                    };
-                    let c = base.clone().with_scheduler(sched);
+        for partitions in [0usize, 5] {
+            let (reference, _) = chained(
+                &cluster(1, partitions, shuffle.clone()).with_scheduler(stealing()),
+                &input,
+            );
+            for threads in [1usize, 4] {
+                for sched in [stealing(), speculative.clone()] {
+                    let mode = sched.mode;
+                    let c = cluster(threads, partitions, shuffle.clone()).with_scheduler(sched);
                     let (out, report) = chained(&c, &input);
                     assert_eq!(
                         out, reference,
-                        "{mode:?} vs FIFO: threads={threads} partitions={partitions} \
-                         shuffle={shuffle:?}"
+                        "{mode:?}: threads={threads} partitions={partitions} shuffle={shuffle:?}"
                     );
                     if mode != SchedulerMode::Speculative {
                         assert_eq!(report.total_speculative_launched(), 0);
@@ -114,6 +115,68 @@ fn scheduler_modes_are_byte_identical() {
 }
 
 #[test]
+fn in_memory_reduce_tasks_are_never_speculated() {
+    // Under an unbounded in-process shuffle every reduce segment is an
+    // in-memory buffer, which grouping consumes: such a task must run
+    // exactly once even with a zero speculation threshold and idle
+    // workers (4 threads, 3 partitions) watching it sleep. Map tasks
+    // *are* replayable here, so copies do launch around the reducers.
+    let input = docs(96);
+    let run = |sched: SchedulerConfig| {
+        let reduced: Mutex<HashMap<String, u32>> = Mutex::new(HashMap::new());
+        let c = cluster(4, 3, ShuffleConfig::unbounded()).with_scheduler(sched);
+        let (out, report) = c
+            .input(&input)
+            .map_reduce(
+                "wordcount",
+                |doc: &String, e: &mut Emitter<String, u64>| {
+                    for w in doc.split_whitespace() {
+                        e.emit(w.to_owned(), 1);
+                    }
+                },
+                |w: &String, counts: Vec<u64>, out: &mut OutputSink<(String, u64)>| {
+                    std::thread::sleep(Duration::from_micros(200));
+                    *reduced.lock().unwrap().entry(w.clone()).or_insert(0) += 1;
+                    out.emit((w.clone(), counts.iter().sum()));
+                },
+            )
+            .unwrap()
+            .map_reduce(
+                "histogram",
+                |&(_, n): &(String, u64), e: &mut Emitter<u64, u64>| e.emit(n, 1),
+                |&n: &u64, ones: Vec<u64>, out: &mut OutputSink<(u64, u64)>| {
+                    *reduced.lock().unwrap().entry(format!("#{n}")).or_insert(0) += 1;
+                    out.emit((n, ones.iter().sum()));
+                },
+            )
+            .unwrap()
+            .collect()
+            .unwrap();
+        (out, report, reduced.into_inner().unwrap())
+    };
+    let (reference, _, _) = run(stealing());
+    let (out, report, reduced) = run(SchedulerConfig {
+        mode: SchedulerMode::Speculative,
+        speculate_after: Duration::ZERO,
+        straggle: None,
+    });
+    assert_eq!(out, reference, "speculation must not perturb output");
+    assert!(!reduced.is_empty());
+    for (key, times) in &reduced {
+        assert_eq!(*times, 1, "group {key:?} was reduced {times} times");
+    }
+    for job in report.jobs() {
+        assert!(
+            job.speculative_won <= job.speculative_launched,
+            "{}: won {} > launched {}",
+            job.name,
+            job.speculative_won,
+            job.speculative_launched
+        );
+    }
+}
+
+#[test]
 fn speculation_beats_a_seeded_straggler() {
     // Map task 0 of "wordcount" sleeps 600ms on its primary attempt
     // only (a slow *node*, not slow *data*). An idle worker must launch
@@ -123,7 +186,7 @@ fn speculation_beats_a_seeded_straggler() {
     let input = docs(64);
     let shuffle = ShuffleConfig::unbounded();
     let reference = chained(
-        &cluster(4, 3, shuffle.clone()).with_scheduler(fifo()),
+        &cluster(4, 3, shuffle.clone()).with_scheduler(stealing()),
         &input,
     )
     .0;

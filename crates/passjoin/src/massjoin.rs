@@ -115,7 +115,9 @@ impl<'c> MassJoin<'c> {
         tokens: &[impl AsRef<str>],
     ) -> Result<(Vec<SimilarTokenPair>, SimReport), JobError> {
         let t = self.t;
-        let chars = prep_chars(tokens);
+        // Shared char vectors: both jobs' closures read them.
+        let chars: Arc<Vec<Vec<char>>> =
+            Arc::new(tokens.iter().map(|tk| to_chars(tk.as_ref())).collect());
         let ids: Vec<u32> = (0..chars.len() as u32).collect();
 
         let verified = self
@@ -137,49 +139,6 @@ impl<'c> MassJoin<'c> {
         pairs.sort_unstable_by_key(|p| (p.a, p.b));
         Ok((pairs, report))
     }
-
-    /// The collect-based form of [`MassJoin::nld_self_join`]: the same two
-    /// jobs as one-stage graphs, with the candidate set materialized in a
-    /// driver `Vec` between them. Kept as the migration reference and the
-    /// baseline the dataset-chained join is differentially tested against
-    /// (`crates/core/tests/dataset_equivalence.rs`).
-    pub fn nld_self_join_collected(
-        &self,
-        tokens: &[impl AsRef<str>],
-    ) -> Result<(Vec<SimilarTokenPair>, SimReport), JobError> {
-        let t = self.t;
-        let chars = prep_chars(tokens);
-        let ids: Vec<u32> = (0..chars.len() as u32).collect();
-        let mut report = SimReport::new();
-
-        let candidates = self.cluster.run_combined(
-            "massjoin.candidates",
-            &ids,
-            candidate_map(&chars, t),
-            &Dedup,
-            candidate_reduce(&chars, t),
-        )?;
-        report.push(candidates.stats);
-
-        let verified = self.cluster.run_combined(
-            "massjoin.verify",
-            &candidates.output,
-            |&pair, e: &mut Emitter<(u32, u32), ()>| e.emit(pair, ()),
-            &Dedup,
-            verify_reduce(&chars, t),
-        )?;
-        report.push(verified.stats);
-
-        let mut pairs = verified.output;
-        pairs.sort_unstable_by_key(|p| (p.a, p.b));
-        Ok((pairs, report))
-    }
-}
-
-/// Decomposes the tokens into shared char vectors (both jobs and both
-/// join forms read them).
-fn prep_chars(tokens: &[impl AsRef<str>]) -> Arc<Vec<Vec<char>>> {
-    Arc::new(tokens.iter().map(|tk| to_chars(tk.as_ref())).collect())
 }
 
 /// Job 1's mapper: every token emits its Lemma-7 segments (indexed role)

@@ -159,73 +159,74 @@ const SCHEMES: [ApproximationScheme; 3] = [
     ApproximationScheme::ExactTokenMatching,
 ];
 
-/// **Fig. 2** — runtime vs `T` for the three token matching/aligning
-/// schemes. Paper: greedy saves ≈13% over fuzzy (more at higher T);
-/// exact saves ≈60% and is nearly flat in T.
-pub fn fig2(p: &FigParams) -> FigData {
+/// Runs the default one-string join under every scheme (fuzzy first) at
+/// each `(x, T, M)` sweep point, handing `visit` the point's x and the
+/// join's output.
+fn sweep_schemes(
+    p: &FigParams,
+    points: impl Iterator<Item = (f64, f64, usize)>,
+    mut visit: impl FnMut(f64, ApproximationScheme, JoinOutput),
+) {
     let corpus = build_corpus(p);
-    let mut rows = Vec::new();
-    for &t in &p.thresholds {
+    for (x, t, m) in points {
         for scheme in SCHEMES {
-            let out = run_join(
-                &corpus,
-                p,
-                p.default_machines,
-                t,
-                p.default_m,
-                scheme,
-                DedupStrategy::OneString,
-            );
-            rows.push(Row {
-                series: scheme.name().into(),
-                x: t,
-                y: out.sim_secs(),
-            });
+            let dedup = DedupStrategy::OneString;
+            let out = run_join(&corpus, p, p.default_machines, t, m, scheme, dedup);
+            visit(x, scheme, out);
         }
     }
+}
+
+/// The `T` sweep at the default `M` (Figs. 2 and 4).
+fn t_sweep(p: &FigParams) -> impl Iterator<Item = (f64, f64, usize)> + '_ {
+    p.thresholds.iter().map(|&t| (t, t, p.default_m))
+}
+
+/// The `M` sweep at the default `T` (Figs. 3 and 5).
+fn m_sweep(p: &FigParams) -> impl Iterator<Item = (f64, f64, usize)> + '_ {
+    p.m_values.iter().map(|&m| (m as f64, p.default_t, m))
+}
+
+/// Simulated runtime per scheme over a sweep, with the mean-saving notes.
+fn runtime_fig(
+    p: &FigParams,
+    points: impl Iterator<Item = (f64, f64, usize)>,
+    title: &str,
+    xlabel: &str,
+    paper: &str,
+) -> FigData {
+    let mut rows = Vec::new();
+    sweep_schemes(p, points, |x, scheme, out| {
+        rows.push(Row {
+            series: scheme.name().into(),
+            x,
+            y: out.sim_secs(),
+        });
+    });
     let mut fig = FigData {
-        title: "Fig 2: TSJ runtime vs NSLD threshold T".into(),
-        xlabel: "T".into(),
+        title: title.into(),
+        xlabel: xlabel.into(),
         ylabel: "simulated seconds".into(),
         rows,
         notes: Vec::new(),
     };
-    push_saving_notes(&mut fig, "13% (greedy), 60% (exact)");
+    push_saving_notes(&mut fig, paper);
     fig
+}
+
+/// **Fig. 2** — runtime vs `T` for the three token matching/aligning
+/// schemes. Paper: greedy saves ≈13% over fuzzy (more at higher T);
+/// exact saves ≈60% and is nearly flat in T.
+pub fn fig2(p: &FigParams) -> FigData {
+    let title = "Fig 2: TSJ runtime vs NSLD threshold T";
+    runtime_fig(p, t_sweep(p), title, "T", "13% (greedy), 60% (exact)")
 }
 
 /// **Fig. 3** — runtime vs `M`. Paper: greedy saves ≈9%, exact ≈33%,
 /// both fairly stable across M.
 pub fn fig3(p: &FigParams) -> FigData {
-    let corpus = build_corpus(p);
-    let mut rows = Vec::new();
-    for &m in &p.m_values {
-        for scheme in SCHEMES {
-            let out = run_join(
-                &corpus,
-                p,
-                p.default_machines,
-                p.default_t,
-                m,
-                scheme,
-                DedupStrategy::OneString,
-            );
-            rows.push(Row {
-                series: scheme.name().into(),
-                x: m as f64,
-                y: out.sim_secs(),
-            });
-        }
-    }
-    let mut fig = FigData {
-        title: "Fig 3: TSJ runtime vs max token frequency M".into(),
-        xlabel: "M".into(),
-        ylabel: "simulated seconds".into(),
-        rows,
-        notes: Vec::new(),
-    };
-    push_saving_notes(&mut fig, "9% (greedy), 33% (exact)");
-    fig
+    let title = "Fig 3: TSJ runtime vs max token frequency M";
+    runtime_fig(p, m_sweep(p), title, "M", "9% (greedy), 33% (exact)")
 }
 
 fn push_saving_notes(fig: &mut FigData, paper: &str) {
@@ -247,87 +248,54 @@ fn push_saving_notes(fig: &mut FigData, paper: &str) {
     }
 }
 
-/// **Fig. 4** — number of discovered pairs vs `T` per scheme, with recall
-/// against fuzzy in the notes. Paper: at T = 0.225, greedy recall 0.99993,
-/// exact recall 0.86655; both 1.0 at T = 0.025.
-pub fn fig4(p: &FigParams) -> FigData {
-    let corpus = build_corpus(p);
+/// Discovered pairs per scheme over a sweep, with each approximate
+/// scheme's recall against fuzzy (at the point `label` names) in the notes.
+fn pairs_fig(
+    p: &FigParams,
+    points: impl Iterator<Item = (f64, f64, usize)>,
+    title: &str,
+    xlabel: &str,
+    label: impl Fn(f64) -> String,
+) -> FigData {
     let mut rows = Vec::new();
     let mut notes = Vec::new();
-    for &t in &p.thresholds {
-        let mut fuzzy_pairs = None;
-        for scheme in SCHEMES {
-            let out = run_join(
-                &corpus,
-                p,
-                p.default_machines,
-                t,
-                p.default_m,
-                scheme,
-                DedupStrategy::OneString,
-            );
-            rows.push(Row {
-                series: scheme.name().into(),
-                x: t,
-                y: out.pairs.len() as f64,
-            });
-            match scheme {
-                ApproximationScheme::FuzzyTokenMatching => fuzzy_pairs = Some(out.pairs),
-                _ => {
-                    let r = recall(&out.pairs, fuzzy_pairs.as_ref().expect("fuzzy ran first"));
-                    notes.push(format!("T={t:.3} {}: recall {r:.5}", scheme.name()));
-                }
+    let mut fuzzy_pairs = None;
+    sweep_schemes(p, points, |x, scheme, out| {
+        rows.push(Row {
+            series: scheme.name().into(),
+            x,
+            y: out.pairs.len() as f64,
+        });
+        match scheme {
+            ApproximationScheme::FuzzyTokenMatching => fuzzy_pairs = Some(out.pairs),
+            _ => {
+                let r = recall(&out.pairs, fuzzy_pairs.as_ref().expect("fuzzy ran first"));
+                notes.push(format!("{} {}: recall {r:.5}", label(x), scheme.name()));
             }
         }
-    }
+    });
     FigData {
-        title: "Fig 4: discovered pairs vs NSLD threshold T".into(),
-        xlabel: "T".into(),
+        title: title.into(),
+        xlabel: xlabel.into(),
         ylabel: "similar pairs".into(),
         rows,
         notes,
     }
 }
 
+/// **Fig. 4** — number of discovered pairs vs `T` per scheme, with recall
+/// against fuzzy in the notes. Paper: at T = 0.225, greedy recall 0.99993,
+/// exact recall 0.86655; both 1.0 at T = 0.025.
+pub fn fig4(p: &FigParams) -> FigData {
+    let title = "Fig 4: discovered pairs vs NSLD threshold T";
+    pairs_fig(p, t_sweep(p), title, "T", |t| format!("T={t:.3}"))
+}
+
 /// **Fig. 5** — number of discovered pairs vs `M` per scheme. Paper:
 /// greedy recall ≈0.999999 across M; exact between 0.974 and 0.985.
 pub fn fig5(p: &FigParams) -> FigData {
-    let corpus = build_corpus(p);
-    let mut rows = Vec::new();
-    let mut notes = Vec::new();
-    for &m in &p.m_values {
-        let mut fuzzy_pairs = None;
-        for scheme in SCHEMES {
-            let out = run_join(
-                &corpus,
-                p,
-                p.default_machines,
-                p.default_t,
-                m,
-                scheme,
-                DedupStrategy::OneString,
-            );
-            rows.push(Row {
-                series: scheme.name().into(),
-                x: m as f64,
-                y: out.pairs.len() as f64,
-            });
-            match scheme {
-                ApproximationScheme::FuzzyTokenMatching => fuzzy_pairs = Some(out.pairs),
-                _ => {
-                    let r = recall(&out.pairs, fuzzy_pairs.as_ref().expect("fuzzy ran first"));
-                    notes.push(format!("M={m} {}: recall {r:.5}", scheme.name()));
-                }
-            }
-        }
-    }
-    FigData {
-        title: "Fig 5: discovered pairs vs max token frequency M".into(),
-        xlabel: "M".into(),
-        ylabel: "similar pairs".into(),
-        rows,
-        notes,
-    }
+    let title = "Fig 5: discovered pairs vs max token frequency M";
+    pairs_fig(p, m_sweep(p), title, "M", |m| format!("M={m}"))
 }
 
 /// **Fig. 6** — ROC curves of NSLD vs weighted FJaccard / FCosine / FDice
@@ -538,6 +506,23 @@ pub fn fig_shuffle(p: &FigParams) -> FigData {
     }
 }
 
+/// The fastest of three runs' wall-clock seconds (the usual best-of-n
+/// discipline for wall measurements), with the last run's result.
+fn best_of_three<T>(mut run: impl FnMut() -> T) -> (f64, T) {
+    let mut timed = || {
+        let start = std::time::Instant::now();
+        let out = run();
+        (start.elapsed().as_secs_f64(), out)
+    };
+    let (mut best, mut out) = timed();
+    for _ in 1..3 {
+        let (secs, next) = timed();
+        best = best.min(secs);
+        out = next;
+    }
+    (best, out)
+}
+
 /// **Overlap figure** (EXPERIMENTS.md) — real wall-clock of the default
 /// figure join under lazy DAG execution (cross-stage overlap on the
 /// shared worker pool) vs eager stage-at-a-time execution, per thread
@@ -547,7 +532,6 @@ pub fn fig_shuffle(p: &FigParams) -> FigData {
 /// minimum of three runs per point (the usual best-of-n discipline for
 /// wall measurements).
 pub fn fig_overlap(p: &FigParams) -> FigData {
-    use std::time::Instant;
     use tsj_mapreduce::DatasetMode;
 
     let corpus = build_corpus(p);
@@ -571,15 +555,7 @@ pub fn fig_overlap(p: &FigParams) -> FigData {
         let timed = |mode: DatasetMode| {
             let c = cluster.clone().with_dataset_mode(mode);
             let joiner = TsjJoiner::new(&c);
-            let mut best = f64::INFINITY;
-            let mut out = None;
-            for _ in 0..3 {
-                let start = Instant::now();
-                let run = joiner.self_join(&corpus, &cfg).expect("join completes");
-                best = best.min(start.elapsed().as_secs_f64());
-                out = Some(run);
-            }
-            (best, out.expect("three runs happened"))
+            best_of_three(|| joiner.self_join(&corpus, &cfg).expect("join completes"))
         };
         let (lazy_secs, lazy) = timed(DatasetMode::Lazy);
         let (eager_secs, eager) = timed(DatasetMode::Eager);
@@ -618,10 +594,7 @@ pub fn fig_overlap(p: &FigParams) -> FigData {
     // With `partitions = threads`, token skew makes one reduce task a
     // straggler, and the lazy scheduler verifies finished partitions
     // inside its stall window.
-    let stall_us: u64 = std::env::var("TSJ_FIG_STALL_US")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20);
+    let stall_us = p.stall_us;
     let string_ids: Vec<u32> = (0..corpus.len() as u32).collect();
     // The two-stage candidate→verify pipeline the remaining series run on
     // a given cluster (the scheduling regime under test lives entirely in
@@ -683,15 +656,8 @@ pub fn fig_overlap(p: &FigParams) -> FigData {
         });
         let timed = |mode: DatasetMode| {
             let c = cluster.clone().with_dataset_mode(mode);
-            let mut best = f64::INFINITY;
-            let mut pairs = 0usize;
-            for _ in 0..3 {
-                let start = Instant::now();
-                let (out, _) = run_pipeline(&c);
-                best = best.min(start.elapsed().as_secs_f64());
-                pairs = out.iter().map(|&n| n as usize).sum();
-            }
-            (best, pairs)
+            let (best, (out, _)) = best_of_three(|| run_pipeline(&c));
+            (best, out.iter().map(|&n| n as usize).sum::<usize>())
         };
         let (lazy_secs, lazy_pairs) = timed(DatasetMode::Lazy);
         let (eager_secs, eager_pairs) = timed(DatasetMode::Eager);
@@ -731,10 +697,7 @@ pub fn fig_overlap(p: &FigParams) -> FigData {
     // there to beat.
     {
         use tsj_mapreduce::{SchedulerConfig, SchedulerMode, StraggleInjection};
-        let straggle_us: u64 = std::env::var("TSJ_FIG_STRAGGLE_US")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(300_000);
+        let straggle_us = p.straggle_us;
         for &threads in &threads_sweep {
             if threads < 2 {
                 continue; // the speculative copy needs an idle worker
@@ -752,16 +715,8 @@ pub fn fig_overlap(p: &FigParams) -> FigData {
             });
             let timed = |sched: SchedulerConfig| {
                 let c = cluster.clone().with_scheduler(sched);
-                let mut best = f64::INFINITY;
-                let mut last = None;
-                for _ in 0..3 {
-                    let start = Instant::now();
-                    let (out, report) = run_pipeline(&c);
-                    best = best.min(start.elapsed().as_secs_f64());
-                    last = Some((out.iter().map(|&n| n as usize).sum::<usize>(), report));
-                }
-                let (pairs, report) = last.expect("three runs happened");
-                (best, pairs, report)
+                let (best, (out, report)) = best_of_three(|| run_pipeline(&c));
+                (best, out.iter().map(|&n| n as usize).sum::<usize>(), report)
             };
             let (steal_secs, steal_pairs, _) = timed(SchedulerConfig {
                 mode: SchedulerMode::Stealing,

@@ -13,8 +13,9 @@
 //! ratio and the paper's 0.5-CPU machines; it affects absolute numbers
 //! only, never who wins or how curves bend.
 //!
-//! Environment knobs: `TSJ_FIG_N`, `TSJ_FIG_SEED`, `TSJ_FIG_CPU_SCALE`,
-//! `TSJ_FIG_THREADS`.
+//! Environment knobs: the `TSJ_FIG_*` table in [`params`] (and
+//! `crates/bench/ENV.md`); every cluster a figure builds also honours the
+//! runtime's own table, [`tsj_mapreduce::env`].
 
 pub mod figures;
 pub mod params;

@@ -164,7 +164,7 @@ fn report_shows_and_charges_spilled_volume() {
 }
 
 /// Both dedup strategies and the greedy scheme survive bounded mappers
-/// (they exercise `run_combined_with_group_overhead` and the massjoin
+/// (they exercise `map_reduce_combined_with_group_overhead` and the massjoin
 /// pipeline's `ChunkRole` spill codec).
 #[test]
 fn all_schemes_and_dedups_match_unbounded_under_spilling() {

@@ -353,7 +353,7 @@ fn remote_with_injected_faults_is_byte_identical_and_retries() {
 }
 
 /// Both dedup strategies and all three approximation schemes survive the
-/// exchange (exercising `run_with_group_overhead`, the `ChunkRole` and
+/// exchange (exercising `map_reduce_combined_with_group_overhead`, the `ChunkRole` and
 /// tuple wire types, and the greedy/exact pipelines).
 #[test]
 fn all_schemes_and_dedups_match_inprocess_over_the_exchange() {

@@ -55,7 +55,9 @@ pub(crate) fn scope_of(path: &str) -> Scope {
     ) || path.starts_with("crates/mapreduce/src/dag/");
     Scope {
         no_panic: mapreduce,
-        no_env: !path.starts_with("crates/shims/") && !path.starts_with("crates/bench/"),
+        no_env: !path.starts_with("crates/shims/")
+            && !path.starts_with("crates/bench/")
+            && path != ENV_BOUNDARY,
         no_wallclock: deterministic,
         lossy_cast: matches!(
             path,
@@ -90,7 +92,7 @@ pub(crate) fn scan(path: &str, toks: &[Tok], scope: &Scope) -> Vec<Diagnostic> {
         rule_no_wallclock(path, toks, &mut diags);
     }
     if scope.no_env {
-        rule_no_env(path, toks, &items, &mut diags);
+        rule_no_env(path, toks, &mut diags);
     }
     if scope.lossy_cast {
         rule_lossy_cast(path, toks, &delims, &mut diags);
@@ -196,11 +198,12 @@ const ENV_BANNED: [&str; 7] = [
     "remove_var",
 ];
 
-/// Functions whose bodies may read the environment: the loud-fallback
-/// config constructors.
-const ENV_EXEMPT_FNS: [&str; 2] = ["from_env", "from_lookup"];
+/// The one file that may read the environment: the runtime's knob table,
+/// which owns the loud-fallback discipline. Exempt by path, not by what a
+/// function is called — any fn could be named `from_env`.
+const ENV_BOUNDARY: &str = "crates/mapreduce/src/env.rs";
 
-fn rule_no_env(path: &str, toks: &[Tok], items: &[Item], diags: &mut Vec<Diagnostic>) {
+fn rule_no_env(path: &str, toks: &[Tok], diags: &mut Vec<Diagnostic>) {
     for (idx, tok) in toks.iter().enumerate() {
         if !tok.is_ident("env")
             || !toks.get(idx + 1).is_some_and(|t| t.is_sym(':'))
@@ -211,22 +214,14 @@ fn rule_no_env(path: &str, toks: &[Tok], items: &[Item], diags: &mut Vec<Diagnos
         let Some(callee) = toks.get(idx + 3).and_then(Tok::ident) else {
             continue;
         };
-        if !ENV_BANNED.contains(&callee) {
-            continue;
-        }
-        // Scope-sensitivity from the item tree: the innermost enclosing
-        // function decides the exemption (closures inside `from_lookup`
-        // still count as `from_lookup`).
-        let exempt =
-            innermost_fn(items, idx).is_some_and(|f| ENV_EXEMPT_FNS.contains(&f.name.as_str()));
-        if !exempt {
+        if ENV_BANNED.contains(&callee) {
             diags.push(diag(
                 path,
                 tok.line(),
                 RULE_NO_AMBIENT_ENV,
                 format!(
-                    "`env::{callee}` outside a from_env/from_lookup constructor; \
-                     route configuration through the config layer"
+                    "`env::{callee}` outside {ENV_BOUNDARY}; take configuration as \
+                     values from the knob table"
                 ),
             ));
         }

@@ -36,6 +36,22 @@ fn workspace_is_fresh_clean_with_empty_baseline() {
 }
 
 #[test]
+fn the_knob_table_is_exempt_from_ambient_env_by_path_alone() {
+    // The live env.rs holds the runtime's environment reads: clean where
+    // it lives, flagged the moment the same text sits anywhere else.
+    let src = std::fs::read_to_string(workspace_root().join("crates/mapreduce/src/env.rs"))
+        .expect("crates/mapreduce/src/env.rs exists");
+    let env_reads = |path: &str| {
+        tsj_lint::lint_source(path, &src)
+            .into_iter()
+            .filter(|d| d.rule == tsj_lint::RULE_NO_AMBIENT_ENV)
+            .count()
+    };
+    assert_eq!(env_reads("crates/mapreduce/src/env.rs"), 0);
+    assert_eq!(env_reads("crates/mapreduce/src/cluster.rs"), 2);
+}
+
+#[test]
 fn every_rule_is_suppressible_and_documented() {
     // The allow parser accepts exactly the RULES list; a rule added to
     // the pack without joining RULES would be unsuppressible.

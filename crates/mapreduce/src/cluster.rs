@@ -22,6 +22,7 @@ use std::time::{Duration, Instant};
 use crate::dag::analyze::PlanCheck;
 use crate::dag::{execute, Feed, MapSource, Recv};
 use crate::dataset::{DataPartition, DatasetMode};
+use crate::env;
 use crate::job::{Emitter, JobError, JobResult, JobStats, OutputSink, PhaseSim};
 use crate::merge::{merge_segments_capped, MergeEffort, Segment};
 use crate::pool::{lock, panic_message, Pool, SchedStats, SchedulerConfig, Task};
@@ -121,8 +122,8 @@ pub struct CostModel {
     /// Per-group overhead for *verification* jobs, where the paper's Fig. 1
     /// discussion applies: "grouping-on-one-string instantiates a worker
     /// for each string ... grouping-on-both-strings instantiates a worker
-    /// for each candidate pair". Jobs opt in via
-    /// [`Cluster::run_with_group_overhead`].
+    /// for each candidate pair". Stages opt in via
+    /// [`Dataset::map_reduce_combined_with_group_overhead`](crate::dataset::Dataset::map_reduce_combined_with_group_overhead).
     pub verify_group_overhead_secs: f64,
     /// Shuffle cost per shuffled record, divided across machines. Charged
     /// on the **post-combine** record count
@@ -224,62 +225,29 @@ pub struct Cluster {
     auto_repartition: Option<f64>,
 }
 
-/// Parses the `TSJ_AUTO_REPARTITION` skew-ratio override. A standalone
-/// struct so the environment read lives in a fn literally named
-/// `from_env`/`from_lookup` (the lint's sanctioned config-boundary shape).
-struct AutoRepartition(Option<f64>);
-
-impl AutoRepartition {
-    fn from_env() -> Self {
-        Self::from_lookup(|name| std::env::var_os(name))
-    }
-
-    fn from_lookup(lookup: impl Fn(&str) -> Option<std::ffi::OsString>) -> Self {
-        let Some(raw) = lookup("TSJ_AUTO_REPARTITION") else {
-            return Self(None);
-        };
-        match raw.to_str().and_then(|s| s.trim().parse::<f64>().ok()) {
-            Some(ratio) if ratio.is_finite() && ratio > 1.0 => Self(Some(ratio)),
-            _ => {
-                eprintln!(
-                    "tsj-mapreduce: ignoring invalid TSJ_AUTO_REPARTITION={raw:?} \
-                     (expected a finite max/mean skew ratio > 1.0); auto-repartition stays off"
-                );
-                Self(None)
-            }
-        }
-    }
-}
-
 impl Cluster {
-    /// Builds a cluster with the default (unbounded, in-process) shuffle,
-    /// honouring the `TSJ_COMBINE_THRESHOLD` / `TSJ_SPILL_THRESHOLD` /
-    /// `TSJ_SPILL_DIR` / `TSJ_SHUFFLE_TRANSPORT` / `TSJ_MERGE_FAN_IN`
-    /// environment overrides (see [`ShuffleConfig`]) so an entire binary
-    /// can be forced through the spill path or the multi-process exchange,
-    /// `TSJ_DATASET_MODE` (see [`DatasetMode`]) so the lazy DAG
-    /// scheduler can be differentially tested against stage-at-a-time
-    /// execution, `TSJ_PLAN_CHECK` (see
-    /// [`PlanCheck`]) so plan analysis can
-    /// be escalated from warn to deny, `TSJ_SCHEDULER` /
-    /// `TSJ_SPECULATE_AFTER_US` / `TSJ_STRAGGLE_STAGE` + `TSJ_STRAGGLE_US`
-    /// (see [`SchedulerConfig`]) so the worker-pool scheduling policy can
-    /// be swept externally, and `TSJ_AUTO_REPARTITION` (a max/mean skew
-    /// ratio > 1.0) to enable automatic repartitioning of skewed dataset
-    /// stage boundaries. Use [`Cluster::with_shuffle_config`] /
-    /// [`Cluster::with_dataset_mode`] / [`Cluster::with_plan_check`] /
-    /// [`Cluster::with_scheduler`] / [`Cluster::with_auto_repartition`] to
-    /// pin explicit configurations that ignore the environment.
+    /// Builds a cluster that starts from the process environment: the
+    /// `TSJ_*` variables tabulated in [`crate::env`] (resolved, and warned
+    /// about, once per process) override the default shuffle, scheduler
+    /// and dataset mode, so an entire binary can be forced through the
+    /// spill path, another transport or another scheduling policy without
+    /// touching code. Each [`Cluster::with_shuffle_config`] /
+    /// [`Cluster::with_scheduler`] / [`Cluster::with_dataset_mode`] pins an
+    /// explicit configuration that ignores the environment; plan checking
+    /// ([`Cluster::with_plan_check`]) and automatic repartitioning
+    /// ([`Cluster::with_auto_repartition`]) have no variable and start at
+    /// warn and off.
     pub fn new(cfg: ClusterConfig) -> Self {
         let mut cfg = cfg;
         cfg.machines = cfg.machines.max(1);
+        let env = env::ambient();
         Self {
             cfg,
-            shuffle: ShuffleConfig::from_env(),
-            dataset_mode: DatasetMode::from_env(),
-            plan_check: PlanCheck::from_env(),
-            scheduler: SchedulerConfig::from_env(),
-            auto_repartition: AutoRepartition::from_env().0,
+            shuffle: env.shuffle.clone(),
+            dataset_mode: env.dataset_mode,
+            plan_check: PlanCheck::default(),
+            scheduler: env.scheduler.clone(),
+            auto_repartition: None,
         }
     }
 
@@ -430,14 +398,7 @@ impl Cluster {
         M: Fn(&I, &mut Emitter<K, V>) + Sync,
         R: Fn(&K, Vec<V>, &mut OutputSink<O>) + Sync,
     {
-        self.run_one_stage(
-            name,
-            self.cfg.cost.reduce_group_overhead_secs,
-            input,
-            map,
-            None,
-            reduce,
-        )
+        self.run_one_stage(name, input, map, None, reduce)
     }
 
     /// [`Cluster::run`] with a map-side [`Combiner`]: each map task folds
@@ -467,61 +428,7 @@ impl Cluster {
     {
         let combine: CombineFn<'_, K, V> =
             Box::new(move |buffer: &mut PartitionedBuffer<K, V>| buffer.combine(combiner));
-        self.run_one_stage(
-            name,
-            self.cfg.cost.reduce_group_overhead_secs,
-            input,
-            map,
-            Some(combine),
-            reduce,
-        )
-    }
-
-    /// [`Cluster::run`] with an explicit per-reduce-group worker overhead —
-    /// used by verification jobs, whose work units are the workers the
-    /// paper's dedup-strategy analysis counts (Sec. III-G3 / Fig. 1).
-    pub fn run_with_group_overhead<I, K, V, O, M, R>(
-        &self,
-        name: &str,
-        group_overhead_secs: f64,
-        input: &[I],
-        map: M,
-        reduce: R,
-    ) -> Result<JobResult<O>, JobError>
-    where
-        I: Send + Sync + Spill,
-        K: Hash + Eq + Send + Spill,
-        V: Send + Spill,
-        O: Send + Sync + Spill,
-        M: Fn(&I, &mut Emitter<K, V>) + Sync,
-        R: Fn(&K, Vec<V>, &mut OutputSink<O>) + Sync,
-    {
-        self.run_one_stage(name, group_overhead_secs, input, map, None, reduce)
-    }
-
-    /// [`Cluster::run_combined`] with an explicit per-reduce-group worker
-    /// overhead (verification jobs with a map-side combiner).
-    pub fn run_combined_with_group_overhead<I, K, V, O, M, C, R>(
-        &self,
-        name: &str,
-        group_overhead_secs: f64,
-        input: &[I],
-        map: M,
-        combiner: &C,
-        reduce: R,
-    ) -> Result<JobResult<O>, JobError>
-    where
-        I: Send + Sync + Spill,
-        K: Hash + Eq + Clone + Send + Spill,
-        V: Send + Spill,
-        O: Send + Sync + Spill,
-        M: Fn(&I, &mut Emitter<K, V>) + Sync,
-        C: Combiner<K, V>,
-        R: Fn(&K, Vec<V>, &mut OutputSink<O>) + Sync,
-    {
-        let combine: CombineFn<'_, K, V> =
-            Box::new(move |buffer: &mut PartitionedBuffer<K, V>| buffer.combine(combiner));
-        self.run_one_stage(name, group_overhead_secs, input, map, Some(combine), reduce)
+        self.run_one_stage(name, input, map, Some(combine), reduce)
     }
 
     /// One-stage graph: a driver slice in, driver output back out — the
@@ -532,7 +439,6 @@ impl Cluster {
     fn run_one_stage<I, K, V, O, M, R>(
         &self,
         name: &str,
-        group_overhead_secs: f64,
         input: &[I],
         map: M,
         combine: Option<CombineFn<'_, K, V>>,
@@ -561,7 +467,7 @@ impl Cluster {
         let reduce = &reduce;
         let spec = StageSpec {
             name: name.to_owned(),
-            group_overhead_secs,
+            group_overhead_secs: self.cfg.cost.reduce_group_overhead_secs,
             partitions: self.partitions(),
             is_repartition: false,
             map: Box::new(move |i: &I, e: &mut Emitter<K, V>| map(i, e)) as MapFn<'_, I, K, V>,

@@ -36,8 +36,8 @@
 //! [`SimReport::plan_diagnostics`](crate::report::SimReport::plan_diagnostics)
 //! (warn mode, the default) or fail the terminal with
 //! [`JobError::Plan`](crate::job::JobError::Plan) when the cluster runs
-//! with [`PlanCheck::Deny`] (`TSJ_PLAN_CHECK=deny`, or
-//! [`Cluster::with_plan_check`](crate::cluster::Cluster::with_plan_check)).
+//! with [`PlanCheck::Deny`]
+//! ([`Cluster::with_plan_check`](crate::cluster::Cluster::with_plan_check)).
 
 use crate::shuffle::ShuffleConfig;
 
@@ -330,12 +330,8 @@ impl std::fmt::Display for PlanDiagnostic {
     }
 }
 
-/// Whether diagnosed plans still execute.
-///
-/// `TSJ_PLAN_CHECK` selects the mode for clusters built through
-/// [`Cluster::new`](crate::cluster::Cluster::new);
-/// [`Cluster::with_plan_check`](crate::cluster::Cluster::with_plan_check)
-/// pins it programmatically.
+/// Whether diagnosed plans still execute; pinned through
+/// [`Cluster::with_plan_check`](crate::cluster::Cluster::with_plan_check).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PlanCheck {
     /// Record diagnostics in the terminal's
@@ -346,48 +342,6 @@ pub enum PlanCheck {
     /// Fail the terminal with [`JobError::Plan`](crate::job::JobError)
     /// before any stage executes — for tests pinning graphs clean.
     Deny,
-}
-
-impl PlanCheck {
-    /// Stable lowercase name (what `TSJ_PLAN_CHECK` accepts).
-    pub fn name(&self) -> &'static str {
-        match self {
-            PlanCheck::Warn => "warn",
-            PlanCheck::Deny => "deny",
-        }
-    }
-
-    /// Parses a `TSJ_PLAN_CHECK` value (ASCII case-insensitive).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "warn" => Some(PlanCheck::Warn),
-            "deny" => Some(PlanCheck::Deny),
-            _ => None,
-        }
-    }
-
-    /// The default with the `TSJ_PLAN_CHECK` environment override applied;
-    /// invalid values fall back loudly (one stderr line), like
-    /// [`ShuffleConfig::from_env`](crate::shuffle::ShuffleConfig::from_env).
-    pub fn from_env() -> Self {
-        Self::from_lookup(|name| std::env::var_os(name))
-    }
-
-    pub(crate) fn from_lookup(lookup: impl Fn(&str) -> Option<std::ffi::OsString>) -> Self {
-        match lookup("TSJ_PLAN_CHECK") {
-            None => PlanCheck::default(),
-            Some(raw) => match raw.to_str().and_then(PlanCheck::parse) {
-                Some(mode) => mode,
-                None => {
-                    eprintln!(
-                        "tsj-mapreduce: ignoring invalid TSJ_PLAN_CHECK={raw:?} \
-                         (expected \"warn\" or \"deny\"); using warn mode"
-                    );
-                    PlanCheck::default()
-                }
-            },
-        }
-    }
 }
 
 /// Runs every structural check over a lowered plan under the given
@@ -774,23 +728,6 @@ mod tests {
             input(3, Some(2), 100, 2),
         ]);
         assert!(analyze_plan(&reshapes, &ShuffleConfig::default()).is_empty());
-    }
-
-    #[test]
-    fn plan_check_parses_and_defaults() {
-        assert_eq!(PlanCheck::parse("deny"), Some(PlanCheck::Deny));
-        assert_eq!(PlanCheck::parse(" WARN "), Some(PlanCheck::Warn));
-        assert_eq!(PlanCheck::parse("nope"), None);
-        assert_eq!(PlanCheck::from_lookup(|_| None), PlanCheck::Warn);
-        assert_eq!(
-            PlanCheck::from_lookup(|k| (k == "TSJ_PLAN_CHECK").then(|| "deny".into())),
-            PlanCheck::Deny
-        );
-        assert_eq!(
-            PlanCheck::from_lookup(|_| Some("garbage".into())),
-            PlanCheck::Warn
-        );
-        assert_eq!(PlanCheck::Deny.name(), "deny");
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //!
 //! * [`Cluster::input`] lifts a driver slice into a handle;
 //! * [`Dataset::map_reduce`] / [`Dataset::map_reduce_combined`] (and
-//!   their `_with_group_overhead` variants) **record one stage in a job
-//!   DAG without executing it**; [`Dataset::union`] concatenates two
-//!   graphs' output partitions, and [`Dataset::repartition`] records a
-//!   key-hash re-routing stage for skewed stage outputs;
+//!   [`Dataset::map_reduce_combined_with_group_overhead`]) **record one
+//!   stage in a job DAG without executing it**; [`Dataset::union`]
+//!   concatenates two graphs' output partitions, and
+//!   [`Dataset::repartition`] records a key-hash re-routing stage for
+//!   skewed stage outputs;
 //! * a terminal — [`Dataset::collect`], the streaming
 //!   [`Dataset::for_each_output`], or [`Dataset::take_report`] — executes
 //!   the recorded graph. The executor (the private `dag` module) runs every pending
@@ -124,42 +125,10 @@ pub enum DatasetMode {
 
 impl DatasetMode {
     /// Stable lowercase name (what `TSJ_DATASET_MODE` accepts).
-    pub fn name(&self) -> &'static str {
+    pub const fn name(&self) -> &'static str {
         match self {
             DatasetMode::Lazy => "lazy",
             DatasetMode::Eager => "eager",
-        }
-    }
-
-    /// Parses a `TSJ_DATASET_MODE` value (ASCII case-insensitive).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "lazy" => Some(DatasetMode::Lazy),
-            "eager" => Some(DatasetMode::Eager),
-            _ => None,
-        }
-    }
-
-    /// The default with the `TSJ_DATASET_MODE` environment override
-    /// applied; invalid values fall back loudly (one stderr line), like
-    /// [`ShuffleConfig::from_env`](crate::shuffle::ShuffleConfig).
-    pub fn from_env() -> Self {
-        Self::from_lookup(|name| std::env::var_os(name))
-    }
-
-    pub(crate) fn from_lookup(lookup: impl Fn(&str) -> Option<std::ffi::OsString>) -> Self {
-        match lookup("TSJ_DATASET_MODE") {
-            None => DatasetMode::default(),
-            Some(raw) => match raw.to_str().and_then(DatasetMode::parse) {
-                Some(mode) => mode,
-                None => {
-                    eprintln!(
-                        "tsj-mapreduce: ignoring invalid TSJ_DATASET_MODE={raw:?} \
-                         (expected \"lazy\" or \"eager\"); using lazy execution"
-                    );
-                    DatasetMode::default()
-                }
-            },
         }
     }
 }
@@ -393,8 +362,8 @@ where
     }
 }
 
-/// The automatic skew response ([`Cluster::with_auto_repartition`] /
-/// `TSJ_AUTO_REPARTITION`): when the child feeding a freshly recorded
+/// The automatic skew response ([`Cluster::with_auto_repartition`]): when
+/// the child feeding a freshly recorded
 /// stage is a *materialized* boundary whose partition sizes cross the
 /// configured `max/mean` ratio, insert the existing repartition stage
 /// behind the scenes so the fat partition is spread before the consumer's
@@ -634,49 +603,13 @@ impl<'a, T: Send + Sync + Spill + 'a> Dataset<'a, T> {
         R: Fn(&K, Vec<V>, &mut OutputSink<O>) + Send + Sync + 'a,
     {
         let overhead = self.cluster.config().cost.reduce_group_overhead_secs;
-        let combiner = combiner.clone();
-        let combine: CombineFn<'a, K, V> = Box::new(move |buffer| buffer.combine(&combiner));
-        self.stage(
-            name,
-            overhead,
-            None,
-            false,
-            Box::new(map),
-            Some(combine),
-            Box::new(reduce),
-        )
-    }
-
-    /// [`Dataset::map_reduce`] with an explicit per-reduce-group worker
-    /// overhead (verification stages; see
-    /// [`Cluster::run_with_group_overhead`](crate::cluster::Cluster::run_with_group_overhead)).
-    pub fn map_reduce_with_group_overhead<K, V, O, M, R>(
-        self,
-        name: &str,
-        group_overhead_secs: f64,
-        map: M,
-        reduce: R,
-    ) -> Result<Dataset<'a, O>, JobError>
-    where
-        K: Hash + Eq + Send + Spill + 'a,
-        V: Send + Spill + 'a,
-        O: Send + Sync + Spill + 'a,
-        M: Fn(&T, &mut Emitter<K, V>) + Send + Sync + 'a,
-        R: Fn(&K, Vec<V>, &mut OutputSink<O>) + Send + Sync + 'a,
-    {
-        self.stage(
-            name,
-            group_overhead_secs,
-            None,
-            false,
-            Box::new(map),
-            None,
-            Box::new(reduce),
-        )
+        self.map_reduce_combined_with_group_overhead(name, overhead, map, combiner, reduce)
     }
 
     /// [`Dataset::map_reduce_combined`] with an explicit per-reduce-group
-    /// worker overhead.
+    /// worker overhead — for verification stages, whose reduce groups are
+    /// the workers the paper's dedup-strategy analysis counts (Sec.
+    /// III-G3 / Fig. 1).
     pub fn map_reduce_combined_with_group_overhead<K, V, O, M, C, R>(
         self,
         name: &str,

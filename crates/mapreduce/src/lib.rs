@@ -52,8 +52,8 @@
 //! ([`analyze_plan`]): unreachable stages, statically empty inputs,
 //! union partition mismatches, combiner opportunities, and merge fan-in
 //! hazards surface as [`PlanDiagnostic`]s on the terminal's [`SimReport`]
-//! — or, under [`PlanCheck::Deny`] (`TSJ_PLAN_CHECK=deny`), fail the
-//! terminal before any stage runs.
+//! — or, under [`PlanCheck::Deny`], fail the terminal before any stage
+//! runs.
 
 // Keeps the stage engine from regrowing into one function: the threshold
 // lives in the workspace `clippy.toml`, and CI runs clippy with
@@ -63,6 +63,7 @@
 pub mod cluster;
 mod dag;
 pub mod dataset;
+pub mod env;
 pub mod hash;
 pub mod job;
 pub mod merge;

@@ -70,19 +70,10 @@ pub enum SchedulerMode {
 
 impl SchedulerMode {
     /// Stable lowercase name (what `TSJ_SCHEDULER` accepts).
-    pub fn name(&self) -> &'static str {
+    pub const fn name(&self) -> &'static str {
         match self {
             SchedulerMode::Stealing => "stealing",
             SchedulerMode::Speculative => "speculative",
-        }
-    }
-
-    /// Parses a `TSJ_SCHEDULER` value (ASCII case-insensitive).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "stealing" => Some(SchedulerMode::Stealing),
-            "speculative" => Some(SchedulerMode::Speculative),
-            _ => None,
         }
     }
 }
@@ -125,57 +116,6 @@ impl Default for SchedulerConfig {
             speculate_after: Duration::from_millis(20),
             straggle: None,
         }
-    }
-}
-
-impl SchedulerConfig {
-    /// The default with the `TSJ_SCHEDULER` / `TSJ_SPECULATE_AFTER_US` /
-    /// `TSJ_STRAGGLE_STAGE` + `TSJ_STRAGGLE_US` environment overrides
-    /// applied; invalid values fall back loudly (one stderr line), like
-    /// [`ShuffleConfig::from_env`](crate::shuffle::ShuffleConfig::from_env).
-    pub fn from_env() -> Self {
-        Self::from_lookup(|name| std::env::var_os(name))
-    }
-
-    pub(crate) fn from_lookup(lookup: impl Fn(&str) -> Option<std::ffi::OsString>) -> Self {
-        let mut cfg = Self::default();
-        if let Some(raw) = lookup("TSJ_SCHEDULER") {
-            match raw.to_str().and_then(SchedulerMode::parse) {
-                Some(mode) => cfg.mode = mode,
-                None => eprintln!(
-                    "tsj-mapreduce: ignoring invalid TSJ_SCHEDULER={raw:?} (expected \
-                     \"stealing\" or \"speculative\"); using {}",
-                    cfg.mode.name()
-                ),
-            }
-        }
-        if let Some(raw) = lookup("TSJ_SPECULATE_AFTER_US") {
-            match raw.to_str().and_then(|s| s.trim().parse::<u64>().ok()) {
-                Some(us) => cfg.speculate_after = Duration::from_micros(us),
-                None => eprintln!(
-                    "tsj-mapreduce: ignoring invalid TSJ_SPECULATE_AFTER_US={raw:?} \
-                     (expected microseconds); using {}µs",
-                    cfg.speculate_after.as_micros()
-                ),
-            }
-        }
-        if let Some(stage_raw) = lookup("TSJ_STRAGGLE_STAGE") {
-            let micros = lookup("TSJ_STRAGGLE_US")
-                .and_then(|r| r.to_str().and_then(|s| s.trim().parse::<u64>().ok()));
-            match (stage_raw.to_str(), micros) {
-                (Some(stage), Some(micros)) if !stage.trim().is_empty() => {
-                    cfg.straggle = Some(StraggleInjection {
-                        stage: stage.trim().to_owned(),
-                        micros,
-                    });
-                }
-                _ => eprintln!(
-                    "tsj-mapreduce: ignoring TSJ_STRAGGLE_STAGE={stage_raw:?} (needs a \
-                     non-empty stage name and a valid TSJ_STRAGGLE_US in microseconds)"
-                ),
-            }
-        }
-        cfg
     }
 }
 
@@ -956,57 +896,6 @@ mod tests {
             "the speculative attempt must win against a 200ms straggler"
         );
         assert!(stats.speculative_launched.load(Ordering::Relaxed) >= 1);
-    }
-
-    #[test]
-    fn scheduler_config_parses_and_defaults() {
-        assert_eq!(
-            SchedulerMode::parse(" STEALING "),
-            Some(SchedulerMode::Stealing)
-        );
-        assert_eq!(
-            SchedulerMode::parse("speculative"),
-            Some(SchedulerMode::Speculative)
-        );
-        assert_eq!(SchedulerMode::parse("nope"), None);
-        // The FIFO queue is gone: its name is an invalid value now.
-        assert_eq!(SchedulerMode::parse("fifo"), None);
-        assert_eq!(SchedulerMode::Speculative.name(), "speculative");
-
-        let defaults = SchedulerConfig::from_lookup(|_| None);
-        assert_eq!(defaults, SchedulerConfig::default());
-        assert_eq!(defaults.mode, SchedulerMode::Stealing);
-
-        let cfg = SchedulerConfig::from_lookup(|k| match k {
-            "TSJ_SCHEDULER" => Some("speculative".into()),
-            "TSJ_SPECULATE_AFTER_US" => Some("500".into()),
-            "TSJ_STRAGGLE_STAGE" => Some("slow.stage".into()),
-            "TSJ_STRAGGLE_US" => Some("2500".into()),
-            _ => None,
-        });
-        assert_eq!(cfg.mode, SchedulerMode::Speculative);
-        assert_eq!(cfg.speculate_after, Duration::from_micros(500));
-        assert_eq!(
-            cfg.straggle,
-            Some(StraggleInjection {
-                stage: "slow.stage".to_owned(),
-                micros: 2500,
-            })
-        );
-
-        // Invalid values fall back loudly to the defaults.
-        let bad = SchedulerConfig::from_lookup(|k| match k {
-            "TSJ_SCHEDULER" => Some("garbage".into()),
-            "TSJ_SPECULATE_AFTER_US" => Some("not-a-number".into()),
-            "TSJ_STRAGGLE_STAGE" => Some("lonely".into()), // no TSJ_STRAGGLE_US
-            _ => None,
-        });
-        assert_eq!(bad, SchedulerConfig::default());
-        let fifo = SchedulerConfig::from_lookup(|k| match k {
-            "TSJ_SCHEDULER" => Some("fifo".into()),
-            _ => None,
-        });
-        assert_eq!(fifo.mode, SchedulerMode::Stealing);
     }
 
     #[test]

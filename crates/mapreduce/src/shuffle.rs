@@ -193,9 +193,8 @@ where
 /// [`crate::transport`]).
 ///
 /// The default is fully unbounded, in-process — existing callers are
-/// untouched. The environment variables `TSJ_COMBINE_THRESHOLD`,
-/// `TSJ_SPILL_THRESHOLD`, `TSJ_SPILL_DIR`, `TSJ_SHUFFLE_TRANSPORT` and
-/// `TSJ_MERGE_FAN_IN` override the *default* configuration (applied by
+/// untouched. The `TSJ_*` variables tabulated in [`crate::env`] override
+/// the *default* configuration (applied by
 /// [`Cluster::new`](crate::cluster::Cluster); an explicit
 /// [`with_shuffle_config`](crate::cluster::Cluster::with_shuffle_config)
 /// always wins), so a whole test or bench run can be pushed through the
@@ -272,79 +271,6 @@ impl ShuffleConfig {
     /// combiner runs only at task end).
     pub fn is_unbounded(&self) -> bool {
         self.combine_threshold.is_none() && self.spill_threshold.is_none()
-    }
-
-    /// The defaults with `TSJ_COMBINE_THRESHOLD` / `TSJ_SPILL_THRESHOLD` /
-    /// `TSJ_SPILL_DIR` / `TSJ_SHUFFLE_TRANSPORT` / `TSJ_MERGE_FAN_IN`
-    /// environment overrides applied.
-    ///
-    /// Invalid values fall back to the default *loudly* (one warning line
-    /// on stderr) instead of panicking or being silently swallowed — a
-    /// typo in a CI matrix must not quietly run the wrong configuration.
-    pub fn from_env() -> Self {
-        Self::from_lookup(|name| std::env::var_os(name))
-    }
-
-    /// [`ShuffleConfig::from_env`] against an arbitrary variable lookup —
-    /// the testable core (tests pass a map instead of mutating the
-    /// process environment, which is racy under the threaded test
-    /// runner).
-    pub(crate) fn from_lookup(lookup: impl Fn(&str) -> Option<std::ffi::OsString>) -> Self {
-        let parse_count = |name: &str| -> Option<usize> {
-            let raw = lookup(name)?;
-            match raw.to_str().and_then(|v| v.trim().parse::<usize>().ok()) {
-                Some(v) => Some(v.max(1)),
-                None => {
-                    eprintln!(
-                        "tsj-mapreduce: ignoring invalid {name}={raw:?} \
-                         (expected a positive record count); using the default"
-                    );
-                    None
-                }
-            }
-        };
-        let transport = match lookup("TSJ_SHUFFLE_TRANSPORT") {
-            None => Transport::default(),
-            Some(raw) => match raw.to_str().and_then(|v| Transport::parse(v.trim())) {
-                Some(t) => t,
-                None => {
-                    eprintln!(
-                        "tsj-mapreduce: ignoring invalid TSJ_SHUFFLE_TRANSPORT={raw:?} \
-                         (expected \"inprocess\", \"multiprocess\" or \"remote\"); using \
-                         the default in-process transport"
-                    );
-                    Transport::default()
-                }
-            },
-        };
-        // Fault knobs accept 0 explicitly ("off"), unlike the record-count
-        // knobs above whose minimum useful value is 1.
-        let parse_fault = |name: &str| -> Option<u64> {
-            let raw = lookup(name)?;
-            match raw.to_str().and_then(|v| v.trim().parse::<u64>().ok()) {
-                Some(v) => Some(v),
-                None => {
-                    eprintln!(
-                        "tsj-mapreduce: ignoring invalid {name}={raw:?} \
-                         (expected a non-negative integer); using the default 0 (off)"
-                    );
-                    None
-                }
-            }
-        };
-        let net_fault = FaultConfig {
-            drop_nth: parse_fault("TSJ_NET_FAULT_DROP_NTH").unwrap_or(0),
-            stall_us: parse_fault("TSJ_NET_FAULT_STALL_US").unwrap_or(0),
-            seed: parse_fault("TSJ_NET_FAULT_SEED").unwrap_or(0),
-        };
-        Self {
-            combine_threshold: parse_count("TSJ_COMBINE_THRESHOLD"),
-            spill_threshold: parse_count("TSJ_SPILL_THRESHOLD"),
-            spill_dir: lookup("TSJ_SPILL_DIR").map(PathBuf::from),
-            transport,
-            merge_fan_in: parse_count("TSJ_MERGE_FAN_IN"),
-            net_fault,
-        }
     }
 
     /// The base directory for job and stage-output subdirectories: the
@@ -871,85 +797,6 @@ mod tests {
             }
         }
         assert_eq!(restored, spill.records as usize);
-    }
-
-    /// An env lookup backed by a slice (no process-global mutation).
-    fn lookup<'a>(
-        vars: &'a [(&'a str, &'a str)],
-    ) -> impl Fn(&str) -> Option<std::ffi::OsString> + 'a {
-        move |name| {
-            vars.iter()
-                .find(|(k, _)| *k == name)
-                .map(|(_, v)| std::ffi::OsString::from(v))
-        }
-    }
-
-    #[test]
-    fn from_lookup_with_nothing_set_is_the_default() {
-        assert_eq!(
-            ShuffleConfig::from_lookup(lookup(&[])),
-            ShuffleConfig::default()
-        );
-    }
-
-    #[test]
-    fn from_lookup_parses_valid_overrides() {
-        let cfg = ShuffleConfig::from_lookup(lookup(&[
-            ("TSJ_COMBINE_THRESHOLD", "32"),
-            ("TSJ_SPILL_THRESHOLD", "64"),
-            ("TSJ_SPILL_DIR", "/tmp/tsj-test-spill"),
-            ("TSJ_SHUFFLE_TRANSPORT", "multiprocess"),
-            ("TSJ_MERGE_FAN_IN", "8"),
-        ]));
-        assert_eq!(cfg.combine_threshold, Some(32));
-        assert_eq!(cfg.spill_threshold, Some(64));
-        assert_eq!(cfg.spill_dir, Some(PathBuf::from("/tmp/tsj-test-spill")));
-        assert_eq!(cfg.transport, Transport::MultiProcess);
-        assert_eq!(cfg.merge_fan_in, Some(8));
-    }
-
-    #[test]
-    fn from_lookup_accepts_transport_spelling_variants_and_whitespace() {
-        for (raw, want) in [
-            ("in-process", Transport::InProcess),
-            ("IN_PROCESS", Transport::InProcess),
-            (" multiprocess ", Transport::MultiProcess),
-            ("Multi-Process", Transport::MultiProcess),
-        ] {
-            let cfg = ShuffleConfig::from_lookup(lookup(&[("TSJ_SHUFFLE_TRANSPORT", raw)]));
-            assert_eq!(cfg.transport, want, "{raw:?}");
-        }
-    }
-
-    #[test]
-    fn from_lookup_zero_threshold_clamps_to_one() {
-        // "0" is a plausible attempt at "disable"; a 0-record cap would
-        // spill forever, so it clamps to the minimum meaningful value.
-        let cfg = ShuffleConfig::from_lookup(lookup(&[("TSJ_SPILL_THRESHOLD", "0")]));
-        assert_eq!(cfg.spill_threshold, Some(1));
-    }
-
-    #[test]
-    fn from_lookup_invalid_values_fall_back_without_panicking() {
-        // Every malformed value must yield the default for that knob —
-        // never a panic, never a half-applied configuration.
-        let cfg = ShuffleConfig::from_lookup(lookup(&[
-            ("TSJ_COMBINE_THRESHOLD", "lots"),
-            ("TSJ_SPILL_THRESHOLD", "-5"),
-            ("TSJ_SHUFFLE_TRANSPORT", "carrier-pigeon"),
-            ("TSJ_MERGE_FAN_IN", "3.5"),
-        ]));
-        assert_eq!(cfg.combine_threshold, None);
-        assert_eq!(cfg.spill_threshold, None);
-        assert_eq!(cfg.transport, Transport::InProcess);
-        assert_eq!(cfg.merge_fan_in, None);
-        // A valid knob next to an invalid one still applies.
-        let cfg = ShuffleConfig::from_lookup(lookup(&[
-            ("TSJ_COMBINE_THRESHOLD", ""),
-            ("TSJ_SPILL_THRESHOLD", "48"),
-        ]));
-        assert_eq!(cfg.combine_threshold, None);
-        assert_eq!(cfg.spill_threshold, Some(48));
     }
 
     #[test]

@@ -76,32 +76,13 @@ pub enum Transport {
 }
 
 impl Transport {
-    /// Every variant (for exhaustive config sweeps and round-trip tests).
-    pub const ALL: [Transport; 3] = [
-        Transport::InProcess,
-        Transport::MultiProcess,
-        Transport::Remote,
-    ];
-
     /// Stable lowercase name (what `TSJ_SHUFFLE_TRANSPORT` accepts and
     /// [`JobStats::transport`](crate::job::JobStats) reports).
-    pub fn name(&self) -> &'static str {
+    pub const fn name(&self) -> &'static str {
         match self {
             Transport::InProcess => "in-process",
             Transport::MultiProcess => "multi-process",
             Transport::Remote => "remote",
-        }
-    }
-
-    /// Parses a `TSJ_SHUFFLE_TRANSPORT` value (ASCII case-insensitive;
-    /// hyphens and underscores optional). Accepts every
-    /// [`Transport::name`] spelling: `parse(t.name())` round-trips.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().replace(['-', '_'], "").as_str() {
-            "inprocess" => Some(Transport::InProcess),
-            "multiprocess" => Some(Transport::MultiProcess),
-            "remote" => Some(Transport::Remote),
-            _ => None,
         }
     }
 }
@@ -315,28 +296,6 @@ mod tests {
             }
         }
         out
-    }
-
-    #[test]
-    fn transport_parse_accepts_spelling_variants() {
-        for s in ["inprocess", "in-process", "IN_PROCESS", "InProcess"] {
-            assert_eq!(Transport::parse(s), Some(Transport::InProcess), "{s}");
-        }
-        for s in ["multiprocess", "multi-process", "MULTI_PROCESS"] {
-            assert_eq!(Transport::parse(s), Some(Transport::MultiProcess), "{s}");
-        }
-        for s in ["remote", "REMOTE", "Re-mote"] {
-            assert_eq!(Transport::parse(s), Some(Transport::Remote), "{s}");
-        }
-        assert_eq!(Transport::parse("network"), None);
-        assert_eq!(Transport::parse(""), None);
-    }
-
-    #[test]
-    fn transport_name_round_trips_through_parse_for_every_variant() {
-        for t in Transport::ALL {
-            assert_eq!(Transport::parse(t.name()), Some(t), "{}", t.name());
-        }
     }
 
     #[test]

@@ -215,7 +215,12 @@ fn simulated_time_scales_down_with_machines() {
                 spill_secs_per_byte: 0.0,
                 transport_secs_per_byte: 0.0,
                 cpu_scale: 1.0,
-                work_unit_secs: 0.0,
+                // The deterministic clock: loads are declared work, not
+                // measured time. A measured rate would fold each map
+                // task's publish I/O (1000 tiny run files against 100
+                // under the multi-process transport) into the CPU total,
+                // and the comparison below would then depend on the disk.
+                work_unit_secs: 1e-6,
             },
         });
         cluster
@@ -223,11 +228,12 @@ fn simulated_time_scales_down_with_machines() {
                 "scale",
                 &input,
                 |n: &u64, e: &mut Emitter<u64, u64>| {
-                    // Busy work so the measured CPU time is non-trivial.
+                    // CPU-bound work, declared so the clock charges it.
                     let mut acc = *n;
                     for i in 0..2_000u64 {
                         acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
                     }
+                    e.add_work(2_000);
                     e.emit(n % 512, acc);
                 },
                 |_: &u64, vs: Vec<u64>, out: &mut OutputSink<u64>| {

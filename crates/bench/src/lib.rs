@@ -1,4 +1,4 @@
-//! Benchmark harness: regenerates every figure of the paper's evaluation
+//! Paper-figure harness: regenerates every figure of the paper's evaluation
 //! (Sec. V, Figures 1–7) on the synthetic workload substitute.
 //!
 //! Each `figN` binary prints a TSV with the same series the paper plots,

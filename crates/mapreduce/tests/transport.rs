@@ -241,6 +241,46 @@ fn uncombined_jobs_cross_the_exchange_too() {
 }
 
 #[test]
+fn v2_frames_cost_under_20_bytes_per_u64_pair_record() {
+    // A (u64, u64) record frames as 1 B payload length + 1 B fingerprint
+    // delta + 16 B payload = 18 B (the v1 fixed frame cost 28); past 20
+    // the compact framing broke. Both out-of-process transports publish
+    // the same run bytes, mid-task spills included, so one budget covers
+    // all three.
+    let input: Vec<u64> = (0..20_000).collect();
+    for shuffle in [
+        ShuffleConfig::unbounded().with_transport(Transport::MultiProcess),
+        ShuffleConfig::bounded(1024, 2048).with_transport(Transport::MultiProcess),
+        ShuffleConfig::unbounded().with_transport(Transport::Remote),
+    ] {
+        let name = format!(
+            "{}, spill threshold {:?}",
+            shuffle.transport.name(),
+            shuffle.spill_threshold
+        );
+        let spills = shuffle.spill_threshold.is_some();
+        let stats = cluster(8, 4, 0, shuffle)
+            .run(
+                "transport.framecost",
+                &input,
+                |n: &u64, e: &mut Emitter<u64, u64>| e.emit(n % 4099, *n),
+                |k: &u64, vs: Vec<u64>, out: &mut OutputSink<(u64, u64)>| {
+                    out.emit((*k, vs.len() as u64));
+                },
+            )
+            .unwrap()
+            .stats;
+        assert_eq!(stats.shuffle_records, 20_000, "{name}");
+        assert_eq!(stats.spilled_records > 0, spills, "{name}");
+        let per_record = stats.transport_bytes as f64 / stats.shuffle_records as f64;
+        assert!(
+            per_record < 20.0,
+            "{name}: {per_record:.1} B/record exceeds the v2 framing budget"
+        );
+    }
+}
+
+#[test]
 fn remote_wordcount_matches_inprocess_and_accounts_fetches() {
     let docs = wordcount_docs(600);
     let in_proc = wordcount(&cluster(8, 4, 0, ShuffleConfig::unbounded()), &docs);

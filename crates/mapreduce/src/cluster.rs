@@ -949,14 +949,11 @@ fn shuffle_exchange<I, K, V, O>(
     stage: &Stage<'_, I, K, V, O>,
     map_tasks: Vec<MapTaskOut<K, V>>,
     stats: &mut JobStats,
-) -> Result<Vec<Vec<Segment<K, V>>>, JobError>
-where
-    K: Hash + Spill,
-    V: Spill,
-{
+) -> Result<Vec<Vec<Segment<K, V>>>, JobError> {
     let (cost, machines) = (&stage.cost, stage.machines);
     let map_loads = proportional_loads(map_tasks.iter().map(|t| (t.cpu_secs, t.work)), cost);
     stats.map = phase_sim(&map_loads, machines.min(map_tasks.len().max(1)));
+    let published = stage.shuffle.transport != Transport::InProcess;
     let mut outputs: Vec<MapOutput<K, V>> = Vec::with_capacity(map_tasks.len());
     for task in map_tasks {
         stats.input_records += task.input;
@@ -968,25 +965,20 @@ where
             stats.spilled_records += spill.records;
             stats.spill_bytes += spill.bytes;
             stats.spill_runs += spill.spill_runs;
+            // A published run file is all exchange volume.
+            if published {
+                stats.transport_bytes += spill.runs.iter().flatten().map(|r| r.bytes).sum::<u64>();
+            }
         }
         outputs.push(task.output);
     }
-    let exchange = exchange(
-        outputs,
-        stage.spec.partitions,
-        stage.shuffle.transport,
-        stage.remote.as_ref(),
-    )?;
-    stats.transport_bytes = exchange.bytes_moved;
-    stats.fetch_requests = exchange.fetch.requests;
-    stats.fetch_retries = exchange.fetch.retries;
-    stats.fetch_bytes = exchange.fetch.bytes;
+    let partition_segments = exchange(outputs, stage.spec.partitions, stage.remote.as_ref())?;
     // Each volume cost is spread across the simulated machines.
     let spread = machines as f64;
     stats.shuffle_secs = cost.shuffle_secs_per_record * stats.shuffle_records as f64 / spread;
     stats.spill_secs = cost.spill_secs_per_byte * 2.0 * stats.spill_bytes as f64 / spread;
     stats.transport_secs = cost.transport_secs_per_byte * stats.transport_bytes as f64 / spread;
-    Ok(exchange.partition_segments)
+    Ok(partition_segments)
 }
 
 /// The reduce wave: one task per non-empty partition, each delivering its

@@ -151,8 +151,9 @@ pub enum JobError {
     /// The shuffle transport failed to move map output to the reduce side:
     /// the stage's run server would not start, a map task could not
     /// publish its runs (an I/O error writing or finalizing its run file),
-    /// or a run-directory lookup or mid-merge ranged fetch ran out of
-    /// retries. Mirrors a shuffle-fetch failure on a real cluster.
+    /// or a reduce-side ranged fetch ran out of retries or named a run
+    /// the server does not hold. Mirrors a shuffle-fetch failure on a real
+    /// cluster.
     Transport { message: String },
     /// A spill-format file failed under a job: an I/O error or corruption
     /// reading a run back ([`SpillError`](crate::spill::SpillError)), or
@@ -247,8 +248,9 @@ pub struct JobStats {
     /// ([`Transport::name`](crate::transport::Transport)).
     pub transport: &'static str,
     /// Bytes serialized through the shuffle transport (0 for the
-    /// in-process handoff; the full post-combine exchange volume for the
-    /// multi-process transport). Charged by
+    /// in-process handoff; the full post-combine exchange volume — the
+    /// sum of every published run's size — for the multi-process and
+    /// remote transports). Charged by
     /// [`CostModel::transport_secs_per_byte`](crate::cluster::CostModel).
     pub transport_bytes: u64,
     /// Hierarchical pre-merge passes reduce tasks ran to honour
@@ -314,9 +316,8 @@ pub struct JobStats {
     /// Total microseconds this job's tasks spent queued before a worker
     /// picked them up (scheduler observability, nondeterministic).
     pub queue_wait_us: u64,
-    /// Logical fetch requests the remote transport issued (the exchange's
-    /// directory lookups + the winning reduce attempts' ranged reads; 0
-    /// for the other transports).
+    /// Logical fetch requests the remote transport issued (the winning
+    /// reduce attempts' ranged reads; 0 for the other transports).
     /// Real-network observability (like `wall_secs`): never feeds
     /// simulated stats — `transport_bytes` carries the deterministic
     /// exchanged volume.

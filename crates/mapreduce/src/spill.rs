@@ -71,12 +71,13 @@ use std::cell::RefCell;
 use std::fs::File;
 use std::hash::Hash;
 use std::io::{BufWriter, Write};
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::Arc;
 
 use tsj_netshuffle::protocol::MAX_FETCH_BYTES;
-use tsj_netshuffle::{FetchClient, FetchConfig, FetchError, RunKey, ServerAddr};
+use tsj_netshuffle::{FetchClient, FetchConfig, FetchError, RunKey};
 
 use crate::hash::fingerprint64;
 use crate::shuffle::ShuffleRecord;
@@ -334,16 +335,10 @@ spill_tuple! {
     (0 A, 1 B, 2 C, 3 D)
 }
 
-/// Location of one sorted run inside a task's spill file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunMeta {
-    /// Byte offset of the run's first record frame.
-    pub offset: u64,
-    /// Total framed bytes of the run.
-    pub bytes: u64,
-    /// Records in the run.
-    pub records: u64,
-}
+/// Location of one sorted run inside a task's spill file: the run
+/// server's own directory entry, so a task's run directory is published
+/// and exchanged as is.
+pub use tsj_netshuffle::RunSpec as RunMeta;
 
 /// Append-only writer of sorted-run files in the wire format: one
 /// length-prefixed frame per record (see the module docs).
@@ -478,7 +473,7 @@ pub(crate) enum RunSource {
     Local(Arc<File>),
     /// A run published to the run server at `addr`, read with ranged
     /// fetches.
-    Remote { addr: ServerAddr, key: RunKey },
+    Remote { addr: SocketAddr, key: RunKey },
 }
 
 /// One reduce task's connection to the stage's run server, shared by all
@@ -520,8 +515,9 @@ pub struct RunReader {
     bytes: RunBytes,
     /// Next run-file offset to refill from.
     offset: u64,
-    /// One past the run's last byte.
-    end: u64,
+    /// One past the run's last byte; `None` when the run's extent
+    /// overflows `u64`, which the first read reports as corruption.
+    end: Option<u64>,
     /// Refill size: small runs read in one shot; large runs stream
     /// through at most this much memory per open run.
     chunk: usize,
@@ -567,7 +563,7 @@ impl RunReader {
         Self {
             bytes,
             offset: meta.offset,
-            end: meta.offset + meta.bytes,
+            end: meta.offset.checked_add(meta.bytes),
             chunk,
             buf: Vec::new(),
             pos: 0,
@@ -609,11 +605,14 @@ impl RunReader {
         if self.buf.len() - self.pos >= n {
             return Ok(true);
         }
+        let end = self
+            .end
+            .ok_or(SpillError::Corrupt("run extent overflows the file offset"))?;
         // Compact, then refill from the run's source.
         self.buf.drain(..self.pos);
         self.pos = 0;
         while self.buf.len() < n {
-            let remaining = (self.end - self.offset) as usize;
+            let remaining = (end - self.offset) as usize;
             if remaining == 0 {
                 break;
             }

@@ -7,7 +7,7 @@
 //! * [`Transport::InProcess`] (the default) — each map task's in-memory
 //!   partition buffers and spilled runs are handed to the reduce tasks by
 //!   reference, within one address space. Nothing is serialized beyond
-//!   what the mapper itself spilled; `bytes_moved` is 0.
+//!   what the mapper itself spilled; `transport_bytes` is 0.
 //! * [`Transport::MultiProcess`] and [`Transport::Remote`] — every map
 //!   task *publishes* its whole post-combine output in the spill-run wire
 //!   format (see [`crate::spill`]), exactly as a cluster of separate
@@ -21,12 +21,20 @@
 //!   through the ordinary k-way sort-merge ([`crate::merge`]). The two
 //!   differ only in what the code can observe — whether bytes cross a
 //!   socket: `MultiProcess` reads the file with positioned reads;
-//!   `Remote` also registers it with the stage's [`RunServer`], learns
-//!   each run directory from the server, and reads the runs with ranged
-//!   fetches (retries, deadlines, one connection per reduce task).
-//!   `bytes_moved` is the full published volume, identical for both,
-//!   charged by
+//!   `Remote` also registers it with the stage's [`RunServer`] and reads
+//!   the runs with ranged fetches (retries, deadlines, one connection per
+//!   reduce task). `transport_bytes` is the full published volume — the
+//!   sum of the tasks' own run sizes, identical for both — charged by
 //!   [`CostModel::transport_secs_per_byte`](crate::cluster::CostModel).
+//!
+//! The shuffle barrier itself (`exchange`) touches no file and no socket
+//! under any transport: a task's run directory is the `TaskSpill` its map
+//! task reported to the driver — the same vector `Remote` published — so
+//! the exchange only transposes those directories per partition and
+//! stamps each run with where its bytes lie (`RunSource`: the local file,
+//! or the run server's address and key). Reduce tasks never ask the run
+//! server what exists; a run it does not know surfaces from the first
+//! ranged fetch as `JobError::Transport`.
 //!
 //! # Determinism and equivalence
 //!
@@ -44,20 +52,17 @@
 //! `crates/core/tests/transport_equivalence.rs`. Retries cannot perturb
 //! any of this: every fetch is an idempotent ranged read, so a retried
 //! request yields the same bytes and only the wall-clock-class
-//! [`FetchStats`] differ.
+//! [`FetchStats`](tsj_netshuffle::FetchStats) differ.
 
-use std::hash::Hash;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use tsj_netshuffle::{
-    FaultConfig, FetchClient, FetchError, FetchStats, PublishedTask, Registry, RunKey, RunServer,
-    RunSpec, ServerAddr,
-};
+use tsj_netshuffle::{FaultConfig, FetchError, PublishedTask, Registry, RunKey, RunServer};
 
 use crate::merge::Segment;
 use crate::shuffle::{ShuffleRecord, TaskSpill};
-use crate::spill::{fetch_config, RunMeta, RunSource, Spill, SpillError};
+use crate::spill::{RunSource, SpillError};
 
 /// Which transport a job's shuffle uses (the configuration-level knob;
 /// see [`ShuffleConfig`](crate::shuffle::ShuffleConfig)).
@@ -96,17 +101,6 @@ pub(crate) struct MapOutput<K, V> {
     pub(crate) spill: Option<TaskSpill>,
 }
 
-/// Every partition's reduce-input segments, plus what moving them cost.
-#[derive(Debug)]
-pub(crate) struct Exchange<K, V> {
-    pub(crate) partition_segments: Vec<Vec<Segment<K, V>>>,
-    /// Bytes published through the transport (0 for
-    /// [`Transport::InProcess`]).
-    pub(crate) bytes_moved: u64,
-    /// What the run-directory lookups cost ([`Transport::Remote`] only).
-    pub(crate) fetch: FetchStats,
-}
-
 /// A stage's handle on its run server ([`Transport::Remote`]): what map
 /// tasks publish to and what reduce-side run sources point at.
 ///
@@ -118,7 +112,7 @@ pub(crate) struct Remote {
     /// This stage's job id in the run-server keyspace (process-unique).
     job: u64,
     registry: Arc<Registry>,
-    addr: ServerAddr,
+    addr: SocketAddr,
 }
 
 /// Process-wide job-id allocator for the run-server keyspace: stages
@@ -132,7 +126,7 @@ impl Remote {
     pub(crate) fn start(fault: FaultConfig) -> std::io::Result<(RunServer, Self)> {
         let registry = Arc::new(Registry::new());
         let server = RunServer::bind_tcp(Arc::clone(&registry), fault)?;
-        let addr = server.addr().clone();
+        let addr = server.addr();
         let job = NEXT_JOB.fetch_add(1, Ordering::Relaxed);
         Ok((
             server,
@@ -150,81 +144,58 @@ impl Remote {
     /// concurrent attempts never collide on a registry key (and a loser
     /// is simply never fetched).
     pub(crate) fn publish(&self, spill: &TaskSpill) {
-        let parts = spill
-            .runs
-            .iter()
-            .map(|runs| {
-                runs.iter()
-                    .map(|meta| RunSpec {
-                        offset: meta.offset,
-                        bytes: meta.bytes,
-                        records: meta.records,
-                    })
-                    .collect()
-            })
-            .collect();
-        let file = Some(Arc::clone(&spill.file));
-        self.registry
-            .publish(self.job, spill.task, PublishedTask { file, parts });
+        let published = PublishedTask {
+            file: Some(Arc::clone(&spill.file)),
+            parts: spill.runs.clone(),
+        };
+        self.registry.publish(self.job, spill.task, published);
+    }
+
+    /// Where partition `partition`'s runs of published map task `task`
+    /// are fetched from.
+    fn source(&self, partition: usize, task: u64) -> Result<RunSource, SpillError> {
+        let partition = u32::try_from(partition).map_err(|_| {
+            SpillError::Fetch(FetchError::Protocol(format!(
+                "partition index {partition} exceeds the u32 run-key field"
+            )))
+        })?;
+        Ok(RunSource::Remote {
+            addr: self.addr,
+            key: RunKey {
+                job: self.job,
+                partition,
+                task,
+            },
+        })
     }
 }
 
-/// The shuffle exchange: turns the map phase's per-task outputs into
+/// The shuffle exchange: transposes the map phase's per-task outputs into
 /// per-partition segment lists for the reduce phase, walking
-/// `(partition, task-in-order)`.
+/// `(partition, task-in-order)`. Pure bookkeeping — no file or socket is
+/// touched (see the module docs).
 ///
 /// Partition `p`'s segments appear in map-task order, a task's runs (in
 /// write order) before its in-memory leftover — the discipline the merge
-/// relies on. A task's run directory comes from its [`TaskSpill`], or —
-/// with a `remote` — from the run server it was published to, and its
-/// runs carry the matching [`RunSource`]; nothing else depends on the
+/// relies on. A task's run directory is its [`TaskSpill`]'s; with a
+/// `remote` its runs are stamped with the run server they were published
+/// to instead of the local file, and nothing else depends on the
 /// transport.
-pub(crate) fn exchange<K: Spill + Hash, V: Spill>(
+pub(crate) fn exchange<K, V>(
     mut tasks: Vec<MapOutput<K, V>>,
     partitions: usize,
-    transport: Transport,
     remote: Option<&Remote>,
-) -> Result<Exchange<K, V>, SpillError> {
-    let mut remote = remote.map(|r| (r, FetchClient::new(r.addr.clone(), fetch_config())));
-    let mut bytes_moved = 0u64;
+) -> Result<Vec<Vec<Segment<K, V>>>, SpillError> {
     let mut partition_segments = Vec::with_capacity(partitions);
     for p in 0..partitions {
         let mut segments: Vec<Segment<K, V>> = Vec::new();
         for task in &mut tasks {
             if let Some(spill) = &mut task.spill {
-                let (source, metas) = match &mut remote {
-                    None => (
-                        RunSource::Local(Arc::clone(&spill.file)),
-                        std::mem::take(&mut spill.runs[p]),
-                    ),
-                    Some((remote, client)) => {
-                        let key = RunKey {
-                            job: remote.job,
-                            partition: u32::try_from(p).map_err(|_| {
-                                SpillError::Fetch(FetchError::Protocol(format!(
-                                    "partition index {p} exceeds the u32 run-key field"
-                                )))
-                            })?,
-                            task: spill.task,
-                        };
-                        let metas = client
-                            .dir(key)
-                            .map_err(SpillError::Fetch)?
-                            .into_iter()
-                            .map(|spec| RunMeta {
-                                offset: spec.offset,
-                                bytes: spec.bytes,
-                                records: spec.records,
-                            })
-                            .collect();
-                        let addr = remote.addr.clone();
-                        (RunSource::Remote { addr, key }, metas)
-                    }
+                let source = match remote {
+                    None => RunSource::Local(Arc::clone(&spill.file)),
+                    Some(remote) => remote.source(p, spill.task)?,
                 };
-                for meta in metas {
-                    if transport != Transport::InProcess {
-                        bytes_moved += meta.bytes;
-                    }
+                for meta in std::mem::take(&mut spill.runs[p]) {
                     let source = source.clone();
                     segments.push(Segment::Spilled { source, meta });
                 }
@@ -236,18 +207,16 @@ pub(crate) fn exchange<K: Spill + Hash, V: Spill>(
         }
         partition_segments.push(segments);
     }
-    Ok(Exchange {
-        partition_segments,
-        bytes_moved,
-        fetch: remote.map_or_else(FetchStats::default, |(_, client)| client.stats()),
-    })
+    Ok(partition_segments)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::shuffle::PartitionedBuffer;
-    use crate::spill::{reserve_job_spill_dir, RunReader, SharedFetchClient, SpillDirGuard};
+    use crate::spill::{
+        reserve_job_spill_dir, RunMeta, RunReader, SharedFetchClient, SpillDirGuard,
+    };
 
     /// One map task's output, produced the way `run_map_task` does: emit
     /// into a partitioned buffer, then (with a job `dir`) publish it.
@@ -276,10 +245,10 @@ mod tests {
     }
 
     /// Drains every segment of an exchange into (partition, record) order.
-    fn drain(exchange: Exchange<u64, u64>) -> Vec<(usize, ShuffleRecord<u64, u64>)> {
+    fn drain(exchange: Vec<Vec<Segment<u64, u64>>>) -> Vec<(usize, ShuffleRecord<u64, u64>)> {
         let mut out = Vec::new();
         let mut client: Option<SharedFetchClient> = None;
-        for (p, segments) in exchange.partition_segments.into_iter().enumerate() {
+        for (p, segments) in exchange.into_iter().enumerate() {
             for seg in segments {
                 match seg {
                     Segment::Mem(mut records) => {
@@ -298,6 +267,39 @@ mod tests {
         out
     }
 
+    /// Every partition's run locations, in segment order.
+    fn run_metas(exchange: &[Vec<Segment<u64, u64>>]) -> Vec<Vec<RunMeta>> {
+        let metas = |segments: &Vec<Segment<u64, u64>>| {
+            segments
+                .iter()
+                .map(|seg| match seg {
+                    Segment::Spilled { meta, .. } => *meta,
+                    Segment::Mem(_) => panic!("a published task hands out spilled segments only"),
+                })
+                .collect()
+        };
+        exchange.iter().map(metas).collect()
+    }
+
+    /// Every partition's merge must fail on its ranged fetches, and the
+    /// job must report that as a transport failure; `expected` names the
+    /// fetch error.
+    fn assert_merges_fail_as_transport_errors(
+        exchange: Vec<Vec<Segment<u64, u64>>>,
+        expected: fn(&FetchError) -> bool,
+    ) {
+        for segments in exchange {
+            let err = crate::merge::merge_segments(segments, |_: u64, _: Vec<u64>| {})
+                .expect_err("nothing serves the ranged fetches");
+            assert!(matches!(&err, SpillError::Fetch(e) if expected(e)), "{err}");
+            let job_err = crate::job::JobError::from(err);
+            assert!(
+                matches!(job_err, crate::job::JobError::Transport { .. }),
+                "{job_err}"
+            );
+        }
+    }
+
     #[test]
     fn remote_ships_the_same_records_as_inprocess() {
         let partitions = 4;
@@ -310,29 +312,34 @@ mod tests {
                 task(None, 1, &data_b, partitions),
             ],
             partitions,
-            Transport::InProcess,
             None,
         )
         .unwrap();
 
         let dir = job_dir();
         let (server, remote) = Remote::start(FaultConfig::default()).unwrap();
-        // Publish exactly as the map tasks would, then exchange over the
-        // socket.
-        let tasks = vec![
-            task(Some(&dir), 0, &data_a, partitions),
-            task(Some(&dir), 1, &data_b, partitions),
-        ];
-        for t in &tasks {
-            remote.publish(t.spill.as_ref().unwrap());
-        }
-        let exchange = exchange(tasks, partitions, Transport::Remote, Some(&remote)).unwrap();
-        assert!(exchange.bytes_moved > 0);
-        assert!(exchange.fetch.requests > 0);
-        assert_eq!(exchange.fetch.bytes, 0, "the directory walk moves no runs");
+        // Publish exactly as the map tasks would; the reduce side then
+        // reads over the socket.
+        let published = |first_id| {
+            let tasks = vec![
+                task(Some(&dir), first_id, &data_a, partitions),
+                task(Some(&dir), first_id + 1, &data_b, partitions),
+            ];
+            for t in &tasks {
+                remote.publish(t.spill.as_ref().unwrap());
+            }
+            tasks
+        };
+        let served = exchange(published(0), partitions, Some(&remote)).unwrap();
+        let served_runs = run_metas(&served);
+        assert_eq!(drain(served), drain(in_proc));
 
-        assert_eq!(drain(exchange), drain(in_proc));
+        // The barrier touches no socket: with the run server gone, the
+        // same output still exchanges into the same runs.
         drop(server);
+        let unserved = exchange(published(2), partitions, Some(&remote)).unwrap();
+        assert_eq!(run_metas(&unserved), served_runs);
+
         let path = dir.0.clone();
         drop(dir);
         assert!(!path.exists(), "guard removes the job dir on drop");
@@ -346,26 +353,25 @@ mod tests {
         let (server, remote) = Remote::start(FaultConfig::default()).unwrap();
         let published = task(Some(&dir), 0, &data, partitions);
         remote.publish(published.spill.as_ref().unwrap());
-        let exchange = exchange(
-            vec![published],
-            partitions,
-            Transport::Remote,
-            Some(&remote),
-        )
-        .unwrap();
-        // The directory walk succeeded; now the server goes away before
-        // the reduce side has read a byte.
+        let exchange = exchange(vec![published], partitions, Some(&remote)).unwrap();
+        // The server goes away before the reduce side has read a byte.
         drop(server);
-        for segments in exchange.partition_segments {
-            let err = crate::merge::merge_segments(segments, |_: u64, _: Vec<u64>| {})
-                .expect_err("nothing answers the ranged fetches");
-            assert!(matches!(err, SpillError::Fetch(_)), "{err}");
-            let job_err = crate::job::JobError::from(err);
-            assert!(
-                matches!(job_err, crate::job::JobError::Transport { .. }),
-                "{job_err}"
-            );
-        }
+        assert_merges_fail_as_transport_errors(exchange, |e| {
+            matches!(e, FetchError::Exhausted { .. })
+        });
+    }
+
+    #[test]
+    fn a_never_published_task_fails_the_merge_as_not_found() {
+        let partitions = 2;
+        let data: Vec<(u64, u64)> = (0..50).map(|i| (i, i)).collect();
+        let dir = job_dir();
+        let (_server, remote) = Remote::start(FaultConfig::default()).unwrap();
+        // No walk checks the registry at the barrier any more; the first
+        // ranged fetch of a run the server never heard of does.
+        let unpublished = task(Some(&dir), 0, &data, partitions);
+        let exchange = exchange(vec![unpublished], partitions, Some(&remote)).unwrap();
+        assert_merges_fail_as_transport_errors(exchange, |e| matches!(e, FetchError::NotFound(_)));
     }
 
     #[test]
@@ -380,11 +386,9 @@ mod tests {
                 task(None, 1, &data_b, partitions),
             ],
             partitions,
-            Transport::InProcess,
             None,
         )
         .unwrap();
-        assert_eq!(in_proc.bytes_moved, 0);
 
         let dir = job_dir();
         let multi = exchange(
@@ -393,11 +397,9 @@ mod tests {
                 task(Some(&dir), 1, &data_b, partitions),
             ],
             partitions,
-            Transport::MultiProcess,
             None,
         )
         .unwrap();
-        assert!(multi.bytes_moved > 0);
         assert!(dir.0.exists(), "job dir materialized");
 
         // Same records per partition, in the same merged order (mem
@@ -417,7 +419,6 @@ mod tests {
                 task(Some(&dir), 1, &data_b, partitions),
             ],
             partitions,
-            Transport::MultiProcess,
             None,
         )
         .unwrap();
@@ -432,7 +433,7 @@ mod tests {
             "one run file per task"
         );
         let mut records = 0;
-        for (p, segments) in exchange.partition_segments.into_iter().enumerate() {
+        for (p, segments) in exchange.into_iter().enumerate() {
             assert_eq!(segments.len(), 2, "one published run per task");
             for seg in segments {
                 let Segment::Spilled { source, meta } = seg else {
@@ -462,16 +463,11 @@ mod tests {
         let exchange = exchange(
             vec![empty, task(Some(&dir), 1, &[(1, 1)], partitions)],
             partitions,
-            Transport::MultiProcess,
             None,
         )
         .unwrap();
         assert_eq!(std::fs::read_dir(&dir.0).unwrap().count(), 1);
-        let non_empty = exchange
-            .partition_segments
-            .iter()
-            .filter(|s| !s.is_empty())
-            .count();
+        let non_empty = exchange.iter().filter(|s| !s.is_empty()).count();
         assert_eq!(non_empty, 1);
     }
 }

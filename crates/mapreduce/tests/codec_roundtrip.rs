@@ -378,6 +378,22 @@ fn run_reader_rejects_overlong_length_varint() {
     );
 }
 
+#[test]
+fn run_reader_rejects_a_run_extent_that_overflows() {
+    let (dir, bytes, meta) = sample_run_file();
+    // `RunReader::new` takes any caller's meta: an `offset + bytes` past
+    // u64 is corruption on the first read — not an arithmetic panic
+    // (debug) or a wrapped end that reads as a clean empty run (release).
+    let meta = tsj_mapreduce::RunMeta {
+        offset: u64::MAX - 1,
+        ..meta
+    };
+    assert_corrupt(
+        read_run(&dir, "overflow.spill", &bytes, meta),
+        "overflowing run extent",
+    );
+}
+
 /// Like [`sample_run_file`] but with runtime-consistent fingerprints
 /// (`h == fingerprint64(key)`), making every frame's layout deterministic:
 /// `[len: 1 byte][fp_delta: 1 byte = 0][key: 8 bytes][str_len: 1 byte][str]`.

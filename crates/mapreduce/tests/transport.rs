@@ -297,9 +297,9 @@ fn remote_wordcount_matches_inprocess_and_accounts_fetches() {
     assert_eq!(remote.stats.transport, "remote");
     assert_eq!(sorted(in_proc.output), sorted(remote.output));
     assert_eq!(remote.stats.shuffle_records, in_proc.stats.shuffle_records);
-    // Every byte of the exchange crossed a socket: directory lookups plus
-    // at least one ranged read per run, and the fetched payload is
-    // exactly the exchanged volume when nothing drops.
+    // Every byte of the exchange crossed a socket: at least one ranged
+    // read per run, and the fetched payload is exactly the exchanged
+    // volume when nothing drops.
     assert!(remote.stats.transport_bytes > 0);
     assert!(remote.stats.transport_secs > 0.0);
     assert!(remote.stats.fetch_requests > 0);
@@ -406,8 +406,8 @@ fn remote_with_injected_faults_retries_and_output_is_unchanged() {
 #[test]
 fn remote_with_every_request_dropped_fails_as_a_transport_error_and_leaks_nothing() {
     // A hard network failure: the server hangs up on every request, so
-    // the first run-directory lookup exhausts its retry budget. The job
-    // must fail structurally — no panic, no hang — and clean up.
+    // each reduce task's first ranged fetch exhausts its retry budget.
+    // The job must fail structurally — no panic, no hang — and clean up.
     let base = std::env::temp_dir().join(format!("tsj-remote-dead-test-{}", std::process::id()));
     std::fs::create_dir_all(&base).unwrap();
     let docs = wordcount_docs(400);

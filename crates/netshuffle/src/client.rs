@@ -14,13 +14,14 @@
 //! then surfaces as [`FetchError::Exhausted`], never a hang or a panic.
 
 use std::io::ErrorKind;
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use crate::protocol::{
     read_frame, write_frame, Request, Response, RunKey, RunSpec, MAX_FETCH_BYTES,
     MAX_RESPONSE_FRAME,
 };
-use crate::server::{connect, Conn, ServerAddr};
+use crate::server::set_deadlines;
 
 /// Client-side knobs. The defaults suit loopback CI traffic; a real
 /// deployment would widen the deadlines.
@@ -129,16 +130,16 @@ impl FetchError {
 /// fetching thread owns its own client (and thus its own socket).
 #[derive(Debug)]
 pub struct FetchClient {
-    addr: ServerAddr,
+    addr: SocketAddr,
     config: FetchConfig,
-    conn: Option<Conn>,
+    conn: Option<TcpStream>,
     stats: FetchStats,
     jitter: u64,
 }
 
 impl FetchClient {
     /// A client for `addr`. Connects lazily on first use.
-    pub fn new(addr: ServerAddr, config: FetchConfig) -> Self {
+    pub fn new(addr: SocketAddr, config: FetchConfig) -> Self {
         Self {
             addr,
             config,
@@ -216,9 +217,12 @@ impl FetchClient {
     /// One attempt: connect if needed, write the frame, read the reply.
     fn attempt(&mut self, payload: &[u8]) -> Result<Response, FetchError> {
         if self.conn.is_none() {
-            let conn = connect(&self.addr, self.config.connect_timeout).map_err(io_error)?;
-            conn.set_deadlines(self.config.request_timeout)
+            let conn = TcpStream::connect_timeout(&self.addr, self.config.connect_timeout)
                 .map_err(io_error)?;
+            // Request/response round trips must not wait out Nagle +
+            // delayed ACK.
+            conn.set_nodelay(true).map_err(io_error)?;
+            set_deadlines(&conn, self.config.request_timeout).map_err(io_error)?;
             self.conn = Some(conn);
         }
         let conn = self.conn.as_mut().ok_or(FetchError::Timeout)?;

@@ -5,14 +5,12 @@
 //! run — over *any* byte stream to consume a map task's output. This
 //! crate supplies that byte stream:
 //!
-//! * [`RunServer`] — a small blocking run server (TCP on loopback or any
-//!   interface, with a Unix-domain-socket mode for tests) that each
-//!   worker process runs. It serves runs published to a shared
-//!   [`Registry`] by `(job, partition, task)` via a length-prefixed
-//!   request/response protocol ([`protocol`]) with **ranged reads**:
-//!   every fetch is a positioned read of exactly the requested
-//!   `(offset, len)` range of the run file — the server never buffers a
-//!   whole run.
+//! * [`RunServer`] — a small blocking TCP run server that each worker
+//!   process runs. It serves runs published to a shared [`Registry`] by
+//!   `(job, partition, task)` via a length-prefixed request/response
+//!   protocol ([`protocol`]) with **ranged reads**: every fetch is a
+//!   positioned read of exactly the requested `(offset, len)` range of
+//!   the run file — the server never buffers a whole run.
 //! * [`FetchClient`] — the reduce-side client: per-request deadlines,
 //!   bounded exponential backoff with jitter, a retry budget, and
 //!   structured [`FetchError`]s instead of panics or hangs.
@@ -26,8 +24,12 @@
 //! counters, never data.
 //!
 //! This crate is deliberately standalone (std only, no dependency on the
-//! runtime): it moves opaque byte ranges and run directories. The
-//! `tsj-mapreduce` `Transport::Remote` glue owns the mapping between
+//! runtime): it moves opaque byte ranges. A published run directory
+//! ([`RunSpec`]s — the runtime re-exports the type as its `RunMeta`) is
+//! what the server checks every fetch range against; the runtime never
+//! asks for it back, because the driver that published it still holds
+//! it, so the `Dir` request is kept only for `bench/`'s round-trip probe.
+//! The `tsj-mapreduce` `Transport::Remote` glue owns the mapping between
 //! spill-format runs and the `(job, partition, task)` keyspace.
 //!
 //! Timing note: deadlines, backoff, and stall injection are real-time by
@@ -40,7 +42,7 @@ mod server;
 
 pub use client::{FetchClient, FetchConfig, FetchError, FetchStats};
 pub use protocol::{read_frame, write_frame, Request, Response, RunKey, RunSpec};
-pub use server::{PublishedTask, Registry, RunServer, ServerAddr};
+pub use server::{PublishedTask, Registry, RunServer};
 
 /// Deterministic server-side fault injection: exercised by tests and the
 /// `remote-shuffle` CI job via `TSJ_NET_FAULT_DROP_NTH` /

@@ -9,7 +9,11 @@
 //! ```text
 //! request  := op:u8 job:u64 partition:u32 task:u64 [offset:u64 len:u64]
 //!             op 1 = Dir   (no range)   — the run directory of one
-//!                                         (job, partition, task)
+//!                                         (job, partition, task); issued
+//!                                         only by bench/'s round-trip
+//!                                         probe — the runtime reads run
+//!                                         directories from its own map
+//!                                         tasks, never off the wire
 //!             op 2 = Fetch (with range) — raw bytes of a subrange of one
 //!                                         registered run
 //! response := status:u8 body
@@ -54,8 +58,8 @@ pub struct RunKey {
     pub task: u64,
 }
 
-/// One run's location in its task's run file — the transportable
-/// form of the runtime's `RunMeta`.
+/// One run's location in its task's run file (the runtime's `RunMeta`
+/// is this type, re-exported).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunSpec {
     /// Byte offset of the run's first record frame.

@@ -1,5 +1,4 @@
-//! The blocking run server: serves registered runs over TCP or a Unix
-//! domain socket.
+//! The blocking run server: serves registered runs over TCP.
 //!
 //! One accept thread per server; one (detached) thread per connection.
 //! Connections are request/response loops over [`crate::protocol`]
@@ -16,11 +15,7 @@
 
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
-#[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::{Path, PathBuf};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -89,134 +84,44 @@ impl Registry {
             .cloned()
     }
 
-    /// The file and run directory a fetch of `key` resolves against.
-    fn locate(&self, key: RunKey) -> Option<(Option<Arc<File>>, Vec<RunSpec>)> {
+    /// The run file a fetch of `[offset, offset + len)` under `key` reads.
+    /// The range must fall inside a single registered run: the server
+    /// hands out exactly what the directory advertised, never arbitrary
+    /// file bytes. Checked under the lock, so only the handle is cloned.
+    fn locate(&self, key: RunKey, offset: u64, len: u64) -> Result<Arc<File>, Response> {
         let guard = self.lock();
-        let task = guard.get(&(key.job, key.task))?;
-        let specs = task.parts.get(key.partition as usize)?.clone();
-        Some((task.file.clone(), specs))
-    }
-}
-
-/// Where a [`RunServer`] listens — and what a [`FetchClient`] connects
-/// to.
-///
-/// [`FetchClient`]: crate::FetchClient
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ServerAddr {
-    /// A TCP socket address (the server binds an ephemeral loopback port
-    /// by default).
-    Tcp(std::net::SocketAddr),
-    /// A Unix domain socket path (test mode: no ports, no firewalls).
-    #[cfg(unix)]
-    Uds(PathBuf),
-}
-
-impl std::fmt::Display for ServerAddr {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServerAddr::Tcp(a) => write!(f, "tcp://{a}"),
-            #[cfg(unix)]
-            ServerAddr::Uds(p) => write!(f, "uds://{}", p.display()),
+        let task = guard.get(&(key.job, key.task)).ok_or(Response::NotFound)?;
+        let specs = task
+            .parts
+            .get(key.partition as usize)
+            .ok_or(Response::NotFound)?;
+        // A range or registered run whose end overflows u64 holds no
+        // servable bytes.
+        let end = offset.checked_add(len).ok_or(Response::RangeError)?;
+        let in_run = specs
+            .iter()
+            .any(|s| offset >= s.offset && s.offset.checked_add(s.bytes).is_some_and(|e| end <= e));
+        if !in_run {
+            return Err(Response::RangeError);
         }
+        // A task that produced no bytes has no file, and no runs either.
+        task.file.clone().ok_or(Response::RangeError)
     }
 }
 
-/// A byte stream to a peer: TCP or Unix domain socket.
-#[derive(Debug)]
-pub(crate) enum Conn {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Uds(UnixStream),
-}
-
-impl Conn {
-    pub(crate) fn set_deadlines(&self, timeout: Duration) -> std::io::Result<()> {
-        match self {
-            Conn::Tcp(s) => {
-                s.set_read_timeout(Some(timeout))?;
-                s.set_write_timeout(Some(timeout))
-            }
-            #[cfg(unix)]
-            Conn::Uds(s) => {
-                s.set_read_timeout(Some(timeout))?;
-                s.set_write_timeout(Some(timeout))
-            }
-        }
-    }
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Conn::Uds(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Conn::Uds(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            Conn::Uds(s) => s.flush(),
-        }
-    }
-}
-
-/// Connects to a server address (used by the client half).
-pub(crate) fn connect(addr: &ServerAddr, timeout: Duration) -> std::io::Result<Conn> {
-    match addr {
-        ServerAddr::Tcp(a) => {
-            let stream = TcpStream::connect_timeout(a, timeout)?;
-            // Request/response round trips must not wait out Nagle +
-            // delayed ACK.
-            stream.set_nodelay(true)?;
-            Ok(Conn::Tcp(stream))
-        }
-        #[cfg(unix)]
-        ServerAddr::Uds(p) => Ok(Conn::Uds(UnixStream::connect(p)?)),
-    }
-}
-
-enum Listener {
-    Tcp(TcpListener),
-    #[cfg(unix)]
-    Uds(UnixListener),
-}
-
-impl Listener {
-    fn accept(&self) -> std::io::Result<Conn> {
-        match self {
-            Listener::Tcp(l) => {
-                let stream = l.accept()?.0;
-                // Mirror the client: responses must leave immediately.
-                stream.set_nodelay(true)?;
-                Ok(Conn::Tcp(stream))
-            }
-            #[cfg(unix)]
-            Listener::Uds(l) => Ok(Conn::Uds(l.accept()?.0)),
-        }
-    }
+/// Read and write deadlines for one connection (either end).
+pub(crate) fn set_deadlines(stream: &TcpStream, timeout: Duration) -> std::io::Result<()> {
+    stream.set_read_timeout(Some(timeout))?;
+    stream.set_write_timeout(Some(timeout))
 }
 
 /// The blocking run server. Binding spawns the accept thread; dropping
-/// (or [`RunServer::shutdown`]) stops it and, for Unix sockets, removes
-/// the socket file. Connection threads are detached — they exit on peer
-/// close, idle timeout, or the next request after shutdown.
+/// (or [`RunServer::shutdown`]) stops it. Connection threads are detached
+/// — they exit on peer close, idle timeout, or the next request after
+/// shutdown.
 #[derive(Debug)]
 pub struct RunServer {
-    addr: ServerAddr,
+    addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
 }
@@ -234,35 +139,13 @@ impl RunServer {
     /// serving `registry`.
     pub fn bind_tcp(registry: Arc<Registry>, faults: FaultConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let addr = ServerAddr::Tcp(listener.local_addr()?);
-        Ok(Self::start(Listener::Tcp(listener), addr, registry, faults))
-    }
-
-    /// Binds a Unix domain socket at `path` (removed on shutdown) and
-    /// starts serving `registry`.
-    #[cfg(unix)]
-    pub fn bind_uds(
-        path: &Path,
-        registry: Arc<Registry>,
-        faults: FaultConfig,
-    ) -> std::io::Result<Self> {
-        let listener = UnixListener::bind(path)?;
-        let addr = ServerAddr::Uds(path.to_path_buf());
-        Ok(Self::start(Listener::Uds(listener), addr, registry, faults))
-    }
-
-    fn start(
-        listener: Listener,
-        addr: ServerAddr,
-        registry: Arc<Registry>,
-        faults: FaultConfig,
-    ) -> Self {
+        let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let accept_stop = Arc::clone(&stop);
         let fault_state = Arc::new(FaultState::default());
         let accept = std::thread::spawn(move || {
             while !accept_stop.load(Ordering::Acquire) {
-                let Ok(conn) = listener.accept() else {
+                let Ok((conn, _peer)) = listener.accept() else {
                     // Accept errors are transient (or the listener died);
                     // re-check the stop flag and keep accepting.
                     continue;
@@ -278,42 +161,29 @@ impl RunServer {
                 });
             }
         });
-        Self {
+        Ok(Self {
             addr,
             stop,
             accept: Some(accept),
-        }
+        })
     }
 
     /// The address clients connect to.
-    pub fn addr(&self) -> &ServerAddr {
-        &self.addr
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
     }
 
-    /// Stops accepting, joins the accept thread, and removes a Unix
-    /// socket file. Idempotent; also runs on drop.
+    /// Stops accepting and joins the accept thread. Idempotent; also runs
+    /// on drop.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Release);
         // Poke the listener so a blocked accept() returns and observes
         // the flag.
         // tsjlint:allow(no-silent-result-drop) the self-connect exists only to wake accept(); a refused poke means the listener is already gone, which is the goal state
-        let _ = connect(&self.addr, Duration::from_millis(200));
+        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
         if let Some(handle) = self.accept.take() {
             if handle.join().is_err() {
                 eprintln!("tsj-netshuffle: accept thread panicked during shutdown");
-            }
-        }
-        #[cfg(unix)]
-        if let ServerAddr::Uds(path) = &self.addr {
-            if let Err(e) = std::fs::remove_file(path) {
-                // Never created, or a previous shutdown already removed
-                // it: fine. Anything else leaks a stale socket path.
-                if e.kind() != std::io::ErrorKind::NotFound {
-                    eprintln!(
-                        "tsj-netshuffle: failed to remove socket file {}: {e}",
-                        path.display()
-                    );
-                }
             }
         }
     }
@@ -327,13 +197,14 @@ impl Drop for RunServer {
 
 /// One connection's request/response loop.
 fn serve_conn(
-    mut conn: Conn,
+    mut conn: TcpStream,
     registry: &Registry,
     faults: FaultConfig,
     fault_state: &FaultState,
     stop: &AtomicBool,
 ) {
-    if conn.set_deadlines(CONN_IDLE_TIMEOUT).is_err() {
+    // Mirror the client: responses must leave immediately.
+    if conn.set_nodelay(true).is_err() || set_deadlines(&conn, CONN_IDLE_TIMEOUT).is_err() {
         return;
     }
     loop {
@@ -377,18 +248,9 @@ fn respond(registry: &Registry, request: Request) -> Response {
             if len > MAX_FETCH_BYTES {
                 return Response::RangeError;
             }
-            let Some((file, specs)) = registry.locate(key) else {
-                return Response::NotFound;
-            };
-            // The range must fall inside a single registered run: the
-            // server hands out exactly what the directory advertised,
-            // never arbitrary file bytes.
-            let end = offset.saturating_add(len);
-            let in_run = specs
-                .iter()
-                .any(|s| offset >= s.offset && end <= s.offset + s.bytes);
-            let Some(file) = file.filter(|_| in_run) else {
-                return Response::RangeError;
+            let file = match registry.locate(key, offset, len) {
+                Ok(file) => file,
+                Err(refusal) => return refusal,
             };
             let mut buf = vec![0u8; len as usize];
             match read_exact_at(&file, &mut buf, offset) {

@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use tsj_netshuffle::{
     FaultConfig, FetchClient, FetchConfig, FetchError, PublishedTask, Registry, RunKey, RunServer,
-    RunSpec, ServerAddr,
+    RunSpec,
 };
 
 /// A registry holding one job with one task whose single run file holds
@@ -95,7 +95,7 @@ fn two_run_parts() -> Vec<Vec<RunSpec>> {
 fn tcp_dir_and_ranged_fetch_roundtrip() {
     let (registry, _dir) = registry_with(PAYLOAD, two_run_parts());
     let server = RunServer::bind_tcp(registry, FaultConfig::default()).expect("bind");
-    let mut client = FetchClient::new(server.addr().clone(), tight_config());
+    let mut client = FetchClient::new(server.addr(), tight_config());
 
     let key = RunKey {
         job: 7,
@@ -123,31 +123,19 @@ fn tcp_dir_and_ranged_fetch_roundtrip() {
     assert_eq!(stats.bytes, 10 + 26 + 5);
 }
 
-#[cfg(unix)]
-#[test]
-fn uds_roundtrip_and_socket_cleanup() {
-    let (registry, dir) = registry_with(PAYLOAD, two_run_parts());
-    let sock = dir.path().join("run.sock");
-    let mut server = RunServer::bind_uds(&sock, registry, FaultConfig::default()).expect("bind");
-    let mut client = FetchClient::new(server.addr().clone(), tight_config());
-
-    let key = RunKey {
-        job: 7,
-        partition: 0,
-        task: 0,
-    };
-    let bytes = client.fetch(key, 0, 10).expect("fetch over uds");
-    assert_eq!(bytes, &PAYLOAD[..10]);
-
-    server.shutdown();
-    assert!(!sock.exists(), "socket file should be removed on shutdown");
-}
-
 #[test]
 fn unknown_keys_and_bad_ranges_are_definitive_errors() {
-    let (registry, _dir) = registry_with(PAYLOAD, two_run_parts());
+    // Partition 1 registers a run whose extent overflows u64
+    // (`Registry::publish` is public API).
+    let mut parts = two_run_parts();
+    parts.push(vec![RunSpec {
+        offset: u64::MAX - 4,
+        bytes: 10,
+        records: 1,
+    }]);
+    let (registry, _dir) = registry_with(PAYLOAD, parts);
     let server = RunServer::bind_tcp(registry, FaultConfig::default()).expect("bind");
-    let mut client = FetchClient::new(server.addr().clone(), tight_config());
+    let mut client = FetchClient::new(server.addr(), tight_config());
 
     let missing = RunKey {
         job: 7,
@@ -178,6 +166,16 @@ fn unknown_keys_and_bad_ranges_are_definitive_errors() {
         client.fetch(key, 30, 20),
         Err(FetchError::Server(_))
     ));
+    // Inside the overflowing run's nominal extent: no servable bytes,
+    // and no connection thread lost to an arithmetic panic.
+    let overflowing = RunKey {
+        partition: 1,
+        ..key
+    };
+    assert!(matches!(
+        client.fetch(overflowing, u64::MAX - 3, 2),
+        Err(FetchError::Server(_))
+    ));
     // Definitive errors must not burn retries.
     assert_eq!(client.stats().retries, 0);
 }
@@ -194,7 +192,7 @@ fn empty_task_serves_an_empty_dir_not_notfound() {
         },
     );
     let server = RunServer::bind_tcp(registry, FaultConfig::default()).expect("bind");
-    let mut client = FetchClient::new(server.addr().clone(), tight_config());
+    let mut client = FetchClient::new(server.addr(), tight_config());
     let specs = client
         .dir(RunKey {
             job: 3,
@@ -212,9 +210,7 @@ fn empty_task_serves_an_empty_dir_not_notfound() {
 fn malformed_frames_cost_one_connection_not_the_server() {
     let (registry, _dir) = registry_with(PAYLOAD, two_run_parts());
     let server = RunServer::bind_tcp(registry, FaultConfig::default()).expect("bind");
-    let ServerAddr::Tcp(addr) = *server.addr() else {
-        panic!("tcp server")
-    };
+    let addr = server.addr();
 
     // Length prefix far beyond MAX_REQUEST_FRAME.
     {
@@ -247,7 +243,7 @@ fn malformed_frames_cost_one_connection_not_the_server() {
     }
 
     // The server is still healthy.
-    let mut client = FetchClient::new(server.addr().clone(), tight_config());
+    let mut client = FetchClient::new(server.addr(), tight_config());
     let bytes = client
         .fetch(
             RunKey {
@@ -267,7 +263,7 @@ fn dead_server_exhausts_the_retry_budget_in_bounded_time() {
     // Bind, learn the address, then shut down: connects get refused.
     let registry = Arc::new(Registry::new());
     let mut server = RunServer::bind_tcp(registry, FaultConfig::default()).expect("bind");
-    let addr = server.addr().clone();
+    let addr = server.addr();
     server.shutdown();
 
     let config = tight_config();
@@ -304,7 +300,7 @@ fn injected_drops_are_retried_and_data_is_intact() {
         seed: 1,
     };
     let server = RunServer::bind_tcp(registry, faults).expect("bind");
-    let mut client = FetchClient::new(server.addr().clone(), tight_config());
+    let mut client = FetchClient::new(server.addr(), tight_config());
 
     let key = RunKey {
         job: 7,
@@ -341,7 +337,7 @@ fn stall_past_the_deadline_times_out_within_budgeted_attempts() {
         backoff_cap: Duration::from_millis(1),
         ..FetchConfig::default()
     };
-    let mut client = FetchClient::new(server.addr().clone(), config);
+    let mut client = FetchClient::new(server.addr(), config);
     let started = Instant::now();
     let err = client
         .dir(RunKey {
@@ -365,7 +361,7 @@ fn stall_past_the_deadline_times_out_within_budgeted_attempts() {
 fn concurrent_clients_share_one_server() {
     let (registry, _dir) = registry_with(PAYLOAD, two_run_parts());
     let server = RunServer::bind_tcp(registry, FaultConfig::default()).expect("bind");
-    let addr = server.addr().clone();
+    let addr = server.addr();
     let key = RunKey {
         job: 7,
         partition: 0,
@@ -373,7 +369,6 @@ fn concurrent_clients_share_one_server() {
     };
     let handles: Vec<_> = (0..8)
         .map(|_| {
-            let addr = addr.clone();
             std::thread::spawn(move || {
                 let mut client = FetchClient::new(addr, tight_config());
                 let specs = client.dir(key).expect("dir");

@@ -33,9 +33,10 @@ fn main() {
         );
         println!("{}", out.report);
         // The dataset layer's headline number (EXPERIMENTS.md): records
-        // crossing the driver boundary, vs what chaining the same jobs
-        // through driver `Vec`s (`Cluster::run*` per stage) materializes
-        // by construction — every job's input + output.
+        // crossing the driver boundary, vs what collecting every stage
+        // into a driver `Vec` and lifting it again (one `Cluster::run*`
+        // plan per stage) moves by construction — every job's input +
+        // output.
         let collected: u64 = out
             .report
             .jobs()

@@ -1,15 +1,15 @@
 //! The cluster: real threaded execution + simulated machine accounting.
 //!
-//! Since the lazy dataset layer (the private `dag` module), every stage —
-//! whether a classic [`Cluster::run`] job or a node of a
-//! [`Dataset`](crate::dataset::Dataset) graph — executes through one
-//! *streaming* engine (`run_stage_streamed`): map tasks are submitted to
-//! a shared worker pool as their inputs become ready (a driver slice's
-//! chunks are ready immediately; an upstream stage's partitions become
-//! ready one by one as its reduce tasks finish), and reduce tasks deliver
-//! their output partitions downstream the moment they complete. One
-//! engine, two call shapes — so the classic path and the DAG scheduler
-//! cannot drift apart.
+//! There is one way into the stage engine: a stage recorded in a
+//! [`Dataset`](crate::dataset::Dataset) plan, lowered and run by the
+//! private `dag` module. [`Cluster::run`] and [`Cluster::run_combined`]
+//! are one-stage plans — `input` → one recorded stage → `collect` — not a
+//! second call shape. Every stage executes through one *streaming* engine
+//! (`run_stage_streamed`): map tasks are submitted to a shared worker pool
+//! as their input partitions become ready (a lifted driver slice's chunks
+//! are ready immediately; an upstream stage's partitions become ready one
+//! by one as its reduce tasks finish), and reduce tasks deliver their
+//! output partitions into the downstream feed the moment they complete.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -20,12 +20,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::dag::analyze::PlanCheck;
-use crate::dag::{execute, Feed, MapSource, Recv};
+use crate::dag::{Feed, Recv};
 use crate::dataset::{DataPartition, DatasetMode};
 use crate::env;
 use crate::job::{Emitter, JobError, JobResult, JobStats, OutputSink, PhaseSim};
 use crate::merge::{merge_segments_capped, MergeEffort, Segment};
 use crate::pool::{lock, panic_message, Pool, SchedStats, SchedulerConfig, Task};
+use crate::report::SimReport;
 use crate::shuffle::{Combiner, PartitionedBuffer, ShuffleConfig};
 use crate::spill::{
     reserve_job_dir, reserve_job_spill_dir, RunMeta, RunReader, RunSource, Spill, SpillDirGuard,
@@ -74,16 +75,26 @@ pub(crate) struct StageSpec<'f, I, K, V, O> {
     pub(crate) reduce: ReduceFn<'f, K, V, O>,
 }
 
-/// Where a stage's reduce output goes.
-pub(crate) enum StageSink<'f, O> {
-    /// Concatenate into one driver-side `Vec` in reduce-task order (the
-    /// classic `run*` behaviour), counted as records crossing the driver
-    /// boundary ([`JobStats::driver_out_records`]).
-    Driver,
-    /// Deliver each finished partition into the downstream feed *as its
-    /// reduce task completes* — the cross-stage overlap. `base` is this
-    /// stage's deterministic ordinal base (see [`crate::dag`]).
-    Feed { feed: Feed<'f, O>, base: u64 },
+impl<'f, I, K, V, O> StageSpec<'f, I, K, V, O> {
+    /// An ordinary stage: the cluster's partition count and per-group
+    /// overhead. The variants override fields by struct update.
+    pub(crate) fn new(
+        cluster: &Cluster,
+        name: &str,
+        map: MapFn<'f, I, K, V>,
+        combine: Option<CombineFn<'f, K, V>>,
+        reduce: ReduceFn<'f, K, V, O>,
+    ) -> Self {
+        Self {
+            name: name.to_owned(),
+            group_overhead_secs: cluster.cfg.cost.reduce_group_overhead_secs,
+            partitions: cluster.partitions(),
+            is_repartition: false,
+            map,
+            combine,
+            reduce,
+        }
+    }
 }
 
 /// Why a streamed stage did not produce a result.
@@ -93,13 +104,6 @@ pub(crate) enum StageFailure {
     Upstream,
     /// The stage itself failed.
     Job(JobError),
-}
-
-/// A streamed stage's result: its stats, plus the driver-side output when
-/// the sink was [`StageSink::Driver`].
-pub(crate) struct StreamedResult<O> {
-    pub(crate) output: Vec<O>,
-    pub(crate) stats: JobStats,
 }
 
 /// Simulated-cost parameters of the cluster.
@@ -356,12 +360,12 @@ impl Cluster {
         }
     }
 
-    /// The single source of truth for how a driver slice of `len` records
-    /// is chunked into map tasks — one task per simulated machine, capped
-    /// by the input — as `(num_tasks, chunk_size)`. The engine's
-    /// driver-slice path and the dataset layer's driver→partition
-    /// conversion both use it, so a lifted input's partition layout always
-    /// matches what the classic path would have seen.
+    /// How a driver slice of `len` records is chunked into map tasks — one
+    /// task per simulated machine, capped by the input — as
+    /// `(num_tasks, chunk_size)`. The dataset layer's driver→partition
+    /// lift is the one producer that chunks by it;
+    /// [`Dataset::num_partitions`](crate::dataset::Dataset::num_partitions)
+    /// reports the same count for a not-yet-run input.
     pub(crate) fn slice_chunking(&self, len: usize) -> (usize, usize) {
         let tasks = self.cfg.machines.min(len).max(1);
         (tasks, len.div_ceil(tasks).max(1))
@@ -383,6 +387,15 @@ impl Cluster {
     /// Simulated time = job startup + map makespan + shuffle + reduce
     /// makespan; see [`CostModel`]. Real execution uses all configured
     /// threads regardless of the simulated machine count.
+    ///
+    /// The job *is* a one-stage [`Dataset`](crate::dataset::Dataset) plan —
+    /// [`Cluster::input`] (hence `I: Clone`: the slice is lifted into the
+    /// runtime), one recorded stage, [`collect`](crate::dataset::Dataset::collect)
+    /// — so it behaves like every other plan: the cluster's [`PlanCheck`]
+    /// applies (an empty `input` is [`JobError::Plan`] under
+    /// [`PlanCheck::Deny`]), under a bounded [`ShuffleConfig`] the reduce
+    /// output is drained to a stage-output run and decoded back at the
+    /// collect, and the collect books [`JobStats::driver_out_records`].
     pub fn run<I, K, V, O, M, R>(
         &self,
         name: &str,
@@ -391,14 +404,15 @@ impl Cluster {
         reduce: R,
     ) -> Result<JobResult<O>, JobError>
     where
-        I: Send + Sync + Spill,
+        I: Clone + Send + Sync + Spill,
         K: Hash + Eq + Send + Spill,
         V: Send + Spill,
         O: Send + Sync + Spill,
         M: Fn(&I, &mut Emitter<K, V>) + Sync,
         R: Fn(&K, Vec<V>, &mut OutputSink<O>) + Sync,
     {
-        self.run_one_stage(name, input, map, None, reduce)
+        let stage = self.input(input).map_reduce(name, &map, &reduce)?;
+        stage.collect().map(job_result)
     }
 
     /// [`Cluster::run`] with a map-side [`Combiner`]: each map task folds
@@ -418,7 +432,7 @@ impl Cluster {
         reduce: R,
     ) -> Result<JobResult<O>, JobError>
     where
-        I: Send + Sync + Spill,
+        I: Clone + Send + Sync + Spill,
         K: Hash + Eq + Clone + Send + Spill,
         V: Send + Spill,
         O: Send + Sync + Spill,
@@ -426,94 +440,22 @@ impl Cluster {
         C: Combiner<K, V>,
         R: Fn(&K, Vec<V>, &mut OutputSink<O>) + Sync,
     {
+        // Borrows the combiner where `Dataset::map_reduce_combined` clones
+        // it into the plan: this plan never outlives the call.
         let combine: CombineFn<'_, K, V> =
             Box::new(move |buffer: &mut PartitionedBuffer<K, V>| buffer.combine(combiner));
-        self.run_one_stage(name, input, map, Some(combine), reduce)
+        let spec = StageSpec::new(self, name, Box::new(&map), Some(combine), Box::new(&reduce));
+        let stage = self.input(input).record(spec)?;
+        stage.collect().map(job_result)
     }
+}
 
-    /// One-stage graph: a driver slice in, driver output back out — the
-    /// single-driver execution every `run*` entry point reduces to. The
-    /// input's chunks are preloaded into the stage's feed (all ready at
-    /// start), so the streamed engine behaves exactly like the former
-    /// fixed map wave.
-    fn run_one_stage<I, K, V, O, M, R>(
-        &self,
-        name: &str,
-        input: &[I],
-        map: M,
-        combine: Option<CombineFn<'_, K, V>>,
-        reduce: R,
-    ) -> Result<JobResult<O>, JobError>
-    where
-        I: Send + Sync + Spill,
-        K: Hash + Eq + Send + Spill,
-        V: Send + Spill,
-        O: Send + Sync + Spill,
-        M: Fn(&I, &mut Emitter<K, V>) + Sync,
-        R: Fn(&K, Vec<V>, &mut OutputSink<O>) + Sync,
-    {
-        let feed: Feed<'_, I> = Feed::new();
-        feed.register_producer();
-        feed.add_driver_in(input.len() as u64);
-        let (tasks, chunk) = self.slice_chunking(input.len());
-        for t in 0..tasks {
-            let lo = (t * chunk).min(input.len());
-            let hi = ((t + 1) * chunk).min(input.len());
-            feed.push(t as u64, MapSource::Chunk(&input[lo..hi]));
-        }
-        feed.close_producer(true);
-
-        let map = &map;
-        let reduce = &reduce;
-        let spec = StageSpec {
-            name: name.to_owned(),
-            group_overhead_secs: self.cfg.cost.reduce_group_overhead_secs,
-            partitions: self.partitions(),
-            is_repartition: false,
-            map: Box::new(move |i: &I, e: &mut Emitter<K, V>| map(i, e)) as MapFn<'_, I, K, V>,
-            combine,
-            reduce: Box::new(move |k: &K, vs: Vec<V>, o: &mut OutputSink<O>| reduce(k, vs, o))
-                as ReduceFn<'_, K, V, O>,
-        };
-
-        type ResultCell<O> = Mutex<Option<Result<StreamedResult<O>, StageFailure>>>;
-        let result: Arc<ResultCell<O>> = Arc::new(Mutex::new(None));
-        let cell = Arc::clone(&result);
-        let cluster = self;
-        // A preloaded one-stage graph never has more runnable map tasks
-        // than input chunks, so tiny jobs need not spawn a full-width
-        // pool; reduce tasks of a job this small are few as well.
-        let workers = self.threads().min(tasks.max(1));
-        execute(
-            workers,
-            self.scheduler.clone(),
-            vec![Box::new(move |pool: &Pool<'_>| {
-                let res = catch_unwind(AssertUnwindSafe(|| {
-                    run_stage_streamed(cluster, spec, 0, feed, StageSink::Driver, pool)
-                }))
-                .unwrap_or_else(|p| {
-                    Err(StageFailure::Job(JobError::WorkerPanic {
-                        phase: "stage",
-                        message: panic_message(p),
-                    }))
-                });
-                *lock(&cell) = Some(res);
-            })],
-        );
-        let outcome = lock(&result).take();
-        match outcome {
-            Some(Ok(r)) => Ok(JobResult {
-                output: r.output,
-                stats: r.stats,
-            }),
-            Some(Err(StageFailure::Job(e))) => Err(e),
-            // A preloaded feed cannot fail upstream, and the thunk always
-            // stores; both arms are defensive.
-            Some(Err(StageFailure::Upstream)) | None => Err(JobError::WorkerPanic {
-                phase: "stage",
-                message: "stage driver exited without reporting".to_owned(),
-            }),
-        }
+/// A collected one-stage plan as the job it ran.
+fn job_result<O>((output, mut report): (Vec<O>, SimReport)) -> JobResult<O> {
+    let stats = report.jobs_mut().last_mut().map(std::mem::take);
+    JobResult {
+        output,
+        stats: stats.unwrap_or_default(),
     }
 }
 
@@ -558,10 +500,8 @@ struct ReduceTaskOut<O> {
     merge: MergeEffort,
     /// Records emitted (also counted when drained to a run file).
     emitted: u64,
-    /// Driver-bound output ([`StageSink::Driver`]; empty otherwise).
-    out: Vec<O>,
-    /// The finished output partition of a dataset stage
-    /// ([`StageSink::Feed`]), taken by the winning attempt's delivery.
+    /// The finished output partition (`None` when the task emitted
+    /// nothing), taken by the winning attempt's delivery.
     part: Option<DataPartition<O>>,
     counters: HashMap<&'static str, u64>,
 }
@@ -765,9 +705,13 @@ struct Stage<'f, I, K, V, O> {
     job_dir: Option<SpillDirGuard>,
     /// The stage's handle on its run server (`Transport::Remote`).
     remote: Option<Remote>,
-    sink: StageSink<'f, O>,
-    /// Dataset stages under a bounded shuffle keep their output out of
-    /// memory too: each reduce task drains its sink into a sorted-run file
+    /// Where each reduce task delivers its finished partition *as the task
+    /// completes* — the cross-stage overlap — tagged `base | task`: `base`
+    /// is this stage's deterministic ordinal base (see [`crate::dag`]).
+    out: Feed<O>,
+    base: u64,
+    /// Under a bounded shuffle a stage keeps its output out of memory
+    /// too: each reduce task drains its sink into a sorted-run file
     /// in here (wire format, fingerprint 0, unit key) after every group,
     /// and the next stage's map wave streams it back. The directory must
     /// outlive this job — its guard rides the output feed, held by the
@@ -784,7 +728,8 @@ impl<'f, I, K, V, O> Stage<'f, I, K, V, O> {
         cluster: &Cluster,
         spec: StageSpec<'f, I, K, V, O>,
         priority: u32,
-        sink: StageSink<'f, O>,
+        out: Feed<O>,
+        base: u64,
         scheduler: &SchedulerConfig,
     ) -> Result<(Self, Option<RunServer>), JobError> {
         let shuffle = cluster.shuffle.clone();
@@ -812,14 +757,11 @@ impl<'f, I, K, V, O> Stage<'f, I, K, V, O> {
             }
             Transport::InProcess | Transport::MultiProcess => (None, None),
         };
-        let out_dir = match (&sink, shuffle.spill_threshold) {
-            (StageSink::Feed { feed, .. }, Some(_)) => {
-                let guard = Arc::new(SpillDirGuard(reserve_job_dir(&dir_base, "tsj-stage")));
-                feed.add_guard(Arc::clone(&guard));
-                Some(guard)
-            }
-            _ => None,
-        };
+        let out_dir = shuffle.spill_threshold.map(|_| {
+            let guard = Arc::new(SpillDirGuard(reserve_job_dir(&dir_base, "tsj-stage")));
+            out.add_guard(Arc::clone(&guard));
+            guard
+        });
         let stage = Self {
             spec,
             shuffle,
@@ -830,35 +772,37 @@ impl<'f, I, K, V, O> Stage<'f, I, K, V, O> {
             straggle,
             job_dir,
             remote,
-            sink,
+            out,
+            base,
             out_dir,
         };
         Ok((stage, run_server))
     }
 }
 
-/// The streaming stage engine behind both the classic `run*` entry points
-/// and the lazy [`Dataset`](crate::dataset::Dataset) scheduler (see the
-/// module docs). Consumes `input` until its producers close — submitting
-/// one map task per ready item — then shuffles through the configured
-/// transport and runs one reduce task per non-empty partition, delivering
-/// dataset partitions downstream as each task finishes.
+/// The streaming stage engine: one recorded stage of a
+/// [`Dataset`](crate::dataset::Dataset) plan (see the module docs).
+/// Consumes `input` until its producers close — submitting one map task per
+/// ready partition — then shuffles through the configured transport and
+/// runs one reduce task per non-empty partition, delivering each finished
+/// partition into `out` (tagged `base | task`) as its task finishes.
 pub(crate) fn run_stage_streamed<'f, I, K, V, O>(
     cluster: &Cluster,
     spec: StageSpec<'f, I, K, V, O>,
     priority: u32,
-    input: Feed<'f, I>,
-    sink: StageSink<'f, O>,
+    input: Feed<I>,
+    out: Feed<O>,
+    base: u64,
     pool: &Pool<'f>,
-) -> Result<StreamedResult<O>, StageFailure>
+) -> Result<JobStats, StageFailure>
 where
     I: Send + Sync + Spill + 'f,
     K: Hash + Eq + Send + Spill + 'f,
     V: Send + Spill + 'f,
     O: Send + Sync + Spill + 'f,
 {
-    let (stage, run_server) =
-        Stage::open(cluster, spec, priority, sink, pool.scheduler()).map_err(StageFailure::Job)?;
+    let (stage, run_server) = Stage::open(cluster, spec, priority, out, base, pool.scheduler())
+        .map_err(StageFailure::Job)?;
     let stage = Arc::new(stage);
     let mut stats = JobStats {
         name: stage.spec.name.clone(),
@@ -877,25 +821,25 @@ where
     // speculative loser still fetching fails fast against the closed port
     // and is discarded with its result.
     drop(run_server);
-    let output = reduce_accounting(&stage, reduce_tasks, &mut stats);
+    reduce_accounting(&stage, reduce_tasks, &mut stats);
     stats.wall_secs = wall_start.elapsed().as_secs_f64();
     let sched = &stage.sched_stats;
     stats.steals = sched.steals.load(Ordering::Relaxed);
     stats.speculative_launched = sched.speculative_launched.load(Ordering::Relaxed);
     stats.speculative_won = sched.speculative_won.load(Ordering::Relaxed);
     stats.queue_wait_us = sched.queue_wait_us.load(Ordering::Relaxed);
-    Ok(StreamedResult { output, stats })
+    Ok(stats)
 }
 
-/// The streaming map wave: one map task per ready input item, submitted to
-/// the shared pool the moment the item arrives — for a driver slice every
-/// chunk is ready immediately (a single wave); for an upstream stage each
-/// partition becomes ready as its producing reduce task finishes, which is
+/// The streaming map wave: one map task per ready input partition,
+/// submitted to the shared pool the moment it arrives — a lifted driver
+/// slice's chunks are all ready at once (a single wave); an upstream
+/// stage's partitions become ready as its reduce tasks finish, which is
 /// exactly the cross-stage overlap. Returns the task outputs in ordinal
 /// order and when the first item arrived (the stage's wall-clock start).
 fn map_wave<'f, I, K, V, O>(
     stage: &Arc<Stage<'f, I, K, V, O>>,
-    input: &Feed<'f, I>,
+    input: &Feed<I>,
     pool: &Pool<'f>,
 ) -> Result<(Vec<MapTaskOut<K, V>>, Instant), StageFailure>
 where
@@ -908,20 +852,20 @@ where
     let mut wall_start: Option<Instant> = None;
     loop {
         match input.recv() {
-            Recv::Item(ordinal, source) => {
+            Recv::Item(ordinal, part) => {
                 wall_start.get_or_insert_with(Instant::now);
                 let task = wave.submitted;
                 let straggle = stage.straggle.filter(|_| task == 0);
                 let stage = Arc::clone(stage);
-                // Map sources read-share cleanly (slices, in-memory
-                // partitions by reference, positional spill reads), so
+                // Input partitions read-share cleanly (in-memory buffers
+                // by reference, positional spill reads), so
                 // every map task is replayable: `attempt` only picks
                 // distinct run file names and run-server keys.
                 wave.submit(
                     ordinal,
                     true,
                     straggle,
-                    move |attempt| run_map_task(&stage, task + attempt * ATTEMPT_STRIDE, &source),
+                    move |attempt| run_map_task(&stage, task + attempt * ATTEMPT_STRIDE, &part),
                     |_| {},
                 );
             }
@@ -982,8 +926,8 @@ fn shuffle_exchange<I, K, V, O>(
 }
 
 /// The reduce wave: one task per non-empty partition, each delivering its
-/// finished partition into the downstream feed (dataset stages) the moment
-/// it completes — the moment that makes the next stage's map task ready.
+/// finished partition into the downstream feed the moment it completes —
+/// the moment that makes the next stage's map task ready.
 fn reduce_wave<'f, I, K, V, O>(
     stage: &Arc<Stage<'f, I, K, V, O>>,
     partition_segments: Vec<Vec<Segment<K, V>>>,
@@ -1038,10 +982,8 @@ where
                 run_reduce_task(&runner, partition, attempt, segments)
             },
             move |out| {
-                if let (StageSink::Feed { feed, base }, Some(part)) =
-                    (&winner.sink, out.part.take())
-                {
-                    feed.push(base | task, MapSource::Part(part));
+                if let Some(part) = out.part.take() {
+                    winner.out.push(winner.base | task, part);
                 }
             },
         );
@@ -1053,17 +995,15 @@ where
 /// each partition is charged its declared work at the job-wide measured
 /// rate, plus the per-group worker-instantiation overheads; partitions
 /// sharing a simulated machine (partitions > machines) add up on it — and
-/// totals the simulated clock. Returns the driver-bound output
-/// ([`StageSink::Driver`]; empty otherwise) in reduce-task order.
+/// totals the simulated clock.
 fn reduce_accounting<I, K, V, O>(
     stage: &Stage<'_, I, K, V, O>,
     reduce_tasks: Vec<ReduceTaskOut<O>>,
     stats: &mut JobStats,
-) -> Vec<O> {
+) {
     let (cost, machines) = (&stage.cost, stage.machines);
     let base_loads = proportional_loads(reduce_tasks.iter().map(|t| (t.cpu_secs, t.work)), cost);
     let mut machine_loads = vec![0.0f64; machines];
-    let mut output = Vec::new();
     for (t, base) in reduce_tasks.into_iter().zip(base_loads) {
         debug_assert!(t.machine < machines);
         machine_loads[t.machine] += base + t.groups as f64 * cost.reduce_group_overhead_secs;
@@ -1075,14 +1015,10 @@ fn reduce_accounting<I, K, V, O>(
         stats.fetch_retries += t.merge.fetch.retries;
         stats.fetch_bytes += t.merge.fetch.bytes;
         stats.output_records += t.emitted;
-        output.extend(t.out);
         add_counters(&mut stats.counters, t.counters);
     }
     if stats.reduce_groups > 0 {
         stats.reduce = phase_sim(&machine_loads, machines);
-    }
-    if matches!(stage.sink, StageSink::Driver) {
-        stats.driver_out_records = output.len() as u64;
     }
     // Hierarchical-merge scratch runs are local-disk I/O exactly like
     // mapper spill (each scratch byte is written once and read back
@@ -1096,7 +1032,6 @@ fn reduce_accounting<I, K, V, O>(
         + stats.spill_secs
         + stats.transport_secs
         + stats.reduce.makespan_secs;
-    output
 }
 
 /// Adds one task's user counters into the stage's.
@@ -1106,15 +1041,15 @@ fn add_counters(total: &mut HashMap<&'static str, u64>, task: HashMap<&'static s
     }
 }
 
-/// One map task: streams its source through `map`, with periodic combine
-/// and spill under a bounded shuffle. Runs on a pool worker. Takes its
-/// source by reference so a speculative attempt can re-read it; `task`
+/// One map task: streams its input partition through `map`, with periodic
+/// combine and spill under a bounded shuffle. Runs on a pool worker. Takes
+/// the partition by reference so a speculative attempt can re-read it; `task`
 /// is already attempt-distinct (see [`ATTEMPT_STRIDE`]) so concurrent
 /// attempts never collide on a run file name or run-server key.
-fn run_map_task<'f, I, K, V, O>(
-    stage: &Stage<'f, I, K, V, O>,
+fn run_map_task<I, K, V, O>(
+    stage: &Stage<'_, I, K, V, O>,
     task: usize,
-    source: &MapSource<'f, I>,
+    part: &DataPartition<I>,
 ) -> Result<MapTaskOut<K, V>, JobError>
 where
     I: Sync + Spill,
@@ -1165,18 +1100,13 @@ where
             }
         }};
     }
-    match source {
-        MapSource::Chunk(records) => {
-            for record in *records {
-                feed!(record);
-            }
-        }
-        MapSource::Part(DataPartition::Mem(records)) => {
+    match part {
+        DataPartition::Mem(records) => {
             for record in records {
                 feed!(record);
             }
         }
-        MapSource::Part(DataPartition::Spilled { file, meta }) => {
+        DataPartition::Spilled { file, meta } => {
             let mut reader = RunReader::new(Arc::clone(file), *meta);
             while let Some((_h, (), record)) = reader.next::<(), I>()? {
                 feed!(&record);
@@ -1240,9 +1170,8 @@ where
 
 /// One reduce task: groups its partition's segments (in-memory, or a
 /// streaming k-way sort-merge when anything spilled) and feeds each key's
-/// values to `reduce`. Returns the measured task carrying — for dataset
-/// stages — the finished output partition to deliver downstream. Runs on
-/// a pool worker. `attempt > 0` (a speculative copy) suffixes the merge
+/// values to `reduce`. Returns the measured task carrying the finished
+/// output partition to deliver downstream. Runs on a pool worker. `attempt > 0` (a speculative copy) suffixes the merge
 /// scratch (under the job directory) and stage-output file names so
 /// concurrent attempts never collide; a losing attempt's files are swept
 /// with the job directories.
@@ -1334,11 +1263,10 @@ where
     }
     let cpu_secs = start.elapsed().as_secs_f64();
     work += sink.emitted + sink.work_units;
-    let dataset_sink = matches!(stage.sink, StageSink::Feed { .. });
-    let part: Option<DataPartition<O>> = match (dataset_sink, out_writer) {
-        // Bounded dataset stage: the sink was drained after every
-        // group, so the run file *is* the partition.
-        (_, Some(writer)) => {
+    let part: Option<DataPartition<O>> = match out_writer {
+        // Bounded shuffle: the sink was drained after every group, so the
+        // run file *is* the partition.
+        Some(writer) => {
             let meta = RunMeta {
                 offset: 0,
                 bytes: writer.bytes(),
@@ -1349,11 +1277,9 @@ where
             })?;
             Some(DataPartition::Spilled { file, meta })
         }
-        // Unbounded dataset stage: hand the buffer over as-is.
-        (true, None) if !sink.out.is_empty() => {
-            Some(DataPartition::Mem(std::mem::take(&mut sink.out)))
-        }
-        _ => None,
+        // Unbounded: hand the buffer over as-is.
+        None if !sink.out.is_empty() => Some(DataPartition::Mem(sink.out)),
+        None => None,
     };
     Ok(ReduceTaskOut {
         machine: partition % stage.machines,
@@ -1363,16 +1289,15 @@ where
         max_group,
         merge,
         emitted: sink.emitted,
-        out: sink.out,
         part,
         counters: sink.counters,
     })
 }
 
 /// Drains a reduce sink's buffered output records into the task's
-/// stage-output run file (created lazily on first output), so a
-/// dataset-producing reduce task under a bounded shuffle never holds more
-/// than one group's output in memory. Records are framed in the spill
+/// stage-output run file (created lazily on first output), so a reduce
+/// task under a bounded shuffle never holds more than one group's output
+/// in memory. Records are framed in the spill
 /// wire format with a zero fingerprint and a unit key — the next stage
 /// streams them back as plain values. I/O failures surface as a
 /// [`SpillError`](crate::spill::SpillError), which the job path converts

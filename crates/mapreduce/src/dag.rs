@@ -1,7 +1,10 @@
 //! The lazy job-graph executor: typed feeds between stages, a builder
 //! that lowers a [`Dataset`](crate::dataset::Dataset) plan tree into stage
 //! drivers, and the scheduler that runs them with **partition-level
-//! cross-stage overlap** on one shared worker pool.
+//! cross-stage overlap** on one shared worker pool. This is the only way
+//! a stage reaches the engine: [`execute`] has one caller, the dataset
+//! layer's terminal, and a single [`Cluster::run`](crate::cluster::Cluster::run)
+//! job is a plan of one stage.
 //!
 //! # Execution model
 //!
@@ -48,28 +51,19 @@ use crate::pool::{lock, Pool, SchedulerConfig};
 use crate::report::SimReport;
 use crate::spill::SpillDirGuard;
 
-/// One ready input of a stage's map wave.
-pub(crate) enum MapSource<'a, I> {
-    /// A chunk of a borrowed driver slice (the classic `run*` path).
-    Chunk(&'a [I]),
-    /// A runtime-resident partition: an upstream reduce task's output, a
-    /// materialized dataset partition, or a driver-input chunk lifted into
-    /// the runtime by the dataset layer.
-    Part(DataPartition<I>),
-}
-
 /// What a consumer's `recv` yielded.
-pub(crate) enum Recv<'a, I> {
-    /// One ready map input, tagged with its deterministic ordinal.
-    Item(u64, MapSource<'a, I>),
+pub(crate) enum Recv<I> {
+    /// One ready map input — a runtime-resident partition — tagged with
+    /// its deterministic ordinal.
+    Item(u64, DataPartition<I>),
     /// All producers closed; `failed` is true when any of them failed (the
     /// consumer must abort without reporting — the failed producer's slot
     /// carries the error).
     Closed { failed: bool },
 }
 
-struct FeedState<'a, I> {
-    items: VecDeque<(u64, MapSource<'a, I>)>,
+struct FeedState<I> {
+    items: VecDeque<(u64, DataPartition<I>)>,
     open_producers: usize,
     failed: bool,
     /// Driver-resident records entering the runtime through this feed
@@ -81,13 +75,15 @@ struct FeedState<'a, I> {
 }
 
 /// The typed channel between producer waves and the consumer stage (or
-/// the terminal collector). Cheap to clone; one consumer, any number of
-/// registered producers.
-pub(crate) struct Feed<'a, I> {
-    inner: Arc<(Mutex<FeedState<'a, I>>, Condvar)>,
+/// the terminal collector). Every item is a [`DataPartition`]: an upstream
+/// reduce task's output, a materialized dataset partition, or a chunk of a
+/// driver input the dataset layer lifted into the runtime. Cheap to clone;
+/// one consumer, any number of registered producers.
+pub(crate) struct Feed<I> {
+    inner: Arc<(Mutex<FeedState<I>>, Condvar)>,
 }
 
-impl<I> Clone for Feed<'_, I> {
+impl<I> Clone for Feed<I> {
     fn clone(&self) -> Self {
         Self {
             inner: Arc::clone(&self.inner),
@@ -95,7 +91,7 @@ impl<I> Clone for Feed<'_, I> {
     }
 }
 
-impl<'a, I> Feed<'a, I> {
+impl<I> Feed<I> {
     pub(crate) fn new() -> Self {
         Self {
             inner: Arc::new((
@@ -117,8 +113,8 @@ impl<'a, I> Feed<'a, I> {
     }
 
     /// Delivers one ready map input.
-    pub(crate) fn push(&self, ordinal: u64, source: MapSource<'a, I>) {
-        lock(&self.inner.0).items.push_back((ordinal, source));
+    pub(crate) fn push(&self, ordinal: u64, part: DataPartition<I>) {
+        lock(&self.inner.0).items.push_back((ordinal, part));
         self.inner.1.notify_all();
     }
 
@@ -146,14 +142,14 @@ impl<'a, I> Feed<'a, I> {
     /// Blocks until an item is available, all producers closed, or a
     /// producer failed (failure short-circuits pending items: the graph is
     /// doomed, so the consumer aborts at once).
-    pub(crate) fn recv(&self) -> Recv<'a, I> {
+    pub(crate) fn recv(&self) -> Recv<I> {
         let mut st = lock(&self.inner.0);
         loop {
             if st.failed {
                 return Recv::Closed { failed: true };
             }
-            if let Some((ordinal, source)) = st.items.pop_front() {
-                return Recv::Item(ordinal, source);
+            if let Some((ordinal, part)) = st.items.pop_front() {
+                return Recv::Item(ordinal, part);
             }
             if st.open_producers == 0 {
                 return Recv::Closed { failed: false };
@@ -173,13 +169,13 @@ impl<'a, I> Feed<'a, I> {
         lock(&self.inner.0).driver_in
     }
 
-    /// Drains a *terminal* feed after execution: all delivered items (in
-    /// arrival order; callers sort by ordinal), the guards keeping spilled
-    /// items alive, and the pending driver-crossing count.
+    /// Drains a *terminal* feed after execution: all delivered partitions
+    /// (in arrival order; callers sort by ordinal), the guards keeping
+    /// spilled ones alive, and the pending driver-crossing count.
     #[allow(clippy::type_complexity)]
     pub(crate) fn drain_terminal(
         &self,
-    ) -> (Vec<(u64, MapSource<'a, I>)>, Vec<Arc<SpillDirGuard>>, u64) {
+    ) -> (Vec<(u64, DataPartition<I>)>, Vec<Arc<SpillDirGuard>>, u64) {
         let mut st = lock(&self.inner.0);
         (
             std::mem::take(&mut st.items).into(),

@@ -1,12 +1,12 @@
 //! Dataset handles: lazy job graphs chaining pipeline stages inside the
 //! runtime.
 //!
-//! The classic [`Cluster::run*`](crate::cluster::Cluster::run) entry
-//! points materialize every job's output as one driver-side `Vec` — fine
-//! for a single job, but a multi-stage pipeline chained through such
-//! `Vec`s holds every intermediate candidate set in driver memory no
+//! A single job ([`Cluster::run*`](crate::cluster::Cluster::run), itself a
+//! one-stage plan of this layer) hands its output back as one driver-side
+//! `Vec` — fine for one job, but a multi-stage pipeline chained through
+//! such `Vec`s holds every intermediate candidate set in driver memory no
 //! matter how tightly the [`ShuffleConfig`](crate::shuffle::ShuffleConfig)
-//! bounds the workers. A [`Dataset`] is the runtime-resident alternative
+//! bounds the workers. A [`Dataset`] plan keeps them runtime-resident
 //! (the same move Spark-style dataflow engines make over raw MapReduce):
 //!
 //! * [`Cluster::input`] lifts a driver slice into a handle;
@@ -96,11 +96,9 @@ use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use crate::cluster::{
-    run_stage_streamed, Cluster, CombineFn, MapFn, ReduceFn, StageFailure, StageSink, StageSpec,
-};
+use crate::cluster::{run_stage_streamed, Cluster, CombineFn, StageFailure, StageSpec};
 use crate::dag::analyze::{analyze_plan, partition_skew, NodeKind, PlanCheck, StageInfo};
-use crate::dag::{self, Builder, Feed, MapSource, StatsSlot};
+use crate::dag::{self, Builder, Feed, StatsSlot};
 use crate::hash::fingerprint64;
 use crate::job::{Emitter, JobError, OutputSink};
 use crate::pool::panic_message;
@@ -194,7 +192,7 @@ trait PlanNode<'a, T>: Send {
         self: Box<Self>,
         cluster: &'a Cluster,
         b: &mut Builder<'a>,
-        out: Feed<'a, T>,
+        out: Feed<T>,
         consumer: Option<usize>,
     );
 }
@@ -202,8 +200,8 @@ trait PlanNode<'a, T>: Send {
 /// Where a dataset's records currently live (or how to compute them).
 enum Plan<'a, T> {
     /// Driver memory, not yet through any stage ([`Cluster::input`]). The
-    /// first stage chunks it exactly like the classic `run*` path (one map
-    /// task per simulated machine) and books the records as
+    /// first stage chunks it into one map task per simulated machine
+    /// (`Cluster::slice_chunking`) and books the records as
     /// `driver_in_records`.
     Input(Vec<T>),
     /// Partitioned output of already-executed stages, resident in the
@@ -297,7 +295,7 @@ where
         self: Box<Self>,
         cluster: &'a Cluster,
         b: &mut Builder<'a>,
-        out: Feed<'a, O>,
+        out: Feed<O>,
         consumer: Option<usize>,
     ) {
         let base = b.next_base();
@@ -312,7 +310,7 @@ where
             }),
             consumer,
         );
-        let input: Feed<'a, I> = Feed::new();
+        let input: Feed<I> = Feed::new();
         build_plan(self.child, cluster, b, input.clone(), Some(node));
         // Slot allocated after the subtree's: slot order = execution
         // (topological) order, which is what the report shows.
@@ -326,17 +324,7 @@ where
         let priority = b.depth_of(node);
         b.thunks.push(Box::new(move |pool| {
             let result = catch_unwind(AssertUnwindSafe(|| {
-                run_stage_streamed(
-                    cluster,
-                    spec,
-                    priority,
-                    input,
-                    StageSink::Feed {
-                        feed: out.clone(),
-                        base,
-                    },
-                    pool,
-                )
+                run_stage_streamed(cluster, spec, priority, input, out.clone(), base, pool)
             }))
             .unwrap_or_else(|p| {
                 Err(StageFailure::Job(JobError::WorkerPanic {
@@ -345,8 +333,8 @@ where
                 }))
             });
             let ok = match result {
-                Ok(r) => {
-                    slot.set(Ok(r.stats));
+                Ok(stats) => {
+                    slot.set(Ok(stats));
                     true
                 }
                 Err(StageFailure::Job(e)) => {
@@ -362,21 +350,43 @@ where
     }
 }
 
+/// The repartitioning stage, manual ([`Dataset::repartition`]) or
+/// automatic ([`maybe_auto_repartition`]): every record travels as its
+/// [`Spill`] wire encoding, keyed by that encoding's `fingerprint64`, and is
+/// decoded back on the reduce side — so the stage needs no `T: Clone`, and
+/// both callers route (and therefore order) records identically.
+fn repartition_spec<'a, T: Spill + 'a>(
+    cluster: &Cluster,
+    name: &str,
+    partitions: usize,
+) -> StageSpec<'a, T, u64, Vec<u8>, T> {
+    let map = |record: &T, e: &mut Emitter<u64, Vec<u8>>| {
+        let mut bytes = Vec::new();
+        record.spill(&mut bytes);
+        e.emit(fingerprint64(&bytes), bytes);
+    };
+    let reduce = |_h: &u64, blobs: Vec<Vec<u8>>, out: &mut OutputSink<T>| {
+        for blob in blobs {
+            // tsjlint:allow(no-panic-in-data-plane) decoding bytes this stage's own map encoded
+            out.emit(T::restore(&mut blob.as_slice()).expect("repartition wire round-trip"));
+        }
+    };
+    StageSpec {
+        partitions: partitions.max(1),
+        is_repartition: true,
+        ..StageSpec::new(cluster, name, Box::new(map), None, Box::new(reduce))
+    }
+}
+
 /// The automatic skew response ([`Cluster::with_auto_repartition`]): when
 /// the child feeding a freshly recorded
 /// stage is a *materialized* boundary whose partition sizes cross the
-/// configured `max/mean` ratio, insert the existing repartition stage
+/// configured `max/mean` ratio, insert the repartition stage
 /// behind the scenes so the fat partition is spread before the consumer's
 /// map wave. Only materialized boundaries qualify — a still-lazy upstream
 /// stage's partition sizes are unknown at plan time (under
 /// [`DatasetMode::Eager`] every boundary is materialized, so the response
 /// engages after any skewed stage).
-///
-/// Works without `T: Clone` (which [`Dataset::repartition`] requires) by
-/// round-tripping each record through its [`Spill`] wire encoding: the
-/// shuffle key is the same `fingerprint64(bytes)` the manual stage uses,
-/// so the auto-inserted stage routes — and therefore orders — records
-/// exactly like `repartition(cluster.partitions())` would.
 fn maybe_auto_repartition<'a, T: Send + Sync + Spill + 'a>(
     cluster: &'a Cluster,
     plan: Plan<'a, T>,
@@ -403,27 +413,9 @@ fn maybe_auto_repartition<'a, T: Send + Sync + Spill + 'a>(
     if skew <= ratio {
         return plan;
     }
-    let partitions = cluster.partitions().max(1);
-    let spec: StageSpec<'a, T, u64, Vec<u8>, T> = StageSpec {
-        name: format!("repartition({partitions}).auto"),
-        group_overhead_secs: cluster.config().cost.reduce_group_overhead_secs,
-        partitions,
-        is_repartition: true,
-        map: Box::new(|record: &T, e: &mut Emitter<u64, Vec<u8>>| {
-            let mut bytes = Vec::new();
-            record.spill(&mut bytes);
-            e.emit(fingerprint64(&bytes), bytes);
-        }),
-        combine: None,
-        reduce: Box::new(|_h: &u64, blobs: Vec<Vec<u8>>, out: &mut OutputSink<T>| {
-            for blob in blobs {
-                let mut buf = blob.as_slice();
-                // tsjlint:allow(no-panic-in-data-plane) decoding bytes this stage's own map encoded
-                let record = T::restore(&mut buf).expect("auto-repartition wire round-trip");
-                out.emit(record);
-            }
-        }),
-    };
+    let partitions = cluster.partitions();
+    let name = format!("repartition({partitions}).auto");
+    let spec = repartition_spec(cluster, &name, partitions);
     Plan::Stage(Box::new(StagePlan { child: plan, spec }))
 }
 
@@ -432,7 +424,7 @@ fn build_plan<'a, T: Send + Sync + Spill + 'a>(
     plan: Plan<'a, T>,
     cluster: &'a Cluster,
     b: &mut Builder<'a>,
-    out: Feed<'a, T>,
+    out: Feed<T>,
     consumer: Option<usize>,
 ) {
     match plan {
@@ -440,8 +432,6 @@ fn build_plan<'a, T: Send + Sync + Spill + 'a>(
             let base = b.next_base();
             out.register_producer();
             out.add_driver_in(records.len() as u64);
-            // Chunk exactly like the classic driver-slice path, so a
-            // lifted input sees the same map-task layout either way.
             let (tasks, chunk) = cluster.slice_chunking(records.len());
             b.add_node(
                 NodeKind::Input {
@@ -450,13 +440,14 @@ fn build_plan<'a, T: Send + Sync + Spill + 'a>(
                 },
                 consumer,
             );
-            let mut records = records;
-            let mut idx = 0u64;
-            while !records.is_empty() {
-                let tail = records.split_off(chunk.min(records.len()));
-                let head = std::mem::replace(&mut records, tail);
-                out.push(base | idx, MapSource::Part(DataPartition::Mem(head)));
-                idx += 1;
+            // Each record moves once: peeling chunks off the front with
+            // `split_off` would re-copy the whole remaining tail per chunk.
+            let mut records = records.into_iter();
+            for idx in 0..tasks as u64 {
+                let head: Vec<T> = records.by_ref().take(chunk).collect();
+                if !head.is_empty() {
+                    out.push(base | idx, DataPartition::Mem(head));
+                }
             }
             out.close_producer(true);
         }
@@ -480,7 +471,7 @@ fn build_plan<'a, T: Send + Sync + Spill + 'a>(
             }
             for (idx, part) in parts.into_iter().enumerate() {
                 if part.records() > 0 {
-                    out.push(base | idx as u64, MapSource::Part(part));
+                    out.push(base | idx as u64, part);
                 }
             }
             out.close_producer(true);
@@ -519,7 +510,7 @@ fn execute_plan<'a, T: Send + Sync + Spill + 'a>(
     plan: Plan<'a, T>,
 ) -> Result<Executed<T>, JobError> {
     let mut b = Builder::new();
-    let out: Feed<'a, T> = Feed::new();
+    let out: Feed<T> = Feed::new();
     build_plan(plan, cluster, &mut b, out.clone(), None);
     // Analyze the lowered graph before anything runs: in deny mode a
     // diagnosed plan fails here (no driver threads have started, so
@@ -538,16 +529,7 @@ fn execute_plan<'a, T: Send + Sync + Spill + 'a>(
     report.add_plan_diagnostics(diagnostics);
     let (mut items, guards, driver_pending) = out.drain_terminal();
     items.sort_unstable_by_key(|(ordinal, _)| *ordinal);
-    let parts = items
-        .into_iter()
-        .map(|(_, source)| match source {
-            MapSource::Part(part) => part,
-            // Chunk sources exist only on the classic `run*` path, which
-            // never flows through a plan.
-            // tsjlint:allow(no-panic-in-data-plane) plan feeds never carry Chunk sources
-            MapSource::Chunk(_) => unreachable!("plan feeds carry partitions"),
-        })
-        .collect();
+    let parts = items.into_iter().map(|(_, part)| part).collect();
     Ok((parts, guards, driver_pending, report))
 }
 
@@ -572,16 +554,8 @@ impl<'a, T: Send + Sync + Spill + 'a> Dataset<'a, T> {
         M: Fn(&T, &mut Emitter<K, V>) + Send + Sync + 'a,
         R: Fn(&K, Vec<V>, &mut OutputSink<O>) + Send + Sync + 'a,
     {
-        let overhead = self.cluster.config().cost.reduce_group_overhead_secs;
-        self.stage(
-            name,
-            overhead,
-            None,
-            false,
-            Box::new(map),
-            None,
-            Box::new(reduce),
-        )
+        let spec = StageSpec::new(self.cluster, name, Box::new(map), None, Box::new(reduce));
+        self.record(spec)
     }
 
     /// [`Dataset::map_reduce`] with a map-side [`Combiner`] (same contract
@@ -628,15 +602,17 @@ impl<'a, T: Send + Sync + Spill + 'a> Dataset<'a, T> {
     {
         let combiner = combiner.clone();
         let combine: CombineFn<'a, K, V> = Box::new(move |buffer| buffer.combine(&combiner));
-        self.stage(
+        let spec = StageSpec::new(
+            self.cluster,
             name,
-            group_overhead_secs,
-            None,
-            false,
             Box::new(map),
             Some(combine),
             Box::new(reduce),
-        )
+        );
+        self.record(StageSpec {
+            group_overhead_secs,
+            ..spec
+        })
     }
 
     /// Records a repartitioning stage: re-routes this dataset's records
@@ -647,44 +623,19 @@ impl<'a, T: Send + Sync + Spill + 'a> Dataset<'a, T> {
     /// Record multiset is unchanged; partition *placement* (and hence
     /// concatenation order at `collect`) follows the hash routing, which
     /// is a pure function of the data.
-    pub fn repartition(self, partitions: usize) -> Result<Dataset<'a, T>, JobError>
-    where
-        T: Clone + 'a,
-    {
-        let overhead = self.cluster.config().cost.reduce_group_overhead_secs;
+    pub fn repartition(self, partitions: usize) -> Result<Dataset<'a, T>, JobError> {
         let name = format!("repartition({partitions})");
-        self.stage(
-            &name,
-            overhead,
-            Some(partitions.max(1)),
-            true,
-            Box::new(|record: &T, e: &mut Emitter<u64, T>| {
-                let mut bytes = Vec::new();
-                record.spill(&mut bytes);
-                e.emit(fingerprint64(&bytes), record.clone());
-            }),
-            None,
-            Box::new(|_h: &u64, records: Vec<T>, out: &mut OutputSink<T>| {
-                for record in records {
-                    out.emit(record);
-                }
-            }),
-        )
+        let spec = repartition_spec(self.cluster, &name, partitions);
+        self.record(spec)
     }
 
-    /// The shared stage recorder behind the `map_reduce*` variants: wraps
-    /// this plan in a [`StagePlan`] node (and, in eager mode, executes it
+    /// The one stage recorder, behind every `map_reduce*` variant,
+    /// `repartition` and [`Cluster::run*`](Cluster::run): wraps this plan
+    /// in a [`StagePlan`] node (and, in eager mode, executes it
     /// immediately).
-    #[allow(clippy::too_many_arguments)]
-    fn stage<K, V, O>(
+    pub(crate) fn record<K, V, O>(
         self,
-        name: &str,
-        group_overhead_secs: f64,
-        partitions_override: Option<usize>,
-        is_repartition: bool,
-        map: MapFn<'a, T, K, V>,
-        combine: Option<CombineFn<'a, K, V>>,
-        reduce: ReduceFn<'a, K, V, O>,
+        spec: StageSpec<'a, T, K, V, O>,
     ) -> Result<Dataset<'a, O>, JobError>
     where
         K: Hash + Eq + Send + Spill + 'a,
@@ -697,20 +648,11 @@ impl<'a, T: Send + Sync + Spill + 'a> Dataset<'a, T> {
             report,
             ..
         } = self;
-        let plan = if is_repartition {
+        let plan = if spec.is_repartition {
             // Never auto-repartition under an explicit repartition stage.
             plan
         } else {
             maybe_auto_repartition(cluster, plan)
-        };
-        let spec = StageSpec {
-            name: name.to_owned(),
-            group_overhead_secs,
-            partitions: partitions_override.unwrap_or_else(|| cluster.partitions()),
-            is_repartition,
-            map,
-            combine,
-            reduce,
         };
         let mut next = Dataset {
             cluster,

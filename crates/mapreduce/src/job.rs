@@ -273,18 +273,19 @@ pub struct JobStats {
     /// Records emitted by reducers.
     pub output_records: u64,
     /// Records that crossed from driver memory into the runtime to feed
-    /// this job's map wave: the input length for jobs fed a driver slice
-    /// ([`Cluster::run*`](crate::cluster::Cluster::run) and the first
-    /// stage after [`Cluster::input`](crate::cluster::Cluster::input)),
-    /// zero for fused interior stages of a
+    /// this job's map wave: the input length for the first stage after
+    /// [`Cluster::input`](crate::cluster::Cluster::input) (a
+    /// [`Cluster::run*`](crate::cluster::Cluster::run) job is one), zero
+    /// for fused interior stages of a
     /// [`Dataset`](crate::dataset::Dataset) graph, whose map tasks stream
     /// the previous stage's partition segments runtime-side.
     pub driver_in_records: u64,
-    /// Records this job's reduce wave handed back to driver memory: the
-    /// output length for `Cluster::run*` jobs, zero for dataset stages
-    /// (whose output stays partitioned in the runtime until
-    /// [`Dataset::collect`](crate::dataset::Dataset::collect) — which
-    /// books the crossing onto its producing job when it happens).
+    /// Records of this job's output handed back to driver memory. The
+    /// engine never books this: a stage's output stays partitioned in the
+    /// runtime, and [`Dataset::collect`](crate::dataset::Dataset::collect)
+    /// / `for_each_output` book the crossing onto the producing job when
+    /// they drain it — so it is the output length for a collected stage
+    /// (every `Cluster::run*` job) and zero for interior ones.
     pub driver_out_records: u64,
     /// Map-phase simulated timing.
     pub map: PhaseSim,

@@ -36,17 +36,17 @@
 //! reduce: ⟨key2, [value2]⟩      → [value3]
 //! ```
 //!
-//! See [`Cluster::run`] for the single-job entry point, [`JobStats`] for
-//! what gets measured, and [`SimReport`] for aggregating a multi-job
-//! pipeline. Multi-stage pipelines should chain through the [`dataset`]
-//! layer ([`Cluster::input`] → [`Dataset::map_reduce`] → … →
-//! [`Dataset::collect`]), which records a *lazy job DAG*: interior stage
-//! output stays partitioned inside the runtime instead of materializing
-//! in driver memory, and the terminal executes the whole graph with
-//! partition-level cross-stage overlap on one shared worker pool (an
-//! upstream reduce task finishing a partition immediately readies the
-//! downstream map task for it). The `run*` entry points are the one-stage
-//! special case of the same streaming engine.
+//! Every job is a stage of a [`dataset`] plan ([`Cluster::input`] →
+//! [`Dataset::map_reduce`] → … → [`Dataset::collect`]), which records a
+//! *lazy job DAG*: interior stage output stays partitioned inside the
+//! runtime instead of materializing in driver memory, and the terminal
+//! executes the whole graph with partition-level cross-stage overlap on
+//! one shared worker pool (an upstream reduce task finishing a partition
+//! immediately readies the downstream map task for it). [`Cluster::run`]
+//! and [`Cluster::run_combined`] are the single-job convenience: exactly
+//! the one-stage plan `input` → stage → `collect`, handed back as a
+//! [`JobResult`]. See [`JobStats`] for what gets measured and
+//! [`SimReport`] for aggregating a multi-job pipeline.
 //!
 //! Every lowered dataset graph is structurally analyzed before execution
 //! ([`analyze_plan`]): unreachable stages, statically empty inputs,

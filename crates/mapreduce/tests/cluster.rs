@@ -3,8 +3,8 @@
 //! behaviour (scaling, skew), and failure injection.
 
 use tsj_mapreduce::{
-    Cluster, ClusterConfig, CostModel, Emitter, JobError, OutputSink, SchedulerConfig,
-    SchedulerMode, ShuffleConfig,
+    Cluster, ClusterConfig, CostModel, DatasetMode, Emitter, JobError, OutputSink, PlanCheck,
+    SchedulerConfig, SchedulerMode, ShuffleConfig,
 };
 
 fn test_cluster(machines: usize) -> Cluster {
@@ -48,6 +48,10 @@ fn word_count() {
         )
         .unwrap();
 
+    // The job is a one-stage plan: the slice crosses into the runtime at
+    // the stage, the output crosses back at the collect, and both are booked.
+    assert_eq!(result.stats.driver_in_records, docs.len() as u64);
+    assert_eq!(result.stats.driver_out_records, result.output.len() as u64);
     let mut counts = result.output;
     counts.sort();
     assert_eq!(
@@ -81,6 +85,25 @@ fn empty_input_runs_cleanly() {
         .unwrap();
     assert!(r.output.is_empty());
     assert_eq!(r.stats.reduce_groups, 0);
+}
+
+#[test]
+fn empty_input_is_a_plan_diagnostic_like_in_any_other_plan() {
+    // `run` inherits the cluster's plan check: a statically empty input is
+    // tolerated under warn and fails before executing under deny.
+    let run_with = |check: PlanCheck| {
+        test_cluster(4).with_plan_check(check).run(
+            "empty",
+            &[] as &[u32],
+            |_: &u32, _: &mut Emitter<u32, u32>| {},
+            |_: &u32, _: Vec<u32>, _: &mut OutputSink<u32>| {},
+        )
+    };
+    assert!(run_with(PlanCheck::Warn).unwrap().output.is_empty());
+    match run_with(PlanCheck::Deny) {
+        Err(JobError::Plan { message }) => assert!(message.contains("empty-input"), "{message}"),
+        other => panic!("expected a plan error, got {other:?}"),
+    }
 }
 
 #[test]
@@ -502,13 +525,16 @@ fn min_combiner_matches_uncombined_min() {
 fn output_identical_across_threads_and_partitions() {
     use tsj_mapreduce::Count;
     let input: Vec<u64> = (0..5000).collect();
-    let run_with = |threads: usize, partitions: usize| {
+    // The job is a one-stage plan, so the stage-at-a-time baseline is one
+    // more axis its output must be invariant over.
+    let run_with = |threads: usize, partitions: usize, mode: DatasetMode| {
         let cluster = Cluster::new(ClusterConfig {
             machines: 32,
             threads,
             partitions,
             cost: CostModel::default(),
-        });
+        })
+        .with_dataset_mode(mode);
         let mut out = cluster
             .run_combined(
                 "invariance",
@@ -524,16 +550,22 @@ fn output_identical_across_threads_and_partitions() {
         out.sort_unstable();
         out
     };
-    let reference = run_with(1, 0);
+    let reference = run_with(1, 0, DatasetMode::Lazy);
     for threads in [2, 8] {
-        assert_eq!(run_with(threads, 0), reference, "threads = {threads}");
+        assert_eq!(
+            run_with(threads, 0, DatasetMode::Lazy),
+            reference,
+            "threads = {threads}"
+        );
     }
     for partitions in [1, 7, 32, 100] {
-        assert_eq!(
-            run_with(4, partitions),
-            reference,
-            "partitions = {partitions}"
-        );
+        for mode in [DatasetMode::Lazy, DatasetMode::Eager] {
+            assert_eq!(
+                run_with(4, partitions, mode),
+                reference,
+                "partitions = {partitions}, mode = {mode:?}"
+            );
+        }
     }
 }
 

@@ -59,8 +59,9 @@ fn chained(c: &Cluster, docs: &[String]) -> (Vec<(u64, u64)>, tsj_mapreduce::Sim
     (out, report)
 }
 
-/// The same two jobs chained through a driver `Vec` (the classic `run*`
-/// wrappers) — the reference the dataset graph must match.
+/// The same two jobs as two separate one-stage plans (`run_combined` per
+/// job) chained through a driver `Vec` — the reference the two-stage graph
+/// must match.
 fn collected(c: &Cluster, docs: &[String]) -> Vec<(u64, u64)> {
     let counts = c
         .run_combined(

@@ -445,10 +445,15 @@ fn remote_with_every_request_dropped_fails_as_a_transport_error_and_leaks_nothin
 
 #[test]
 fn published_runs_are_the_only_copy_of_the_exchanged_bytes() {
-    // While the reduce wave runs, everything the job has on disk is its
-    // map tasks' run files — and those hold each exchanged byte exactly
-    // once: no second layout beside the spill files, no re-assembled
-    // copy of what was fetched.
+    // While the reduce wave runs, everything in the job's run-file
+    // directory (`tsj-spill-*`: the `task<N>.spill` files, and merge
+    // scratch if there were any) is its map tasks' run files — and those
+    // hold each exchanged byte exactly once: no second layout beside the
+    // spill files, no re-assembled copy of what was fetched. The sibling
+    // stage-output directory (`tsj-stage-*`) is left out: under a bounded
+    // shuffle the reduce tasks running this very reducer drain their
+    // *output* there, which is what the job produced, not a copy of what
+    // it exchanged.
     for (name, shuffle) in [
         (
             "multi-process, bounded",
@@ -485,7 +490,13 @@ fn published_runs_are_the_only_copy_of_the_exchanged_bytes() {
                 },
                 &Count,
                 |w: &String, counts: Vec<u64>, out: &mut OutputSink<(String, u64)>| {
-                    on_disk.lock().unwrap().push(bytes_under(&base));
+                    let run_file_dirs = std::fs::read_dir(&base).unwrap();
+                    let bytes = run_file_dirs
+                        .map(|e| e.unwrap())
+                        .filter(|e| e.file_name().to_string_lossy().starts_with("tsj-spill-"))
+                        .map(|e| bytes_under(&e.path()))
+                        .sum();
+                    on_disk.lock().unwrap().push(bytes);
                     out.emit((w.clone(), counts.iter().sum()));
                 },
             )

@@ -32,11 +32,8 @@
 //! ([`DatasetMode::Eager`](tsj_mapreduce::DatasetMode)) and to the
 //! brute-force [`reference`](crate::reference) join.
 
-use std::collections::HashSet;
-
 use tsj_mapreduce::{
-    fingerprint64, Cluster, Count, Dedup, Emitter, FxBuildHasher, JobError, OutputSink, SimReport,
-    Spill,
+    fingerprint64, Cluster, Count, Dedup, Emitter, JobError, OutputSink, SimReport, Spill,
 };
 use tsj_passjoin::MassJoin;
 use tsj_tokenize::{Corpus, StringId, TokenId};
@@ -454,25 +451,27 @@ fn check_and_verify(
 
 /// Stage 3 reducer body for grouping-on-one-string: "the reducer then
 /// de-duplicates the reduce value list using a hash set" (Sec. III-G3).
+/// Departure: the value list is sorted and deduplicated in place instead —
+/// the same distinct partners, no set allocated per reduce group — so a
+/// group's pairs are checked in id order, not first-occurrence order.
 fn one_string_dedup(
     corpus: &Corpus,
     filter: &FilterContext<'_>,
     aligning: Aligning,
     t: f64,
     key: u32,
-    values: Vec<u32>,
+    mut values: Vec<u32>,
     out: &mut OutputSink<SimilarPair>,
 ) {
-    let mut seen: HashSet<u32, FxBuildHasher> = HashSet::default();
+    values.sort_unstable();
+    values.dedup();
     for other in values {
-        if seen.insert(other) {
-            let (a, b) = if key < other {
-                (key, other)
-            } else {
-                (other, key)
-            };
-            check_and_verify(corpus, filter, aligning, t, a, b, out);
-        }
+        let (a, b) = if key < other {
+            (key, other)
+        } else {
+            (other, key)
+        };
+        check_and_verify(corpus, filter, aligning, t, a, b, out);
     }
 }
 

@@ -55,15 +55,12 @@
 //! start the comment body (prose that merely mentions the syntax is not
 //! a suppression).
 //!
-//! Diagnostics are machine-readable `file:line:rule` triples;
-//! `crates/lint/baseline.txt` lists `file:rule` pairs to tolerate (so the
-//! pass can land strict even if a rule fires on legacy code — the
-//! workspace currently baselines nothing).
+//! Diagnostics are machine-readable `file:line:rule` triples. Nothing is
+//! grandfathered: a finding is fixed or carries a written allow.
 
 pub mod parse;
 mod rules;
 
-use std::collections::HashSet;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -634,32 +631,6 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Loads a baseline file: one `file:rule` pair per line, `#` comments and
-/// blank lines ignored. A missing file is an empty baseline.
-pub fn load_baseline(path: &Path) -> HashSet<(String, String)> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return HashSet::new();
-    };
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .filter_map(|l| {
-            let (file, rule) = l.rsplit_once(':')?;
-            Some((file.to_owned(), rule.to_owned()))
-        })
-        .collect()
-}
-
-/// Splits diagnostics into `(fresh, baselined)` against a baseline set.
-pub fn split_baselined(
-    diags: Vec<Diagnostic>,
-    baseline: &HashSet<(String, String)>,
-) -> (Vec<Diagnostic>, Vec<Diagnostic>) {
-    diags
-        .into_iter()
-        .partition(|d| !baseline.contains(&(d.file.clone(), d.rule.to_owned())))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1197,17 +1168,5 @@ mod tests {
                    // tsjlint:allow(no-hashmap-iter-in-output-path) sorted by position before emit\n\
                    for (k, v) in &groups { out(k, v); }\n}";
         assert!(lint_source(JOB_PATH, src).is_empty());
-    }
-
-    // ---- baseline -----------------------------------------------------
-
-    #[test]
-    fn baseline_splits_known_pairs() {
-        let mut baseline = HashSet::new();
-        baseline.insert((JOB_PATH.to_owned(), RULE_NO_PANIC.to_owned()));
-        let diags = lint_source(JOB_PATH, "fn f() { a.unwrap(); }");
-        let (fresh, old) = split_baselined(diags, &baseline);
-        assert!(fresh.is_empty());
-        assert_eq!(old.len(), 1);
     }
 }

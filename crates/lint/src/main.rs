@@ -1,12 +1,11 @@
 //! `tsjlint` CLI: lints the workspace sources against the runtime's
 //! invariant rules (see the library docs for the rule catalog).
 //!
-//! Usage: `tsjlint [--deny] [--root <dir>] [--baseline <file>]`
+//! Usage: `tsjlint [--deny] [--root <dir>]`
 //!
 //! Diagnostics print to stdout as `file:line:rule: message`; a summary
 //! goes to stderr. Exit status is 0 unless `--deny` is set and a
-//! non-baselined diagnostic fired (exit 1), or the invocation itself
-//! failed (exit 2).
+//! diagnostic fired (exit 1), or the invocation itself failed (exit 2).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -14,7 +13,6 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let mut deny = false;
     let mut root: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -24,12 +22,8 @@ fn main() -> ExitCode {
                 Some(v) => root = Some(PathBuf::from(v)),
                 None => return usage("--root needs a directory argument"),
             },
-            "--baseline" => match args.next() {
-                Some(v) => baseline = Some(PathBuf::from(v)),
-                None => return usage("--baseline needs a file argument"),
-            },
             "--help" | "-h" => {
-                println!("usage: tsjlint [--deny] [--root <dir>] [--baseline <file>]");
+                println!("usage: tsjlint [--deny] [--root <dir>]");
                 return ExitCode::SUCCESS;
             }
             other => return usage(&format!("unknown argument `{other}`")),
@@ -47,9 +41,6 @@ fn main() -> ExitCode {
         }
     };
 
-    let baseline_path = baseline.unwrap_or_else(|| root.join("crates/lint/baseline.txt"));
-    let baseline = tsj_lint::load_baseline(&baseline_path);
-
     let diags = match tsj_lint::lint_workspace(&root) {
         Ok(d) => d,
         Err(e) => {
@@ -60,28 +51,26 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let (fresh, baselined) = tsj_lint::split_baselined(diags, &baseline);
 
-    for d in &fresh {
+    for d in &diags {
         println!("{d}");
     }
     eprintln!(
-        "tsjlint: {} diagnostic{} ({} baselined)",
-        fresh.len(),
-        if fresh.len() == 1 { "" } else { "s" },
-        baselined.len()
+        "tsjlint: {} diagnostic{}",
+        diags.len(),
+        if diags.len() == 1 { "" } else { "s" }
     );
-    // Per-rule fresh counts (machine-grepable; CI lifts these into the
-    // step summary).
+    // Per-rule counts (machine-grepable; CI lifts these into the step
+    // summary).
     for rule in tsj_lint::RULES
         .iter()
         .chain(std::iter::once(&tsj_lint::RULE_MALFORMED_ALLOW))
     {
-        let n = fresh.iter().filter(|d| d.rule == *rule).count();
+        let n = diags.iter().filter(|d| d.rule == *rule).count();
         eprintln!("tsjlint:   {rule}: {n}");
     }
 
-    if deny && !fresh.is_empty() {
+    if deny && !diags.is_empty() {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
@@ -89,7 +78,7 @@ fn main() -> ExitCode {
 }
 
 fn usage(err: &str) -> ExitCode {
-    eprintln!("tsjlint: {err}\nusage: tsjlint [--deny] [--root <dir>] [--baseline <file>]");
+    eprintln!("tsjlint: {err}\nusage: tsjlint [--deny] [--root <dir>]");
     ExitCode::from(2)
 }
 

@@ -149,17 +149,18 @@ pub struct CostModel {
     /// doesn't pay, exactly as a real cluster's interconnect would. The
     /// default models a ~1 Gb/s worker NIC of the paper's vintage.
     pub transport_secs_per_byte: f64,
-    /// Multiplier from measured local CPU-seconds to simulated
-    /// machine-seconds (models the paper's 0.5-CPU machines being slower
-    /// than a modern core; also usable to extrapolate dataset scale).
+    /// Multiplier on the compute charge (models the paper's 0.5-CPU
+    /// machines being slower than a modern core; also usable to
+    /// extrapolate dataset scale).
     pub cpu_scale: f64,
     /// Simulated seconds charged per work unit (records in + records out +
-    /// explicitly declared units), before `cpu_scale`. With a positive
-    /// value the simulated clock is a *deterministic* function of the data
-    /// — immune to OS scheduling noise in µs-scale task measurements. Set
-    /// to `0.0` to fall back to the measured per-job rate (Σ cpu / Σ work).
-    /// The default, 100 ns, matches the measured per-record cost of the
-    /// join pipelines on a modern core.
+    /// explicitly declared units), before `cpu_scale`. Compute is charged
+    /// on declared work only — no wall-clock measurement reaches a
+    /// simulated number, so the simulated clock is a deterministic
+    /// function of the data, whatever the host or thread count. `0.0`
+    /// makes compute free (only the fixed overheads, shuffle, spill and
+    /// transport are charged). The default, 100 ns, matches the measured
+    /// per-record cost of the join pipelines on a modern core.
     pub work_unit_secs: f64,
 }
 
@@ -459,14 +460,11 @@ fn job_result<O>((output, mut report): (Vec<O>, SimReport)) -> JobResult<O> {
     }
 }
 
-/// A map task's measured output (one per consumed feed item).
+/// A map task's output and counts (one per consumed feed item).
 struct MapTaskOut<K, V> {
-    cpu_secs: f64,
     /// Work units: input records + emitted pairs + combine scans +
-    /// spilled records. The simulated load is rate-capped per work
-    /// unit so that OS scheduling noise in the µs-scale
-    /// measurements cannot masquerade as data skew (see
-    /// [`proportional_loads`]).
+    /// spilled records — what the task's simulated load is charged on
+    /// (see [`proportional_loads`]).
     work: u64,
     /// Records this task consumed.
     input: u64,
@@ -484,12 +482,9 @@ struct MapTaskOut<K, V> {
     counters: HashMap<&'static str, u64>,
 }
 
-/// A reduce task's measured output (one per non-empty partition).
+/// A reduce task's output and counts (one per non-empty partition).
 struct ReduceTaskOut<O> {
     machine: usize,
-    /// Measured CPU total for the whole partition (ms-scale, so
-    /// reliable; feeds the job-wide work rate).
-    cpu_secs: f64,
     /// Work units over the partition: values in + records emitted +
     /// explicitly declared units.
     work: u64,
@@ -895,7 +890,7 @@ fn shuffle_exchange<I, K, V, O>(
     stats: &mut JobStats,
 ) -> Result<Vec<Vec<Segment<K, V>>>, JobError> {
     let (cost, machines) = (&stage.cost, stage.machines);
-    let map_loads = proportional_loads(map_tasks.iter().map(|t| (t.cpu_secs, t.work)), cost);
+    let map_loads = proportional_loads(map_tasks.iter().map(|t| t.work), cost);
     stats.map = phase_sim(&map_loads, machines.min(map_tasks.len().max(1)));
     let published = stage.shuffle.transport != Transport::InProcess;
     let mut outputs: Vec<MapOutput<K, V>> = Vec::with_capacity(map_tasks.len());
@@ -992,8 +987,8 @@ where
 }
 
 /// Folds the reduce wave into `stats` — deterministic per-partition loads:
-/// each partition is charged its declared work at the job-wide measured
-/// rate, plus the per-group worker-instantiation overheads; partitions
+/// each partition is charged its declared work at the cost model's rate,
+/// plus the per-group worker-instantiation overheads; partitions
 /// sharing a simulated machine (partitions > machines) add up on it — and
 /// totals the simulated clock.
 fn reduce_accounting<I, K, V, O>(
@@ -1002,7 +997,7 @@ fn reduce_accounting<I, K, V, O>(
     stats: &mut JobStats,
 ) {
     let (cost, machines) = (&stage.cost, stage.machines);
-    let base_loads = proportional_loads(reduce_tasks.iter().map(|t| (t.cpu_secs, t.work)), cost);
+    let base_loads = proportional_loads(reduce_tasks.iter().map(|t| t.work), cost);
     let mut machine_loads = vec![0.0f64; machines];
     for (t, base) in reduce_tasks.into_iter().zip(base_loads) {
         debug_assert!(t.machine < machines);
@@ -1057,7 +1052,6 @@ where
     V: Send + Spill,
 {
     let (spec, shuffle, partitions) = (&stage.spec, &stage.shuffle, stage.spec.partitions);
-    let start = Instant::now();
     let mut emitter = match &stage.job_dir {
         Some(guard) => Emitter::with_buffer(PartitionedBuffer::with_spill(
             partitions,
@@ -1114,12 +1108,10 @@ where
         }
     }
     let emitted = emitter.emitted;
-    // Final map-side combine over the leftover buffer: inside the
-    // timed task (for the measured rate mode) *and* declared as one
-    // work unit per scanned record (for the deterministic
-    // work_unit_secs mode), so its CPU cost lands in the simulated
-    // map phase like a real combiner's would instead of being
-    // booked as free.
+    // Final map-side combine over the leftover buffer, declared as one
+    // work unit per scanned record so its CPU cost lands in the simulated
+    // map phase like a real combiner's would instead of being booked as
+    // free.
     let shuffled_in_mem = match &spec.combine {
         Some(c) => {
             combine_work += emitter.buffer.len() as u64;
@@ -1127,7 +1119,7 @@ where
         }
         None => emitter.buffer.len() as u64,
     };
-    // Out-of-process transports publish *inside* the timed task: what is
+    // Out-of-process transports publish *inside* the map task: what is
     // still buffered is flushed as the last runs of the task's run file —
     // the writing overlaps the map wave and the buffers are freed here
     // instead of being held until the exchange — and under the remote
@@ -1135,26 +1127,27 @@ where
     // servable the moment the task finishes. `spill.records` counts only
     // what the memory bound spilled, so the work term ignores the flush.
     let publish = shuffle.transport != Transport::InProcess;
-    let spill = emitter.buffer.finish_spill(publish).map_err(|e| {
-        if publish {
-            JobError::Transport {
-                message: format!("publishing map task {task} runs: {e}"),
+    let spill = emitter
+        .buffer
+        .finish_spill(publish)
+        .map_err(|(publishing, e)| {
+            if publishing {
+                JobError::Transport {
+                    message: format!("publishing map task {task} runs: {e}"),
+                }
+            } else {
+                JobError::Spill {
+                    message: format!("writing map task {task} spill file: {e}"),
+                }
             }
-        } else {
-            JobError::Spill {
-                message: format!("finalizing map task {task} spill file: {e}"),
-            }
-        }
-    })?;
+        })?;
     let spilled = spill.as_ref().map_or(0, |s| s.records);
     let peak_buffered = emitter.buffer.peak_buffered() as u64;
     if let (Some(remote), Some(spill)) = (&stage.remote, &spill) {
         remote.publish(spill);
     }
-    let cpu_secs = start.elapsed().as_secs_f64();
     let work = task_input + emitted + combine_work + spilled + emitter.work_units;
     Ok(MapTaskOut {
-        cpu_secs,
         work,
         input: task_input,
         emitted,
@@ -1170,7 +1163,7 @@ where
 
 /// One reduce task: groups its partition's segments (in-memory, or a
 /// streaming k-way sort-merge when anything spilled) and feeds each key's
-/// values to `reduce`. Returns the measured task carrying the finished
+/// values to `reduce`. Returns the task's counts carrying the finished
 /// output partition to deliver downstream. Runs on a pool worker. `attempt > 0` (a speculative copy) suffixes the merge
 /// scratch (under the job directory) and stage-output file names so
 /// concurrent attempts never collide; a losing attempt's files are swept
@@ -1194,7 +1187,6 @@ where
     let mut n_groups = 0u64;
     let mut work = 0u64;
     let mut merge = MergeEffort::default();
-    let start = Instant::now();
     if segments.iter().any(Segment::is_spilled) {
         // External path: stream a k-way sort-merge over the sorted
         // runs (spilled or published, local or remote) and the
@@ -1261,7 +1253,6 @@ where
             }
         }
     }
-    let cpu_secs = start.elapsed().as_secs_f64();
     work += sink.emitted + sink.work_units;
     let part: Option<DataPartition<O>> = match out_writer {
         // Bounded shuffle: the sink was drained after every group, so the
@@ -1283,7 +1274,6 @@ where
     };
     Ok(ReduceTaskOut {
         machine: partition % stage.machines,
-        cpu_secs,
         work,
         groups: n_groups,
         max_group,
@@ -1331,35 +1321,20 @@ fn drain_stage_output<O: Spill>(
     Ok(())
 }
 
-/// Converts measured `(cpu_secs, work_units)` samples into simulated
-/// loads: every sample is charged its work units at the *job-wide* rate
-/// `Σ cpu / Σ work`, scaled by `cpu_scale`.
+/// Simulated loads of a wave's tasks: each is charged its declared work
+/// units (records in + records out + explicit [`add_work`] units) at
+/// [`CostModel::work_unit_secs`], scaled by `cpu_scale`.
 ///
 /// Rationale: tasks and reduce partitions are often microseconds long, and
-/// a single OS preemption inflates one measurement by orders of magnitude;
-/// multiplied by `cpu_scale` that would masquerade as a straggler machine.
-/// Charging declared work at one aggregate measured rate makes the
-/// simulated load distribution *deterministic* given the data (only the
-/// global rate is measured, over a large sample), while genuine skew is
-/// preserved because hot tasks/partitions declare proportionally more work
-/// (records in + records out + explicit [`add_work`] units).
+/// a single OS preemption inflates a measurement by orders of magnitude —
+/// it would masquerade as a straggler machine. Charging declared work
+/// makes the simulated load distribution a function of the data alone,
+/// while genuine skew is preserved because hot tasks/partitions declare
+/// proportionally more work.
 ///
 /// [`add_work`]: crate::job::OutputSink::add_work
-fn proportional_loads(samples: impl Iterator<Item = (f64, u64)>, cost: &CostModel) -> Vec<f64> {
-    let samples: Vec<(f64, u64)> = samples.collect();
-    let total_work: u64 = samples.iter().map(|(_, w)| w).sum();
-    if total_work == 0 {
-        return vec![0.0; samples.len()];
-    }
-    let rate = if cost.work_unit_secs > 0.0 {
-        cost.work_unit_secs
-    } else {
-        let total_cpu: f64 = samples.iter().map(|(c, _)| c).sum();
-        total_cpu / total_work as f64
-    };
-    samples
-        .iter()
-        .map(|&(_, w)| w as f64 * rate * cost.cpu_scale)
+fn proportional_loads(work: impl Iterator<Item = u64>, cost: &CostModel) -> Vec<f64> {
+    work.map(|w| w as f64 * cost.work_unit_secs * cost.cpu_scale)
         .collect()
 }
 

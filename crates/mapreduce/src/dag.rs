@@ -44,7 +44,6 @@ pub mod analyze;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 
-use crate::dag::analyze::{critical_path_depth, NodeKind, PlanInfo, PlanNodeInfo};
 use crate::dataset::DataPartition;
 use crate::job::{JobError, JobStats};
 use crate::pool::{lock, Pool, SchedulerConfig};
@@ -217,10 +216,6 @@ pub(crate) struct Builder<'a> {
     pub(crate) thunks: Vec<DriverThunk<'a>>,
     pub(crate) slots: Vec<Arc<StatsSlot>>,
     next_base: u64,
-    /// Structural shadow of the lowered graph, fed to [`analyze`] before
-    /// execution. Consumers are recorded before their producers, so a
-    /// node's consumer id is always smaller than its own.
-    nodes: Vec<PlanNodeInfo>,
 }
 
 impl<'a> Builder<'a> {
@@ -229,29 +224,7 @@ impl<'a> Builder<'a> {
             thunks: Vec::new(),
             slots: Vec::new(),
             next_base: 0,
-            nodes: Vec::new(),
         }
-    }
-
-    /// Records one plan node (its id) for pre-execution analysis.
-    pub(crate) fn add_node(&mut self, kind: NodeKind, consumer: Option<usize>) -> usize {
-        let id = self.nodes.len();
-        self.nodes.push(PlanNodeInfo { id, consumer, kind });
-        id
-    }
-
-    /// Critical-path depth of a recorded node: hops along its consumer
-    /// chain to the collected terminal. Used as the node's stage task
-    /// priority — upstream stages outrank downstream ones, so the
-    /// scheduler keeps producers ahead of the consumers waiting on them
-    /// (cross-stage overlap by policy, not by luck).
-    pub(crate) fn depth_of(&self, id: usize) -> u32 {
-        critical_path_depth(&self.nodes, id)
-    }
-
-    /// The structural graph recorded so far, for [`analyze::analyze_plan`].
-    pub(crate) fn plan_info(&self) -> PlanInfo {
-        PlanInfo::from_nodes(self.nodes.clone())
     }
 
     /// The next producer's ordinal base: items are tagged

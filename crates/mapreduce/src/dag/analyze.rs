@@ -1,16 +1,16 @@
 //! Plan-time analysis of lowered [`Dataset`](crate::dataset::Dataset) job
 //! graphs.
 //!
-//! Lowering a plan tree records one [`PlanNodeInfo`] per node (inputs,
-//! materialized partition sets, stages) with its consumer edge, and
-//! [`analyze_plan`] runs a set of structural checks over that graph
-//! *before* any stage executes:
+//! A plan is a tree — every handle is consumed by the one stage or union
+//! that wraps it — and lowering returns that tree as `PlanShape`s (inputs,
+//! materialized partition sets, stages; a union is its consumer having
+//! several producers). `analyze_plan` walks it, handing each node its
+//! consuming stage, and runs a set of structural checks *before* any stage
+//! executes:
 //!
 //! * **`empty-input`** — a stage whose transitive static inputs carry zero
 //!   records: it can never produce output, so either the graph wiring or
 //!   the data feeding it is wrong.
-//! * **`unreachable-stage`** — a node whose consumer chain never reaches
-//!   the collected terminal: its work would be computed and discarded.
 //! * **`union-partition-mismatch`** — a union whose recorded stage
 //!   producers are configured with different shuffle partition counts, so
 //!   downstream map parallelism is unbalanced by construction. Only
@@ -48,25 +48,31 @@ use crate::shuffle::ShuffleConfig;
 pub const MERGE_FAN_IN_BUDGET: usize = 64;
 
 /// Structural metadata of one recorded stage (see [`NodeKind::Stage`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StageInfo {
+#[derive(Debug)]
+pub(crate) struct StageInfo {
     /// The stage name (as reported in [`JobStats`](crate::job::JobStats)).
-    pub name: String,
+    pub(crate) name: String,
     /// Configured shuffle partition count.
-    pub partitions: usize,
+    pub(crate) partitions: usize,
     /// Whether the stage runs a map-side combiner.
-    pub combined: bool,
+    pub(crate) combined: bool,
     /// Whether the shuffle value type is zero-sized (`()`-like): the
     /// reducer can only observe key presence and multiplicity.
-    pub value_is_zst: bool,
+    pub(crate) value_is_zst: bool,
     /// Whether this is a [`repartition`](crate::dataset::Dataset::repartition)
     /// stage (identity re-routing, no user reduce logic).
-    pub is_repartition: bool,
+    pub(crate) is_repartition: bool,
+    /// Stages between this one's output and the collected terminal (0 for
+    /// the terminal's own producers, +1 per consuming stage; a union adds
+    /// none). It is the stage's pool priority: upstream stages outrank the
+    /// consumers waiting on them, so the scheduler keeps every downstream
+    /// map wave fed — cross-stage overlap by policy, not by luck.
+    pub(crate) depth: u32,
 }
 
 /// What one plan node is.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NodeKind {
+#[derive(Debug)]
+pub(crate) enum NodeKind {
     /// A driver-resident input slice ([`Cluster::input`](crate::cluster::Cluster::input)).
     Input {
         /// Records the slice holds.
@@ -85,32 +91,16 @@ pub enum NodeKind {
     Stage(StageInfo),
 }
 
-/// One node of a lowered plan, with its consumer edge.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanNodeInfo {
-    /// Node id (index into [`PlanInfo::nodes`]). Consumers are always
-    /// recorded before their producers, so `consumer < id` in lowered
-    /// plans.
-    pub id: usize,
-    /// The node consuming this node's output; `None` for producers feeding
-    /// the collected terminal.
-    pub consumer: Option<usize>,
-    /// What the node is.
-    pub kind: NodeKind,
+/// One node of a lowered plan with the subtrees feeding it, producers in
+/// build order (a union's left side first). The slice lowering returns for
+/// the whole plan is the collected terminal's producers.
+#[derive(Debug)]
+pub(crate) struct PlanShape {
+    pub(crate) kind: NodeKind,
+    pub(crate) producers: Vec<PlanShape>,
 }
 
-impl PlanNodeInfo {
-    /// Display name for diagnostics.
-    fn label(&self) -> String {
-        match &self.kind {
-            NodeKind::Input { records, .. } => format!("input({records} records)"),
-            NodeKind::Materialized { partitions, .. } => {
-                format!("materialized({partitions} partitions)")
-            }
-            NodeKind::Stage(s) => s.name.clone(),
-        }
-    }
-
+impl PlanShape {
     /// Statically estimated number of output partitions this node delivers
     /// to its consumer's map wave.
     fn output_partitions(&self) -> usize {
@@ -122,55 +112,6 @@ impl PlanNodeInfo {
     }
 }
 
-/// The structural graph a plan lowered into — what [`analyze_plan`] runs
-/// over.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PlanInfo {
-    nodes: Vec<PlanNodeInfo>,
-}
-
-impl PlanInfo {
-    /// Builds a plan graph from explicit nodes (the builder records them
-    /// during lowering; tests construct synthetic shapes directly).
-    pub fn from_nodes(nodes: Vec<PlanNodeInfo>) -> Self {
-        Self { nodes }
-    }
-
-    /// All recorded nodes, in lowering order (consumers before producers).
-    pub fn nodes(&self) -> &[PlanNodeInfo] {
-        &self.nodes
-    }
-
-    /// Critical-path depth of a node — see [`critical_path_depth`].
-    pub fn depth_of(&self, id: usize) -> u32 {
-        critical_path_depth(&self.nodes, id)
-    }
-}
-
-/// Critical-path depth of node `id`: hops along its consumer chain to the
-/// collected terminal (`consumer: None`). The terminal's direct producers
-/// have depth 1, their producers 2, and so on — so *upstream* nodes carry
-/// *higher* depths. The scheduler uses this as task priority: scheduling
-/// upstream stages first keeps every downstream consumer fed, which is
-/// the policy form of cross-stage overlap. Dangling edges and cycles
-/// (possible only in synthetic graphs) stop the walk instead of looping.
-pub fn critical_path_depth(nodes: &[PlanNodeInfo], id: usize) -> u32 {
-    let mut depth = 0u32;
-    let mut cur = id;
-    // Hop budget = node count: a well-formed chain can't be longer, and a
-    // cyclic synthetic graph terminates instead of spinning.
-    for _ in 0..nodes.len() {
-        match nodes.get(cur).and_then(|n| n.consumer) {
-            Some(c) if c < nodes.len() => {
-                depth += 1;
-                cur = c;
-            }
-            _ => break,
-        }
-    }
-    depth
-}
-
 /// Partition skew of a materialized boundary: the largest partition's
 /// record count over the mean across the given (non-empty) partitions.
 /// `1.0` means perfectly balanced; the auto-repartition response
@@ -178,7 +119,7 @@ pub fn critical_path_depth(nodes: &[PlanNodeInfo], id: usize) -> u32 {
 /// triggers when this crosses its configured ratio. Degenerate inputs
 /// (fewer than two partitions, or no records) report `1.0` — never
 /// skewed.
-pub fn partition_skew(records: &[u64]) -> f64 {
+pub(crate) fn partition_skew(records: &[u64]) -> f64 {
     if records.len() < 2 {
         return 1.0;
     }
@@ -200,11 +141,6 @@ pub enum PlanDiagnostic {
     EmptyInput {
         /// The orphaned stage's name.
         stage: String,
-    },
-    /// A node whose output never reaches the collected terminal.
-    Unreachable {
-        /// The dangling node's label.
-        node: String,
     },
     /// A union mixing stage producers configured with different partition
     /// counts.
@@ -254,7 +190,6 @@ impl PlanDiagnostic {
     pub fn code(&self) -> &'static str {
         match self {
             PlanDiagnostic::EmptyInput { .. } => "empty-input",
-            PlanDiagnostic::Unreachable { .. } => "unreachable-stage",
             PlanDiagnostic::UnionPartitionMismatch { .. } => "union-partition-mismatch",
             PlanDiagnostic::TerminalRepartition { .. } => "terminal-repartition",
             PlanDiagnostic::RedundantRepartition { .. } => "redundant-repartition",
@@ -271,11 +206,6 @@ impl std::fmt::Display for PlanDiagnostic {
                 f,
                 "[empty-input] stage `{stage}` consumes a statically empty input \
                  and can never produce output"
-            ),
-            PlanDiagnostic::Unreachable { node } => write!(
-                f,
-                "[unreachable-stage] node `{node}` never reaches the collected \
-                 terminal; its work would be discarded"
             ),
             PlanDiagnostic::UnionPartitionMismatch {
                 consumer,
@@ -344,94 +274,29 @@ pub enum PlanCheck {
     Deny,
 }
 
-/// Runs every structural check over a lowered plan under the given
-/// shuffle configuration. Diagnostics come out grouped by check, each
-/// group in node order.
-pub fn analyze_plan(plan: &PlanInfo, shuffle: &ShuffleConfig) -> Vec<PlanDiagnostic> {
-    let nodes = plan.nodes();
-    let n = nodes.len();
+/// Runs every structural check over a lowered plan — `roots` are the
+/// collected terminal's producers — under the given shuffle configuration.
+/// Diagnostics come out grouped by check, each group in build order.
+pub(crate) fn analyze_plan(roots: &[PlanShape], shuffle: &ShuffleConfig) -> Vec<PlanDiagnostic> {
     let mut diags = Vec::new();
 
-    // Producer lists per consumer (terminal producers kept separately).
-    let mut producers: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut terminal_producers: Vec<usize> = Vec::new();
-    for node in nodes {
-        match node.consumer {
-            Some(c) if c < n => producers[c].push(node.id),
-            // Dangling consumer edge: the reachability walk flags it.
-            Some(_) => {}
-            None => terminal_producers.push(node.id),
-        }
-    }
-
-    // ---- unreachable-stage -------------------------------------------
-    for node in nodes {
-        if !reaches_terminal(nodes, node.id) {
-            diags.push(PlanDiagnostic::Unreachable { node: node.label() });
-        }
-    }
-
     // ---- empty-input --------------------------------------------------
-    // Static output record counts, bottom-up. Consumers are recorded
-    // before their producers (consumer id < producer id), so a reverse
-    // scan visits producers first. A stage's output count is unknowable
-    // statically — except when its entire input is statically empty, in
-    // which case it is empty too (and orphaned).
-    let mut static_out: Vec<Option<u64>> = vec![None; n];
-    for id in (0..n).rev() {
-        static_out[id] = match &nodes[id].kind {
-            NodeKind::Input { records, .. } => Some(*records),
-            NodeKind::Materialized { records, .. } => Some(*records),
-            NodeKind::Stage(s) => {
-                let feeding = &producers[id];
-                let input_records: Option<u64> = if feeding.is_empty() {
-                    // Synthetic graphs may omit producers; nothing to say.
-                    None
-                } else {
-                    feeding.iter().map(|&p| static_out[p]).sum::<Option<u64>>()
-                };
-                match input_records {
-                    Some(0) => {
-                        diags.push(PlanDiagnostic::EmptyInput {
-                            stage: s.name.clone(),
-                        });
-                        Some(0)
-                    }
-                    _ => None,
-                }
-            }
-        };
+    for root in roots.iter().rev() {
+        static_records(root, &mut diags);
     }
 
     // ---- union-partition-mismatch ------------------------------------
-    // Compare configured partition counts only across *stage* producers:
-    // materialized/input partition counts are data-dependent, not a plan
-    // property.
-    let mut check_union = |consumer: String, prods: &[usize]| {
-        if prods.len() < 2 {
-            return;
+    pre_order(roots, None, &mut |node, _| {
+        if let NodeKind::Stage(s) = &node.kind {
+            check_union(&s.name, &node.producers, &mut diags);
         }
-        let stage_parts: Vec<usize> = prods
-            .iter()
-            .filter(|&&p| matches!(nodes[p].kind, NodeKind::Stage(_)))
-            .map(|&p| nodes[p].output_partitions())
-            .collect();
-        if stage_parts.len() >= 2 && stage_parts.windows(2).any(|w| w[0] != w[1]) {
-            diags.push(PlanDiagnostic::UnionPartitionMismatch {
-                consumer,
-                partitions: stage_parts,
-            });
-        }
-    };
-    for (cid, prods) in producers.iter().enumerate() {
-        check_union(nodes[cid].label(), prods);
-    }
-    check_union("collect".to_owned(), &terminal_producers);
+    });
+    check_union("collect", roots, &mut diags);
 
     // ---- terminal-repartition ----------------------------------------
-    for node in nodes {
-        if let NodeKind::Stage(s) = &node.kind {
-            if s.is_repartition && node.consumer.is_none() {
+    for root in roots {
+        if let NodeKind::Stage(s) = &root.kind {
+            if s.is_repartition {
                 diags.push(PlanDiagnostic::TerminalRepartition {
                     stage: s.name.clone(),
                 });
@@ -440,50 +305,37 @@ pub fn analyze_plan(plan: &PlanInfo, shuffle: &ShuffleConfig) -> Vec<PlanDiagnos
     }
 
     // ---- redundant-repartition ---------------------------------------
-    for node in nodes {
+    pre_order(roots, None, &mut |node, consumer| {
         let NodeKind::Stage(s) = &node.kind else {
-            continue;
+            return;
         };
         if !s.is_repartition {
-            continue;
+            return;
         }
         // Chained: the consumer repartitions again, so this pass's layout
-        // never survives to a computation.
-        if let Some(c) = node.consumer.filter(|&c| c < n) {
-            if let NodeKind::Stage(cs) = &nodes[c].kind {
-                if cs.is_repartition {
-                    diags.push(PlanDiagnostic::RedundantRepartition {
-                        stage: s.name.clone(),
-                        chained_into: Some(cs.name.clone()),
-                        partitions: s.partitions,
-                    });
-                    continue;
-                }
-            }
-        }
-        // Count-equal: every producer is a stage already configured for
-        // the same partition count. Input/materialized producer counts
-        // are data-dependent, not a plan property, so mixed graphs stay
-        // silent — same reasoning as the union check above.
-        let prods = &producers[node.id];
-        if !prods.is_empty()
-            && prods
-                .iter()
-                .all(|&p| matches!(nodes[p].kind, NodeKind::Stage(_)))
-            && prods
-                .iter()
-                .all(|&p| nodes[p].output_partitions() == s.partitions)
-        {
+        // never survives to a computation. Count-equal: every producer is
+        // a stage already configured for the same partition count.
+        // Input/materialized producer counts are data-dependent, not a
+        // plan property, so mixed graphs stay silent — same reasoning as
+        // the union check.
+        let chained_into = consumer
+            .filter(|c| c.is_repartition)
+            .map(|c| c.name.clone());
+        let count_equal = node
+            .producers
+            .iter()
+            .all(|p| matches!(p.kind, NodeKind::Stage(_)) && p.output_partitions() == s.partitions);
+        if chained_into.is_some() || count_equal {
             diags.push(PlanDiagnostic::RedundantRepartition {
                 stage: s.name.clone(),
-                chained_into: None,
+                chained_into,
                 partitions: s.partitions,
             });
         }
-    }
+    });
 
     // ---- uncombined-dedup-foldable -----------------------------------
-    for node in nodes {
+    pre_order(roots, None, &mut |node, _| {
         if let NodeKind::Stage(s) = &node.kind {
             if s.value_is_zst && !s.combined && !s.is_repartition {
                 diags.push(PlanDiagnostic::UncombinedDedupFoldable {
@@ -491,88 +343,139 @@ pub fn analyze_plan(plan: &PlanInfo, shuffle: &ShuffleConfig) -> Vec<PlanDiagnos
                 });
             }
         }
-    }
+    });
 
     // ---- merge-fan-in-hazard -----------------------------------------
     // Under a spilling shuffle every producing task contributes at least
     // one sorted run per reduce partition; without a merge_fan_in cap the
     // reduce-side k-way merge opens them all at once.
     if shuffle.spill_threshold.is_some() && shuffle.merge_fan_in.is_none() {
-        for node in nodes {
-            if !matches!(node.kind, NodeKind::Stage(_)) {
-                continue;
-            }
-            let incoming: usize = producers[node.id]
+        pre_order(roots, None, &mut |node, _| {
+            let NodeKind::Stage(s) = &node.kind else {
+                return;
+            };
+            let incoming: usize = node
+                .producers
                 .iter()
-                .map(|&p| nodes[p].output_partitions())
+                .map(PlanShape::output_partitions)
                 .sum();
             if incoming > MERGE_FAN_IN_BUDGET {
                 diags.push(PlanDiagnostic::MergeFanInHazard {
-                    stage: node.label(),
+                    stage: s.name.clone(),
                     incoming,
                     budget: MERGE_FAN_IN_BUDGET,
                 });
             }
-        }
+        });
     }
 
     diags
 }
 
-/// Whether following consumer edges from `id` reaches a terminal
-/// (`consumer: None`) without cycling or dangling.
-fn reaches_terminal(nodes: &[PlanNodeInfo], id: usize) -> bool {
-    let mut cur = id;
-    for _ in 0..=nodes.len() {
-        match nodes[cur].consumer {
-            None => return true,
-            Some(c) if c < nodes.len() => cur = c,
-            Some(_) => return false,
+/// Calls `f(node, consuming stage)` on every node of the forest, each node
+/// before its producers, producers in build order.
+fn pre_order<'p>(
+    nodes: &'p [PlanShape],
+    consumer: Option<&'p StageInfo>,
+    f: &mut impl FnMut(&'p PlanShape, Option<&'p StageInfo>),
+) {
+    for node in nodes {
+        f(node, consumer);
+        if let NodeKind::Stage(s) = &node.kind {
+            pre_order(&node.producers, Some(s), f);
         }
     }
-    false // cycle
+}
+
+/// A node's static output record count, flagging every statically empty
+/// stage on the way. A stage's output count is unknowable statically —
+/// except when its entire input is statically empty, in which case it is
+/// empty too (and orphaned). Producers are visited last-built first, each
+/// before its consumer.
+fn static_records(node: &PlanShape, diags: &mut Vec<PlanDiagnostic>) -> Option<u64> {
+    match &node.kind {
+        NodeKind::Input { records, .. } | NodeKind::Materialized { records, .. } => Some(*records),
+        NodeKind::Stage(s) => {
+            let mut input_records = Some(0);
+            for producer in node.producers.iter().rev() {
+                let records = static_records(producer, diags);
+                input_records = input_records.zip(records).map(|(a, b)| a + b);
+            }
+            if input_records == Some(0) {
+                diags.push(PlanDiagnostic::EmptyInput {
+                    stage: s.name.clone(),
+                });
+            }
+            input_records.filter(|&n| n == 0)
+        }
+    }
+}
+
+/// Compares configured partition counts across the *stage* producers of
+/// one consumer: materialized/input partition counts are data-dependent,
+/// not a plan property.
+fn check_union(consumer: &str, producers: &[PlanShape], diags: &mut Vec<PlanDiagnostic>) {
+    let stage_parts: Vec<usize> = producers
+        .iter()
+        .filter(|p| matches!(p.kind, NodeKind::Stage(_)))
+        .map(PlanShape::output_partitions)
+        .collect();
+    if stage_parts.windows(2).any(|w| w[0] != w[1]) {
+        diags.push(PlanDiagnostic::UnionPartitionMismatch {
+            consumer: consumer.to_owned(),
+            partitions: stage_parts,
+        });
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn stage(id: usize, consumer: Option<usize>, name: &str) -> PlanNodeInfo {
-        PlanNodeInfo {
-            id,
-            consumer,
+    fn stage_with(
+        name: &str,
+        partitions: usize,
+        is_repartition: bool,
+        producers: Vec<PlanShape>,
+    ) -> PlanShape {
+        PlanShape {
             kind: NodeKind::Stage(StageInfo {
                 name: name.to_owned(),
-                partitions: 8,
+                partitions,
                 combined: false,
                 value_is_zst: false,
-                is_repartition: false,
+                is_repartition,
+                depth: 0,
             }),
+            producers,
         }
     }
 
-    fn input(id: usize, consumer: Option<usize>, records: u64, tasks: usize) -> PlanNodeInfo {
-        PlanNodeInfo {
-            id,
-            consumer,
+    fn stage(name: &str, producers: Vec<PlanShape>) -> PlanShape {
+        stage_with(name, 8, false, producers)
+    }
+
+    fn repart(name: &str, partitions: usize, producers: Vec<PlanShape>) -> PlanShape {
+        stage_with(name, partitions, true, producers)
+    }
+
+    fn input(records: u64, tasks: usize) -> PlanShape {
+        PlanShape {
             kind: NodeKind::Input { records, tasks },
+            producers: Vec::new(),
         }
     }
 
     #[test]
     fn clean_chain_has_no_diagnostics() {
-        let plan = PlanInfo::from_nodes(vec![stage(0, None, "reduce"), input(1, Some(0), 100, 4)]);
+        let plan = [stage("reduce", vec![input(100, 4)])];
         assert!(analyze_plan(&plan, &ShuffleConfig::default()).is_empty());
     }
 
     #[test]
     fn empty_input_propagates_down_a_chain() {
         // terminal stage <- interior stage <- empty input
-        let plan = PlanInfo::from_nodes(vec![
-            stage(0, None, "last"),
-            stage(1, Some(0), "first"),
-            input(2, Some(1), 0, 1),
-        ]);
+        let plan = [stage("last", vec![stage("first", vec![input(0, 1)])])];
         let diags = analyze_plan(&plan, &ShuffleConfig::default());
         let empties: Vec<&str> = diags
             .iter()
@@ -585,57 +488,30 @@ mod tests {
     }
 
     #[test]
-    fn dangling_consumer_is_unreachable() {
-        let plan = PlanInfo::from_nodes(vec![stage(0, Some(7), "lost")]);
-        let diags = analyze_plan(&plan, &ShuffleConfig::default());
-        assert!(diags
-            .iter()
-            .any(|d| matches!(d, PlanDiagnostic::Unreachable { node } if node == "lost")));
-    }
-
-    #[test]
-    fn consumer_cycle_is_unreachable() {
-        let mut a = stage(0, Some(1), "a");
-        let b = stage(1, Some(0), "b");
-        a.consumer = Some(1);
-        let plan = PlanInfo::from_nodes(vec![a, b]);
-        let diags = analyze_plan(&plan, &ShuffleConfig::default());
-        assert_eq!(
-            diags
-                .iter()
-                .filter(|d| d.code() == "unreachable-stage")
-                .count(),
-            2
-        );
-    }
-
-    #[test]
     fn union_mismatch_ignores_materialized_producers() {
         // Two stage producers with equal counts plus a materialized side
         // with a different (data-dependent) count: clean.
-        let mat = PlanNodeInfo {
-            id: 3,
-            consumer: Some(0),
+        let mat = PlanShape {
             kind: NodeKind::Materialized {
                 partitions: 3,
                 records: 10,
             },
+            producers: Vec::new(),
         };
-        let plan = PlanInfo::from_nodes(vec![
-            stage(0, None, "consumer"),
-            stage(1, Some(0), "left"),
-            stage(2, Some(0), "right"),
-            mat,
-            input(4, Some(1), 5, 2),
-            input(5, Some(2), 5, 2),
-        ]);
+        let plan = [stage(
+            "consumer",
+            vec![
+                stage("left", vec![input(5, 2)]),
+                stage("right", vec![input(5, 2)]),
+                mat,
+            ],
+        )];
         assert!(analyze_plan(&plan, &ShuffleConfig::default()).is_empty());
     }
 
     #[test]
     fn merge_fan_in_hazard_needs_spilling_config_without_cap() {
-        let wide_input = input(1, Some(0), 10_000, 100);
-        let plan = PlanInfo::from_nodes(vec![stage(0, None, "wide"), wide_input]);
+        let plan = [stage("wide", vec![input(10_000, 100)])];
         // Unbounded: clean.
         assert!(analyze_plan(&plan, &ShuffleConfig::default()).is_empty());
         // Spilling without a cap: hazard.
@@ -651,29 +527,14 @@ mod tests {
         assert!(analyze_plan(&plan, &spilling.with_merge_fan_in(8)).is_empty());
     }
 
-    fn repart(id: usize, consumer: Option<usize>, name: &str, partitions: usize) -> PlanNodeInfo {
-        PlanNodeInfo {
-            id,
-            consumer,
-            kind: NodeKind::Stage(StageInfo {
-                name: name.to_owned(),
-                partitions,
-                combined: false,
-                value_is_zst: false,
-                is_repartition: true,
-            }),
-        }
-    }
-
     #[test]
     fn chained_repartitions_flag_the_upstream_pass() {
         // consumer stage <- repartition(8) <- repartition(4) <- input
-        let plan = PlanInfo::from_nodes(vec![
-            stage(0, None, "consume"),
-            repart(1, Some(0), "repartition(8)", 8),
-            repart(2, Some(1), "repartition(4)", 4),
-            input(3, Some(2), 100, 2),
-        ]);
+        let upstream = repart("repartition(4)", 4, vec![input(100, 2)]);
+        let plan = [stage(
+            "consume",
+            vec![repart("repartition(8)", 8, vec![upstream])],
+        )];
         let diags = analyze_plan(&plan, &ShuffleConfig::default());
         let codes: Vec<&str> = diags.iter().map(|d| d.code()).collect();
         assert_eq!(codes, ["redundant-repartition"], "{diags:?}");
@@ -690,12 +551,11 @@ mod tests {
     #[test]
     fn same_count_repartition_after_a_stage_is_flagged() {
         // consumer <- repartition(8) <- producer stage (8 partitions)
-        let plan = PlanInfo::from_nodes(vec![
-            stage(0, None, "consume"),
-            repart(1, Some(0), "repartition(8)", 8),
-            stage(2, Some(1), "produce"),
-            input(3, Some(2), 100, 2),
-        ]);
+        let produce = stage("produce", vec![input(100, 2)]);
+        let plan = [stage(
+            "consume",
+            vec![repart("repartition(8)", 8, vec![produce])],
+        )];
         let diags = analyze_plan(&plan, &ShuffleConfig::default());
         assert!(
             diags.iter().any(|d| matches!(
@@ -714,41 +574,18 @@ mod tests {
     fn repartition_from_inputs_or_to_new_counts_is_clean() {
         // Input-fed repartition: the input's task count is data-dependent,
         // so no count claim is possible.
-        let from_input = PlanInfo::from_nodes(vec![
-            stage(0, None, "consume"),
-            repart(1, Some(0), "repartition(8)", 8),
-            input(2, Some(1), 100, 8),
-        ]);
+        let from_input = [stage(
+            "consume",
+            vec![repart("repartition(8)", 8, vec![input(100, 8)])],
+        )];
         assert!(analyze_plan(&from_input, &ShuffleConfig::default()).is_empty());
         // A genuine layout change: producer at 8, repartition to 4.
-        let reshapes = PlanInfo::from_nodes(vec![
-            stage(0, None, "consume"),
-            repart(1, Some(0), "repartition(4)", 4),
-            stage(2, Some(1), "produce"),
-            input(3, Some(2), 100, 2),
-        ]);
+        let produce = stage("produce", vec![input(100, 2)]);
+        let reshapes = [stage(
+            "consume",
+            vec![repart("repartition(4)", 4, vec![produce])],
+        )];
         assert!(analyze_plan(&reshapes, &ShuffleConfig::default()).is_empty());
-    }
-
-    #[test]
-    fn critical_path_depth_counts_hops_to_the_terminal() {
-        // terminal stage <- interior stage <- input
-        let plan = PlanInfo::from_nodes(vec![
-            stage(0, None, "last"),
-            stage(1, Some(0), "first"),
-            input(2, Some(1), 10, 2),
-        ]);
-        assert_eq!(plan.depth_of(0), 0);
-        assert_eq!(plan.depth_of(1), 1);
-        assert_eq!(plan.depth_of(2), 2);
-        // Cycles and dangling edges terminate instead of spinning.
-        let mut a = stage(0, Some(1), "a");
-        let b = stage(1, Some(0), "b");
-        a.consumer = Some(1);
-        let cyclic = PlanInfo::from_nodes(vec![a, b]);
-        assert_eq!(cyclic.depth_of(0), 2);
-        let dangling = PlanInfo::from_nodes(vec![stage(0, Some(9), "lost")]);
-        assert_eq!(dangling.depth_of(0), 0);
     }
 
     #[test]

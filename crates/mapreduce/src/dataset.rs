@@ -97,7 +97,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use crate::cluster::{run_stage_streamed, Cluster, CombineFn, StageFailure, StageSpec};
-use crate::dag::analyze::{analyze_plan, partition_skew, NodeKind, PlanCheck, StageInfo};
+use crate::dag::analyze::{
+    analyze_plan, partition_skew, NodeKind, PlanCheck, PlanShape, StageInfo,
+};
 use crate::dag::{self, Builder, Feed, StatsSlot};
 use crate::hash::fingerprint64;
 use crate::job::{Emitter, JobError, OutputSink};
@@ -185,16 +187,16 @@ impl<T: Spill> DataPartition<T> {
 /// typed feed connecting them.
 trait PlanNode<'a, T>: Send {
     /// Lowers this node (and its whole subtree) into stage drivers,
-    /// registering as a producer on `out`. `consumer` is the plan-node id
-    /// of the node consuming `out` (`None` for the collected terminal),
-    /// recorded for pre-execution analysis.
+    /// registering as a producer on `out`, and returns what it lowered
+    /// for pre-execution analysis. `depth` counts the stages between
+    /// `out` and the collected terminal (see [`StageInfo::depth`]).
     fn build(
         self: Box<Self>,
         cluster: &'a Cluster,
         b: &mut Builder<'a>,
         out: Feed<T>,
-        consumer: Option<usize>,
-    );
+        depth: u32,
+    ) -> PlanShape;
 }
 
 /// Where a dataset's records currently live (or how to compute them).
@@ -296,32 +298,26 @@ where
         cluster: &'a Cluster,
         b: &mut Builder<'a>,
         out: Feed<O>,
-        consumer: Option<usize>,
-    ) {
+        depth: u32,
+    ) -> PlanShape {
         let base = b.next_base();
         out.register_producer();
-        let node = b.add_node(
-            NodeKind::Stage(StageInfo {
-                name: self.spec.name.clone(),
-                partitions: self.spec.partitions,
-                combined: self.spec.combine.is_some(),
-                value_is_zst: std::mem::size_of::<V>() == 0,
-                is_repartition: self.spec.is_repartition,
-            }),
-            consumer,
-        );
+        let info = StageInfo {
+            name: self.spec.name.clone(),
+            partitions: self.spec.partitions,
+            combined: self.spec.combine.is_some(),
+            value_is_zst: std::mem::size_of::<V>() == 0,
+            is_repartition: self.spec.is_repartition,
+            depth,
+        };
         let input: Feed<I> = Feed::new();
-        build_plan(self.child, cluster, b, input.clone(), Some(node));
+        let producers = build_plan(self.child, cluster, b, input.clone(), depth + 1);
         // Slot allocated after the subtree's: slot order = execution
         // (topological) order, which is what the report shows.
         let slot: Arc<StatsSlot> = b.new_slot();
         let spec = self.spec;
-        // Task priority = the stage's critical-path depth: upstream stages
-        // outrank the consumers waiting on them, so cross-stage overlap is
-        // scheduling policy, not luck. (Consumers are recorded before
-        // their producers, so this node's consumer chain — what the depth
-        // walks — is complete by now.)
-        let priority = b.depth_of(node);
+        // The stage's tasks run at the priority the shape records.
+        let priority = info.depth;
         b.thunks.push(Box::new(move |pool| {
             let result = catch_unwind(AssertUnwindSafe(|| {
                 run_stage_streamed(cluster, spec, priority, input, out.clone(), base, pool)
@@ -347,6 +343,10 @@ where
             };
             out.close_producer(ok);
         }));
+        PlanShape {
+            kind: NodeKind::Stage(info),
+            producers,
+        }
     }
 }
 
@@ -419,27 +419,33 @@ fn maybe_auto_repartition<'a, T: Send + Sync + Spill + 'a>(
     Plan::Stage(Box::new(StagePlan { child: plan, spec }))
 }
 
-/// Lowers a plan tree into the builder, delivering its output into `out`.
+/// Lowers a plan tree into the builder, delivering its output into `out`,
+/// and returns the producers it registered there (several for a union) as
+/// the lowered tree. `depth` is theirs: 0 when `out` is the collected
+/// terminal, the consuming stage's plus one otherwise.
 fn build_plan<'a, T: Send + Sync + Spill + 'a>(
     plan: Plan<'a, T>,
     cluster: &'a Cluster,
     b: &mut Builder<'a>,
     out: Feed<T>,
-    consumer: Option<usize>,
-) {
+    depth: u32,
+) -> Vec<PlanShape> {
+    let leaf = |kind| {
+        vec![PlanShape {
+            kind,
+            producers: Vec::new(),
+        }]
+    };
     match plan {
         Plan::Input(records) => {
             let base = b.next_base();
             out.register_producer();
             out.add_driver_in(records.len() as u64);
             let (tasks, chunk) = cluster.slice_chunking(records.len());
-            b.add_node(
-                NodeKind::Input {
-                    records: records.len() as u64,
-                    tasks,
-                },
-                consumer,
-            );
+            let shape = leaf(NodeKind::Input {
+                records: records.len() as u64,
+                tasks,
+            });
             // Each record moves once: peeling chunks off the front with
             // `split_off` would re-copy the whole remaining tail per chunk.
             let mut records = records.into_iter();
@@ -450,6 +456,7 @@ fn build_plan<'a, T: Send + Sync + Spill + 'a>(
                 }
             }
             out.close_producer(true);
+            shape
         }
         Plan::Materialized {
             parts,
@@ -459,13 +466,10 @@ fn build_plan<'a, T: Send + Sync + Spill + 'a>(
             let base = b.next_base();
             out.register_producer();
             out.add_driver_in(driver_pending);
-            b.add_node(
-                NodeKind::Materialized {
-                    partitions: parts.iter().filter(|p| p.records() > 0).count(),
-                    records: parts.iter().map(DataPartition::records).sum(),
-                },
-                consumer,
-            );
+            let shape = leaf(NodeKind::Materialized {
+                partitions: parts.iter().filter(|p| p.records() > 0).count(),
+                records: parts.iter().map(DataPartition::records).sum(),
+            });
             for guard in guards {
                 out.add_guard(guard);
             }
@@ -475,8 +479,9 @@ fn build_plan<'a, T: Send + Sync + Spill + 'a>(
                 }
             }
             out.close_producer(true);
+            shape
         }
-        Plan::Stage(node) => node.build(cluster, b, out, consumer),
+        Plan::Stage(node) => vec![node.build(cluster, b, out, depth)],
         // tsjlint:allow(no-panic-in-data-plane) force() returns Failed errors before building
         Plan::Failed(_) => unreachable!(
             "failed handles never reach the builder: force() returns their error first"
@@ -485,10 +490,11 @@ fn build_plan<'a, T: Send + Sync + Spill + 'a>(
             // Left registers (and gets its ordinal base) first, so the
             // consumer's ordinal sort reproduces left-then-right — the
             // same concatenation order stage-at-a-time union used. Both
-            // sides share the consumer: a union is feed plumbing, not a
-            // plan node of its own.
-            build_plan(*left, cluster, b, out.clone(), consumer);
-            build_plan(*right, cluster, b, out, consumer);
+            // sides share the consumer and its depth: a union is feed
+            // plumbing, not a plan node of its own.
+            let mut shapes = build_plan(*left, cluster, b, out.clone(), depth);
+            shapes.extend(build_plan(*right, cluster, b, out, depth));
+            shapes
         }
     }
 }
@@ -511,12 +517,12 @@ fn execute_plan<'a, T: Send + Sync + Spill + 'a>(
 ) -> Result<Executed<T>, JobError> {
     let mut b = Builder::new();
     let out: Feed<T> = Feed::new();
-    build_plan(plan, cluster, &mut b, out.clone(), None);
-    // Analyze the lowered graph before anything runs: in deny mode a
+    let shape = build_plan(plan, cluster, &mut b, out.clone(), 0);
+    // Analyze the lowered tree before anything runs: in deny mode a
     // diagnosed plan fails here (no driver threads have started, so
     // dropping the unrun thunks is safe); in warn mode the diagnostics
     // ride the terminal's report.
-    let diagnostics = analyze_plan(&b.plan_info(), cluster.shuffle_config());
+    let diagnostics = analyze_plan(&shape, cluster.shuffle_config());
     if cluster.plan_check() == PlanCheck::Deny && !diagnostics.is_empty() {
         let rendered: Vec<String> = diagnostics.iter().map(|d| d.to_string()).collect();
         return Err(JobError::Plan {
@@ -819,5 +825,55 @@ impl<'a, T: Send + Sync + Spill + 'a> Dataset<'a, T> {
         self.force()?;
         self.producer_is_last_job = false;
         Ok(std::mem::take(&mut self.report))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn passthrough<'a>(data: Dataset<'a, u32>, name: &str) -> Dataset<'a, u32> {
+        data.map_reduce(
+            name,
+            |&x: &u32, e: &mut Emitter<u32, u32>| e.emit(x, x),
+            |&k: &u32, _vs: Vec<u32>, out: &mut OutputSink<u32>| out.emit(k),
+        )
+        .unwrap()
+    }
+
+    /// Lowers `data`'s plan and lists its stages' depths in report order
+    /// (each stage after its producers, a union's left side first).
+    fn lowered_depths(data: Dataset<'_, u32>) -> Vec<u32> {
+        fn walk(nodes: &[PlanShape], depths: &mut Vec<u32>) {
+            for node in nodes {
+                walk(&node.producers, depths);
+                if let NodeKind::Stage(s) = &node.kind {
+                    depths.push(s.depth);
+                }
+            }
+        }
+        let shape = build_plan(data.plan, data.cluster, &mut Builder::new(), Feed::new(), 0);
+        let mut depths = Vec::new();
+        walk(&shape, &mut depths);
+        depths
+    }
+
+    #[test]
+    fn stage_priority_is_its_depth_below_the_terminal() {
+        let cluster = Cluster::with_machines(4).with_dataset_mode(DatasetMode::Lazy);
+        // A three-stage chain: upstream stages outrank their consumers.
+        let chain = passthrough(
+            passthrough(passthrough(cluster.input_vec(vec![1, 2, 3]), "a"), "b"),
+            "c",
+        );
+        assert_eq!(lowered_depths(chain), [2, 1, 0]);
+        // The TSJ shape: two one-stage producers unioned into a stage. A
+        // union adds no depth, so both sides sit one stage up.
+        let left = passthrough(cluster.input_vec(vec![1, 2]), "left");
+        let right = passthrough(cluster.input_vec(vec![3]), "right");
+        assert_eq!(
+            lowered_depths(passthrough(left.union(right), "join")),
+            [1, 1, 0]
+        );
     }
 }

@@ -21,7 +21,8 @@
 //!   server over a socket with ranged reads, retries, and deadlines
 //!   ([`Transport::Remote`], [`tsj_netshuffle`]), and
 //! * **A simulated cluster clock** — every map task and every reduce group
-//!   is individually timed, charged to one of `machines` *simulated*
+//!   is charged its declared work (records in, records out, explicit
+//!   units — never a wall-clock measurement) to one of `machines` *simulated*
 //!   machines (map tasks round-robin, reduce groups by key hash — exactly
 //!   how a real shuffler routes keys to reducers), and the job's simulated
 //!   runtime is the *makespan*: startup overheads plus the busiest machine's
@@ -48,12 +49,13 @@
 //! [`JobResult`]. See [`JobStats`] for what gets measured and
 //! [`SimReport`] for aggregating a multi-job pipeline.
 //!
-//! Every lowered dataset graph is structurally analyzed before execution
-//! ([`analyze_plan`]): unreachable stages, statically empty inputs,
-//! union partition mismatches, combiner opportunities, and merge fan-in
-//! hazards surface as [`PlanDiagnostic`]s on the terminal's [`SimReport`]
-//! — or, under [`PlanCheck::Deny`], fail the terminal before any stage
-//! runs.
+//! A plan is a tree, and lowering returns it: each stage's depth below the
+//! terminal is its pool priority, and the tree is structurally analyzed
+//! before execution — statically empty inputs, union partition
+//! mismatches, wasted repartitions, combiner opportunities, and merge
+//! fan-in hazards surface as [`PlanDiagnostic`]s on the terminal's
+//! [`SimReport`] — or, under [`PlanCheck::Deny`], fail the terminal before
+//! any stage runs.
 
 // Keeps the stage engine from regrowing into one function: the threshold
 // lives in the workspace `clippy.toml`, and CI runs clippy with
@@ -74,10 +76,7 @@ pub mod spill;
 pub mod transport;
 
 pub use cluster::{Cluster, ClusterConfig, CostModel};
-pub use dag::analyze::{
-    analyze_plan, critical_path_depth, partition_skew, NodeKind, PlanCheck, PlanDiagnostic,
-    PlanInfo, PlanNodeInfo, StageInfo, MERGE_FAN_IN_BUDGET,
-};
+pub use dag::analyze::{PlanCheck, PlanDiagnostic, MERGE_FAN_IN_BUDGET};
 pub use dataset::{DataPartition, Dataset, DatasetMode};
 pub use hash::{fingerprint64, fingerprint_str, FxBuildHasher, FxHasher};
 pub use job::{Emitter, JobError, JobResult, JobStats, OutputSink, PhaseSim};

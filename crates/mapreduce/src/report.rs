@@ -60,9 +60,9 @@ impl SimReport {
     }
 
     /// Plan-analysis findings accumulated over the lowered graphs behind
-    /// these jobs (see [`analyze_plan`](crate::dag::analyze::analyze_plan);
-    /// empty under [`PlanCheck::Deny`](crate::dag::analyze::PlanCheck),
-    /// which fails the terminal instead of reporting).
+    /// these jobs (see [`PlanDiagnostic`] for the checks; empty under
+    /// [`PlanCheck::Deny`](crate::dag::analyze::PlanCheck), which fails
+    /// the terminal instead of reporting).
     pub fn plan_diagnostics(&self) -> &[PlanDiagnostic] {
         &self.plan_diagnostics
     }

@@ -312,8 +312,12 @@ pub(crate) struct TaskSpill {
 /// map output as run files).
 #[derive(Debug)]
 struct BufferSpill {
-    /// `usize::MAX` when only publishing: the buffer never spills early.
+    /// `usize::MAX` when only publishing (the buffer never spills early)
+    /// and after a failed spill (it never tries again).
     threshold: usize,
+    /// The first failed spill write, kept for
+    /// [`PartitionedBuffer::finish_spill`] to return.
+    error: Option<std::io::Error>,
     /// Job dir; the task's file is created lazily on first written run.
     dir: PathBuf,
     task: usize,
@@ -365,6 +369,7 @@ impl<K, V> PartitionedBuffer<K, V> {
         let mut buf = Self::new(partitions);
         buf.spill = Some(BufferSpill {
             threshold: threshold.map_or(usize::MAX, |t| t.max(1)),
+            error: None,
             dir,
             task,
             writer: None,
@@ -414,17 +419,19 @@ impl<K, V> PartitionedBuffer<K, V> {
 impl<K: Spill + Hash, V: Spill> PartitionedBuffer<K, V> {
     /// Spills the whole buffer if it has reached the spill threshold.
     /// Called on every emit, so in-memory records never exceed the
-    /// threshold. Panics on I/O failure (surfaced by the runtime as a map
-    /// worker panic).
+    /// threshold. `emit()` is infallible by signature, so an I/O failure is
+    /// remembered for [`PartitionedBuffer::finish_spill`] and the buffer
+    /// stops spilling: the task is lost, the rest of its output is only
+    /// buffered until it ends.
     #[inline]
     pub(crate) fn maybe_spill(&mut self) {
         if let Some(spill) = &self.spill {
             if self.len >= spill.threshold {
-                // tsjlint:allow(no-panic-in-data-plane) emit() is infallible by
-                // signature; the wave's catch_unwind converts this into a
-                // structured JobError::WorkerPanic that fails only the job
-                self.write_runs()
-                    .unwrap_or_else(|e| panic!("shuffle spill write failed: {e}"));
+                let failed = self.write_runs().err();
+                if let (Some(e), Some(spill)) = (failed, self.spill.as_mut()) {
+                    spill.threshold = usize::MAX;
+                    spill.error = Some(e);
+                }
             }
         }
     }
@@ -465,17 +472,28 @@ impl<K: Spill + Hash, V: Spill> PartitionedBuffer<K, V> {
     /// partition's last run, so the file holds the task's whole output;
     /// otherwise the remaining in-memory records stay in the buffer. The
     /// spill accounting is taken *before* that flush.
-    pub(crate) fn finish_spill(&mut self, publish: bool) -> std::io::Result<Option<TaskSpill>> {
-        let Some(spill) = self.spill.as_ref() else {
+    ///
+    /// An error says whether it belongs to publishing (the flush, or
+    /// finalizing a published file: the transport's failure) or not (a
+    /// spill [`PartitionedBuffer::maybe_spill`] could not write, whatever
+    /// the transport, or finalizing a spill-only file: the disk's).
+    pub(crate) fn finish_spill(
+        &mut self,
+        publish: bool,
+    ) -> Result<Option<TaskSpill>, (bool, std::io::Error)> {
+        let Some(spill) = self.spill.as_mut() else {
             return Ok(None);
         };
+        if let Some(e) = spill.error.take() {
+            return Err((false, e));
+        }
         let spill_runs = spill.runs.iter().map(|runs| runs.len() as u64).sum();
         let (records, bytes) = spill
             .writer
             .as_ref()
             .map_or((0, 0), |w| (w.records, w.bytes));
         if publish {
-            self.write_runs()?;
+            self.write_runs().map_err(|e| (true, e))?;
             // Free the buffers now, inside the map task, rather than when
             // the exchange drops the (empty) leftovers after the barrier.
             self.parts.iter_mut().for_each(|part| *part = Vec::new());
@@ -489,7 +507,7 @@ impl<K: Spill + Hash, V: Spill> PartitionedBuffer<K, V> {
         else {
             return Ok(None);
         };
-        let (file, _path) = writer.into_reader()?;
+        let (file, _path) = writer.into_reader().map_err(|e| (publish, e))?;
         Ok(Some(TaskSpill {
             task: task as u64,
             file,

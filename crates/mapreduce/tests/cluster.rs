@@ -21,7 +21,7 @@ fn test_cluster(machines: usize) -> Cluster {
             spill_secs_per_byte: 0.0,
             transport_secs_per_byte: 0.0,
             cpu_scale: 1.0,
-            work_unit_secs: 0.0, // measured rates: these tests time real work
+            work_unit_secs: 1e-6, // compute is the only charge: declared work × this
         },
     })
 }
@@ -238,11 +238,6 @@ fn simulated_time_scales_down_with_machines() {
                 spill_secs_per_byte: 0.0,
                 transport_secs_per_byte: 0.0,
                 cpu_scale: 1.0,
-                // The deterministic clock: loads are declared work, not
-                // measured time. A measured rate would fold each map
-                // task's publish I/O (1000 tiny run files against 100
-                // under the multi-process transport) into the CPU total,
-                // and the comparison below would then depend on the disk.
                 work_unit_secs: 1e-6,
             },
         });
@@ -300,13 +295,15 @@ fn hot_key_shows_up_as_reduce_skew() {
                     e.emit(key, *n);
                 },
                 |_: &u64, vs: Vec<u64>, out: &mut OutputSink<u64>| {
-                    // Work proportional to group size (like verification).
+                    // Work proportional to group size (like verification),
+                    // declared so the clock charges it.
                     let mut acc = 0u64;
                     for v in &vs {
                         for i in 0..200u64 {
                             acc = acc.wrapping_mul(31).wrapping_add(v + i);
                         }
                     }
+                    out.add_work(200 * vs.len() as u64);
                     out.emit(acc);
                 },
             )
@@ -343,7 +340,7 @@ fn group_overhead_charges_per_group() {
                 spill_secs_per_byte: 0.0,
                 transport_secs_per_byte: 0.0,
                 cpu_scale: 1.0,
-                work_unit_secs: 0.0,
+                work_unit_secs: 1e-6,
             },
         })
         .run(
@@ -358,11 +355,57 @@ fn group_overhead_charges_per_group() {
     let cheap = run(0.0);
     let costly = run(0.01);
     let delta = costly.sim_total_secs - cheap.sim_total_secs;
-    // 512 groups × 0.01s = 5.12 simulated seconds (CPU noise is ≪ 1s).
+    // 512 groups × 0.01s = 5.12 simulated seconds; the compute charge is
+    // declared work, the same in both runs.
     assert!(
-        (delta - 5.12).abs() < 0.5,
+        (delta - 5.12).abs() < 1e-9,
         "expected ≈5.12s of group overhead, got {delta}"
     );
+}
+
+#[test]
+fn simulated_clock_never_sees_wall_time() {
+    // One map task sleeps: real time no thread count can hide. The
+    // simulated clock charges declared work only, so it is bit-identical
+    // across thread counts, and with compute priced at zero it is the
+    // fixed overheads alone.
+    let input: Vec<u64> = (0..64).collect();
+    let run = |threads: usize, work_unit_secs: f64| {
+        Cluster::new(ClusterConfig {
+            machines: 8,
+            threads,
+            partitions: 0,
+            cost: CostModel {
+                job_startup_secs: 4.0,
+                map_worker_startup_secs: 1.0,
+                reduce_group_overhead_secs: 0.0,
+                verify_group_overhead_secs: 0.0,
+                shuffle_secs_per_record: 0.0,
+                spill_secs_per_byte: 0.0,
+                transport_secs_per_byte: 0.0,
+                cpu_scale: 1.0,
+                work_unit_secs,
+            },
+        })
+        .run(
+            "clock",
+            &input,
+            |n: &u64, e: &mut Emitter<u64, u64>| {
+                if *n == 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                }
+                e.emit(n % 8, *n);
+            },
+            |_: &u64, vs: Vec<u64>, out: &mut OutputSink<u64>| out.emit(vs.iter().sum()),
+        )
+        .unwrap()
+        .stats
+        .sim_total_secs
+    };
+    let charged = run(1, 1e-6);
+    assert!(charged > 5.0, "declared work must be charged: {charged}");
+    assert_eq!(charged.to_bits(), run(4, 1e-6).to_bits());
+    assert_eq!(run(4, 0.0).to_bits(), 5.0f64.to_bits());
 }
 
 #[test]

@@ -9,10 +9,12 @@ use tsj_mapreduce::{
 };
 
 fn cluster() -> Cluster {
-    // Pin warn mode so an ambient TSJ_PLAN_CHECK=deny cannot flip the
-    // warn-path assertions; deny-mode tests opt in explicitly. Pin lazy
-    // execution too: multi-stage diagnostics need the whole plan at the
-    // terminal, which an ambient TSJ_DATASET_MODE=eager never builds.
+    // Warn mode is the default and no environment variable changes it;
+    // it is spelled out because the warn-path assertions depend on it
+    // (deny-mode tests opt in explicitly). Lazy execution does have a
+    // variable, so it is pinned: multi-stage diagnostics need the whole
+    // plan at the terminal, which an ambient TSJ_DATASET_MODE=eager never
+    // builds.
     Cluster::with_machines(4)
         .with_plan_check(PlanCheck::Warn)
         .with_dataset_mode(DatasetMode::Lazy)

@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 
 use tsj_mapreduce::{
-    Cluster, ClusterConfig, Count, Dedup, Emitter, JobError, OutputSink, ShuffleConfig,
+    Cluster, ClusterConfig, Count, Dedup, Emitter, JobError, OutputSink, ShuffleConfig, Transport,
 };
 
 fn cluster(machines: usize, threads: usize, partitions: usize) -> Cluster {
@@ -243,6 +243,47 @@ fn spill_dir_is_cleaned_up_after_the_job() {
         leftovers.is_empty(),
         "spill segments must not outlive their job: {leftovers:?}"
     );
+    std::fs::remove_dir_all(&base).unwrap();
+}
+
+#[test]
+fn failed_map_side_spill_is_a_spill_error_under_every_transport() {
+    // The spill directory sits under a regular file, so the first run a
+    // map task's memory bound forces out cannot be written: the disk's
+    // failure, whatever carries the shuffle — and not a worker panic.
+    let base = std::env::temp_dir().join(format!("tsj-spill-fail-test-{}", std::process::id()));
+    std::fs::create_dir_all(&base).unwrap();
+    let blocker = base.join("not-a-directory");
+    std::fs::write(&blocker, b"x").unwrap();
+    let input: Vec<u64> = (0..2000).collect();
+    for transport in [
+        Transport::InProcess,
+        Transport::MultiProcess,
+        Transport::Remote,
+    ] {
+        let err = cluster(4, 2, 0)
+            .with_shuffle_config(ShuffleConfig {
+                spill_dir: Some(blocker.join("spill")),
+                transport,
+                ..ShuffleConfig::bounded(8, 16)
+            })
+            .run(
+                "spill.unwritable",
+                &input,
+                |n: &u64, e: &mut Emitter<u64, u64>| e.emit(*n, 1),
+                |k: &u64, _vs: Vec<u64>, out: &mut OutputSink<u64>| out.emit(*k),
+            )
+            .expect_err("no run can be written: the job cannot succeed");
+        assert!(
+            matches!(err, JobError::Spill { .. }),
+            "{transport:?}: a failed spill write is a spill failure, got {err:?}"
+        );
+    }
+    let leftovers: Vec<_> = std::fs::read_dir(&base)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name())
+        .collect();
+    assert_eq!(leftovers, ["not-a-directory"], "the failed jobs left files");
     std::fs::remove_dir_all(&base).unwrap();
 }
 

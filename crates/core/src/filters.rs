@@ -98,9 +98,8 @@ impl<'a> FilterContext<'a> {
         let budget_check = |sld_lb: u64| nsld_from_sld(sld_lb, la, lb) <= self.t;
 
         // Component 1: sorted-histogram bound.
-        let ha = self.corpus.sorted_token_lens(a);
-        let hb = self.corpus.sorted_token_lens(b);
-        if !budget_check(sld_lower_bound_sorted_lens(&ha, &hb)) {
+        let (ha, hb) = (self.corpus.sorted_lens(a), self.corpus.sorted_lens(b));
+        if !budget_check(sld_lower_bound_sorted_lens(ha, hb)) {
             return false;
         }
 

@@ -21,7 +21,7 @@ use tsj_datagen::workload;
 use tsj_mapreduce::Cluster;
 use tsj_tokenize::{Corpus, NameTokenizer};
 
-fn corpus_of(strings: &[String]) -> Corpus {
+fn corpus_of(strings: &[impl AsRef<str>]) -> Corpus {
     Corpus::build(strings, &NameTokenizer::default())
 }
 
@@ -50,7 +50,7 @@ fn join(
 
 #[test]
 fn fuzzy_equals_brute_force_on_fixed_corpus() {
-    let strings: Vec<String> = [
+    let ascii = [
         "barak obama",
         "barak obamma",
         "burak ubama",
@@ -71,29 +71,43 @@ fn fuzzy_equals_brute_force_on_fixed_corpus() {
         "bob",
         "anna lee kim",
         "ana lee kim",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-    let c = corpus_of(&strings);
-    for t in [0.05, 0.1, 0.15, 0.25] {
-        let truth = brute_force_self_join(&c, t, 4);
-        let got = join(
-            &c,
-            t,
-            ApproximationScheme::FuzzyTokenMatching,
-            DedupStrategy::OneString,
-            None,
-        );
-        assert_eq!(
-            pair_set(&got),
-            pair_set(&truth),
-            "t={t}: TSJ fuzzy != brute force"
-        );
-        // Distances agree too (both exact).
-        for (g, b) in got.iter().zip(truth.iter()) {
-            assert_eq!((g.a, g.b), (b.a, b.b));
-            assert!((g.nsld - b.nsld).abs() < 1e-12);
+    ];
+    // Names whose byte length differs from their character length, next to
+    // their ASCII look-alikes: every layer that measures a token (corpus
+    // lengths, `levenshtein`, MassJoin's char table, `nsld_within`) must
+    // count characters.
+    let multibyte = [
+        "José Müller",
+        "Jose Muller",
+        "Zoë Brontë",
+        "Zoe Bronte",
+        "Łukasz Żółć",
+        "Lukasz Zolc",
+        "İbrahim Çelik",
+        "Ibrahim Celik",
+        "李 小龍",
+        "李 小龙",
+    ];
+    for (strings, thresholds) in [
+        (&ascii[..], &[0.05, 0.1, 0.15, 0.25][..]),
+        (&multibyte[..], &[0.05, 0.1, 0.15, 0.2, 0.25, 0.3][..]),
+    ] {
+        let c = corpus_of(strings);
+        for &t in thresholds {
+            let truth = brute_force_self_join(&c, t, 4);
+            for dedup in [DedupStrategy::OneString, DedupStrategy::BothStrings] {
+                let got = join(&c, t, ApproximationScheme::FuzzyTokenMatching, dedup, None);
+                assert_eq!(
+                    pair_set(&got),
+                    pair_set(&truth),
+                    "t={t} {dedup:?}: TSJ fuzzy != brute force"
+                );
+                // Distances agree too (both exact).
+                for (g, b) in got.iter().zip(truth.iter()) {
+                    assert_eq!((g.a, g.b), (b.a, b.b));
+                    assert!((g.nsld - b.nsld).abs() < 1e-12);
+                }
+            }
         }
     }
 }

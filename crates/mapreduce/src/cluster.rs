@@ -1157,7 +1157,7 @@ where
             parts: emitter.buffer.into_parts(),
             spill,
         },
-        counters: emitter.counters,
+        counters: emitter.counters.into_map(),
     })
 }
 
@@ -1280,7 +1280,7 @@ where
         merge,
         emitted: sink.emitted,
         part,
-        counters: sink.counters,
+        counters: sink.counters.into_map(),
     })
 }
 

@@ -6,6 +6,31 @@ use std::hash::Hash;
 use crate::shuffle::PartitionedBuffer;
 use crate::spill::Spill;
 
+/// One task's user counters. A task bumps a handful of `&'static str`
+/// names, once per *record* on the pipelines' hot paths, so a bump is a
+/// scan of a short list — the same literal matches by address, the same
+/// name from another site by content — not a hash of the name. Task
+/// hand-off converts to the map [`JobStats::counters`] aggregates.
+#[derive(Debug, Default)]
+pub(crate) struct Counters(Vec<(&'static str, u64)>);
+
+impl Counters {
+    #[inline]
+    fn add(&mut self, name: &'static str, delta: u64) {
+        for (n, total) in &mut self.0 {
+            if std::ptr::eq(*n, name) || *n == name {
+                *total += delta;
+                return;
+            }
+        }
+        self.0.push((name, delta));
+    }
+
+    pub(crate) fn into_map(self) -> HashMap<&'static str, u64> {
+        self.0.into_iter().collect()
+    }
+}
+
 /// Collects the `[⟨key2, value2⟩]` output of a map invocation, plus
 /// user-defined counters (candidate counts, filter survival rates, …).
 ///
@@ -19,7 +44,7 @@ use crate::spill::Spill;
 #[derive(Debug)]
 pub struct Emitter<K, V> {
     pub(crate) buffer: PartitionedBuffer<K, V>,
-    pub(crate) counters: HashMap<&'static str, u64>,
+    pub(crate) counters: Counters,
     pub(crate) work_units: u64,
     /// Pairs emitted so far (survives periodic combines and spills, unlike
     /// `buffer.len()`).
@@ -34,7 +59,7 @@ impl<K, V> Emitter<K, V> {
     pub(crate) fn with_buffer(buffer: PartitionedBuffer<K, V>) -> Self {
         Self {
             buffer,
-            counters: HashMap::new(),
+            counters: Counters::default(),
             work_units: 0,
             emitted: 0,
         }
@@ -53,7 +78,7 @@ impl<K, V> Emitter<K, V> {
     /// [`JobStats::counters`]).
     #[inline]
     pub fn add_counter(&mut self, name: &'static str, delta: u64) {
-        *self.counters.entry(name).or_insert(0) += delta;
+        self.counters.add(name, delta);
     }
 }
 
@@ -79,7 +104,7 @@ impl<K: Hash + Spill, V: Spill> Emitter<K, V> {
 #[derive(Debug)]
 pub struct OutputSink<O> {
     pub(crate) out: Vec<O>,
-    pub(crate) counters: HashMap<&'static str, u64>,
+    pub(crate) counters: Counters,
     pub(crate) work_units: u64,
     /// Records emitted so far (survives runtime drains, unlike
     /// `out.len()`).
@@ -92,7 +117,7 @@ impl<O> OutputSink<O> {
     pub fn new() -> Self {
         Self {
             out: Vec::new(),
-            counters: HashMap::new(),
+            counters: Counters::default(),
             work_units: 0,
             emitted: 0,
         }
@@ -100,7 +125,7 @@ impl<O> OutputSink<O> {
 
     /// Consumes the sink, returning its outputs and counters.
     pub fn into_parts(self) -> (Vec<O>, HashMap<&'static str, u64>) {
-        (self.out, self.counters)
+        (self.out, self.counters.into_map())
     }
 
     /// Declares extra simulated work units for the current group, on top
@@ -129,7 +154,7 @@ impl<O> OutputSink<O> {
     /// Increments a named job counter.
     #[inline]
     pub fn add_counter(&mut self, name: &'static str, delta: u64) {
-        *self.counters.entry(name).or_insert(0) += delta;
+        self.counters.add(name, delta);
     }
 }
 
@@ -367,7 +392,7 @@ mod tests {
         e.add_counter("seen", 1);
         assert_eq!(e.buffer.len(), 2);
         assert_eq!(e.emitted, 2);
-        assert_eq!(e.counters["seen"], 3);
+        assert_eq!(e.counters.into_map()["seen"], 3);
     }
 
     #[test]
@@ -375,8 +400,11 @@ mod tests {
         let mut s: OutputSink<u64> = OutputSink::new();
         s.emit(10);
         s.add_counter("out", 1);
-        assert_eq!(s.out, vec![10]);
-        assert_eq!(s.counters["out"], 1);
+        // The same name from another address is the same counter.
+        s.add_counter(String::from("out").leak(), 2);
+        let (out, counters) = s.into_parts();
+        assert_eq!(out, vec![10]);
+        assert_eq!(counters, HashMap::from([("out", 3)]));
     }
 
     #[test]

@@ -16,15 +16,13 @@
 //!    multi-chunk hits) and runs the banded NLD verifier exactly once per
 //!    distinct pair.
 
-use std::sync::Arc;
-
 use tsj_mapreduce::{
     fingerprint64, Cluster, Dedup, Emitter, JobError, OutputSink, SimReport, Spill,
 };
 use tsj_strdist::{max_ld_given_nld, min_len_given_nld};
 
 use crate::segments::{even_partitions, substring_window};
-use crate::serial::{fp_chars, to_chars, verify_nld, MAX_COMPLETE_T};
+use crate::serial::{fp_chars, verify_nld, MAX_COMPLETE_T};
 use crate::SimilarTokenPair;
 
 /// Which role a token plays in a candidate chunk group.
@@ -66,6 +64,32 @@ impl Spill for ChunkRole {
             1 => Some(ChunkRole::Sub(u32::restore(buf)?)),
             _ => None,
         }
+    }
+}
+
+/// Every token's characters, decoded once per join into one arena: token
+/// `i` is `chars[bounds[i]..bounds[i + 1]]`. Both jobs' closures borrow it.
+struct CharTable {
+    chars: Vec<char>,
+    bounds: Vec<usize>,
+}
+
+impl CharTable {
+    fn new(tokens: &[impl AsRef<str>]) -> Self {
+        // A string has at most as many chars as bytes: one allocation each.
+        let mut chars = Vec::with_capacity(tokens.iter().map(|t| t.as_ref().len()).sum());
+        let mut bounds = Vec::with_capacity(tokens.len() + 1);
+        bounds.push(0);
+        for t in tokens {
+            chars.extend(t.as_ref().chars());
+            bounds.push(chars.len());
+        }
+        Self { chars, bounds }
+    }
+
+    #[inline]
+    fn get(&self, id: u32) -> &[char] {
+        &self.chars[self.bounds[id as usize]..self.bounds[id as usize + 1]]
     }
 }
 
@@ -115,10 +139,8 @@ impl<'c> MassJoin<'c> {
         tokens: &[impl AsRef<str>],
     ) -> Result<(Vec<SimilarTokenPair>, SimReport), JobError> {
         let t = self.t;
-        // Shared char vectors: both jobs' closures read them.
-        let chars: Arc<Vec<Vec<char>>> =
-            Arc::new(tokens.iter().map(|tk| to_chars(tk.as_ref())).collect());
-        let ids: Vec<u32> = (0..chars.len() as u32).collect();
+        let chars = CharTable::new(tokens);
+        let ids: Vec<u32> = (0..tokens.len() as u32).collect();
 
         let verified = self
             .cluster
@@ -150,13 +172,13 @@ impl<'c> MassJoin<'c> {
 /// crosses role *sets*, so the `Dedup` combiner drops those duplicates
 /// before the shuffle.
 fn candidate_map(
-    chars: &Arc<Vec<Vec<char>>>,
+    chars: &CharTable,
     t: f64,
-) -> impl Fn(&u32, &mut Emitter<u64, ChunkRole>) + Sync {
-    let chars = Arc::clone(chars);
-    let max_len = chars.iter().map(Vec::len).max().unwrap_or(0);
+) -> impl Fn(&u32, &mut Emitter<u64, ChunkRole>) + Sync + '_ {
+    let lens = chars.bounds.windows(2).map(|w| w[1] - w[0]);
+    let max_len = lens.max().unwrap_or(0);
     move |&id, e| {
-        let x = &chars[id as usize];
+        let x = chars.get(id);
         let lx = x.len();
         if lx == 0 {
             return;
@@ -192,10 +214,9 @@ fn candidate_map(
 /// Job 1's reducer: crosses segment-bearers with substring-bearers under
 /// the length condition and emits candidate id pairs.
 fn candidate_reduce(
-    chars: &Arc<Vec<Vec<char>>>,
+    chars: &CharTable,
     t: f64,
-) -> impl Fn(&u64, Vec<ChunkRole>, &mut OutputSink<(u32, u32)>) + Sync {
-    let chars = Arc::clone(chars);
+) -> impl Fn(&u64, Vec<ChunkRole>, &mut OutputSink<(u32, u32)>) + Sync + '_ {
     move |_chunk, roles, out| {
         let mut segs: Vec<u32> = Vec::new();
         let mut subs: Vec<u32> = Vec::new();
@@ -206,9 +227,9 @@ fn candidate_reduce(
             }
         }
         for &y in &segs {
-            let ly = chars[y as usize].len();
+            let ly = chars.get(y).len();
             for &x in &subs {
-                let lx = chars[x as usize].len();
+                let lx = chars.get(x).len();
                 // Length condition (Lemmas 8–9): probe is shorter.
                 if lx > ly || min_len_given_nld(ly, t) > lx {
                     continue;
@@ -231,15 +252,14 @@ fn candidate_reduce(
 /// shuffle a single record per map task); each distinct pair is verified
 /// by the banded NLD check exactly once.
 fn verify_reduce(
-    chars: &Arc<Vec<Vec<char>>>,
+    chars: &CharTable,
     t: f64,
-) -> impl Fn(&(u32, u32), Vec<()>, &mut OutputSink<SimilarTokenPair>) + Sync {
-    let chars = Arc::clone(chars);
+) -> impl Fn(&(u32, u32), Vec<()>, &mut OutputSink<SimilarTokenPair>) + Sync + '_ {
     move |&(a, b), hits, out| {
         debug_assert!(!hits.is_empty());
         out.add_counter("candidates_distinct", 1);
         out.add_work(5); // banded NLD verification per distinct pair
-        if let Some(p) = verify_nld(a, &chars[a as usize], b, &chars[b as usize], t) {
+        if let Some(p) = verify_nld(a, chars.get(a), b, chars.get(b), t) {
             out.add_counter("pairs_verified", 1);
             out.emit(p);
         }

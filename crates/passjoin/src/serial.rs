@@ -22,7 +22,7 @@ pub(crate) const MAX_COMPLETE_T: f64 = 2.0 / 3.0;
 
 type SegKey = (u32, u16, u64); // (indexed length, segment index, content fp)
 
-pub(crate) fn to_chars(s: &str) -> Vec<char> {
+fn to_chars(s: &str) -> Vec<char> {
     s.chars().collect()
 }
 

@@ -70,8 +70,8 @@ pub fn max_sld_given_nsld(total_len_x: usize, total_len_y: usize, t: f64) -> u64
 /// `Σ |aᵢ − bᵢ|`; ε-padding contributes zeros, which sort first.
 /// Hence `SLD ≥ sld_lower_bound_sorted_lens(sorted lens of x, of y)`.
 ///
-/// Both inputs must be sorted ascending (as produced by
-/// `Corpus::sorted_token_lens` / `TokenizedString::sorted_token_lens`).
+/// Both inputs must be sorted ascending (as stored by
+/// `Corpus::sorted_lens`).
 pub fn sld_lower_bound_sorted_lens(x_lens: &[u32], y_lens: &[u32]) -> u64 {
     debug_assert!(x_lens.windows(2).all(|w| w[0] <= w[1]));
     debug_assert!(y_lens.windows(2).all(|w| w[0] <= w[1]));

@@ -26,8 +26,15 @@ use crate::myers::{self, PeqUnit};
 const SENTINEL: usize = usize::MAX / 2;
 
 /// Above 64 pattern units the bit-parallel kernel costs `⌈m/64⌉` word steps
-/// per text unit versus `2k+1` cell steps for the banded DP; the crossover
-/// measured on the `distances` bench sits near `m ≈ 24·(2k+1)`.
+/// per text unit versus `2k+1` cell steps for the banded DP, which puts the
+/// crossover at `m ≈ c·(2k+1)` for some constant `c`. The `24` is
+/// **unverified since PR 16**, which deleted the `distances` bench it was
+/// measured on: `bench/`'s `strdist.lev_within_k*_ns` replays draw name
+/// tokens of at most 64 units and never reach the banded side.
+/// Re-measuring it takes a `[benchmark]` PR adding a long-input replay
+/// beside them (say `strdist.lev_within_long_k*_ns`): [`levenshtein_within`]
+/// against [`levenshtein_within_slices_banded`] at `k ∈ {1, 2, 4}` on the
+/// same pairs of 128 – 4 096 units, read for where the two curves cross.
 const MYERS_BLOCK_ADVANTAGE: usize = 24;
 
 /// Levenshtein distance between two strings, counting edits over Unicode

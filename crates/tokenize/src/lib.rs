@@ -8,22 +8,21 @@
 //! adversarial case-flips do not defeat the join), while
 //! [`WhitespaceTokenizer`] implements the simpler scheme of Sec. II-A.
 //!
-//! Two representations are provided:
-//!
-//! * [`TokenizedString`] — an owned token multiset with the paper's
-//!   `T(xᵗ)` (token count) and `L(xᵗ)` (aggregate token length) statistics
-//!   and the token-length histogram used by the TSJ pruning filter.
-//! * [`Corpus`] — an interned collection of tokenized strings: every
-//!   distinct token gets a dense [`TokenId`], every string a [`StringId`],
-//!   and the corpus maintains the postings (token → containing strings) and
-//!   document frequencies that both TSJ and the IDF-weighted baseline
-//!   measures need. Joins at the scale of Sec. V only touch ids; token text
-//!   is resolved back only for edit-distance work.
+//! There is one representation of a tokenized string: a row of a
+//! [`Corpus`], an interned collection in which every distinct token gets a
+//! dense [`TokenId`] and every string a [`StringId`]. The corpus *stores*
+//! the token columns (text, character length, postings — token →
+//! containing strings, whose length is the document frequency both TSJ and
+//! the IDF-weighted baseline measures need) and, per string, the raw text,
+//! `L(xᵗ)` (aggregate token length) and a row of token ids with the same
+//! tokens' sorted lengths beside it — the token-length histogram the TSJ
+//! pruning filter reads. `T(xᵗ)` (token count), the token slice and the
+//! histogram slice are *views* of that one row. Joins at the scale of
+//! Sec. V only touch ids; token text is resolved back only for
+//! edit-distance work.
 
 pub mod corpus;
-pub mod tokenized;
 pub mod tokenizer;
 
 pub use corpus::{Corpus, CorpusBuilder, StringId, TokenId};
-pub use tokenized::TokenizedString;
 pub use tokenizer::{NameTokenizer, Tokenizer, WhitespaceTokenizer};

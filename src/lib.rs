@@ -8,7 +8,7 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`strdist`] | `tsj-strdist` | LD, NLD, bounds (Lemmas 3, 8–10), Jaro |
-//! | [`tokenize`] | `tsj-tokenize` | tokenizers, `TokenizedString`, `Corpus` |
+//! | [`tokenize`] | `tsj-tokenize` | tokenizers, `Corpus` (interned strings, postings, the row table) |
 //! | [`assignment`] | `tsj-assignment` | Hungarian / greedy matching |
 //! | [`setdist`] | `tsj-setdist` | SLD, NSLD (Defs. 3–4, Thm. 2) |
 //! | [`mapreduce`] | `tsj-mapreduce` | MapReduce runtime, `Dataset` job graphs + simulated cluster |

@@ -1,10 +1,10 @@
 //! Cross-crate distance consistency: the same values must be reachable
-//! through every public path (raw strings, `TokenizedString`, `Corpus`),
+//! through every public path (raw strings, `Corpus`),
 //! and the paper's running examples must hold everywhere.
 
-use tsj_repro::setdist::{nsld, nsld_from_sld, sld};
+use tsj_repro::setdist::{nsld, sld};
 use tsj_repro::strdist::{levenshtein, nld};
-use tsj_repro::tokenize::{Corpus, NameTokenizer, StringId, TokenizedString, Tokenizer};
+use tsj_repro::tokenize::{Corpus, NameTokenizer, StringId, Tokenizer};
 
 #[test]
 fn paper_running_examples_hold_across_the_stack() {
@@ -36,16 +36,6 @@ fn corpus_and_direct_tokenization_agree() {
             );
         }
     }
-}
-
-#[test]
-fn tokenized_string_statistics_feed_definition4() {
-    let x = TokenizedString::from_str_with("Chan Kalan", &NameTokenizer::default());
-    let y = TokenizedString::from_str_with("Chank Alan", &NameTokenizer::default());
-    assert_eq!(x.total_len(), 9);
-    assert_eq!(y.total_len(), 9);
-    let s = sld(x.tokens(), y.tokens());
-    assert!((nsld_from_sld(s, x.total_len(), y.total_len()) - 0.2).abs() < 1e-12);
 }
 
 #[test]

@@ -4,6 +4,16 @@
 //! Both filters are *sound*: a pruned pair provably has `NSLD > T`, so
 //! fuzzy-token-matching remains exactly equal to the brute-force join (the
 //! property tests in `tests/` check this end to end).
+//!
+//! One [`FilterContext`] per join serves every stage, each calling the
+//! half it is responsible for: the candidate-generating stages ask
+//! `passes_length` before a pair is emitted (it reads two integers, so a
+//! rejected pair is never shuffled), and `tsj.dedup_verify` asks
+//! `passes_histogram` of the de-duplicated survivors. Each answers `true`
+//! when its filter is switched off. [`check`](FilterContext::check) runs
+//! both in the paper's order for callers that hold a pair and want the
+//! verdict. The Lemma 6 arithmetic lives in `passes_length` alone, so
+//! every caller rounds the same way.
 
 use std::collections::HashMap;
 
@@ -67,18 +77,23 @@ impl<'a> FilterContext<'a> {
 
     /// Applies the enabled filters to a candidate pair.
     pub fn check(&self, a: StringId, b: StringId) -> FilterVerdict {
-        if self.length_on && !self.passes_length(a, b) {
+        if !self.passes_length(a, b) {
             return FilterVerdict::PrunedByLength;
         }
-        if self.histogram_on && !self.passes_histogram(a, b) {
+        if !self.passes_histogram(a, b) {
             return FilterVerdict::PrunedByHistogram;
         }
         FilterVerdict::Survives
     }
 
     /// Lemma 6: prune when the aggregate-length lower bound on NSLD
-    /// already exceeds `T` (Sec. III-E1).
-    fn passes_length(&self, a: StringId, b: StringId) -> bool {
+    /// already exceeds `T` (Sec. III-E1). Always passes with the length
+    /// filter off.
+    #[inline]
+    pub(crate) fn passes_length(&self, a: StringId, b: StringId) -> bool {
+        if !self.length_on {
+            return true;
+        }
         let (la, lb) = (self.corpus.total_len(a), self.corpus.total_len(b));
         nsld_lower_bound_from_total_lens(la, lb) <= self.t
     }
@@ -92,8 +107,12 @@ impl<'a> FilterContext<'a> {
     ///   eligible pairs, lower-bounded by its row-minima sum (a sound
     ///   relaxation of the assignment optimum).
     ///
-    /// Prunes when `NSLD(lower bound) > T`.
-    fn passes_histogram(&self, a: StringId, b: StringId) -> bool {
+    /// Prunes when `NSLD(lower bound) > T`. Always passes with the
+    /// histogram filter off.
+    pub(crate) fn passes_histogram(&self, a: StringId, b: StringId) -> bool {
+        if !self.histogram_on {
+            return true;
+        }
         let (la, lb) = (self.corpus.total_len(a), self.corpus.total_len(b));
         let budget_check = |sld_lb: u64| nsld_from_sld(sld_lb, la, lb) <= self.t;
 

@@ -1,12 +1,40 @@
 //! The TSJ pipeline: generate → filter → verify, staged as MapReduce jobs.
 //!
-//! | Job | Paper section | Role |
-//! |---|---|---|
-//! | `tsj.token_stats` | III-G2 | token document frequencies → `M` eligibility |
-//! | `tsj.shared_token` | III-C | candidates sharing an eligible token |
-//! | `massjoin.*` | III-D | NLD self-join of the eligible token space |
-//! | `tsj.expand_similar` | III-D | similar-token pairs × postings → candidates |
-//! | `tsj.dedup_verify` | III-E/F/G3 | dedup, filter, final NSLD verification |
+//! | Job | Paper section | Role | Filter it runs |
+//! |---|---|---|---|
+//! | `tsj.token_stats` | III-G2 | token document frequencies → `M` eligibility | `M` |
+//! | `tsj.shared_token` | III-C, III-E1 | candidates sharing an eligible token | length (Lemma 6) |
+//! | `massjoin.*` | III-D | NLD self-join of the eligible token space | — |
+//! | `tsj.expand_similar` | III-D, III-E1 | similar-token pairs × postings → candidates | length (Lemma 6) |
+//! | `tsj.dedup_verify` | III-E2/F/G3 | dedup, filter, final NSLD verification | histogram (+ Lemma 10) |
+//!
+//! # Where the length filter runs
+//!
+//! Sec. III-E places both filters after de-duplication, in the last
+//! stage. This pipeline departs from that for the length filter: Lemma 6
+//! reads only `L(xᵗ)` and `L(yᵗ)`, which the corpus holds per string, so
+//! the two candidate-generating stages ask it of every pair *as the pair
+//! is formed* and emit only those that pass. At the paper's default point
+//! four candidates in five fail it; checked late, each of them is
+//! combined, shuffled, grouped and sorted first (and under
+//! grouping-on-both-strings costs a reduce group of its own). Output is
+//! unaffected: the verdict (`FilterContext::passes_length`, the one
+//! definition of the Lemma 6 arithmetic) depends on the pair alone, so a
+//! pair pruned at one birth site and formed again at another is pruned
+//! there too. The stage-3 reducer runs the histogram bound and the
+//! verifier only. `pruned_length` is therefore
+//! a counter of `tsj.shared_token` and `tsj.expand_similar`, and counts
+//! pruned *occurrences* (a pair sharing two tokens is counted twice), not
+//! distinct pairs; `candidates_distinct` on `tsj.dedup_verify` counts the
+//! distinct pairs that passed. With `TsjConfig::length_filter` off nobody
+//! runs the check and the stages emit their full cross products.
+//!
+//! The check is the plain per-pair one inside the loops that already form
+//! the pairs, not a sort-by-length two-pointer sweep: posting lists are
+//! capped by `M`, the ≈ 5 M comparisons of the default point cost ≈ 25 ms
+//! of CPU (5 ns each, see `LENGTH_CHECKS_PER_WORK_UNIT`) in a 0.5-s join,
+//! and a sweep would add a per-group sort and a second loop shape to save
+//! part of that.
 //!
 //! # Stage chaining
 //!
@@ -39,7 +67,7 @@ use tsj_passjoin::MassJoin;
 use tsj_tokenize::{Corpus, StringId, TokenId};
 
 use crate::config::{Aligning, CandidateGen, ConfigError, DedupStrategy, TsjConfig};
-use crate::filters::{FilterContext, FilterVerdict, SimilarMap};
+use crate::filters::{FilterContext, SimilarMap};
 use crate::verify::verify_pair;
 
 /// One verified join result: `a < b` and `NSLD(a, b) ≤ T`.
@@ -192,23 +220,15 @@ impl<'c> TsjJoiner<'c> {
             .insert("tokens_dropped_by_M", dropped_tokens);
         report.extend(stats_report);
 
-        // ---- Stage 1: shared-token candidates (Sec. III-C) --------------
-        // Recorded lazily: the stage executes at the final collect, where
-        // its reduce wave overlaps the dedup_verify map wave partition by
-        // partition on the shared worker pool.
-        let shared = self.cluster.input(&string_ids).map_reduce(
-            "tsj.shared_token",
-            shared_token_map(corpus, &eligible),
-            shared_token_reduce(),
-        )?;
-
-        // ---- Stage 2: similar-token candidates (Sec. III-D) -------------
-        // Binding order matters: `candidates` (whose plan holds the stage
-        // closures) must drop before anything those closures borrow.
-        let (similar_map, candidates) = match cfg.scheme.candidates() {
-            CandidateGen::SharedOnly => (None, shared),
+        // ---- Stage 2a: similar tokens (Sec. III-D) ----------------------
+        // Runs before the shared-token stage is *recorded* (that stage
+        // executes at the final collect either way) so that one
+        // `FilterContext`, which borrows the `SimilarMap`, can be handed
+        // to every stage closure below.
+        let (similar_map, expand_input) = match cfg.scheme.candidates() {
+            CandidateGen::SharedOnly => (None, None),
             CandidateGen::SharedAndSimilar => {
-                // 2a: NLD self-join of the eligible token space — itself a
+                // NLD self-join of the eligible token space — itself a
                 // lazy two-stage graph (candidates→verify overlap inside);
                 // the verified token pairs legitimately cross at its
                 // collect (they feed the driver-side SimilarMap the
@@ -220,22 +240,11 @@ impl<'c> TsjJoiner<'c> {
                     MassJoin::new(self.cluster, t).nld_self_join(&texts)?;
                 report.extend(mass_report);
                 let (map, expand_input) = build_similar_map(&elig_tokens, &token_pairs);
-
-                // 2b: expand similar token pairs through the postings,
-                // then union with the shared-token stream — both recorded
-                // lazily, their partitions flowing into dedup_verify
-                // without a barrier (the union is fused feed plumbing).
-                let expanded = self.cluster.input_vec(expand_input).map_reduce_combined(
-                    "tsj.expand_similar",
-                    expand_similar_map(corpus),
-                    &Dedup,
-                    expand_similar_reduce(),
-                )?;
-                (Some(map), shared.union(expanded))
+                (Some(map), Some(expand_input))
             }
         };
-
-        // ---- Stage 3: dedup + filter + verify (Sec. III-E/F/G3) ---------
+        // Declared before the datasets: their plans hold the stage
+        // closures, which must drop before the filter they borrow.
         let filter = FilterContext::new(
             corpus,
             t,
@@ -244,6 +253,36 @@ impl<'c> TsjJoiner<'c> {
             similar_map.as_ref(),
             Some(&eligible),
         );
+
+        // ---- Stage 1: shared-token candidates (Sec. III-C) --------------
+        // Recorded lazily: the stage executes at the final collect, where
+        // its reduce wave overlaps the dedup_verify map wave partition by
+        // partition on the shared worker pool.
+        let shared = self.cluster.input(&string_ids).map_reduce(
+            "tsj.shared_token",
+            shared_token_map(corpus, &eligible),
+            shared_token_reduce(&filter),
+        )?;
+
+        // ---- Stage 2b: similar-token candidates (Sec. III-D) ------------
+        // Expand similar token pairs through the postings, then union
+        // with the shared-token stream — both recorded lazily, their
+        // partitions flowing into dedup_verify without a barrier (the
+        // union is fused feed plumbing).
+        let candidates = match expand_input {
+            None => shared,
+            Some(expand_input) => {
+                let expanded = self.cluster.input_vec(expand_input).map_reduce_combined(
+                    "tsj.expand_similar",
+                    expand_similar_map(corpus, &filter),
+                    &Dedup,
+                    expand_similar_reduce(),
+                )?;
+                shared.union(expanded)
+            }
+        };
+
+        // ---- Stage 3: dedup + histogram filter + verify (Sec. III-E2/F/G3)
         let aligning = cfg.scheme.aligning();
         let verify_overhead = self.cluster.config().cost.verify_group_overhead_secs;
         let verified = match cfg.dedup {
@@ -343,18 +382,48 @@ fn shared_token_map<'a>(
     }
 }
 
+/// How many Lemma 6 checks one simulated work unit
+/// ([`CostModel::work_unit_secs`](tsj_mapreduce::CostModel::work_unit_secs),
+/// 100 ns) pays for. Measured on the `fuzzy-inproc` corpus (100 k strings,
+/// seed 7674385, `T = 0.1`, release build, 2-core container): 5.38 M
+/// `i < j` checks over 120 posting-list-sized groups of 300 random string
+/// ids, 82 % of them pruned, took 5.1–6.2 ns each over five repetitions —
+/// two random `total_len` loads, a divide and a badly predicted branch —
+/// so ≈ 19 to the unit, rounded to 20.
+///
+/// Charged on *pruned* pairs only: a pair that passes is charged one unit
+/// as an output record, which covers its check; a pruned pair emits
+/// nothing, so without this its check would be free on the simulated
+/// clock. With the length filter off nothing is pruned and nothing is
+/// charged.
+const LENGTH_CHECKS_PER_WORK_UNIT: u64 = 20;
+
 /// Stage 1 reducer: every unordered pair of strings sharing the token,
-/// once (self-join symmetry optimization).
-fn shared_token_reduce() -> impl Fn(&u32, Vec<u32>, &mut OutputSink<(u32, u32)>) + Sync {
-    |_token, mut sids, out| {
+/// once (self-join symmetry optimization), **that passes the Lemma 6
+/// length filter** — see the module docs for why the filter runs here.
+///
+/// `shared_token_candidates` counts every pair formed, `pruned_length`
+/// the ones dropped; both are booked once per group.
+fn shared_token_reduce<'a>(
+    filter: &'a FilterContext<'a>,
+) -> impl Fn(&u32, Vec<u32>, &mut OutputSink<Pair>) + Sync + 'a {
+    move |_token, mut sids, out| {
         sids.sort_unstable();
         sids.dedup();
+        let (mut formed, mut pruned) = (0u64, 0u64);
         for i in 0..sids.len() {
             for j in i + 1..sids.len() {
-                out.emit((sids[i], sids[j]));
-                out.add_counter("shared_token_candidates", 1);
+                formed += 1;
+                if filter.passes_length(StringId(sids[i]), StringId(sids[j])) {
+                    out.emit((sids[i], sids[j]));
+                } else {
+                    pruned += 1;
+                }
             }
         }
+        out.add_counter("shared_token_candidates", formed);
+        out.add_counter("pruned_length", pruned);
+        out.add_work(pruned.div_ceil(LENGTH_CHECKS_PER_WORK_UNIT));
     }
 }
 
@@ -383,22 +452,35 @@ fn build_similar_map(
 /// An unordered candidate string-id pair, normalized to `a < b`.
 type Pair = (u32, u32);
 
-/// Stage 2b mapper: crosses a similar token pair's postings lists.
-/// Candidate pairs are keyed on themselves and the reducer only
-/// deduplicates, so the `Dedup` combiner ships one record per distinct
-/// pair per map task.
-fn expand_similar_map(corpus: &Corpus) -> impl Fn(&Pair, &mut Emitter<Pair, ()>) + Sync + '_ {
+/// Stage 2b mapper: crosses a similar token pair's postings lists,
+/// keeping the pairs that pass the Lemma 6 length filter (the same early
+/// check, and the same once-per-record bookkeeping, as
+/// [`shared_token_reduce`]). Candidate pairs are keyed on themselves and
+/// the reducer only deduplicates, so the `Dedup` combiner ships one
+/// record per distinct pair per map task.
+fn expand_similar_map<'a>(
+    corpus: &'a Corpus,
+    filter: &'a FilterContext<'a>,
+) -> impl Fn(&Pair, &mut Emitter<Pair, ()>) + Sync + 'a {
     move |&(ta, tb), e| {
+        let (mut formed, mut pruned) = (0u64, 0u64);
         for &sa in corpus.postings(TokenId(ta)) {
             for &sb in corpus.postings(TokenId(tb)) {
                 if sa == sb {
                     continue;
                 }
-                let key = if sa < sb { (sa.0, sb.0) } else { (sb.0, sa.0) };
-                e.emit(key, ());
-                e.add_counter("similar_token_candidates", 1);
+                formed += 1;
+                if filter.passes_length(sa, sb) {
+                    let key = if sa < sb { (sa.0, sb.0) } else { (sb.0, sa.0) };
+                    e.emit(key, ());
+                } else {
+                    pruned += 1;
+                }
             }
         }
+        e.add_counter("similar_token_candidates", formed);
+        e.add_counter("pruned_length", pruned);
+        e.add_work(pruned.div_ceil(LENGTH_CHECKS_PER_WORK_UNIT));
     }
 }
 
@@ -407,8 +489,10 @@ fn expand_similar_reduce() -> impl Fn(&Pair, Vec<()>, &mut OutputSink<Pair>) + S
     |&pair, _hits, out| out.emit(pair)
 }
 
-/// Stage 3 kernel: filters one deduplicated candidate pair and verifies
-/// the survivors (Sec. III-E/F). Both dedup strategies funnel here.
+/// Stage 3 kernel: runs the histogram filter on one deduplicated
+/// candidate pair and verifies the survivors (Sec. III-E2/F). Both dedup
+/// strategies funnel here. No length check: every pair that reaches this
+/// stage passed it where it was formed.
 fn check_and_verify(
     corpus: &Corpus,
     filter: &FilterContext<'_>,
@@ -419,33 +503,26 @@ fn check_and_verify(
     out: &mut OutputSink<SimilarPair>,
 ) {
     out.add_counter("candidates_distinct", 1);
-    match filter.check(StringId(a), StringId(b)) {
-        FilterVerdict::PrunedByLength => {
-            out.add_counter("pruned_length", 1);
-        }
-        FilterVerdict::PrunedByHistogram => {
-            out.add_counter("pruned_histogram", 1);
-        }
-        FilterVerdict::Survives => {
-            out.add_counter("verified", 1);
-            // NSLD verification costs far more than a filter check, and
-            // Hungarian costs more than greedy; declare it so the
-            // simulated clock tracks the actual cost distribution
-            // (Sec. III-F complexity).
-            out.add_work(crate::verify::verification_work_units(
-                corpus,
-                StringId(a),
-                StringId(b),
-                aligning,
-            ));
-            if let Some(d) = verify_pair(corpus, StringId(a), StringId(b), t, aligning) {
-                out.emit(SimilarPair {
-                    a: StringId(a),
-                    b: StringId(b),
-                    nsld: d,
-                });
-            }
-        }
+    if !filter.passes_histogram(StringId(a), StringId(b)) {
+        out.add_counter("pruned_histogram", 1);
+        return;
+    }
+    out.add_counter("verified", 1);
+    // NSLD verification costs far more than a filter check, and Hungarian
+    // costs more than greedy; declare it so the simulated clock tracks the
+    // actual cost distribution (Sec. III-F complexity).
+    out.add_work(crate::verify::verification_work_units(
+        corpus,
+        StringId(a),
+        StringId(b),
+        aligning,
+    ));
+    if let Some(d) = verify_pair(corpus, StringId(a), StringId(b), t, aligning) {
+        out.emit(SimilarPair {
+            a: StringId(a),
+            b: StringId(b),
+            nsld: d,
+        });
     }
 }
 
@@ -525,6 +602,160 @@ fn distinct_tokens<'a>(corpus: &'a Corpus, s: StringId) -> impl Iterator<Item = 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use tsj_tokenize::NameTokenizer;
+
+    /// Strings of one to three words drawn from eight random words of one
+    /// to eight letters: posting lists several strings long, total lengths
+    /// spread widely enough for Lemma 6 to split them.
+    fn small_corpus(rng: &mut StdRng) -> Corpus {
+        let words: Vec<String> = (0..8)
+            .map(|_| {
+                (0..rng.gen_range(1..=8usize))
+                    .map(|_| char::from(b'a' + rng.gen_range(0..4u8)))
+                    .collect()
+            })
+            .collect();
+        let strings: Vec<String> = (0..14)
+            .map(|_| {
+                let picks: Vec<&str> = (0..rng.gen_range(1..=3usize))
+                    .map(|_| words[rng.gen_range(0..words.len())].as_str())
+                    .collect();
+                picks.join(" ")
+            })
+            .collect();
+        Corpus::build(&strings, &NameTokenizer::default())
+    }
+
+    fn length_only(corpus: &Corpus, t: f64, length_on: bool) -> FilterContext<'_> {
+        FilterContext::new(corpus, t, length_on, false, None, None)
+    }
+
+    /// Runs `shared_token_reduce` on one posting list; returns what it
+    /// emitted and its `(shared_token_candidates, pruned_length)`.
+    fn shared_pairs(filter: &FilterContext<'_>, posting: Vec<u32>) -> (Vec<Pair>, u64, u64) {
+        let mut out = OutputSink::new();
+        shared_token_reduce(filter)(&0, posting, &mut out);
+        let (pairs, counters) = out.into_parts();
+        let read = |name| counters.get(name).copied().unwrap_or(0);
+        (
+            pairs,
+            read("shared_token_candidates"),
+            read("pruned_length"),
+        )
+    }
+
+    /// Runs `expand_similar_map` (and the dedup reducer behind it) on one
+    /// token pair; returns the distinct pairs and the job's
+    /// `(similar_token_candidates, pruned_length)`.
+    fn expanded_pairs(
+        corpus: &Corpus,
+        filter: &FilterContext<'_>,
+        tokens: Pair,
+    ) -> (Vec<Pair>, u64, u64) {
+        let cluster = Cluster::with_machines(2);
+        let (mut pairs, report) = cluster
+            .input_vec(vec![tokens])
+            .map_reduce_combined(
+                "expand",
+                expand_similar_map(corpus, filter),
+                &Dedup,
+                expand_similar_reduce(),
+            )
+            .and_then(|expanded| expanded.collect())
+            .unwrap();
+        pairs.sort_unstable();
+        (
+            pairs,
+            report.counter("similar_token_candidates"),
+            report.counter("pruned_length"),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The birth sites emit exactly the pairs Lemma 6 admits — the
+        /// full product with the length filter off — and book every pair
+        /// formed and every pair pruned.
+        #[test]
+        fn birth_sites_emit_exactly_the_admissible_pairs(seed in 0u64..100_000, t_step in 1u32..=6) {
+            let t = f64::from(t_step) * 0.05;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let corpus = small_corpus(&mut rng);
+            let n = corpus.len() as u32;
+            let posting: Vec<u32> = (0..rng.gen_range(0..=20usize)).map(|_| rng.gen_range(0..n)).collect();
+            let mut sids = posting.clone();
+            sids.sort_unstable();
+            sids.dedup();
+            let tokens = (
+                rng.gen_range(0..corpus.num_tokens() as u32),
+                rng.gen_range(0..corpus.num_tokens() as u32),
+            );
+
+            for length_on in [true, false] {
+                let filter = length_only(&corpus, t, length_on);
+                let admits = |a: u32, b: u32| filter.passes_length(StringId(a), StringId(b));
+
+                let mut product = Vec::new();
+                for (i, &a) in sids.iter().enumerate() {
+                    product.extend(sids[i + 1..].iter().map(|&b| (a, b)));
+                }
+                let expect: Vec<Pair> =
+                    product.iter().copied().filter(|&(a, b)| admits(a, b)).collect();
+                let (got, formed, pruned) = shared_pairs(&filter, posting.clone());
+                prop_assert_eq!(&got, &expect, "shared, t={} on={}", t, length_on);
+                prop_assert_eq!(formed, product.len() as u64);
+                prop_assert_eq!(pruned, (product.len() - expect.len()) as u64);
+
+                let mut cross = Vec::new();
+                for &sa in corpus.postings(TokenId(tokens.0)) {
+                    for &sb in corpus.postings(TokenId(tokens.1)) {
+                        if sa != sb {
+                            cross.push((sa.0.min(sb.0), sa.0.max(sb.0)));
+                        }
+                    }
+                }
+                let kept: Vec<Pair> =
+                    cross.iter().copied().filter(|&(a, b)| admits(a, b)).collect();
+                let mut expect = kept.clone();
+                expect.sort_unstable();
+                expect.dedup();
+                let (got, formed, pruned) = expanded_pairs(&corpus, &filter, tokens);
+                prop_assert_eq!(&got, &expect, "expand, t={} on={}", t, length_on);
+                prop_assert_eq!(formed, cross.len() as u64);
+                prop_assert_eq!(pruned, (cross.len() - kept.len()) as u64);
+                if !length_on {
+                    prop_assert_eq!(kept.len(), cross.len());
+                }
+            }
+        }
+    }
+
+    /// `1 − 9/10` rounds to 0.09999999999999998, so total lengths 9 and 10
+    /// are inside the `T = 0.1` window; 8 and 10 are outside it.
+    #[test]
+    fn birth_sites_keep_the_boundary_pair_and_drop_the_next() {
+        // ids:                        0 (L=8)      1 (L=9)       2 (L=10)
+        let corpus = Corpus::build(
+            ["x abcdefg", "x abcdefgh", "x abcdefghi"],
+            &NameTokenizer::default(),
+        );
+        assert_eq!([0, 1, 2].map(|s| corpus.total_len(StringId(s))), [8, 9, 10]);
+        let filter = length_only(&corpus, 0.1, true);
+        let (pairs, formed, pruned) = shared_pairs(&filter, vec![2, 0, 1]);
+        assert_eq!(pairs, vec![(1, 2)]);
+        assert_eq!((formed, pruned), (3, 2));
+
+        // "x" is token 0 and lists all three strings; crossing it with
+        // itself forms each unordered pair twice.
+        assert_eq!(corpus.postings(TokenId(0)).len(), 3);
+        let (pairs, formed, pruned) = expanded_pairs(&corpus, &filter, (0, 0));
+        assert_eq!(pairs, vec![(1, 2)]);
+        assert_eq!((formed, pruned), (6, 4));
+    }
 
     #[test]
     fn one_string_key_is_deterministic_and_keeps_both_ids() {

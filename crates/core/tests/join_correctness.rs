@@ -252,30 +252,75 @@ fn filters_can_be_disabled_without_changing_results() {
     let w = workload(250, 0.4, 53);
     let c = corpus_of(&w.strings);
     let cluster = Cluster::with_machines(8);
-    let base = TsjConfig {
-        threshold: 0.15,
-        max_token_frequency: None,
-        ..TsjConfig::default()
-    };
-    let with = TsjJoiner::new(&cluster).self_join(&c, &base).unwrap();
-    let without = TsjJoiner::new(&cluster)
-        .self_join(
-            &c,
-            &TsjConfig {
-                length_filter: false,
-                histogram_filter: false,
-                ..base
-            },
-        )
-        .unwrap();
-    assert_eq!(pair_set(&with.pairs), pair_set(&without.pairs));
-    // The filters must actually prune something on this workload.
-    assert!(
-        with.report.counter("pruned_length") + with.report.counter("pruned_histogram") > 0,
-        "filters never fired — workload too easy or filters broken"
-    );
-    // Filtered run verifies fewer candidates.
-    assert!(with.report.counter("verified") <= without.report.counter("verified"));
+    let truth = pair_set(&brute_force_self_join(&c, 0.15, 4));
+    let schemes = [
+        ApproximationScheme::FuzzyTokenMatching,
+        ApproximationScheme::ExactTokenMatching,
+    ];
+    let dedups = [DedupStrategy::OneString, DedupStrategy::BothStrings];
+    for (scheme, dedup) in schemes.into_iter().flat_map(|s| dedups.map(|d| (s, d))) {
+        let run = |length_filter, histogram_filter| {
+            let cfg = TsjConfig {
+                threshold: 0.15,
+                max_token_frequency: None,
+                scheme,
+                dedup,
+                length_filter,
+                histogram_filter,
+            };
+            TsjJoiner::new(&cluster).self_join(&c, &cfg).unwrap()
+        };
+        // What stage 3 saw and did, from its own job's counters.
+        let stage3 = |out: &tsj::JoinOutput, name: &str| {
+            let jobs = out.report.jobs();
+            let job = jobs
+                .iter()
+                .find(|j| j.name.starts_with("tsj.dedup_verify"))
+                .unwrap();
+            job.counter(name)
+        };
+        let with = run(true, true);
+        let length_only = run(true, false);
+        let without = run(false, false);
+        let ctx = format!("{scheme:?} {dedup:?}");
+
+        assert_eq!(pair_set(&with.pairs), pair_set(&without.pairs), "{ctx}");
+        assert_eq!(
+            pair_set(&length_only.pairs),
+            pair_set(&without.pairs),
+            "{ctx}"
+        );
+        if scheme == ApproximationScheme::FuzzyTokenMatching {
+            assert_eq!(pair_set(&with.pairs), truth, "{ctx}");
+        }
+        // Both filters must actually prune something on this workload.
+        assert!(with.report.counter("pruned_length") > 0, "{ctx}");
+        assert!(with.report.counter("pruned_histogram") > 0, "{ctx}");
+        assert_eq!(without.report.counter("pruned_length"), 0, "{ctx}");
+        // The length filter runs where pairs are formed, so stage 3 never
+        // books it and sees no more candidates than the unfiltered run.
+        for out in [&with, &length_only, &without] {
+            assert_eq!(stage3(out, "pruned_length"), 0, "{ctx}");
+        }
+        assert!(
+            stage3(&with, "candidates_distinct") < stage3(&without, "candidates_distinct"),
+            "{ctx}"
+        );
+        assert_eq!(
+            stage3(&with, "candidates_distinct"),
+            stage3(&length_only, "candidates_distinct"),
+            "{ctx}"
+        );
+        // With only the length filter on, stage 3 prunes nothing.
+        assert_eq!(
+            stage3(&length_only, "verified"),
+            stage3(&length_only, "candidates_distinct"),
+            "{ctx}"
+        );
+        // Filtered run verifies fewer candidates.
+        assert!(stage3(&with, "verified") <= stage3(&length_only, "verified"));
+        assert!(stage3(&length_only, "verified") <= stage3(&without, "verified"));
+    }
 }
 
 proptest! {

@@ -9,16 +9,25 @@
 //!   augmenting paths with potentials), the paper's exact verifier;
 //! * [`greedy`] — the *greedy-token-aligning* approximation of Sec. III-G5:
 //!   repeatedly commit the globally lightest remaining edge;
+//! * [`hungarian_within`] / [`greedy_within`] — the same solvers told a
+//!   cost bound up front: they give up (`None`) the moment the cost they
+//!   have committed to passes it, which is how verification asks its
+//!   thresholded question. The unbounded calls are these with no bound;
 //! * [`exhaustive`] — brute-force over all permutations, exposed for
 //!   property tests and tiny instances (`n ≤ 10`).
 //!
 //! All solvers take a square [`SquareMatrix`] of `u64` costs; callers pad
 //! rectangular instances (the SLD layer pads with empty tokens, whose edge
-//! weight to a token `z` is `|z|`).
+//! weight to a token `z` is `|z|`). Up to side 8 the matrix and every
+//! solver's working arrays live on the stack, so a solve that gives up
+//! allocates nothing.
 
 pub mod matrix;
+mod small;
 
 pub use matrix::SquareMatrix;
+
+use small::{SmallBuf, INLINE_SIDE};
 
 /// A perfect matching: `assignment[row] = column`, plus its total cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,31 +60,54 @@ pub struct Matching {
 /// Panics if any cost exceeds `u64::MAX / 4` (headroom for potential
 /// arithmetic; SLD costs are token lengths, far below this).
 pub fn hungarian(m: &SquareMatrix) -> Matching {
+    hungarian_within(m, u64::MAX).expect("no matching costs more than u64::MAX")
+}
+
+/// [`hungarian`] told a bound: the optimal matching when its cost is
+/// `≤ bound`, `None` otherwise — decided as early as the algorithm can.
+///
+/// Rows are inserted one phase at a time, and after each phase `-v[0]`
+/// (the potential of the sentinel column) is the optimum over the rows
+/// inserted so far. Costs are non-negative, so that optimum never
+/// decreases as rows are added: the solver returns `None` at the first
+/// phase whose optimum passes `bound`, without inserting the rest.
+///
+/// ```
+/// use tsj_assignment::{hungarian_within, SquareMatrix};
+/// let m = SquareMatrix::from_rows(&[vec![4, 1, 3], vec![2, 0, 5], vec![3, 2, 2]]);
+/// assert_eq!(hungarian_within(&m, 5).map(|s| s.cost), Some(5));
+/// assert_eq!(hungarian_within(&m, 4), None);
+/// ```
+///
+/// # Panics
+///
+/// As [`hungarian`].
+pub fn hungarian_within(m: &SquareMatrix, bound: u64) -> Option<Matching> {
     let n = m.n();
-    if n == 0 {
-        return Matching {
-            cost: 0,
-            assignment: vec![],
-        };
-    }
     assert!(
         m.iter().all(|c| c <= u64::MAX / 4),
         "costs too large for potential arithmetic"
     );
     const INF: i64 = i64::MAX / 2;
+    type Scratch<T> = SmallBuf<T, { INLINE_SIDE + 1 }>;
 
     // 1-indexed potentials over rows (u) and columns (v); p[j] is the row
     // matched to column j (0 = unmatched sentinel row).
-    let mut u = vec![0i64; n + 1];
-    let mut v = vec![0i64; n + 1];
-    let mut p = vec![0usize; n + 1];
-    let mut way = vec![0usize; n + 1];
+    let (mut u, mut v) = (Scratch::filled(n + 1, 0i64), Scratch::filled(n + 1, 0i64));
+    let (mut p, mut way) = (
+        Scratch::filled(n + 1, 0usize),
+        Scratch::filled(n + 1, 0usize),
+    );
+    let (mut minv, mut used) = (Scratch::filled(n + 1, INF), Scratch::filled(n + 1, false));
+    // Borrow each buffer as a plain slice once, not per access.
+    let (u, v, p, way) = (&mut *u, &mut *v, &mut *p, &mut *way);
+    let (minv, used, costs) = (&mut *minv, &mut *used, m.cells());
 
     for i in 1..=n {
         p[0] = i;
         let mut j0 = 0usize;
-        let mut minv = vec![INF; n + 1];
-        let mut used = vec![false; n + 1];
+        minv.fill(INF);
+        used.fill(false);
         loop {
             used[j0] = true;
             let i0 = p[j0];
@@ -85,7 +117,7 @@ pub fn hungarian(m: &SquareMatrix) -> Matching {
                 if used[j] {
                     continue;
                 }
-                let cur = m.get(i0 - 1, j - 1) as i64 - u[i0] - v[j];
+                let cur = costs[(i0 - 1) * n + j - 1] as i64 - u[i0] - v[j];
                 if cur < minv[j] {
                     minv[j] = cur;
                     way[j] = j0;
@@ -117,6 +149,10 @@ pub fn hungarian(m: &SquareMatrix) -> Matching {
                 break;
             }
         }
+        // -v[0] ≥ 0: the optimum over rows 1..=i.
+        if (-v[0]) as u64 > bound {
+            return None;
+        }
     }
 
     let mut assignment = vec![0usize; n];
@@ -130,7 +166,7 @@ pub fn hungarian(m: &SquareMatrix) -> Matching {
         .enumerate()
         .map(|(i, &j)| m.get(i, j))
         .sum();
-    Matching { cost, assignment }
+    Some(Matching { cost, assignment })
 }
 
 /// Greedy-token-aligning (Sec. III-G5): select the globally minimum-weight
@@ -144,20 +180,28 @@ pub fn hungarian(m: &SquareMatrix) -> Matching {
 /// Ties are broken by `(cost, row, column)` so the approximation is
 /// deterministic across runs and platforms.
 pub fn greedy(m: &SquareMatrix) -> Matching {
+    greedy_within(m, u64::MAX).expect("no matching costs more than u64::MAX")
+}
+
+/// [`greedy`] told a bound: its matching when the cost is `≤ bound`,
+/// `None` otherwise. The committed cost only grows as edges are taken, so
+/// the walk stops at the first edge that carries it past `bound`.
+pub fn greedy_within(m: &SquareMatrix, bound: u64) -> Option<Matching> {
     let n = m.n();
-    let mut edges: Vec<(u64, u32, u32)> = Vec::with_capacity(n * n);
+    let mut edges = SmallBuf::<_, { INLINE_SIDE * INLINE_SIDE }>::filled(n * n, (0, 0, 0));
     for i in 0..n {
         for j in 0..n {
-            edges.push((m.get(i, j), i as u32, j as u32));
+            edges[i * n + j] = (m.get(i, j), i as u32, j as u32);
         }
     }
     edges.sort_unstable();
-    let mut row_used = vec![false; n];
-    let mut col_used = vec![false; n];
-    let mut assignment = vec![usize::MAX; n];
+    type Scratch<T> = SmallBuf<T, INLINE_SIDE>;
+    let (mut row_used, mut col_used) = (Scratch::filled(n, false), Scratch::filled(n, false));
+    let mut assignment = Scratch::filled(n, usize::MAX);
+    let (row_used, col_used, assignment) = (&mut *row_used, &mut *col_used, &mut *assignment);
     let mut cost = 0u64;
     let mut matched = 0usize;
-    for (w, i, j) in edges {
+    for &(w, i, j) in edges.iter() {
         let (i, j) = (i as usize, j as usize);
         if row_used[i] || col_used[j] {
             continue;
@@ -166,12 +210,18 @@ pub fn greedy(m: &SquareMatrix) -> Matching {
         col_used[j] = true;
         assignment[i] = j;
         cost += w;
+        if cost > bound {
+            return None;
+        }
         matched += 1;
         if matched == n {
             break;
         }
     }
-    Matching { cost, assignment }
+    Some(Matching {
+        cost,
+        assignment: assignment.to_vec(),
+    })
 }
 
 /// Brute-force minimum over all `n!` permutations. Exposed for tests and

@@ -1,10 +1,13 @@
 //! Dense square cost matrices for the assignment solvers.
 
-/// A dense `n × n` matrix of `u64` costs in row-major order.
+use crate::small::{SmallBuf, INLINE_SIDE};
+
+/// A dense `n × n` matrix of `u64` costs in row-major order, held inline
+/// (no allocation) up to side 8.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SquareMatrix {
     n: usize,
-    data: Vec<u64>,
+    data: SmallBuf<u64, { INLINE_SIDE * INLINE_SIDE }>,
 }
 
 impl SquareMatrix {
@@ -12,19 +15,19 @@ impl SquareMatrix {
     pub fn zeros(n: usize) -> Self {
         Self {
             n,
-            data: vec![0; n * n],
+            data: SmallBuf::filled(n * n, 0),
         }
     }
 
     /// Builds from a cost function.
     pub fn from_fn(n: usize, mut f: impl FnMut(usize, usize) -> u64) -> Self {
-        let mut data = Vec::with_capacity(n * n);
+        let mut m = Self::zeros(n);
         for i in 0..n {
             for j in 0..n {
-                data.push(f(i, j));
+                m.set(i, j, f(i, j));
             }
         }
-        Self { n, data }
+        m
     }
 
     /// Builds from explicit rows.
@@ -38,11 +41,7 @@ impl SquareMatrix {
             rows.iter().all(|r| r.len() == n),
             "rows must form a square matrix"
         );
-        let mut data = Vec::with_capacity(n * n);
-        for r in rows {
-            data.extend_from_slice(r);
-        }
-        Self { n, data }
+        Self::from_fn(n, |i, j| rows[i][j])
     }
 
     /// Side length.
@@ -67,7 +66,13 @@ impl SquareMatrix {
 
     /// Iterates over all costs in row-major order.
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.data.iter().copied()
+        self.cells().iter().copied()
+    }
+
+    /// All costs in row-major order, as one slice.
+    #[inline]
+    pub(crate) fn cells(&self) -> &[u64] {
+        &self.data
     }
 }
 
@@ -89,6 +94,15 @@ mod tests {
         let r = SquareMatrix::from_rows(&[vec![1, 2], vec![3, 4]]);
         assert_eq!(r.get(1, 1), 4);
         assert_eq!(r.iter().sum::<u64>(), 10);
+    }
+
+    #[test]
+    fn past_the_inline_side_the_cells_live_on_the_heap() {
+        let n = INLINE_SIDE + 1;
+        let m = SquareMatrix::from_fn(n, |i, j| (i * n + j) as u64);
+        assert_eq!(m.iter().count(), n * n);
+        assert_eq!(m.get(n - 1, n - 1), (n * n - 1) as u64);
+        assert_eq!(m.clone(), m);
     }
 
     #[test]

@@ -1,10 +1,16 @@
 //! Property tests for the assignment solvers.
 
 use proptest::prelude::*;
-use tsj_assignment::{exhaustive, greedy, hungarian, SquareMatrix};
+use tsj_assignment::{
+    exhaustive, greedy, greedy_within, hungarian, hungarian_within, SquareMatrix,
+};
 
 fn small_matrix() -> impl Strategy<Value = SquareMatrix> {
-    (1usize..=6).prop_flat_map(|n| {
+    matrix_of_side(1..=6)
+}
+
+fn matrix_of_side(sides: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = SquareMatrix> {
+    sides.prop_flat_map(|n| {
         proptest::collection::vec(0u64..50, n * n)
             .prop_map(move |data| SquareMatrix::from_fn(n, |i, j| data[i * n + j]))
     })
@@ -48,6 +54,22 @@ proptest! {
         prop_assert!(is_permutation(&g.assignment));
         let recomputed: u64 = g.assignment.iter().enumerate().map(|(i, &j)| m.get(i, j)).sum();
         prop_assert_eq!(recomputed, g.cost);
+    }
+
+    /// The bounded solvers are the full ones told a bound: at every bound
+    /// from 0 to one past the cost, the full matching when it fits and
+    /// `None` when it does not — on sides 0 to 10, across the inline /
+    /// heap boundary at 8 — and the exhaustive optimum decides the
+    /// Hungarian answer wherever brute force is affordable (n ≤ 6).
+    #[test]
+    fn bounded_solvers_equal_the_full_ones_at_every_bound(m in matrix_of_side(0..=10)) {
+        let (h, g) = (hungarian(&m), greedy(&m));
+        let optimum = (m.n() <= 6).then(|| exhaustive(&m).cost);
+        prop_assert!(optimum.is_none_or(|e| e == h.cost));
+        for bound in 0..=h.cost.max(g.cost) + 1 {
+            prop_assert_eq!(hungarian_within(&m, bound), (h.cost <= bound).then(|| h.clone()));
+            prop_assert_eq!(greedy_within(&m, bound), (g.cost <= bound).then(|| g.clone()));
+        }
     }
 
     /// Uniform matrices: every matching has the same cost, so greedy is

@@ -1,25 +1,41 @@
-//! Candidate-pair pruning (Sec. III-E): the length filter and the
-//! histogram / Lemma 10 SLD lower-bound filter.
+//! Candidate-pair pruning (Sec. III-E) — the length filter and the
+//! histogram / Lemma 10 SLD lower-bound filter — and the edge pricing the
+//! verifier (Sec. III-F) solves on token ids.
 //!
 //! Both filters are *sound*: a pruned pair provably has `NSLD > T`, so
 //! fuzzy-token-matching remains exactly equal to the brute-force join (the
 //! property tests in `tests/` check this end to end).
 //!
 //! One [`FilterContext`] per join serves every stage, each calling the
-//! half it is responsible for: the candidate-generating stages ask
+//! part it is responsible for: the candidate-generating stages ask
 //! `passes_length` before a pair is emitted (it reads two integers, so a
 //! rejected pair is never shuffled), and `tsj.dedup_verify` asks
-//! `passes_histogram` of the de-duplicated survivors. Each answers `true`
-//! when its filter is switched off. [`check`](FilterContext::check) runs
-//! both in the paper's order for callers that hold a pair and want the
-//! verdict. The Lemma 6 arithmetic lives in `passes_length` alone, so
-//! every caller rounds the same way.
+//! `passes_histogram` of the de-duplicated survivors, then `verify`s the
+//! ones that pass. The filters answer `true` when switched off.
+//! [`check`](FilterContext::check) runs both in the paper's order for
+//! callers that hold a pair and want the verdict. The Lemma 6 arithmetic
+//! lives in `passes_length` alone, so every caller rounds the same way.
+//!
+//! **Who prices what.** What candidate generation proved about one token
+//! pair — its exact LD from the [`SimilarMap`], or Lemma 10's lower bound
+//! when two eligible tokens are missing from it — is read in one place,
+//! `ld_evidence`. The histogram filter turns that into a lower bound
+//! (`pair_lower_bound`); the verifier turns it into an edge cost under the
+//! SLD budget `B` (`token_edge`): equal ids cost 0, a length gap or known
+//! bound above `B` saturates without touching text, a map hit is its
+//! stored LD, and only what is left runs a Myers kernel capped at `B`.
+//! `tsj_setdist::nsld_within_priced` owns the rest — the Lemma 6 check,
+//! `B`, the row-minima exit, the budgeted matching and the final NSLD —
+//! so the verdict is `nsld_within`'s on the texts, bit for bit.
 
 use std::collections::HashMap;
 
 use tsj_mapreduce::FxBuildHasher;
-use tsj_setdist::{nsld_from_sld, nsld_lower_bound_from_total_lens, sld_lower_bound_sorted_lens};
-use tsj_strdist::ld_exceeds_bound_given_nld_exceeds;
+use tsj_setdist::{
+    nsld_from_sld, nsld_lower_bound_from_total_lens, nsld_within_priced,
+    sld_lower_bound_sorted_lens, Aligning,
+};
+use tsj_strdist::{ld_exceeds_bound_given_nld_exceeds, levenshtein_within};
 use tsj_tokenize::{Corpus, StringId, TokenId};
 
 /// Exact LDs of every NLD-similar token pair among the join-eligible
@@ -43,6 +59,16 @@ pub struct FilterContext<'a> {
     /// `eligible[token]` = token survived the `M` filter. Lemma 10 may only
     /// be applied to pairs of eligible tokens (others were never joined).
     eligible: Option<&'a [bool]>,
+}
+
+/// What candidate generation already proved about `LD(x, y)` for two
+/// distinct tokens.
+enum LdEvidence {
+    /// A [`SimilarMap`] hit: the LD itself.
+    Exact(u64),
+    /// A lower bound: the length gap, raised by Lemma 10 for two eligible
+    /// tokens the map does not hold.
+    AtLeast(u64),
 }
 
 /// Outcome of filtering, tagged with which filter fired (for counters).
@@ -157,12 +183,70 @@ impl<'a> FilterContext<'a> {
         if x == y {
             return 0;
         }
+        match self.ld_evidence(x, y) {
+            LdEvidence::Exact(ld) | LdEvidence::AtLeast(ld) => ld,
+        }
+    }
+
+    /// Sec. III-F verification on token ids: `Some(NSLD)` when
+    /// `NSLD(a, b) ≤ T` under `aligning`, `None` otherwise — the verdict
+    /// and value of `nsld_within` on the two strings' token texts, reached
+    /// through the [`token_edge`](Self::token_edge) pricing without
+    /// resolving a string to text.
+    pub(crate) fn verify(&self, a: StringId, b: StringId, aligning: Aligning) -> Option<f64> {
+        let (ta, tb) = (self.corpus.tokens(a), self.corpus.tokens(b));
+        let (la, lb) = (self.corpus.total_len(a), self.corpus.total_len(b));
+        nsld_within_priced(
+            la,
+            lb,
+            ta.len(),
+            tb.len(),
+            self.t,
+            aligning,
+            |i, j, budget| match (ta.get(i), tb.get(j)) {
+                (Some(&x), Some(&y)) => self.token_edge(x, y, budget),
+                (Some(&z), None) | (None, Some(&z)) => self.corpus.token_len(z) as u64,
+                (None, None) => 0,
+            },
+        )
+    }
+
+    /// `LD(x, y)` when it is `≤ budget`, otherwise some value above
+    /// `budget` — the pricing contract of `nsld_within_priced`, paying for
+    /// the Myers kernel only when nothing cheaper decides.
+    fn token_edge(&self, x: TokenId, y: TokenId, budget: u64) -> u64 {
+        if x == y {
+            return 0;
+        }
+        let (lx, ly) = (self.corpus.token_len(x), self.corpus.token_len(y));
+        let over = budget + 1;
+        if lx.abs_diff(ly) as u64 > budget {
+            return over; // before the map lookup: it cannot lower this
+        }
+        match self.ld_evidence(x, y) {
+            LdEvidence::Exact(ld) => ld,
+            LdEvidence::AtLeast(lb) if lb > budget => over,
+            LdEvidence::AtLeast(_) => {
+                let (tx, ty) = (self.corpus.token_text(x), self.corpus.token_text(y));
+                levenshtein_within(tx, ty, budget as usize).map_or(over, |ld| ld as u64)
+            }
+        }
+    }
+
+    /// The one reading of the [`SimilarMap`] and the Lemma 10 gate, for two
+    /// distinct tokens.
+    fn ld_evidence(&self, x: TokenId, y: TokenId) -> LdEvidence {
         let (lx, ly) = (self.corpus.token_len(x), self.corpus.token_len(y));
         let len_diff = lx.abs_diff(ly) as u64;
+        // Without a map (exact-token-matching, or `verify_pair`) nothing
+        // was joined, so nothing beyond the length gap is proved.
+        let Some(similar) = self.similar else {
+            return LdEvidence::AtLeast(len_diff);
+        };
         let key = if x.0 <= y.0 { (x.0, y.0) } else { (y.0, x.0) };
-        if let Some(&ld) = self.similar.and_then(|m| m.get(&key)) {
+        if let Some(&ld) = similar.get(&key) {
             // Matched during candidate generation: the LD is known exactly.
-            return ld as u64;
+            return LdEvidence::Exact(u64::from(ld));
         }
         // Not in the similar set. If both tokens were eligible for the
         // token join, the join's completeness proves NLD(x, y) > T, so
@@ -173,9 +257,9 @@ impl<'a> FilterContext<'a> {
         };
         if both_eligible {
             let l10 = ld_exceeds_bound_given_nld_exceeds(lx, ly, self.t) as u64 + 1;
-            len_diff.max(l10)
+            LdEvidence::AtLeast(len_diff.max(l10))
         } else {
-            len_diff
+            LdEvidence::AtLeast(len_diff)
         }
     }
 }
@@ -183,12 +267,28 @@ impl<'a> FilterContext<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use tsj_passjoin::nld_self_join_serial;
-    use tsj_setdist::nsld;
+    use tsj_setdist::{max_sld_given_nsld, nsld, nsld_within};
     use tsj_tokenize::NameTokenizer;
+
+    const ALIGNERS: [Aligning; 2] = [Aligning::Hungarian, Aligning::Greedy];
 
     fn corpus(strings: &[&str]) -> Corpus {
         Corpus::build(strings, &NameTokenizer::default())
+    }
+
+    /// `nsld_within` on the two strings' token texts: what the id verifier
+    /// must reproduce bit for bit.
+    fn on_texts(c: &Corpus, a: StringId, b: StringId, t: f64, aligning: Aligning) -> Option<f64> {
+        nsld_within(&c.token_texts(a), &c.token_texts(b), t, aligning)
+    }
+
+    /// The SLD budget of a pair at `t`.
+    fn budget(c: &Corpus, a: StringId, b: StringId, t: f64) -> u64 {
+        max_sld_given_nsld(c.total_len(a), c.total_len(b), t)
     }
 
     fn similar_map(c: &Corpus, t: f64) -> SimilarMap {
@@ -305,5 +405,158 @@ mod tests {
         let eligible = vec![false; c.num_tokens()];
         let ctx = FilterContext::new(&c, t, true, true, Some(&sim), Some(&eligible));
         assert_eq!(ctx.check(StringId(0), StringId(1)), FilterVerdict::Survives);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The id verifier is `nsld_within` on the texts, for every pair of
+        /// a random corpus, under both aligners, with the join's
+        /// similar-token map and a random eligibility bitmap — and with no
+        /// map at all, as `verify_pair` runs it.
+        #[test]
+        fn id_verifier_equals_the_text_verifier(seed in 0u64..100_000, t_step in 1u32..=8) {
+            let t = f64::from(t_step) * 0.05;
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Eight words of one to seven letters over three: many pairs
+            // within one edit, so map hits, Lemma 10 and Myers all price.
+            let words: Vec<String> = (0..8)
+                .map(|_| {
+                    (0..rng.gen_range(1..=7usize))
+                        .map(|_| char::from(b'a' + rng.gen_range(0..3u8)))
+                        .collect()
+                })
+                .collect();
+            let strings: Vec<String> = (0..10)
+                .map(|_| {
+                    let picks: Vec<&str> = (0..rng.gen_range(1..=4usize))
+                        .map(|_| words[rng.gen_range(0..words.len())].as_str())
+                        .collect();
+                    picks.join(" ")
+                })
+                .collect();
+            let c = Corpus::build(&strings, &NameTokenizer::default());
+            let sim = similar_map(&c, t);
+            let eligible: Vec<bool> = (0..c.num_tokens()).map(|_| rng.gen_range(0..4u8) > 0).collect();
+            let joined = FilterContext::new(&c, t, true, true, Some(&sim), Some(&eligible));
+            let bare = FilterContext::new(&c, t, false, false, None, None);
+            for a in c.string_ids() {
+                for b in c.string_ids() {
+                    for aligning in ALIGNERS {
+                        let want = on_texts(&c, a, b, t, aligning);
+                        prop_assert_eq!(joined.verify(a, b, aligning), want, "{:?} vs {:?} t={}", strings[a.index()], strings[b.index()], t);
+                        prop_assert_eq!(bare.verify(a, b, aligning), want);
+                    }
+                }
+            }
+        }
+    }
+
+    /// One pair decided by each of the verifier's exits, each checked
+    /// against the text verifier and the unthresholded NSLD. The asserts
+    /// before each verdict show the exit is the one that can decide it.
+    #[test]
+    fn each_exit_decides_like_the_text_verifier() {
+        let verdicts = |c: &Corpus, ctx: &FilterContext<'_>, t: f64| {
+            let (a, b) = (StringId(0), StringId(1));
+            let exact = nsld(&c.token_texts(a), &c.token_texts(b));
+            for aligning in ALIGNERS {
+                let got = ctx.verify(a, b, aligning);
+                assert_eq!(got, on_texts(c, a, b, t, aligning));
+                assert_eq!(got.is_some(), exact <= t, "NSLD {exact} at t={t}");
+            }
+        };
+        let token = |c: &Corpus, text: &str| {
+            c.token_ids()
+                .find(|&id| c.token_text(id) == text)
+                .expect("token is in the corpus")
+        };
+
+        // Length gap: |abcdefgh| − |abcde| = 3 > B = 1 prices the edge
+        // without text.
+        let c = corpus(&["abcdefgh ab", "abcde abcde"]);
+        assert_eq!(budget(&c, StringId(0), StringId(1), 0.1), 1);
+        verdicts(
+            &c,
+            &FilterContext::new(&c, 0.1, true, true, None, None),
+            0.1,
+        );
+
+        // Stored LD above B: a map built at 0.5 holds LD(abcdef, abcxyz) = 3
+        // (a superset of the 0.2 map, so still complete at 0.2); B = 2.
+        let c = corpus(&["abcdef xyz", "abcxyz xyz"]);
+        let sim = similar_map(&c, 0.5);
+        let key = (token(&c, "abcdef").0, token(&c, "abcxyz").0);
+        assert_eq!(sim.get(&key), Some(&3));
+        assert_eq!(budget(&c, StringId(0), StringId(1), 0.2), 2);
+        verdicts(
+            &c,
+            &FilterContext::new(&c, 0.2, true, true, Some(&sim), None),
+            0.2,
+        );
+
+        // Lemma 10: abcde and vwxy are eligible, unjoined at 0.3, one
+        // length apart (the gap does not decide) and Lemma 10 proves
+        // LD > 1 = B.
+        let c = corpus(&["abcde", "vwxy"]);
+        let sim = similar_map(&c, 0.3);
+        assert!(sim.is_empty());
+        assert_eq!(budget(&c, StringId(0), StringId(1), 0.3), 1);
+        assert_eq!(ld_exceeds_bound_given_nld_exceeds(5, 4, 0.3), 1);
+        verdicts(
+            &c,
+            &FilterContext::new(&c, 0.3, true, true, Some(&sim), None),
+            0.3,
+        );
+
+        // Row minima: each row's cheapest edge costs 1 ≤ B = 1, their sum
+        // 2 > B.
+        let c = corpus(&["abcd efgh", "abce efgi"]);
+        assert_eq!(budget(&c, StringId(0), StringId(1), 0.2), 1);
+        verdicts(
+            &c,
+            &FilterContext::new(&c, 0.2, true, true, None, None),
+            0.2,
+        );
+
+        // A late Hungarian phase: both rows have a free edge (row minima 0),
+        // to the same column; the second phase's optimum, 0 + LD(abcd,
+        // wxyz) capped at 2, passes B = 1.
+        let c = corpus(&["abcd abcd", "abcd wxyz"]);
+        assert_eq!(budget(&c, StringId(0), StringId(1), 0.2), 1);
+        verdicts(
+            &c,
+            &FilterContext::new(&c, 0.2, true, true, None, None),
+            0.2,
+        );
+
+        // And a pair that passes, every edge priced exactly: NSLD = 0.2.
+        let c = corpus(&["chan kalan", "chank alan"]);
+        let sim = similar_map(&c, 0.2);
+        verdicts(
+            &c,
+            &FilterContext::new(&c, 0.2, true, true, Some(&sim), None),
+            0.2,
+        );
+    }
+
+    /// `verify_pair` has no similar-token map, so it may never assume an
+    /// unjoined pair dissimilar. abcde / abcd: Lemma 10 would bound
+    /// LD > 1 = B, yet LD = 1 and the pair is at NSLD 0.2 ≤ 0.3. The
+    /// join's verifier, whose (here empty) map claims every similar pair,
+    /// saturates the edge; `verify_pair` must not.
+    #[test]
+    fn verify_pair_never_applies_lemma10() {
+        let c = corpus(&["abcde", "abcd"]);
+        let (a, b, t) = (StringId(0), StringId(1), 0.3);
+        assert_eq!(budget(&c, a, b, t), 1);
+        assert_eq!(ld_exceeds_bound_given_nld_exceeds(5, 4, t), 1);
+        let empty = SimilarMap::default();
+        let claims_all = FilterContext::new(&c, t, true, true, Some(&empty), None);
+        for aligning in ALIGNERS {
+            assert_eq!(claims_all.verify(a, b, aligning), None);
+            let d = crate::verify_pair(&c, a, b, t, aligning).expect("NSLD 0.2 ≤ 0.3");
+            assert!((d - 0.2).abs() < 1e-12);
+        }
     }
 }

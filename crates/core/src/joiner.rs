@@ -68,7 +68,7 @@ use tsj_tokenize::{Corpus, StringId, TokenId};
 
 use crate::config::{Aligning, CandidateGen, ConfigError, DedupStrategy, TsjConfig};
 use crate::filters::{FilterContext, SimilarMap};
-use crate::verify::verify_pair;
+use crate::verify::verification_work_units;
 
 /// One verified join result: `a < b` and `NSLD(a, b) ≤ T`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -291,8 +291,8 @@ impl<'c> TsjJoiner<'c> {
                 verify_overhead,
                 |&pair, e: &mut Emitter<(u32, u32), ()>| e.emit(pair, ()),
                 &Dedup,
-                |&(a, b), _hits: Vec<()>, out: &mut OutputSink<SimilarPair>| {
-                    check_and_verify(corpus, &filter, aligning, t, a, b, out);
+                |&pair, _hits: Vec<()>, out: &mut OutputSink<SimilarPair>| {
+                    check_and_verify(corpus, &filter, aligning, [pair], out);
                 },
             )?,
             DedupStrategy::OneString => candidates.map_reduce_combined_with_group_overhead(
@@ -304,7 +304,7 @@ impl<'c> TsjJoiner<'c> {
                 },
                 &Dedup,
                 |&key, values: Vec<u32>, out: &mut OutputSink<SimilarPair>| {
-                    one_string_dedup(corpus, &filter, aligning, t, key, values, out);
+                    one_string_dedup(corpus, &filter, aligning, key, values, out);
                 },
             )?,
         };
@@ -489,41 +489,41 @@ fn expand_similar_reduce() -> impl Fn(&Pair, Vec<()>, &mut OutputSink<Pair>) + S
     |&pair, _hits, out| out.emit(pair)
 }
 
-/// Stage 3 kernel: runs the histogram filter on one deduplicated
-/// candidate pair and verifies the survivors (Sec. III-E2/F). Both dedup
-/// strategies funnel here. No length check: every pair that reaches this
-/// stage passed it where it was formed.
+/// Stage 3 kernel: runs the histogram filter on one reduce group's
+/// deduplicated candidate pairs and verifies the survivors on token ids
+/// (Sec. III-E2/F). Both dedup strategies funnel here. No length check:
+/// every pair that reaches this stage passed it where it was formed.
+///
+/// `candidates_distinct`, `pruned_histogram` and `verified` are tallied in
+/// locals and booked once per group (the same totals as one booking per
+/// pair, without three counter updates per pair).
 fn check_and_verify(
     corpus: &Corpus,
     filter: &FilterContext<'_>,
     aligning: Aligning,
-    t: f64,
-    a: u32,
-    b: u32,
+    pairs: impl IntoIterator<Item = Pair>,
     out: &mut OutputSink<SimilarPair>,
 ) {
-    out.add_counter("candidates_distinct", 1);
-    if !filter.passes_histogram(StringId(a), StringId(b)) {
-        out.add_counter("pruned_histogram", 1);
-        return;
+    let (mut candidates, mut pruned) = (0u64, 0u64);
+    for (a, b) in pairs {
+        let (a, b) = (StringId(a), StringId(b));
+        candidates += 1;
+        if !filter.passes_histogram(a, b) {
+            pruned += 1;
+            continue;
+        }
+        // NSLD verification costs far more than a filter check, and
+        // Hungarian costs more than greedy; declare it so the simulated
+        // clock tracks the modelled cost distribution (Sec. III-F
+        // complexity).
+        out.add_work(verification_work_units(corpus, a, b, aligning));
+        if let Some(nsld) = filter.verify(a, b, aligning) {
+            out.emit(SimilarPair { a, b, nsld });
+        }
     }
-    out.add_counter("verified", 1);
-    // NSLD verification costs far more than a filter check, and Hungarian
-    // costs more than greedy; declare it so the simulated clock tracks the
-    // actual cost distribution (Sec. III-F complexity).
-    out.add_work(crate::verify::verification_work_units(
-        corpus,
-        StringId(a),
-        StringId(b),
-        aligning,
-    ));
-    if let Some(d) = verify_pair(corpus, StringId(a), StringId(b), t, aligning) {
-        out.emit(SimilarPair {
-            a: StringId(a),
-            b: StringId(b),
-            nsld: d,
-        });
-    }
+    out.add_counter("candidates_distinct", candidates);
+    out.add_counter("pruned_histogram", pruned);
+    out.add_counter("verified", candidates - pruned);
 }
 
 /// Stage 3 reducer body for grouping-on-one-string: "the reducer then
@@ -535,21 +535,20 @@ fn one_string_dedup(
     corpus: &Corpus,
     filter: &FilterContext<'_>,
     aligning: Aligning,
-    t: f64,
     key: u32,
     mut values: Vec<u32>,
     out: &mut OutputSink<SimilarPair>,
 ) {
     values.sort_unstable();
     values.dedup();
-    for other in values {
-        let (a, b) = if key < other {
+    let pairs = values.into_iter().map(|other| {
+        if key < other {
             (key, other)
         } else {
             (other, key)
-        };
-        check_and_verify(corpus, filter, aligning, t, a, b, out);
-    }
+        }
+    });
+    check_and_verify(corpus, filter, aligning, pairs, out);
 }
 
 /// Strings that tokenize to nothing are all mutually at NSLD 0

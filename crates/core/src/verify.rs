@@ -1,14 +1,44 @@
 //! Final verification (Sec. III-F): exact or greedy NSLD on a candidate
-//! pair, with the tokenized-string identifiers resolved back to token text.
+//! pair, decided under the SLD budget on token ids.
+//!
+//! The question is thresholded — is `NSLD(a, b) ≤ T`? — so the verifier is
+//! told the budget `B = max_sld_given_nsld(L(a), L(b), T)`, the largest SLD
+//! that answers yes, before it prices a single edge, and stops paying as
+//! soon as `B` is provably spent. Nine verified pairs in ten fail, and
+//! each exit lets a failing pair leave early:
+//!
+//! * an edge whose length gap, Lemma 10 bound or stored LD already exceeds
+//!   `B` is saturated at `B + 1` without running an edit distance; every
+//!   other unequal token pair runs a Myers kernel capped at `B`;
+//! * the row-minima sum of the capped bigraph lower-bounds the matching,
+//!   so the fill stops the moment it passes `B`;
+//! * the Hungarian solver returns as soon as the optimum over the rows
+//!   inserted so far passes `B`, the greedy one as soon as its committed
+//!   cost does.
+//!
+//! None of them changes an answer: an optimum `≤ B` uses no saturated edge
+//! and an optimum `> B` stays above `B` when edges are capped (the full
+//! argument, greedy included, is in `tsj_setdist::sld`), so the output and
+//! every reported NSLD are what the unthresholded bigraph gives. The
+//! pricing itself is [`FilterContext`]'s — the join
+//! verifies with the join's similar-token map, [`verify_pair`] with none.
 
-use tsj_setdist::{nsld_within, Aligning};
+use tsj_setdist::Aligning;
 use tsj_tokenize::{Corpus, StringId};
+
+use crate::filters::FilterContext;
 
 /// Simulated work units for verifying one candidate pair (in the runtime's
 /// ~100 ns units): the `O(L(x)*L(y))` token-bigraph construction plus the
 /// matching itself -- `O(k^3)` Hungarian or `O(k^2 log k)` greedy
 /// (Sec. III-F/III-G5 complexity analysis). This is what makes
 /// greedy-token-aligning *simulate* faster as well as run faster.
+///
+/// A function of lengths and token counts alone, on purpose: the
+/// verifier's early exits (see the [module docs](self)) shorten real time,
+/// not the work the paper's verifier is modelled to do, so they leave
+/// `sim_*` numbers exactly where they were. The simulated clock prices the
+/// algorithm; the wall clock measures this implementation of it.
 pub fn verification_work_units(
     corpus: &Corpus,
     a: StringId,
@@ -28,6 +58,10 @@ pub fn verification_work_units(
 /// Computes `NSLD` for one candidate pair and returns it when it is within
 /// `t` under the chosen aligning.
 ///
+/// The join's verifier without its similar-token map: token pairs are
+/// priced by the length gap and a capped Myers kernel only, so no Lemma 10
+/// bound is ever applied (nothing was joined to prove one).
+///
 /// With [`Aligning::Greedy`] the distance is an upper bound on the exact
 /// NSLD, so an accepted pair is always a true positive (precision 1.0,
 /// Sec. V-B2); some true pairs may be rejected (recall < 1).
@@ -38,9 +72,7 @@ pub fn verify_pair(
     t: f64,
     aligning: Aligning,
 ) -> Option<f64> {
-    let ta = corpus.token_texts(a);
-    let tb = corpus.token_texts(b);
-    nsld_within(&ta, &tb, t, aligning)
+    FilterContext::new(corpus, t, false, false, None, None).verify(a, b, aligning)
 }
 
 #[cfg(test)]

@@ -14,7 +14,10 @@
 //! * [`sld_greedy`] / [`nsld_greedy`] — the greedy-token-aligning
 //!   approximation (Sec. III-G5), an upper bound on the exact distance.
 //! * [`nsld_within`] — thresholded verification with the Lemma 6 length
-//!   pre-filter and the SLD budget derived from `T`.
+//!   pre-filter and the SLD budget derived from `T`, solved by
+//!   [`sld_within`] on a capped bigraph that gives up as soon as the
+//!   budget is provably spent; [`nsld_within_priced`] is the same verdict
+//!   over a caller's edge pricing (TSJ's verifier prices token ids).
 //! * [`bounds`] — Lemma 6 numeric bounds and the sorted-token-length SLD
 //!   lower bound behind the TSJ histogram filter (Sec. III-E2).
 
@@ -25,4 +28,7 @@ pub use bounds::{
     max_sld_given_nsld, nsld_lower_bound_from_total_lens, nsld_upper_bound_lemma6,
     sld_lower_bound_sorted_lens,
 };
-pub use sld::{nsld, nsld_from_sld, nsld_greedy, nsld_within, sld, sld_greedy, Aligning};
+pub use sld::{
+    nsld, nsld_from_sld, nsld_greedy, nsld_within, nsld_within_priced, sld, sld_greedy, sld_within,
+    Aligning,
+};

@@ -1,7 +1,38 @@
 //! SLD / NSLD computation (Definitions 3–4, Sec. III-F).
+//!
+//! Two ways in. [`sld`] / [`nsld`] and their greedy twins build the whole
+//! ε-padded token bigraph with exact Levenshtein weights and solve it:
+//! the unthresholded definitions, kept as the oracle the thresholded path
+//! is tested against. [`nsld_within`] asks the question verification asks
+//! — is `NSLD ≤ t`? — and answers it under the **SLD budget**
+//! `B = max_sld_given_nsld(L(xᵗ), L(yᵗ), t)`, the largest SLD with
+//! `NSLD ≤ t`, known before any edit-distance work:
+//!
+//! 1. **Lemma 6** rules the pair out on `L(xᵗ)`, `L(yᵗ)` alone.
+//! 2. **Capped edges.** The edge pricing ([`nsld_within_priced`] takes it
+//!    from the caller; [`nsld_within`]'s prices text with
+//!    `levenshtein_within(·, ·, B)`) may stop at any value above `B`, and
+//!    [`sld_within`] saturates every such edge at `B + 1`.
+//! 3. **Row minima.** Every perfect matching takes one edge per row, so
+//!    the running sum of row minima lower-bounds the assignment: the fill
+//!    stops the moment it passes `B`.
+//! 4. **The budgeted matching** ([`hungarian_within`] / [`greedy_within`])
+//!    gives up the moment the cost it has committed to passes `B`.
+//!
+//! **Why this is exact.** If the optimum is `≤ B` it uses no edge above
+//! `B`, so the capped matrix has the same optimum. If the optimum is
+//! `> B`, every perfect matching of the capped matrix also costs `> B`
+//! (one that did not would use no saturated edge, so it would cost the
+//! same uncapped). The greedy aligner's pick order among edges `≤ B` is
+//! unchanged and every saturated edge sorts after them, so it commits to
+//! the same edges until it would first take one above `B`, where the
+//! uncapped run also passes `B`. The answer and the reported NSLD are
+//! therefore the unthresholded ones whenever `NSLD ≤ t`, and `None`
+//! exactly when they are not — `tests/props.rs` and the `#[ignore]`d
+//! exhaustive sweep pin both aligners against the oracle.
 
-use tsj_assignment::{greedy, hungarian, SquareMatrix};
-use tsj_strdist::{char_len, levenshtein};
+use tsj_assignment::{greedy, greedy_within, hungarian, hungarian_within, SquareMatrix};
+use tsj_strdist::{char_len, levenshtein, levenshtein_within};
 
 use crate::bounds::{max_sld_given_nsld, nsld_lower_bound_from_total_lens};
 
@@ -102,8 +133,10 @@ pub fn nsld_greedy(x: &[impl AsRef<str>], y: &[impl AsRef<str>]) -> f64 {
 /// chosen aligning, `None` otherwise.
 ///
 /// Applies the Lemma 6 aggregate-length pre-filter before any edit-distance
-/// work, then compares the computed SLD against the budget
-/// `⌊t·(L(xᵗ)+L(yᵗ)) / (2−t)⌋` (the SLD value at which NSLD crosses `t`).
+/// work, then solves the token bigraph under the budget
+/// `⌊t·(L(xᵗ)+L(yᵗ)) / (2−t)⌋` (the SLD value at which NSLD crosses `t`),
+/// pricing each token pair with `levenshtein_within(·, ·, budget)` — see
+/// the [module docs](self) for the exits and why they are exact.
 ///
 /// With [`Aligning::Greedy`] the reported distance is an upper bound, so a
 /// `Some` result is still guaranteed correct (`NSLD ≤ greedy NSLD ≤ t`) —
@@ -114,19 +147,94 @@ pub fn nsld_within(
     t: f64,
     aligning: Aligning,
 ) -> Option<f64> {
+    let (lx, ly) = (total_len(x), total_len(y));
+    nsld_within_priced(
+        lx,
+        ly,
+        x.len(),
+        y.len(),
+        t,
+        aligning,
+        |i, j, budget| match (x.get(i).map(AsRef::as_ref), y.get(j).map(AsRef::as_ref)) {
+            (Some(a), Some(b)) => {
+                levenshtein_within(a, b, budget as usize).map_or(budget + 1, |d| d as u64)
+            }
+            (Some(z), None) | (None, Some(z)) => char_len(z) as u64,
+            (None, None) => 0,
+        },
+    )
+}
+
+/// [`nsld_within`] over any edge pricing: the NSLD verdict for two token
+/// multisets of aggregate lengths `lx`, `ly` and token counts `nx`, `ny`,
+/// whose ε-padded bigraph edge `(i, j)` costs `price(i, j, budget)`.
+///
+/// Index `i ≥ nx` (`j ≥ ny`) names ε. `price` must return the exact edge
+/// cost — `LD` for two tokens, the token's length against ε — or, when
+/// that cost is above `budget`, any value above `budget`. This is the one
+/// copy of the verification arithmetic: the Lemma 6 check, the budget and
+/// the final `nsld_from_sld(s) ≤ t`, in that order.
+pub fn nsld_within_priced(
+    lx: usize,
+    ly: usize,
+    nx: usize,
+    ny: usize,
+    t: f64,
+    aligning: Aligning,
+    mut price: impl FnMut(usize, usize, u64) -> u64,
+) -> Option<f64> {
     if t < 0.0 {
         return None;
     }
-    let (lx, ly) = (total_len(x), total_len(y));
     if nsld_lower_bound_from_total_lens(lx, ly) > t {
         return None; // Lemma 6: lengths alone rule the pair out
     }
-    let s = sld_with(x, y, aligning);
-    if t < 1.0 && s > max_sld_given_nsld(lx, ly, t) {
-        return None;
-    }
+    // No perfect matching costs more than L(xᵗ) + L(yᵗ) (an edge costs at
+    // most its two tokens' lengths), so the cap changes no verdict; it keeps
+    // the budget a pricer sees small when `t ≥ 1` saturates it.
+    let budget = max_sld_given_nsld(lx, ly, t).min((lx + ly) as u64);
+    let s = sld_within(nx, ny, budget, aligning, |i, j| price(i, j, budget))?;
     let d = nsld_from_sld(s, lx, ly);
     (d <= t).then_some(d)
+}
+
+/// Budgeted SLD: `Some(cost)` of the `aligning` matching on the ε-padded
+/// `k × k` bigraph (`k = max(nx, ny)`) whose edge `(i, j)` costs
+/// `price(i, j)`, when that cost is `≤ budget`; `None` otherwise.
+///
+/// Fills the matrix row by row, saturating every price above `budget` at
+/// `budget + 1`, and returns `None` as soon as the running sum of row
+/// minima passes `budget`; then runs [`hungarian_within`] /
+/// [`greedy_within`] under the same budget. Up to `k = 8` nothing is
+/// allocated. Prices must stay below `u64::MAX / 4`.
+pub fn sld_within(
+    nx: usize,
+    ny: usize,
+    budget: u64,
+    aligning: Aligning,
+    mut price: impl FnMut(usize, usize) -> u64,
+) -> Option<u64> {
+    let k = nx.max(ny);
+    let saturated = budget.saturating_add(1);
+    let mut m = SquareMatrix::zeros(k);
+    let mut row_minima = 0u64;
+    for i in 0..k {
+        let mut row_min = saturated;
+        for j in 0..k {
+            let cost = price(i, j).min(saturated);
+            m.set(i, j, cost);
+            row_min = row_min.min(cost);
+        }
+        row_minima = row_minima.saturating_add(row_min);
+        if row_minima > budget {
+            return None;
+        }
+    }
+    let matching = match aligning {
+        Aligning::Hungarian => hungarian_within(&m, budget),
+        Aligning::Greedy => greedy_within(&m, budget),
+    };
+    matching.map(|mm| mm.cost)
 }
 
 fn total_len(tokens: &[impl AsRef<str>]) -> usize {

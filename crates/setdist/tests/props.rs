@@ -1,6 +1,10 @@
-//! Property tests for SLD/NSLD: the paper's Lemmas 4–6, Theorems 2–3, and
-//! the soundness of the greedy approximation and the histogram filter.
+//! Property tests for SLD/NSLD: the paper's Lemmas 4–6, Theorems 2–3, the
+//! soundness of the greedy approximation and the histogram filter, and the
+//! budgeted verifier against the unthresholded oracle.
 
+mod common;
+
+use common::{oracle, threshold_grid, total_len};
 use proptest::prelude::*;
 use tsj_setdist::{
     max_sld_given_nsld, nsld, nsld_from_sld, nsld_greedy, nsld_lower_bound_from_total_lens,
@@ -13,8 +17,11 @@ fn token_multiset() -> impl Strategy<Value = Vec<String>> {
     proptest::collection::vec(proptest::string::string_regex("[ab]{1,6}").unwrap(), 0..4)
 }
 
-fn total_len(tokens: &[String]) -> usize {
-    tokens.iter().map(String::len).sum()
+/// 0–5 tokens of 0–8 letters over three letters: short enough that the
+/// SLD budget is met exactly, missed by one and missed by far, on both
+/// sides of every exit of the budgeted verifier.
+fn budget_probe_multiset() -> impl Strategy<Value = Vec<String>> {
+    proptest::collection::vec(proptest::string::string_regex("[abc]{0,8}").unwrap(), 0..=5)
 }
 
 proptest! {
@@ -91,6 +98,24 @@ proptest! {
                 prop_assert!(v <= t);
             }
             None => prop_assert!(d > t),
+        }
+    }
+
+    /// The budgeted verifier is the unthresholded oracle, bit for bit, under
+    /// both aligners at every `t` of the grid.
+    #[test]
+    fn budgeted_verifier_equals_the_oracle(
+        x in budget_probe_multiset(),
+        y in budget_probe_multiset(),
+    ) {
+        for aligning in [Aligning::Hungarian, Aligning::Greedy] {
+            for t in threshold_grid() {
+                prop_assert_eq!(
+                    nsld_within(&x, &y, t, aligning),
+                    oracle(&x, &y, t, aligning),
+                    "{:?} vs {:?} at t={} ({:?})", x, y, t, aligning
+                );
+            }
         }
     }
 

@@ -17,8 +17,8 @@
 //! Everything is written once, while the corpus is built
 //! ([`CorpusBuilder::push`]); a join only reads. [`Corpus::tokens`], [`Corpus::sorted_lens`] and
 //! [`Corpus::token_count`] (`T`) are three *views* of one row span, and
-//! [`Corpus::token_texts`] resolves a row back to text for edit-distance
-//! work.
+//! [`Corpus::token_texts`] resolves a row back to text for the text-level
+//! APIs (the join itself verifies on token ids).
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -189,7 +189,13 @@ impl Corpus {
         &self.postings[token.index()]
     }
 
-    /// Resolves a string's tokens to their texts.
+    /// Resolves a string's tokens to their texts, in a fresh `Vec`.
+    ///
+    /// Off the join path: TSJ verifies on token ids (the verifier reads
+    /// [`Corpus::token_text`] only for the token pairs it must run an edit
+    /// distance on), so this serves the text-level APIs — the brute-force
+    /// reference join, the metric-space baseline, tests and the benchmark's
+    /// output checks.
     pub fn token_texts(&self, id: StringId) -> Vec<&str> {
         self.tokens(id)
             .iter()

@@ -4,7 +4,7 @@
 //! |---|---|---|---|
 //! | `tsj.token_stats` | III-G2 | token document frequencies → `M` eligibility | `M` |
 //! | `tsj.shared_token` | III-C, III-E1 | candidates sharing an eligible token | length (Lemma 6) |
-//! | `massjoin.*` | III-D | NLD self-join of the eligible token space | — |
+//! | `massjoin.candidates` | III-D | NLD self-join of the eligible token space, verified in its reducers | character set |
 //! | `tsj.expand_similar` | III-D, III-E1 | similar-token pairs × postings → candidates | length (Lemma 6) |
 //! | `tsj.dedup_verify` | III-E2/F/G3 | dedup, filter, final NSLD verification | histogram (+ Lemma 10) |
 //!
@@ -40,10 +40,10 @@
 //!
 //! [`TsjJoiner::self_join`] records the stages as a *lazy*
 //! [`Dataset`](tsj_mapreduce::Dataset) job graph: the candidate-carrying
-//! stages (`tsj.shared_token`, `tsj.expand_similar`, `massjoin.candidates`)
-//! keep their output partitioned *inside the runtime* — the shared-token
-//! and expand-similar streams are `union`ed and flow into `tsj.dedup_verify`
-//! without the candidate set ever materializing in driver memory, so their
+//! stages (`tsj.shared_token`, `tsj.expand_similar`) keep their output
+//! partitioned *inside the runtime* — the two streams are `union`ed and
+//! flow into `tsj.dedup_verify` without the candidate set ever
+//! materializing in driver memory, so their
 //! [`driver_out_records`](tsj_mapreduce::JobStats::driver_out_records) are
 //! zero and driver memory no longer scales with the candidate count. The
 //! recorded stages execute at the final `collect`, where the DAG scheduler
@@ -54,8 +54,8 @@
 //! document frequencies (to build the `M`-eligibility bitmap) and the
 //! similar-token pairs (to build the histogram filter's [`SimilarMap`])
 //! collect early, so the report lists jobs in true execution order
-//! (token_stats, massjoin.*, then the lazily-run candidate stages and the
-//! verifier). `tests/dataset_equivalence.rs` pins this lazy execution
+//! (token_stats, massjoin.candidates, then the lazily-run candidate stages
+//! and the verifier). `tests/dataset_equivalence.rs` pins this lazy execution
 //! byte-identical to stage-at-a-time execution
 //! ([`DatasetMode::Eager`](tsj_mapreduce::DatasetMode)) and to the
 //! brute-force [`reference`](crate::reference) join.
@@ -228,11 +228,11 @@ impl<'c> TsjJoiner<'c> {
         let (similar_map, expand_input) = match cfg.scheme.candidates() {
             CandidateGen::SharedOnly => (None, None),
             CandidateGen::SharedAndSimilar => {
-                // NLD self-join of the eligible token space — itself a
-                // lazy two-stage graph (candidates→verify overlap inside);
-                // the verified token pairs legitimately cross at its
-                // collect (they feed the driver-side SimilarMap the
-                // filters need), so it executes here.
+                // NLD self-join of the eligible token space — one lazy
+                // stage whose reducers verify the token pairs in place;
+                // the verified pairs legitimately cross at its collect
+                // (they feed the driver-side SimilarMap the filters
+                // need), so it executes here.
                 let elig_tokens: Vec<TokenId> =
                     corpus.token_ids().filter(|t| eligible[t.index()]).collect();
                 let texts: Vec<&str> = elig_tokens.iter().map(|&t| corpus.token_text(t)).collect();

@@ -101,11 +101,7 @@ fn shuffle_matrix() -> [ShuffleConfig; 4] {
 
 /// Interior candidate-carrying stages: their output must stay inside the
 /// runtime (that is the dataset layer's entire point).
-const INTERIOR: [&str; 3] = [
-    "tsj.shared_token",
-    "tsj.expand_similar",
-    "massjoin.candidates",
-];
+const INTERIOR: [&str; 2] = ["tsj.shared_token", "tsj.expand_similar"];
 
 fn assert_driver_accounting(report: &SimReport, n_strings: u64) {
     for j in report.jobs() {
@@ -121,8 +117,12 @@ fn assert_driver_accounting(report: &SimReport, n_strings: u64) {
             "tsj.token_stats" | "tsj.shared_token" => {
                 assert_eq!(j.driver_in_records, n_strings, "{}", j.name);
             }
+            // MassJoin's one stage is its collected terminal: its verified
+            // pairs cross exactly once.
+            "massjoin.candidates" => {
+                assert_eq!(j.driver_out_records, j.output_records, "{}", j.name);
+            }
             // Runtime-fed stages: nothing crosses inward.
-            "massjoin.verify" => assert_eq!(j.driver_in_records, 0, "{}", j.name),
             name if name.starts_with("tsj.dedup_verify") => {
                 assert_eq!(j.driver_in_records, 0, "{}", j.name);
                 // Everything a collected terminal stage emits crosses
@@ -265,7 +265,7 @@ fn chained_report_accounts_for_the_driver_boundary() {
         )
         .unwrap();
 
-    // Execution order: token_stats and the MassJoin sub-graph collect
+    // Execution order: token_stats and the one MassJoin stage collect
     // early (their outputs are driver state the later stage closures
     // need); the lazily recorded candidate stages and the verifier all
     // execute at the final collect, in build order.
@@ -275,7 +275,6 @@ fn chained_report_accounts_for_the_driver_boundary() {
         vec![
             "tsj.token_stats",
             "massjoin.candidates",
-            "massjoin.verify",
             "tsj.shared_token",
             "tsj.expand_similar",
             "tsj.dedup_verify.one_string",

@@ -13,9 +13,10 @@
 //!   threshold ([`ld_self_join_serial`]) and an `NLD` threshold
 //!   ([`nld_self_join_serial`]), used as reference implementations and by
 //!   small workloads.
-//! * [`massjoin`] — [`MassJoin`]: the same join staged as two MapReduce
-//!   jobs (chunk-grouping candidate generation, then dedup + banded
-//!   verification), executed on a [`tsj_mapreduce::Cluster`].
+//! * [`massjoin`] — [`MassJoin`]: the same join staged as one MapReduce
+//!   job on a [`tsj_mapreduce::Cluster`]: chunk grouping generates the
+//!   candidates, and each reduce group verifies, behind a character-set
+//!   check, the pairs it owns (every pair is owned by exactly one group).
 //!
 //! **Threshold domain.** The NLD joins guarantee completeness for
 //! `t < 2/3`: beyond that, Lemma 8's cap `U` reaches the token length and

@@ -125,7 +125,7 @@ fn pipeline_report_covers_all_stages() {
     let out = TsjJoiner::new(&cluster)
         .self_join(&corpus, &TsjConfig::default())
         .unwrap();
-    // Execution order: the MassJoin sub-graph collects before the lazily
+    // Execution order: the MassJoin stage collects before the lazily
     // recorded candidate stages execute at the final collect.
     let names: Vec<&str> = out.report.jobs().iter().map(|j| j.name.as_str()).collect();
     assert_eq!(
@@ -133,7 +133,6 @@ fn pipeline_report_covers_all_stages() {
         vec![
             "tsj.token_stats",
             "massjoin.candidates",
-            "massjoin.verify",
             "tsj.shared_token",
             "tsj.expand_similar",
             "tsj.dedup_verify.one_string",
@@ -156,7 +155,7 @@ fn exact_token_matching_skips_the_token_join_jobs() {
             },
         )
         .unwrap();
-    assert_eq!(out.report.jobs().len(), 3, "exact mode runs 3 jobs, not 6");
+    assert_eq!(out.report.jobs().len(), 3, "exact mode runs 3 jobs, not 5");
     assert!(!out
         .report
         .jobs()

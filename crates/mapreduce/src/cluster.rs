@@ -491,7 +491,7 @@ struct ReduceTaskOut<O> {
     groups: u64,
     max_group: u64,
     /// Hierarchical pre-merge effort spent honouring the merge
-    /// fan-in cap (zero on the flat or in-memory paths).
+    /// fan-in cap (zero when the partition fits under the cap).
     merge: MergeEffort,
     /// Records emitted (also counted when drained to a run file).
     emitted: u64,
@@ -1161,10 +1161,12 @@ where
     })
 }
 
-/// One reduce task: groups its partition's segments (in-memory, or a
-/// streaming k-way sort-merge when anything spilled) and feeds each key's
-/// values to `reduce`. Returns the task's counts carrying the finished
-/// output partition to deliver downstream. Runs on a pool worker. `attempt > 0` (a speculative copy) suffixes the merge
+/// One reduce task: groups its partition's segments with the streaming
+/// k-way sort-merge (the one grouping path, whatever the transport and
+/// shuffle bound) and feeds each key's values to `reduce`, in ascending
+/// key fingerprint order. Returns the task's counts carrying the finished
+/// output partition to deliver downstream. Runs on a pool worker.
+/// `attempt > 0` (a speculative copy) suffixes the merge
 /// scratch (under the job directory) and stage-output file names so
 /// concurrent attempts never collide; a losing attempt's files are swept
 /// with the job directories.
@@ -1186,73 +1188,34 @@ where
     let mut max_group = 0u64;
     let mut n_groups = 0u64;
     let mut work = 0u64;
-    let mut merge = MergeEffort::default();
-    if segments.iter().any(Segment::is_spilled) {
-        // External path: stream a k-way sort-merge over the sorted
-        // runs (spilled or published, local or remote) and the
-        // (sorted-on-the-fly) in-memory segments, reducing each key as its run
-        // completes — the partition is never materialized. With a
-        // merge fan-in cap, runs beyond the cap are first folded
-        // hierarchically into scratch runs. Group order: ascending
-        // key fingerprint.
-        merge = merge_segments_capped(
-            segments,
-            shuffle.merge_fan_in,
-            stage.job_dir.as_ref().map(|dir| {
-                if attempt == 0 {
-                    dir.0.join(format!("reduce{partition}.merge"))
-                } else {
-                    dir.0.join(format!("reduce{partition}.s{attempt}.merge"))
-                }
-            }),
-            |key, values| {
-                let n_values = values.len() as u64;
-                max_group = max_group.max(n_values);
-                n_groups += 1;
-                work += n_values;
-                (spec.reduce)(&key, values, &mut sink);
-                if let Some(dir) = stage_out_dir {
-                    drain_stage_output(&mut sink, &mut out_writer, dir, partition, attempt)?;
-                }
-                Ok(())
-            },
-        )?;
-    } else {
-        // In-memory path: group by key, remembering each key's
-        // first occurrence so the group order within a partition
-        // is deterministic (segments arrive in map-task order).
-        let mut groups: HashMap<K, (usize, Vec<V>), crate::hash::FxBuildHasher> =
-            HashMap::default();
-        let mut pos = 0usize;
-        for segment in segments {
-            let Segment::Mem(records) = segment else {
-                // tsjlint:allow(no-panic-in-data-plane) the merge arm above consumed every spilled segment
-                unreachable!("spilled segments take the merge path");
-            };
-            for (_h, k, v) in records {
-                groups
-                    .entry(k)
-                    .or_insert_with(|| (pos, Vec::new()))
-                    .1
-                    .push(v);
-                pos += 1;
+    // Stream a k-way sort-merge over the partition's segments (sorted
+    // runs, spilled or published, local or remote, and in-memory
+    // segments sorted on the fly), reducing each key as its run completes.
+    // With a merge fan-in cap, runs beyond the cap are first folded
+    // hierarchically into scratch runs. Group order: ascending key
+    // fingerprint.
+    let merge = merge_segments_capped(
+        segments,
+        shuffle.merge_fan_in,
+        stage.job_dir.as_ref().map(|dir| {
+            if attempt == 0 {
+                dir.0.join(format!("reduce{partition}.merge"))
+            } else {
+                dir.0.join(format!("reduce{partition}.s{attempt}.merge"))
             }
-        }
-        // tsjlint:allow(no-hashmap-iter-in-output-path) drained in arbitrary order but sorted by first-occurrence position on the next line, before anything is emitted
-        let mut ordered: Vec<(K, (usize, Vec<V>))> = groups.into_iter().collect();
-        ordered.sort_unstable_by_key(|(_, (pos, _))| *pos);
-        n_groups = ordered.len() as u64;
-        for (key, (_, values)) in ordered {
+        }),
+        |key, values| {
             let n_values = values.len() as u64;
             max_group = max_group.max(n_values);
+            n_groups += 1;
             work += n_values;
             (spec.reduce)(&key, values, &mut sink);
             if let Some(dir) = stage_out_dir {
-                drain_stage_output(&mut sink, &mut out_writer, dir, partition, attempt)
-                    .map_err(JobError::from)?;
+                drain_stage_output(&mut sink, &mut out_writer, dir, partition, attempt)?;
             }
-        }
-    }
+            Ok(())
+        },
+    )?;
     work += sink.emitted + sink.work_units;
     let part: Option<DataPartition<O>> = match out_writer {
         // Bounded shuffle: the sink was drained after every group, so the

@@ -82,9 +82,7 @@ pub use hash::{fingerprint64, fingerprint_str, FxBuildHasher, FxHasher};
 pub use job::{Emitter, JobError, JobResult, JobStats, OutputSink, PhaseSim};
 pub use pool::{SchedulerConfig, SchedulerMode, StraggleInjection};
 pub use report::SimReport;
-pub use shuffle::{
-    combine_records, Combiner, Count, Dedup, Min, PartitionedBuffer, ShuffleConfig, Sum,
-};
+pub use shuffle::{combine_records, Combiner, Count, Dedup, PartitionedBuffer, ShuffleConfig};
 pub use spill::{read_varint, write_varint, RunMeta, RunReader, Spill, SpillError, SpillWriter};
 pub use transport::Transport;
 // The network-shuffle knobs callers configure through [`ShuffleConfig`].

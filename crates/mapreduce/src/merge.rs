@@ -1,37 +1,40 @@
-//! The reduce side of the memory-bounded shuffle: a streaming k-way
-//! sort-merge over a partition's segments.
+//! The reduce side of the shuffle: a streaming k-way sort-merge over a
+//! partition's segments.
 //!
 //! A reduce partition's input arrives as *segments*: the in-memory buffers
 //! of map tasks that never spilled, plus zero or more sorted runs in the
 //! map tasks' run files (see [`crate::spill`]), each read where it already
 //! is — a local file, or the stage's run server under the remote
 //! transport ([`crate::transport`]), through one connection per reduce
-//! task. When any segment is a run, the partition is reduced by merging
-//! all segments in key-fingerprint order — the external-sort discipline
-//! real MapReduce reducers use — so the partition is never materialized:
-//! at any moment the reducer holds one read buffer per open run plus the
-//! value run of the single key being reduced.
+//! task. Every partition, under every transport and shuffle bound, is
+//! reduced by merging all its segments in key-fingerprint order — the
+//! external-sort discipline real MapReduce reducers use — so a spilled
+//! partition is never materialized: at any moment the reducer holds one
+//! read buffer per open run, the in-memory segments, and the value run of
+//! the single key being reduced. Adjacent in-memory segments are
+//! concatenated and sorted as one block, which yields the same record
+//! order as merging them one by one.
 //!
 //! # Bounded fan-in
 //!
 //! With an unbounded merge, pathologically tiny spill thresholds mean one
 //! open run (file-handle + read buffer) per spilled run. A
 //! [`ShuffleConfig::merge_fan_in`](crate::shuffle::ShuffleConfig) caps
-//! that: when a partition has more segments than the cap,
-//! `merge_segments_capped` first runs *pre-merge passes* that fold
-//! consecutive chunks of at most `fan_in` segments into single sorted runs
-//! in a per-reduce-task scratch file, then k-way-merges the survivors.
+//! that: when a partition has more segments than the cap (a block of
+//! adjacent in-memory segments counts as one, so an all-memory partition
+//! is never pre-merged), `merge_segments_capped` first runs *pre-merge
+//! passes* that fold consecutive chunks of at most `fan_in` segments into
+//! single sorted runs in a per-reduce-task scratch file, then
+//! k-way-merges the survivors.
 //! Chunks are consecutive in segment order and the pre-merge preserves
 //! `(fingerprint, within-chunk segment index)` order, so the final merge
 //! sees records in exactly the order the flat merge would — the grouping,
 //! group order, and therefore job output are *identical* with and without
 //! the cap.
 //!
-//! Group order under the merge is ascending key fingerprint (ties between
-//! distinct keys sharing a fingerprint resolve to first-occurrence order
-//! within the merged run) — different from the first-occurrence order of
-//! the purely in-memory path, but equally deterministic given the input
-//! and the partition count.
+//! Group order is one rule everywhere: ascending key fingerprint, with
+//! distinct keys that share a fingerprint in first-occurrence order within
+//! the merged run.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -56,10 +59,35 @@ pub(crate) enum Segment<K, V> {
     Spilled { source: RunSource, meta: RunMeta },
 }
 
-impl<K, V> Segment<K, V> {
-    pub(crate) fn is_spilled(&self) -> bool {
-        matches!(self, Segment::Spilled { .. })
+/// Concatenates every block of adjacent [`Segment::Mem`]s into one, in
+/// segment order. A stable sort of the block then yields the same
+/// `(fingerprint, segment index, position)` order the heap would, with one
+/// stream instead of several.
+fn coalesce_mem<K, V>(segments: Vec<Segment<K, V>>) -> Vec<Segment<K, V>> {
+    let mut out = Vec::with_capacity(segments.len());
+    let mut block: Vec<Vec<ShuffleRecord<K, V>>> = Vec::new();
+    let end_block = |block: &mut Vec<Vec<ShuffleRecord<K, V>>>, out: &mut Vec<Segment<K, V>>| {
+        if block.len() > 1 {
+            let mut records = Vec::with_capacity(block.iter().map(Vec::len).sum());
+            for part in block.drain(..) {
+                records.extend(part);
+            }
+            out.push(Segment::Mem(records));
+        } else if let Some(records) = block.pop() {
+            out.push(Segment::Mem(records));
+        }
+    };
+    for segment in segments {
+        match segment {
+            Segment::Mem(records) => block.push(records),
+            spilled => {
+                end_block(&mut block, &mut out);
+                out.push(spilled);
+            }
+        }
     }
+    end_block(&mut block, &mut out);
+    out
 }
 
 /// A sorted record source being merged: an in-memory segment or a
@@ -112,6 +140,14 @@ where
     V: Spill,
     F: FnMut(ShuffleRecord<K, V>) -> Result<(), SpillError>,
 {
+    if let [stream] = &mut streams[..] {
+        // One sorted stream (e.g. an all-memory partition): nothing to
+        // interleave.
+        while let Some(record) = stream.next()? {
+            on_record(record)?;
+        }
+        return Ok(());
+    }
     // One lookahead record per stream; the heap orders stream heads by
     // (fingerprint, stream index) so equal-fingerprint records drain
     // stream-by-stream in segment order.
@@ -183,9 +219,10 @@ pub(crate) struct MergeEffort {
 }
 
 /// [`merge_segments`] with a fan-in cap: when `fan_in` is set and
-/// `segments` exceeds it, consecutive chunks of at most `fan_in` segments
-/// are pre-merged into single sorted runs in `scratch_file` (hierarchical
-/// external merge) until at most `fan_in` runs remain, then the survivors
+/// `segments` exceeds it (a block of adjacent in-memory segments counts as
+/// one), consecutive chunks of at most `fan_in` segments are pre-merged
+/// into single sorted runs in `scratch_file` (hierarchical external
+/// merge) until at most `fan_in` runs remain, then the survivors
 /// are merged with full grouping. Grouping and group order are identical
 /// to the flat merge (see the module docs). Returns the pre-merge effort
 /// ([`MergeEffort::default`] = the flat path).
@@ -207,7 +244,7 @@ where
     V: Spill,
     F: FnMut(K, Vec<V>) -> Result<(), SpillError>,
 {
-    let mut segments = segments;
+    let mut segments = coalesce_mem(segments);
     let mut effort = MergeEffort::default();
     let mut client: Option<SharedFetchClient> = None;
     if let (Some(cap), Some(scratch)) = (fan_in, scratch_file) {
@@ -393,7 +430,9 @@ mod tests {
             )
             .unwrap();
             assert_eq!(got, flat, "cap {cap}");
-            if cap < 25 {
+            // 23 runs + the fixture's two trailing in-memory segments,
+            // which form one block: 24 segments count against the cap.
+            if cap < 24 {
                 assert!(effort.passes > 0, "cap {cap} must trigger pre-merge passes");
                 assert!(
                     effort.scratch_bytes > 0,
@@ -401,6 +440,112 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn interleaved_mem_and_runs_match_a_stable_sort_oracle() {
+        // Keys 0..20 on five fingerprints, so every fingerprint run holds
+        // colliding keys; in-memory segments are unsorted, runs sorted.
+        let dir = create_job_spill_dir(&std::env::temp_dir()).unwrap();
+        let guard = SpillDirGuard(dir.clone());
+        let mut w = SpillWriter::create(dir.join("task0.spill")).unwrap();
+        let mut x = 11u64;
+        let mut layout: Vec<(bool, Vec<ShuffleRecord<u64, u64>>)> = Vec::new();
+        for (s, spilled) in [false, false, true, false, true, true, false, false]
+            .into_iter()
+            .enumerate()
+        {
+            let mut records: Vec<ShuffleRecord<u64, u64>> = (0..30u64)
+                .map(|i| {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let key = (x >> 33) % 20;
+                    (key % 5, key, s as u64 * 100 + i)
+                })
+                .collect();
+            if spilled {
+                records.sort_by_key(|(h, _, _)| *h);
+            }
+            layout.push((spilled, records));
+        }
+        // Oracle: every record tagged (fingerprint, segment, position) in a
+        // segment's own order (a run's is its sorted order), stably
+        // sorted, then split into fingerprint runs grouped by full key in
+        // first-occurrence order.
+        let mut all: Vec<ShuffleRecord<u64, u64>> =
+            layout.iter().flat_map(|(_, r)| r.clone()).collect();
+        all.sort_by_key(|(h, _, _)| *h);
+        let mut want: Vec<(u64, Vec<u64>)> = Vec::new();
+        let mut run_start = 0;
+        for (i, (h, key, value)) in all.iter().enumerate() {
+            if i > 0 && all[i - 1].0 != *h {
+                run_start = want.len();
+            }
+            match want[run_start..].iter_mut().find(|(k, _)| k == key) {
+                Some((_, values)) => values.push(*value),
+                None => want.push((*key, vec![*value])),
+            }
+        }
+        let metas: Vec<Option<RunMeta>> = layout
+            .iter()
+            .map(|(spilled, r)| spilled.then(|| w.write_run(r).unwrap()))
+            .collect();
+        let (file, _) = w.into_reader().unwrap();
+        let segments = || -> Vec<Segment<u64, u64>> {
+            layout
+                .iter()
+                .zip(&metas)
+                .map(|((_, records), meta)| match meta {
+                    Some(meta) => Segment::Spilled {
+                        source: RunSource::Local(Arc::clone(&file)),
+                        meta: *meta,
+                    },
+                    None => Segment::Mem(records.clone()),
+                })
+                .collect()
+        };
+        assert_eq!(collect(segments()), want, "flat");
+        let mut got = Vec::new();
+        let effort = merge_segments_capped(
+            segments(),
+            Some(2),
+            Some(guard.0.join("reduce0.merge")),
+            |k, vs| {
+                got.push((k, vs));
+                Ok(())
+            },
+        )
+        .unwrap();
+        assert!(effort.passes > 0);
+        assert_eq!(got, want, "fan-in 2");
+    }
+
+    #[test]
+    fn all_mem_partition_is_never_pre_merged() {
+        let segments = || -> Vec<Segment<u64, u64>> {
+            (0..5u64)
+                .map(|s| Segment::Mem((0..9).map(|i| (i % 4, i % 4, s * 10 + i)).collect()))
+                .collect()
+        };
+        let flat = collect(segments());
+        let dir = create_job_spill_dir(&std::env::temp_dir()).unwrap();
+        let guard = SpillDirGuard(dir.clone());
+        let mut got = Vec::new();
+        let effort = merge_segments_capped(
+            segments(),
+            Some(2),
+            Some(guard.0.join("reduce0.merge")),
+            |k, vs| {
+                got.push((k, vs));
+                Ok(())
+            },
+        )
+        .unwrap();
+        assert_eq!(effort.passes, 0);
+        assert_eq!(effort.scratch_bytes, 0);
+        assert!(!guard.0.join("reduce0.pass1").exists());
+        assert_eq!(got, flat);
     }
 
     #[test]

@@ -58,9 +58,8 @@
 //!   worker ever holds an unbounded partition.
 //!
 //! Both thresholds default to `None` (unbounded, the original behaviour).
-//! Reduce group order is first-occurrence for purely in-memory partitions
-//! and key-fingerprint order for partitions with spilled runs — both
-//! deterministic functions of the data and configuration.
+//! Whatever the bounds and transport, reduce groups arrive in ascending
+//! key-fingerprint order.
 //!
 //! # Combiner contract
 //!
@@ -69,14 +68,12 @@
 //! any partition of them with `combine` applied per part (combiners run
 //! once per map task, so different subsets of a key's values are combined
 //! independently). The stock combiners uphold this for the usual reducer
-//! shapes: [`Sum`]/[`Count`] for reducers that fold with `+`, [`Min`] for
-//! reducers that take a minimum, and [`Dedup`] for reducers that are
-//! insensitive to duplicate values (e.g. TSJ's candidate-pair dedup
-//! jobs, Sec. III-E/III-G3).
+//! shapes: [`Count`] for reducers that sum counts, and [`Dedup`] for
+//! reducers that are insensitive to duplicate values (e.g. TSJ's
+//! candidate-pair dedup jobs, Sec. III-E/III-G3).
 
 use std::fs::File;
 use std::hash::Hash;
-use std::ops::Add;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -94,7 +91,7 @@ pub type ShuffleRecord<K, V> = (u64, K, V);
 ///
 /// `combine` is handed all values observed for `key` *within one map
 /// task* and shrinks the list in place to the records to shuffle in their
-/// stead. Leaving a single element is the common case (`Sum`, `Min`);
+/// stead. Leaving a single element is the common case (`Count`);
 /// leaving several is allowed (`Dedup` keeps every distinct value).
 /// Clearing the list drops the key entirely — legal, but rarely what a
 /// reducer expects. In-place (rather than returning a fresh `Vec`) so the
@@ -108,27 +105,9 @@ pub trait Combiner<K, V>: Sync {
     fn combine(&self, key: &K, values: &mut Vec<V>);
 }
 
-/// Folds values with `+` (combiner form of a summing reducer).
-///
-/// The canonical port: a job that emitted `⟨key, ()⟩` per occurrence and
-/// counted in the reducer instead emits `⟨key, 1⟩` and sums — identical
-/// totals, one shuffled record per *distinct* key per map task.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Sum;
-
-impl<K, V> Combiner<K, V> for Sum
-where
-    V: Add<Output = V> + Send,
-{
-    fn combine(&self, _key: &K, values: &mut Vec<V>) {
-        if let Some(folded) = values.drain(..).reduce(|a, b| a + b) {
-            values.push(folded);
-        }
-    }
-}
-
-/// Sums `u64` partial counts (a named special case of [`Sum`] for the
-/// pervasive counting idiom: mappers emit `1` per occurrence).
+/// Sums `u64` partial counts (the pervasive counting idiom: mappers emit
+/// `1` per occurrence and the reducer sums, so each map task shuffles one
+/// record per distinct key).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Count;
 
@@ -137,21 +116,6 @@ impl<K> Combiner<K, u64> for Count {
         let total: u64 = values.iter().sum();
         values.clear();
         values.push(total);
-    }
-}
-
-/// Keeps the minimum value (combiner form of a min-taking reducer).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Min;
-
-impl<K, V> Combiner<K, V> for Min
-where
-    V: Ord + Send,
-{
-    fn combine(&self, _key: &K, values: &mut Vec<V>) {
-        if let Some(min) = values.drain(..).min() {
-            values.push(min);
-        }
     }
 }
 
@@ -612,19 +576,26 @@ pub(crate) fn for_each_key_group<K: Eq, V, E, F: FnMut(K, Vec<V>) -> Result<(), 
     run: &mut Vec<(K, V)>,
     mut f: F,
 ) -> Result<(), E> {
+    let mut rest: Vec<(K, V)> = Vec::new(); // colliding keys, next round
     while !run.is_empty() {
-        // Almost always the whole run is one key; collisions refill `run`
-        // with the leftovers for the next round (no O(n) front-shift).
-        let mut it = std::mem::take(run).into_iter();
+        // Almost always the whole run is one key: `run` keeps its buffer
+        // for the next fingerprint and `rest` stays empty.
+        let mut values = Vec::with_capacity(run.len());
+        let mut records = run.drain(..);
         // Guarded by the loop's !run.is_empty(); break cannot occur.
-        let Some((key, first)) = it.next() else { break };
-        let mut values = vec![first];
-        for (k, v) in it {
+        let Some((key, first)) = records.next() else {
+            break;
+        };
+        values.push(first);
+        for (k, v) in records {
             if k == key {
                 values.push(v);
             } else {
-                run.push((k, v));
+                rest.push((k, v));
             }
+        }
+        if !rest.is_empty() {
+            std::mem::swap(run, &mut rest);
         }
         f(key, values)?;
     }
@@ -679,22 +650,9 @@ mod tests {
     }
 
     #[test]
-    fn sum_combiner_folds_to_one_record() {
-        let recs: Vec<ShuffleRecord<u32, u64>> = vec![(7, 1, 10), (7, 1, 20), (9, 2, 5)];
-        let out = combine_records(recs, &Sum);
-        assert_eq!(out, vec![(7, 1, 30), (9, 2, 5)]);
-    }
-
-    #[test]
     fn count_combiner_sums_partial_counts() {
         let recs: Vec<ShuffleRecord<u32, u64>> = vec![(1, 4, 1), (1, 4, 1), (1, 4, 3)];
         assert_eq!(combine_records(recs, &Count), vec![(1, 4, 5)]);
-    }
-
-    #[test]
-    fn min_combiner_keeps_minimum() {
-        let recs: Vec<ShuffleRecord<u32, u64>> = vec![(1, 1, 9), (1, 1, 3), (1, 1, 7)];
-        assert_eq!(combine_records(recs, &Min), vec![(1, 1, 3)]);
     }
 
     #[test]
@@ -722,7 +680,7 @@ mod tests {
         // not be merged across keys, none may be lost, and each key must be
         // combined exactly once (no split runs).
         let recs: Vec<ShuffleRecord<u32, u64>> = vec![(5, 1, 10), (5, 2, 1), (5, 1, 20), (5, 2, 2)];
-        let out = combine_records(recs, &Sum);
+        let out = combine_records(recs, &Count);
         assert_eq!(out, vec![(5, 1, 30), (5, 2, 3)]);
     }
 
@@ -752,7 +710,7 @@ mod tests {
     fn three_way_collision_groups_each_key_once() {
         let recs: Vec<ShuffleRecord<u32, u64>> =
             vec![(3, 7, 1), (3, 8, 10), (3, 9, 100), (3, 8, 10), (3, 7, 2)];
-        let out = combine_records(recs, &Sum);
+        let out = combine_records(recs, &Count);
         assert_eq!(out, vec![(3, 7, 3), (3, 8, 20), (3, 9, 100)]);
     }
 
@@ -779,7 +737,7 @@ mod tests {
 
     #[test]
     fn empty_combine_is_noop() {
-        let out = combine_records(Vec::<ShuffleRecord<u32, u64>>::new(), &Sum);
+        let out = combine_records(Vec::<ShuffleRecord<u32, u64>>::new(), &Count);
         assert!(out.is_empty());
     }
 

@@ -41,14 +41,11 @@
 //! The exchange hands every partition its segments in map-task order, a
 //! task's runs in write order (spilled runs before the published
 //! leftover) before its in-memory leftover — the same order under every
-//! transport. Since the merge resolves equal-fingerprint ties by segment
-//! index, the merged record order (and therefore grouping and job output)
-//! is identical across transports whenever the reduce side merges. The
-//! remaining difference — purely in-memory partitions reduce in
-//! first-occurrence order under `InProcess` but in fingerprint order when
-//! published (everything is a sorted run there) — is the same
-//! deterministic reordering the spill path already introduces, and the
-//! pipeline output is property-tested byte-identical across transports in
+//! transport. Every partition is reduced by the one fingerprint merge, and
+//! it resolves equal-fingerprint ties by segment index, so the merged
+//! record order (and therefore grouping, group order and job output) is
+//! identical across transports; the pipeline output is property-tested
+//! byte-identical across them in
 //! `crates/core/tests/transport_equivalence.rs`. Retries cannot perturb
 //! any of this: every fetch is an idempotent ranged read, so a retried
 //! request yields the same bytes and only the wall-clock-class

@@ -545,26 +545,6 @@ fn dedup_combiner_preserves_distinct_values() {
 }
 
 #[test]
-fn min_combiner_matches_uncombined_min() {
-    use tsj_mapreduce::Min;
-    let input: Vec<u64> = (0..3000).collect();
-    let map = |n: &u64, e: &mut Emitter<u64, u64>| e.emit(n % 13, n.wrapping_mul(2654435761) % 997);
-    let reduce = |k: &u64, vs: Vec<u64>, out: &mut OutputSink<(u64, u64)>| {
-        out.emit((*k, vs.into_iter().min().unwrap()));
-    };
-    let cluster = test_cluster(8);
-    let plain = cluster.run("min.plain", &input, map, reduce).unwrap();
-    let combined = cluster
-        .run_combined("min.combined", &input, map, &Min, reduce)
-        .unwrap();
-    let sort = |mut v: Vec<(u64, u64)>| {
-        v.sort_unstable();
-        v
-    };
-    assert_eq!(sort(plain.output), sort(combined.output));
-}
-
-#[test]
 fn output_identical_across_threads_and_partitions() {
     use tsj_mapreduce::Count;
     let input: Vec<u64> = (0..5000).collect();
@@ -615,7 +595,7 @@ fn output_identical_across_threads_and_partitions() {
 #[test]
 fn thread_count_does_not_change_output_order_either() {
     // Stronger than multiset equality: the concatenated reducer output is
-    // deterministic (partition order × first-occurrence group order), so
+    // deterministic (partition order × key-fingerprint group order), so
     // even the unsorted output must match across thread counts.
     let input: Vec<u64> = (0..4000).collect();
     let run_with = |threads: usize| {

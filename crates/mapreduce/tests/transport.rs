@@ -214,8 +214,9 @@ fn merge_fan_in_cap_engages_and_preserves_output() {
 #[test]
 fn uncombined_jobs_cross_the_exchange_too() {
     // No combiner, burst emits: exercises the transport on raw map
-    // output, where in-memory partitions would otherwise reduce in
-    // first-occurrence order.
+    // output. Every partition is grouped by the one fingerprint merge, so
+    // even the *unsorted* output — partition order × group order — is the
+    // same in process, published, spilled and under a capped fan-in.
     let input: Vec<u64> = (0..300).collect();
     let run = |shuffle: ShuffleConfig| {
         cluster(16, 4, 5, shuffle)
@@ -235,9 +236,15 @@ fn uncombined_jobs_cross_the_exchange_too() {
     };
     let in_proc = run(ShuffleConfig::unbounded());
     let multi = run(ShuffleConfig::unbounded().with_transport(Transport::MultiProcess));
-    assert_eq!(sorted(in_proc.output), sorted(multi.output));
+    assert_eq!(multi.output, in_proc.output, "multiprocess");
     assert_eq!(multi.stats.reduce_groups, in_proc.stats.reduce_groups);
     assert!(multi.stats.transport_bytes > 0);
+    let spilled = run(ShuffleConfig::bounded(20, 40));
+    assert!(spilled.stats.spilled_records > 0);
+    assert_eq!(spilled.output, in_proc.output, "bounded(20, 40)");
+    let capped = run(ShuffleConfig::bounded(20, 40).with_merge_fan_in(2));
+    assert!(capped.stats.merge_passes > 0);
+    assert_eq!(capped.output, in_proc.output, "bounded(20, 40), fan-in 2");
 }
 
 #[test]

@@ -396,11 +396,14 @@ fn invalid_configs_error_instead_of_panicking() {
     }
 }
 
-/// `Dataset::repartition` invariance on real workload data: re-routing a
-/// skewed candidate stream by record hash between two pipeline-shaped
-/// stages changes partition placement only — the downstream stage's
-/// (sorted) output is byte-identical with and without it, across
-/// partition counts, transports, and bounded/unbounded shuffles.
+/// Repartition invariance on real workload data: the automatic skew
+/// response re-routing a candidate stream by record hash between two
+/// pipeline-shaped stages changes partition placement only — the
+/// downstream stage's (sorted) output is byte-identical with and without
+/// it, across partition counts, transports, and bounded/unbounded
+/// shuffles. Eager mode materializes the boundary the response measures;
+/// a ratio barely above perfect balance makes it fire on any uneven
+/// stream.
 #[test]
 fn repartition_between_stages_is_output_invariant() {
     let w = workload(150, 0.35, 11);
@@ -410,9 +413,11 @@ fn repartition_between_stages_is_output_invariant() {
         ShuffleConfig::unbounded(),
         ShuffleConfig::bounded(8, 8).with_transport(Transport::MultiProcess),
     ] {
-        let cluster = cluster_with(4, 0, 16, shuffle);
-        let run = |repartition: Option<usize>| {
-            let candidates = cluster
+        let run = |partitions: usize, auto: bool| {
+            let cluster = cluster_with(4, partitions, 16, shuffle.clone())
+                .with_dataset_mode(DatasetMode::Eager)
+                .with_auto_repartition(auto.then_some(1.0001));
+            let (mut out, report) = cluster
                 .input(&string_ids)
                 .map_reduce(
                     "cand.shared_token",
@@ -431,12 +436,7 @@ fn repartition_between_stages_is_output_invariant() {
                         }
                     },
                 )
-                .unwrap();
-            let candidates = match repartition {
-                Some(n) => candidates.repartition(n).unwrap(),
-                None => candidates,
-            };
-            let (mut out, report) = candidates
+                .unwrap()
                 .map_reduce_combined(
                     "cand.dedup",
                     |&pair: &(u32, u32), e: &mut Emitter<(u32, u32), ()>| e.emit(pair, ()),
@@ -449,21 +449,23 @@ fn repartition_between_stages_is_output_invariant() {
                 .collect()
                 .unwrap();
             out.sort_unstable();
-            if let Some(n) = repartition {
-                let repart = &report.jobs()[1];
-                assert!(repart.name.starts_with("repartition"), "{}", repart.name);
+            let second = &report.jobs()[1];
+            if auto {
+                assert_eq!(second.name, format!("repartition({partitions}).auto"));
                 assert_eq!(
-                    repart.input_records, repart.output_records,
-                    "repartition({n}) must move every record exactly once"
+                    second.input_records, second.output_records,
+                    "repartition({partitions}) must move every record exactly once"
                 );
-                assert_eq!(repart.driver_in_records + repart.driver_out_records, 0);
+                assert_eq!(second.driver_in_records + second.driver_out_records, 0);
+            } else {
+                assert_eq!(second.name, "cand.dedup");
             }
             out
         };
-        let plain = run(None);
-        assert!(!plain.is_empty());
-        for n in [1usize, 3, 32] {
-            assert_eq!(run(Some(n)), plain, "repartition({n})");
+        for partitions in [3usize, 32] {
+            let plain = run(partitions, false);
+            assert!(!plain.is_empty());
+            assert_eq!(run(partitions, true), plain, "repartition({partitions})");
         }
     }
 }

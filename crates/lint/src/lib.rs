@@ -51,9 +51,11 @@
 //! directive — a window, not a region, so rustfmt reflowing a statement
 //! across lines cannot detach the suppression). A directive with an
 //! unknown rule or no written reason is itself a `malformed-allow`
-//! diagnostic. Directives are recognized in `//` comments only and must
-//! start the comment body (prose that merely mentions the syntax is not
-//! a suppression).
+//! diagnostic, and a well-formed one that suppresses nothing — its code
+//! was fixed or deleted, or its rule does not apply to the file — is an
+//! `unused-allow`. Neither can be suppressed. Directives are recognized in
+//! `//` comments only and must start the comment body (prose that merely
+//! mentions the syntax is not a suppression).
 //!
 //! Diagnostics are machine-readable `file:line:rule` triples. Nothing is
 //! grandfathered: a finding is fixed or carries a written allow.
@@ -95,6 +97,8 @@ pub const RULE_HASHMAP_ITER: &str = "no-hashmap-iter-in-output-path";
 /// A `tsjlint:allow` directive that names an unknown rule or carries no
 /// reason.
 pub const RULE_MALFORMED_ALLOW: &str = "malformed-allow";
+/// A well-formed `tsjlint:allow` directive that suppresses no violation.
+pub const RULE_UNUSED_ALLOW: &str = "unused-allow";
 
 /// Every suppressible rule (what `tsjlint:allow(...)` accepts).
 pub const RULES: [&str; 8] = [
@@ -542,8 +546,10 @@ fn match_cfg_test(chars: &[char], i: usize) -> Option<usize> {
 
 /// Applies allow directives: each directive suppresses the first
 /// violation of its rule on its own line or within the next
-/// [`ALLOW_WINDOW_LINES`] lines. Returns the surviving diagnostics.
-fn apply_allows(mut diags: Vec<Diagnostic>, allows: &[Allow]) -> Vec<Diagnostic> {
+/// [`ALLOW_WINDOW_LINES`] lines. Returns the surviving diagnostics plus
+/// one [`RULE_UNUSED_ALLOW`] finding per directive that suppressed
+/// nothing.
+fn apply_allows(path: &str, mut diags: Vec<Diagnostic>, allows: &[Allow]) -> Vec<Diagnostic> {
     diags.sort_by_key(|d| d.line);
     let mut used: Vec<bool> = vec![false; allows.len()];
     diags.retain(|d| {
@@ -558,6 +564,18 @@ fn apply_allows(mut diags: Vec<Diagnostic>, allows: &[Allow]) -> Vec<Diagnostic>
         }
         true
     });
+    for (a, _) in allows.iter().zip(used).filter(|&(_, used)| !used) {
+        diags.push(Diagnostic {
+            file: path.to_owned(),
+            line: a.line,
+            rule: RULE_UNUSED_ALLOW,
+            message: format!(
+                "`tsjlint:allow({})` suppresses nothing: no such violation on its line \
+                 or the next {ALLOW_WINDOW_LINES}; delete the directive",
+                a.rule
+            ),
+        });
+    }
     diags
 }
 
@@ -576,12 +594,14 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
             message: message.clone(),
         })
         .collect();
-    if scope.any() {
+    let found = if scope.any() {
         let stripped = strip_cfg_test(&cleaned.text);
         let toks = parse::tokenize(&stripped);
-        let found = rules::scan(path, &toks, &scope);
-        diags.extend(apply_allows(found, &cleaned.allows));
-    }
+        rules::scan(path, &toks, &scope)
+    } else {
+        Vec::new()
+    };
+    diags.extend(apply_allows(path, found, &cleaned.allows));
     diags.sort_by_key(|d| d.line);
     diags
 }
@@ -805,7 +825,37 @@ mod tests {
         let src = format!(
             "// tsjlint:allow(no-panic-in-data-plane) too far away{filler}fn f() {{ a.unwrap(); }}"
         );
-        assert_eq!(lint_source(JOB_PATH, &src).len(), 1);
+        let rules: Vec<&str> = lint_source(JOB_PATH, &src).iter().map(|d| d.rule).collect();
+        // The stranded directive suppresses nothing, so it is reported too.
+        assert_eq!(rules, [RULE_UNUSED_ALLOW, RULE_NO_PANIC]);
+    }
+
+    #[test]
+    fn allow_that_suppresses_nothing_is_unused() {
+        let src = "fn f() {\n    // tsjlint:allow(no-panic-in-data-plane) its unwrap was deleted\n    a.unwrap_or(0);\n}\n";
+        let diags = lint_source(JOB_PATH, src);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!((diags[0].rule, diags[0].line), (RULE_UNUSED_ALLOW, 2));
+        assert!(diags[0].message.contains("no-panic-in-data-plane"));
+        // The finding itself cannot be allowed away: that directive names
+        // no suppressible rule.
+        let src = "// tsjlint:allow(unused-allow) keep it\nfn f() {}\n";
+        let rules: Vec<&str> = lint_source(JOB_PATH, src).iter().map(|d| d.rule).collect();
+        assert_eq!(rules, [RULE_MALFORMED_ALLOW]);
+    }
+
+    #[test]
+    fn allow_outside_its_rules_scope_is_unused() {
+        // `no-panic-in-data-plane` does not apply to `crates/core`, so the
+        // directive has nothing to suppress — even over a real unwrap.
+        let src = "// tsjlint:allow(no-panic-in-data-plane) out of scope\nfn f() { a.unwrap(); }";
+        let diags = lint_source("crates/core/src/joiner.rs", src);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!((diags[0].rule, diags[0].line), (RULE_UNUSED_ALLOW, 1));
+        // Same in a file no rule applies to at all.
+        let diags = lint_source("crates/shims/rand/src/lib.rs", src);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].rule, RULE_UNUSED_ALLOW);
     }
 
     #[test]

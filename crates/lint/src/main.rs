@@ -62,10 +62,10 @@ fn main() -> ExitCode {
     );
     // Per-rule counts (machine-grepable; CI lifts these into the step
     // summary).
-    for rule in tsj_lint::RULES
-        .iter()
-        .chain(std::iter::once(&tsj_lint::RULE_MALFORMED_ALLOW))
-    {
+    for rule in tsj_lint::RULES.iter().chain([
+        &tsj_lint::RULE_MALFORMED_ALLOW,
+        &tsj_lint::RULE_UNUSED_ALLOW,
+    ]) {
         let n = diags.iter().filter(|d| d.rule == *rule).count();
         eprintln!("tsjlint:   {rule}: {n}");
     }

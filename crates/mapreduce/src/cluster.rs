@@ -64,12 +64,9 @@ pub(crate) type ReduceFn<'f, K, V, O> =
 pub(crate) struct StageSpec<'f, I, K, V, O> {
     pub(crate) name: String,
     pub(crate) group_overhead_secs: f64,
-    /// Shuffle partition count for this stage: the cluster default, or a
-    /// [`repartition`](crate::dataset::Dataset::repartition) override.
+    /// Shuffle partition count for this stage: always the cluster's
+    /// [`partitions`](Cluster::partitions).
     pub(crate) partitions: usize,
-    /// Whether this is a [`repartition`](crate::dataset::Dataset::repartition)
-    /// stage (identity re-routing; recorded for plan analysis).
-    pub(crate) is_repartition: bool,
     pub(crate) map: MapFn<'f, I, K, V>,
     pub(crate) combine: Option<CombineFn<'f, K, V>>,
     pub(crate) reduce: ReduceFn<'f, K, V, O>,
@@ -89,7 +86,6 @@ impl<'f, I, K, V, O> StageSpec<'f, I, K, V, O> {
             name: name.to_owned(),
             group_overhead_secs: cluster.cfg.cost.reduce_group_overhead_secs,
             partitions: cluster.partitions(),
-            is_repartition: false,
             map,
             combine,
             reduce,
@@ -224,9 +220,10 @@ pub struct Cluster {
     /// Worker-pool scheduling policy (mode, speculation threshold, seeded
     /// straggler) shared by every job this cluster runs.
     scheduler: SchedulerConfig,
-    /// Automatic skew response: when a dataset stage boundary's partition
-    /// sizes exceed `max/mean > ratio`, the planner inserts the existing
-    /// `repartition` behind the scenes. `None` (the default) disables it.
+    /// Automatic skew response: when a materialized dataset stage
+    /// boundary's partition sizes exceed `max/mean > ratio`, the planner
+    /// inserts a repartition stage behind the scenes. `None` (the default)
+    /// disables it.
     auto_repartition: Option<f64>,
 }
 
@@ -298,10 +295,12 @@ impl Cluster {
 
     /// Enables (or, with `None`, disables) automatic skew response: when a
     /// [`Dataset`](crate::dataset::Dataset) stage's output partition sizes
-    /// cross `max/mean > ratio`, the planner inserts the existing
-    /// [`repartition`](crate::dataset::Dataset::repartition) behind the
-    /// scenes before the next stage. Ratios ≤ 1.0 are treated as disabled
-    /// (1.0 is perfect balance — nothing to fix).
+    /// cross `max/mean > ratio`, the planner inserts a record-hash
+    /// repartition stage behind the scenes before the next stage. It
+    /// engages only at a materialized boundary, whose sizes are known when
+    /// the next stage is recorded — that is, under
+    /// [`DatasetMode::Eager`]. Ratios ≤ 1.0 are treated as disabled (1.0 is
+    /// perfect balance — nothing to fix).
     pub fn with_auto_repartition(mut self, ratio: Option<f64>) -> Self {
         self.auto_repartition = ratio.filter(|r| r.is_finite() && *r > 1.0);
         self
@@ -364,9 +363,7 @@ impl Cluster {
     /// How a driver slice of `len` records is chunked into map tasks — one
     /// task per simulated machine, capped by the input — as
     /// `(num_tasks, chunk_size)`. The dataset layer's driver→partition
-    /// lift is the one producer that chunks by it;
-    /// [`Dataset::num_partitions`](crate::dataset::Dataset::num_partitions)
-    /// reports the same count for a not-yet-run input.
+    /// lift is the one producer that chunks by it.
     pub(crate) fn slice_chunking(&self, len: usize) -> (usize, usize) {
         let tasks = self.cfg.machines.min(len).max(1);
         (tasks, len.div_ceil(tasks).max(1))

@@ -169,18 +169,15 @@ impl<I> Feed<I> {
     }
 
     /// Drains a *terminal* feed after execution: all delivered partitions
-    /// (in arrival order; callers sort by ordinal), the guards keeping
-    /// spilled ones alive, and the pending driver-crossing count.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn drain_terminal(
-        &self,
-    ) -> (Vec<(u64, DataPartition<I>)>, Vec<Arc<SpillDirGuard>>, u64) {
+    /// in ordinal order and the guards keeping spilled ones alive.
+    /// Driver-in records booked here are dropped: the collect that drains
+    /// the feed hands them straight back.
+    pub(crate) fn drain_terminal(&self) -> (Vec<DataPartition<I>>, Vec<Arc<SpillDirGuard>>) {
         let mut st = lock(&self.inner.0);
-        (
-            std::mem::take(&mut st.items).into(),
-            std::mem::take(&mut st.guards),
-            st.driver_in,
-        )
+        let mut items = Vec::from(std::mem::take(&mut st.items));
+        items.sort_unstable_by_key(|(ordinal, _)| *ordinal);
+        let parts = items.into_iter().map(|(_, part)| part).collect();
+        (parts, std::mem::take(&mut st.guards))
     }
 }
 

@@ -4,22 +4,12 @@
 //! A plan is a tree — every handle is consumed by the one stage or union
 //! that wraps it — and lowering returns that tree as `PlanShape`s (inputs,
 //! materialized partition sets, stages; a union is its consumer having
-//! several producers). `analyze_plan` walks it, handing each node its
-//! consuming stage, and runs a set of structural checks *before* any stage
-//! executes:
+//! several producers). `analyze_plan` walks it and runs a set of structural
+//! checks *before* any stage executes:
 //!
 //! * **`empty-input`** — a stage whose transitive static inputs carry zero
 //!   records: it can never produce output, so either the graph wiring or
 //!   the data feeding it is wrong.
-//! * **`union-partition-mismatch`** — a union whose recorded stage
-//!   producers are configured with different shuffle partition counts, so
-//!   downstream map parallelism is unbalanced by construction. Only
-//!   *recorded stages* are compared: materialized partition counts are
-//!   data-dependent (empty partitions are dropped), not a plan property.
-//! * **`terminal-repartition`** — a
-//!   [`repartition`](crate::dataset::Dataset::repartition) stage feeding
-//!   the terminal directly: collect concatenates every partition anyway,
-//!   so the extra shuffle pass only reorders driver-bound records.
 //! * **`uncombined-dedup-foldable`** — a stage shuffling zero-sized
 //!   values without a combiner: the reducer can only observe key
 //!   presence, so a [`Dedup`](crate::shuffle::Dedup) combiner would fold
@@ -31,6 +21,10 @@
 //!   [`MERGE_FAN_IN_BUDGET`] while no
 //!   [`merge_fan_in`](crate::shuffle::ShuffleConfig::merge_fan_in) cap is
 //!   set: its reduce tasks may open one file handle per spilled run.
+//!
+//! Every stage of a cluster shuffles into the cluster's one partition
+//! count, and a union only joins handles of one cluster, so partition
+//! counts need no check of their own.
 //!
 //! Diagnostics surface through
 //! [`SimReport::plan_diagnostics`](crate::report::SimReport::plan_diagnostics)
@@ -52,16 +46,13 @@ pub const MERGE_FAN_IN_BUDGET: usize = 64;
 pub(crate) struct StageInfo {
     /// The stage name (as reported in [`JobStats`](crate::job::JobStats)).
     pub(crate) name: String,
-    /// Configured shuffle partition count.
+    /// Configured shuffle partition count (the cluster's).
     pub(crate) partitions: usize,
     /// Whether the stage runs a map-side combiner.
     pub(crate) combined: bool,
     /// Whether the shuffle value type is zero-sized (`()`-like): the
     /// reducer can only observe key presence and multiplicity.
     pub(crate) value_is_zst: bool,
-    /// Whether this is a [`repartition`](crate::dataset::Dataset::repartition)
-    /// stage (identity re-routing, no user reduce logic).
-    pub(crate) is_repartition: bool,
     /// Stages between this one's output and the collected terminal (0 for
     /// the terminal's own producers, +1 per consuming stage; a union adds
     /// none). It is the stage's pool priority: upstream stages outrank the
@@ -142,31 +133,6 @@ pub enum PlanDiagnostic {
         /// The orphaned stage's name.
         stage: String,
     },
-    /// A union mixing stage producers configured with different partition
-    /// counts.
-    UnionPartitionMismatch {
-        /// The consumer the union feeds (`collect` for the terminal).
-        consumer: String,
-        /// The producers' configured partition counts, in build order.
-        partitions: Vec<usize>,
-    },
-    /// A repartition stage feeding the terminal directly.
-    TerminalRepartition {
-        /// The repartition stage's name.
-        stage: String,
-    },
-    /// A repartition whose shuffle pass cannot usefully change the data's
-    /// layout: its consumer immediately repartitions again, or its
-    /// partition count equals what its stage producers already deliver.
-    RedundantRepartition {
-        /// The repartition stage's name.
-        stage: String,
-        /// `Some(consumer_name)` when the consumer repartitions again;
-        /// `None` when the count matches the producers'.
-        chained_into: Option<String>,
-        /// The repartition's configured partition count.
-        partitions: usize,
-    },
     /// A stage shuffling zero-sized values without a combiner.
     UncombinedDedupFoldable {
         /// The stage's name.
@@ -190,9 +156,6 @@ impl PlanDiagnostic {
     pub fn code(&self) -> &'static str {
         match self {
             PlanDiagnostic::EmptyInput { .. } => "empty-input",
-            PlanDiagnostic::UnionPartitionMismatch { .. } => "union-partition-mismatch",
-            PlanDiagnostic::TerminalRepartition { .. } => "terminal-repartition",
-            PlanDiagnostic::RedundantRepartition { .. } => "redundant-repartition",
             PlanDiagnostic::UncombinedDedupFoldable { .. } => "uncombined-dedup-foldable",
             PlanDiagnostic::MergeFanInHazard { .. } => "merge-fan-in-hazard",
         }
@@ -206,39 +169,6 @@ impl std::fmt::Display for PlanDiagnostic {
                 f,
                 "[empty-input] stage `{stage}` consumes a statically empty input \
                  and can never produce output"
-            ),
-            PlanDiagnostic::UnionPartitionMismatch {
-                consumer,
-                partitions,
-            } => write!(
-                f,
-                "[union-partition-mismatch] union into `{consumer}` mixes stage \
-                 partition counts {partitions:?}; downstream map parallelism is \
-                 unbalanced by construction"
-            ),
-            PlanDiagnostic::TerminalRepartition { stage } => write!(
-                f,
-                "[terminal-repartition] `{stage}` feeds collect directly; the \
-                 extra shuffle pass only reorders driver-bound records"
-            ),
-            PlanDiagnostic::RedundantRepartition {
-                stage,
-                chained_into: Some(consumer),
-                ..
-            } => write!(
-                f,
-                "[redundant-repartition] `{stage}` feeds `{consumer}`, which \
-                 immediately repartitions again; the first shuffle pass is wasted"
-            ),
-            PlanDiagnostic::RedundantRepartition {
-                stage,
-                chained_into: None,
-                partitions,
-            } => write!(
-                f,
-                "[redundant-repartition] `{stage}` repartitions to {partitions} \
-                 partitions — the count its producers already deliver; the shuffle \
-                 pass moves every record without changing the layout"
             ),
             PlanDiagnostic::UncombinedDedupFoldable { stage } => write!(
                 f,
@@ -285,59 +215,10 @@ pub(crate) fn analyze_plan(roots: &[PlanShape], shuffle: &ShuffleConfig) -> Vec<
         static_records(root, &mut diags);
     }
 
-    // ---- union-partition-mismatch ------------------------------------
-    pre_order(roots, None, &mut |node, _| {
-        if let NodeKind::Stage(s) = &node.kind {
-            check_union(&s.name, &node.producers, &mut diags);
-        }
-    });
-    check_union("collect", roots, &mut diags);
-
-    // ---- terminal-repartition ----------------------------------------
-    for root in roots {
-        if let NodeKind::Stage(s) = &root.kind {
-            if s.is_repartition {
-                diags.push(PlanDiagnostic::TerminalRepartition {
-                    stage: s.name.clone(),
-                });
-            }
-        }
-    }
-
-    // ---- redundant-repartition ---------------------------------------
-    pre_order(roots, None, &mut |node, consumer| {
-        let NodeKind::Stage(s) = &node.kind else {
-            return;
-        };
-        if !s.is_repartition {
-            return;
-        }
-        // Chained: the consumer repartitions again, so this pass's layout
-        // never survives to a computation. Count-equal: every producer is
-        // a stage already configured for the same partition count.
-        // Input/materialized producer counts are data-dependent, not a
-        // plan property, so mixed graphs stay silent — same reasoning as
-        // the union check.
-        let chained_into = consumer
-            .filter(|c| c.is_repartition)
-            .map(|c| c.name.clone());
-        let count_equal = node
-            .producers
-            .iter()
-            .all(|p| matches!(p.kind, NodeKind::Stage(_)) && p.output_partitions() == s.partitions);
-        if chained_into.is_some() || count_equal {
-            diags.push(PlanDiagnostic::RedundantRepartition {
-                stage: s.name.clone(),
-                chained_into,
-                partitions: s.partitions,
-            });
-        }
-    });
-
     // ---- uncombined-dedup-foldable -----------------------------------
-    pre_order(roots, None, &mut |node, _| {
+    pre_order(roots, &mut |node| {
         if let NodeKind::Stage(s) = &node.kind {
-            if s.value_is_zst && !s.combined && !s.is_repartition {
+            if s.value_is_zst && !s.combined {
                 diags.push(PlanDiagnostic::UncombinedDedupFoldable {
                     stage: s.name.clone(),
                 });
@@ -350,7 +231,7 @@ pub(crate) fn analyze_plan(roots: &[PlanShape], shuffle: &ShuffleConfig) -> Vec<
     // one sorted run per reduce partition; without a merge_fan_in cap the
     // reduce-side k-way merge opens them all at once.
     if shuffle.spill_threshold.is_some() && shuffle.merge_fan_in.is_none() {
-        pre_order(roots, None, &mut |node, _| {
+        pre_order(roots, &mut |node| {
             let NodeKind::Stage(s) = &node.kind else {
                 return;
             };
@@ -372,18 +253,12 @@ pub(crate) fn analyze_plan(roots: &[PlanShape], shuffle: &ShuffleConfig) -> Vec<
     diags
 }
 
-/// Calls `f(node, consuming stage)` on every node of the forest, each node
-/// before its producers, producers in build order.
-fn pre_order<'p>(
-    nodes: &'p [PlanShape],
-    consumer: Option<&'p StageInfo>,
-    f: &mut impl FnMut(&'p PlanShape, Option<&'p StageInfo>),
-) {
+/// Calls `f(node)` on every node of the forest, each node before its
+/// producers, producers in build order.
+fn pre_order(nodes: &[PlanShape], f: &mut impl FnMut(&PlanShape)) {
     for node in nodes {
-        f(node, consumer);
-        if let NodeKind::Stage(s) = &node.kind {
-            pre_order(&node.producers, Some(s), f);
-        }
+        f(node);
+        pre_order(&node.producers, f);
     }
 }
 
@@ -411,52 +286,21 @@ fn static_records(node: &PlanShape, diags: &mut Vec<PlanDiagnostic>) -> Option<u
     }
 }
 
-/// Compares configured partition counts across the *stage* producers of
-/// one consumer: materialized/input partition counts are data-dependent,
-/// not a plan property.
-fn check_union(consumer: &str, producers: &[PlanShape], diags: &mut Vec<PlanDiagnostic>) {
-    let stage_parts: Vec<usize> = producers
-        .iter()
-        .filter(|p| matches!(p.kind, NodeKind::Stage(_)))
-        .map(PlanShape::output_partitions)
-        .collect();
-    if stage_parts.windows(2).any(|w| w[0] != w[1]) {
-        diags.push(PlanDiagnostic::UnionPartitionMismatch {
-            consumer: consumer.to_owned(),
-            partitions: stage_parts,
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn stage_with(
-        name: &str,
-        partitions: usize,
-        is_repartition: bool,
-        producers: Vec<PlanShape>,
-    ) -> PlanShape {
+    fn stage(name: &str, producers: Vec<PlanShape>) -> PlanShape {
         PlanShape {
             kind: NodeKind::Stage(StageInfo {
                 name: name.to_owned(),
-                partitions,
+                partitions: 8,
                 combined: false,
                 value_is_zst: false,
-                is_repartition,
                 depth: 0,
             }),
             producers,
         }
-    }
-
-    fn stage(name: &str, producers: Vec<PlanShape>) -> PlanShape {
-        stage_with(name, 8, false, producers)
-    }
-
-    fn repart(name: &str, partitions: usize, producers: Vec<PlanShape>) -> PlanShape {
-        stage_with(name, partitions, true, producers)
     }
 
     fn input(records: u64, tasks: usize) -> PlanShape {
@@ -488,28 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn union_mismatch_ignores_materialized_producers() {
-        // Two stage producers with equal counts plus a materialized side
-        // with a different (data-dependent) count: clean.
-        let mat = PlanShape {
-            kind: NodeKind::Materialized {
-                partitions: 3,
-                records: 10,
-            },
-            producers: Vec::new(),
-        };
-        let plan = [stage(
-            "consumer",
-            vec![
-                stage("left", vec![input(5, 2)]),
-                stage("right", vec![input(5, 2)]),
-                mat,
-            ],
-        )];
-        assert!(analyze_plan(&plan, &ShuffleConfig::default()).is_empty());
-    }
-
-    #[test]
     fn merge_fan_in_hazard_needs_spilling_config_without_cap() {
         let plan = [stage("wide", vec![input(10_000, 100)])];
         // Unbounded: clean.
@@ -525,67 +347,6 @@ mod tests {
         );
         // Spilling with a cap: clean again.
         assert!(analyze_plan(&plan, &spilling.with_merge_fan_in(8)).is_empty());
-    }
-
-    #[test]
-    fn chained_repartitions_flag_the_upstream_pass() {
-        // consumer stage <- repartition(8) <- repartition(4) <- input
-        let upstream = repart("repartition(4)", 4, vec![input(100, 2)]);
-        let plan = [stage(
-            "consume",
-            vec![repart("repartition(8)", 8, vec![upstream])],
-        )];
-        let diags = analyze_plan(&plan, &ShuffleConfig::default());
-        let codes: Vec<&str> = diags.iter().map(|d| d.code()).collect();
-        assert_eq!(codes, ["redundant-repartition"], "{diags:?}");
-        assert!(matches!(
-            &diags[0],
-            PlanDiagnostic::RedundantRepartition {
-                stage,
-                chained_into: Some(c),
-                ..
-            } if stage == "repartition(4)" && c == "repartition(8)"
-        ));
-    }
-
-    #[test]
-    fn same_count_repartition_after_a_stage_is_flagged() {
-        // consumer <- repartition(8) <- producer stage (8 partitions)
-        let produce = stage("produce", vec![input(100, 2)]);
-        let plan = [stage(
-            "consume",
-            vec![repart("repartition(8)", 8, vec![produce])],
-        )];
-        let diags = analyze_plan(&plan, &ShuffleConfig::default());
-        assert!(
-            diags.iter().any(|d| matches!(
-                d,
-                PlanDiagnostic::RedundantRepartition {
-                    chained_into: None,
-                    partitions: 8,
-                    ..
-                }
-            )),
-            "{diags:?}"
-        );
-    }
-
-    #[test]
-    fn repartition_from_inputs_or_to_new_counts_is_clean() {
-        // Input-fed repartition: the input's task count is data-dependent,
-        // so no count claim is possible.
-        let from_input = [stage(
-            "consume",
-            vec![repart("repartition(8)", 8, vec![input(100, 8)])],
-        )];
-        assert!(analyze_plan(&from_input, &ShuffleConfig::default()).is_empty());
-        // A genuine layout change: producer at 8, repartition to 4.
-        let produce = stage("produce", vec![input(100, 2)]);
-        let reshapes = [stage(
-            "consume",
-            vec![repart("repartition(4)", 4, vec![produce])],
-        )];
-        assert!(analyze_plan(&reshapes, &ShuffleConfig::default()).is_empty());
     }
 
     #[test]

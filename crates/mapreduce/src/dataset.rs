@@ -12,12 +12,9 @@
 //! * [`Cluster::input`] lifts a driver slice into a handle;
 //! * [`Dataset::map_reduce`] / [`Dataset::map_reduce_combined`] (and
 //!   [`Dataset::map_reduce_combined_with_group_overhead`]) **record one
-//!   stage in a job DAG without executing it**; [`Dataset::union`]
-//!   concatenates two graphs' output partitions, and
-//!   [`Dataset::repartition`] records a key-hash re-routing stage for
-//!   skewed stage outputs;
-//! * a terminal — [`Dataset::collect`], the streaming
-//!   [`Dataset::for_each_output`], or [`Dataset::take_report`] — executes
+//!   stage in a job DAG without executing it**, and [`Dataset::union`]
+//!   concatenates two graphs' output partitions;
+//! * the terminal, [`Dataset::collect`], consumes the handle and executes
 //!   the recorded graph. The executor (the private `dag` module) runs every pending
 //!   stage on one shared worker pool with **partition-level cross-stage
 //!   overlap**: the moment an upstream reduce task finishes its
@@ -162,22 +159,19 @@ impl<T> DataPartition<T> {
 }
 
 impl<T: Spill> DataPartition<T> {
-    /// Streams every record to `f` (decoding spilled runs one record at a
-    /// time; in-memory partitions are moved out).
-    fn drain(self, f: &mut impl FnMut(T)) -> Result<(), SpillError> {
+    /// Appends every record to `out` (decoding spilled runs one record at
+    /// a time; in-memory partitions are moved out).
+    fn drain_into(self, out: &mut Vec<T>) -> Result<(), SpillError> {
         match self {
-            DataPartition::Mem(records) => {
-                records.into_iter().for_each(&mut *f);
-                Ok(())
-            }
+            DataPartition::Mem(records) => out.extend(records),
             DataPartition::Spilled { file, meta } => {
                 let mut reader = RunReader::new(file, meta);
                 while let Some((_h, (), record)) = reader.next::<(), T>()? {
-                    f(record);
+                    out.push(record);
                 }
-                Ok(())
             }
         }
+        Ok(())
     }
 }
 
@@ -206,26 +200,17 @@ enum Plan<'a, T> {
     /// (`Cluster::slice_chunking`) and books the records as
     /// `driver_in_records`.
     Input(Vec<T>),
-    /// Partitioned output of already-executed stages, resident in the
-    /// runtime (a forced prefix, or [`DatasetMode::Eager`]).
+    /// Partitioned output of an already-executed stage, resident in the
+    /// runtime ([`DatasetMode::Eager`] forces every stage at its call).
     Materialized {
         parts: Vec<DataPartition<T>>,
         /// Directory guards keeping spilled stage-output runs alive.
         guards: Vec<Arc<SpillDirGuard>>,
-        /// Driver-resident records hiding inside the partitions because a
-        /// union (or eager forcing) converted a fresh input; the next
-        /// stage books them as `driver_in_records` so the boundary
-        /// accounting stays exact for every graph shape.
-        driver_pending: u64,
     },
     /// A recorded, not-yet-executed stage (and its upstream subtree).
     Stage(Box<dyn PlanNode<'a, T> + 'a>),
     /// Concatenation of two plans' output partitions (left first).
     Union(Box<Plan<'a, T>>, Box<Plan<'a, T>>),
-    /// A previous terminal failed; the error sticks to the handle so
-    /// every later terminal re-surfaces it instead of silently yielding
-    /// an empty result.
-    Failed(JobError),
 }
 
 /// A handle on (an unexecuted plan for) partitioned records inside the
@@ -238,7 +223,7 @@ pub struct Dataset<'a, T> {
     /// True when the current `Materialized` partitions were produced by
     /// the last job in `report` — `collect` books its driver crossing
     /// there, mirroring the stage-at-a-time semantics. Cleared by `union`
-    /// (two producers) and [`Dataset::take_report`] (the stats left).
+    /// (two producers).
     producer_is_last_job: bool,
 }
 
@@ -248,7 +233,6 @@ impl<T> std::fmt::Debug for Dataset<'_, T> {
             Plan::Input(records) => format!("driver({} records)", records.len()),
             Plan::Materialized { parts, .. } => format!("runtime({} partitions)", parts.len()),
             Plan::Stage(_) | Plan::Union(..) => "pending".to_owned(),
-            Plan::Failed(e) => format!("failed({e})"),
         };
         f.debug_struct("Dataset")
             .field("resident", &resident)
@@ -307,7 +291,6 @@ where
             partitions: self.spec.partitions,
             combined: self.spec.combine.is_some(),
             value_is_zst: std::mem::size_of::<V>() == 0,
-            is_repartition: self.spec.is_repartition,
             depth,
         };
         let input: Feed<I> = Feed::new();
@@ -350,15 +333,14 @@ where
     }
 }
 
-/// The repartitioning stage, manual ([`Dataset::repartition`]) or
-/// automatic ([`maybe_auto_repartition`]): every record travels as its
-/// [`Spill`] wire encoding, keyed by that encoding's `fingerprint64`, and is
-/// decoded back on the reduce side — so the stage needs no `T: Clone`, and
-/// both callers route (and therefore order) records identically.
+/// The repartitioning stage [`maybe_auto_repartition`] inserts: every
+/// record travels as its [`Spill`] wire encoding, keyed by that encoding's
+/// `fingerprint64`, and is decoded back on the reduce side — so the stage
+/// needs no `T: Clone`, and record placement is a pure function of the
+/// data.
 fn repartition_spec<'a, T: Spill + 'a>(
     cluster: &Cluster,
     name: &str,
-    partitions: usize,
 ) -> StageSpec<'a, T, u64, Vec<u8>, T> {
     let map = |record: &T, e: &mut Emitter<u64, Vec<u8>>| {
         let mut bytes = Vec::new();
@@ -371,11 +353,7 @@ fn repartition_spec<'a, T: Spill + 'a>(
             out.emit(T::restore(&mut blob.as_slice()).expect("repartition wire round-trip"));
         }
     };
-    StageSpec {
-        partitions: partitions.max(1),
-        is_repartition: true,
-        ..StageSpec::new(cluster, name, Box::new(map), None, Box::new(reduce))
-    }
+    StageSpec::new(cluster, name, Box::new(map), None, Box::new(reduce))
 }
 
 /// The automatic skew response ([`Cluster::with_auto_repartition`]): when
@@ -384,9 +362,9 @@ fn repartition_spec<'a, T: Spill + 'a>(
 /// configured `max/mean` ratio, insert the repartition stage
 /// behind the scenes so the fat partition is spread before the consumer's
 /// map wave. Only materialized boundaries qualify — a still-lazy upstream
-/// stage's partition sizes are unknown at plan time (under
-/// [`DatasetMode::Eager`] every boundary is materialized, so the response
-/// engages after any skewed stage).
+/// stage's partition sizes are unknown at plan time — so the response
+/// engages under [`DatasetMode::Eager`], where every boundary is
+/// materialized.
 fn maybe_auto_repartition<'a, T: Send + Sync + Spill + 'a>(
     cluster: &'a Cluster,
     plan: Plan<'a, T>,
@@ -413,9 +391,8 @@ fn maybe_auto_repartition<'a, T: Send + Sync + Spill + 'a>(
     if skew <= ratio {
         return plan;
     }
-    let partitions = cluster.partitions();
-    let name = format!("repartition({partitions}).auto");
-    let spec = repartition_spec(cluster, &name, partitions);
+    let name = format!("repartition({}).auto", cluster.partitions());
+    let spec = repartition_spec(cluster, &name);
     Plan::Stage(Box::new(StagePlan { child: plan, spec }))
 }
 
@@ -458,14 +435,9 @@ fn build_plan<'a, T: Send + Sync + Spill + 'a>(
             out.close_producer(true);
             shape
         }
-        Plan::Materialized {
-            parts,
-            guards,
-            driver_pending,
-        } => {
+        Plan::Materialized { parts, guards } => {
             let base = b.next_base();
             out.register_producer();
-            out.add_driver_in(driver_pending);
             let shape = leaf(NodeKind::Materialized {
                 partitions: parts.iter().filter(|p| p.records() > 0).count(),
                 records: parts.iter().map(DataPartition::records).sum(),
@@ -482,10 +454,6 @@ fn build_plan<'a, T: Send + Sync + Spill + 'a>(
             shape
         }
         Plan::Stage(node) => vec![node.build(cluster, b, out, depth)],
-        // tsjlint:allow(no-panic-in-data-plane) force() returns Failed errors before building
-        Plan::Failed(_) => unreachable!(
-            "failed handles never reach the builder: force() returns their error first"
-        ),
         Plan::Union(left, right) => {
             // Left registers (and gets its ordinal base) first, so the
             // consumer's ordinal sort reproduces left-then-right — the
@@ -500,14 +468,9 @@ fn build_plan<'a, T: Send + Sync + Spill + 'a>(
 }
 
 /// What executing a plan yields: its output partitions (ordinal-sorted),
-/// the guards keeping spilled ones alive, the pending driver-crossing
-/// count, and the executed stages' report in topological order.
-type Executed<T> = (
-    Vec<DataPartition<T>>,
-    Vec<Arc<SpillDirGuard>>,
-    u64,
-    SimReport,
-);
+/// the guards keeping spilled ones alive, and the executed stages' report
+/// in topological order.
+type Executed<T> = (Vec<DataPartition<T>>, Vec<Arc<SpillDirGuard>>, SimReport);
 
 /// Builds and runs a plan's pending stages on a shared pool (one worker
 /// per configured thread), with cross-stage overlap.
@@ -533,10 +496,8 @@ fn execute_plan<'a, T: Send + Sync + Spill + 'a>(
     dag::execute(cluster.threads(), cluster.scheduler().clone(), b.thunks);
     let mut report = dag::gather(&slots)?;
     report.add_plan_diagnostics(diagnostics);
-    let (mut items, guards, driver_pending) = out.drain_terminal();
-    items.sort_unstable_by_key(|(ordinal, _)| *ordinal);
-    let parts = items.into_iter().map(|(_, part)| part).collect();
-    Ok((parts, guards, driver_pending, report))
+    let (parts, guards) = out.drain_terminal();
+    Ok((parts, guards, report))
 }
 
 impl<'a, T: Send + Sync + Spill + 'a> Dataset<'a, T> {
@@ -621,24 +582,9 @@ impl<'a, T: Send + Sync + Spill + 'a> Dataset<'a, T> {
         })
     }
 
-    /// Records a repartitioning stage: re-routes this dataset's records
-    /// into `partitions` shuffle partitions by record hash (the
-    /// fingerprint of each record's [`Spill`] encoding) through the
-    /// ordinary exchange machinery — the remedy for skewed stage outputs,
-    /// where one fat partition would serialize the next stage's map wave.
-    /// Record multiset is unchanged; partition *placement* (and hence
-    /// concatenation order at `collect`) follows the hash routing, which
-    /// is a pure function of the data.
-    pub fn repartition(self, partitions: usize) -> Result<Dataset<'a, T>, JobError> {
-        let name = format!("repartition({partitions})");
-        let spec = repartition_spec(self.cluster, &name, partitions);
-        self.record(spec)
-    }
-
-    /// The one stage recorder, behind every `map_reduce*` variant,
-    /// `repartition` and [`Cluster::run*`](Cluster::run): wraps this plan
-    /// in a [`StagePlan`] node (and, in eager mode, executes it
-    /// immediately).
+    /// The one stage recorder, behind every `map_reduce*` variant and
+    /// [`Cluster::run*`](Cluster::run): wraps this plan in a [`StagePlan`]
+    /// node (and, in eager mode, executes it immediately).
     pub(crate) fn record<K, V, O>(
         self,
         spec: StageSpec<'a, T, K, V, O>,
@@ -654,22 +600,17 @@ impl<'a, T: Send + Sync + Spill + 'a> Dataset<'a, T> {
             report,
             ..
         } = self;
-        let plan = if spec.is_repartition {
-            // Never auto-repartition under an explicit repartition stage.
-            plan
-        } else {
-            maybe_auto_repartition(cluster, plan)
-        };
-        let mut next = Dataset {
+        let plan = maybe_auto_repartition(cluster, plan);
+        let next = Dataset {
             cluster,
             plan: Plan::Stage(Box::new(StagePlan { child: plan, spec })),
             report,
             producer_is_last_job: false,
         };
-        if cluster.dataset_mode() == DatasetMode::Eager {
-            next.force()?;
+        match cluster.dataset_mode() {
+            DatasetMode::Eager => next.force(),
+            DatasetMode::Lazy => Ok(next),
         }
-        Ok(next)
     }
 
     /// Concatenates two datasets' output partitions (candidate streams
@@ -699,38 +640,24 @@ impl<'a, T: Send + Sync + Spill + 'a> Dataset<'a, T> {
         }
     }
 
-    /// Executes every pending stage behind this handle (the terminals call
-    /// this; so do [`Dataset::records`] and [`DatasetMode::Eager`]) and
-    /// flattens unions, leaving the handle materialized. Idempotent; a
-    /// failure poisons the handle so later terminals re-surface the same
-    /// error instead of silently yielding an empty result.
-    fn force(&mut self) -> Result<(), JobError> {
-        match &self.plan {
-            Plan::Input(_) | Plan::Materialized { .. } => return Ok(()),
-            Plan::Failed(e) => return Err(e.clone()),
-            Plan::Stage(_) | Plan::Union(..) => {}
-        }
-        let plan = std::mem::replace(&mut self.plan, Plan::Input(Vec::new()));
-        let terminal_is_stage = matches!(plan, Plan::Stage(_));
+    /// Executes every pending stage behind this handle (`collect` calls
+    /// this, and so does [`DatasetMode::Eager`] after every recorded stage)
+    /// and flattens unions, leaving the handle materialized. A failure
+    /// consumes the handle: its error is the caller's result.
+    fn force(mut self) -> Result<Self, JobError> {
+        let terminal_is_stage = match &self.plan {
+            Plan::Input(_) | Plan::Materialized { .. } => return Ok(self),
+            Plan::Stage(_) => true,
+            Plan::Union(..) => false,
+        };
         // Unions go through the same build path even when no stage is
         // pending: the feed preload flattens Materialized/Input sides in
         // left-then-right ordinal order with zero thunks to run.
-        match execute_plan(self.cluster, plan) {
-            Ok((parts, guards, driver_pending, run_report)) => {
-                self.plan = Plan::Materialized {
-                    parts,
-                    guards,
-                    driver_pending,
-                };
-                self.report.extend(run_report);
-                self.producer_is_last_job = terminal_is_stage;
-                Ok(())
-            }
-            Err(e) => {
-                self.plan = Plan::Failed(e.clone());
-                Err(e)
-            }
-        }
+        let (parts, guards, run_report) = execute_plan(self.cluster, self.plan)?;
+        self.plan = Plan::Materialized { parts, guards };
+        self.report.extend(run_report);
+        self.producer_is_last_job = terminal_is_stage;
+        Ok(self)
     }
 
     /// Brings every record back into driver memory (concatenated in
@@ -740,91 +667,31 @@ impl<'a, T: Send + Sync + Spill + 'a> Dataset<'a, T> {
     /// job's
     /// [`driver_out_records`](crate::job::JobStats::driver_out_records).
     pub fn collect(self) -> Result<(Vec<T>, SimReport), JobError> {
-        let mut out = Vec::new();
-        let report = self.drain_into(&mut |record| out.push(record))?;
-        Ok((out, report))
-    }
-
-    /// Streams every record to `f` in partition order without building a
-    /// driver-side `Vec` (spilled partitions decode one record at a time).
-    /// Returns the accumulated report; the crossing is booked like
-    /// [`Dataset::collect`].
-    pub fn for_each_output(self, mut f: impl FnMut(T)) -> Result<SimReport, JobError> {
-        self.drain_into(&mut f)
-    }
-
-    fn drain_into(mut self, f: &mut impl FnMut(T)) -> Result<SimReport, JobError> {
-        self.force()?;
-        let books_on_producer = self.producer_is_last_job;
-        let mut report = self.report;
-        let (parts, guards) = match self.plan {
-            Plan::Input(records) => {
-                // Never ran anything: hand the records straight back, no
-                // crossing to book (they never left the driver).
-                records.into_iter().for_each(&mut *f);
-                return Ok(report);
-            }
-            Plan::Materialized { parts, guards, .. } => (parts, guards),
+        let Dataset {
+            plan,
+            mut report,
+            producer_is_last_job,
+            ..
+        } = self.force()?;
+        let (parts, guards) = match plan {
+            // Never ran anything: hand the records straight back, no
+            // crossing to book (they never left the driver).
+            Plan::Input(records) => return Ok((records, report)),
+            Plan::Materialized { parts, guards } => (parts, guards),
             // tsjlint:allow(no-panic-in-data-plane) force() above leaves only Input/Materialized
-            Plan::Stage(_) | Plan::Union(..) | Plan::Failed(_) => unreachable!("forced above"),
+            Plan::Stage(_) | Plan::Union(..) => unreachable!("forced above"),
         };
-        let mut crossed = 0u64;
+        let mut out = Vec::new();
         for part in parts {
-            part.drain(&mut |record| {
-                crossed += 1;
-                f(record);
-            })?;
+            part.drain_into(&mut out)?;
         }
         drop(guards);
-        if books_on_producer {
+        if producer_is_last_job {
             if let Some(last) = report.jobs_mut().last_mut() {
-                last.driver_out_records += crossed;
+                last.driver_out_records += out.len() as u64;
             }
         }
-        Ok(report)
-    }
-
-    /// Total records currently held across all partitions; executes any
-    /// pending stages first.
-    pub fn records(&mut self) -> Result<u64, JobError> {
-        self.force()?;
-        Ok(match &self.plan {
-            Plan::Input(records) => records.len() as u64,
-            Plan::Materialized { parts, .. } => parts.iter().map(DataPartition::records).sum(),
-            // tsjlint:allow(no-panic-in-data-plane) force() above leaves only Input/Materialized
-            Plan::Stage(_) | Plan::Union(..) | Plan::Failed(_) => unreachable!("forced above"),
-        })
-    }
-
-    /// Partition count (0 for a collected-empty stage output; driver
-    /// inputs report the chunk count their first stage will use).
-    /// Executes any pending stages first.
-    pub fn num_partitions(&mut self) -> Result<usize, JobError> {
-        self.force()?;
-        Ok(match &self.plan {
-            Plan::Input(records) => self.cluster.slice_chunking(records.len()).0,
-            Plan::Materialized { parts, .. } => parts.len(),
-            // tsjlint:allow(no-panic-in-data-plane) force() above leaves only Input/Materialized
-            Plan::Stage(_) | Plan::Union(..) | Plan::Failed(_) => unreachable!("forced above"),
-        })
-    }
-
-    /// The simulation report accumulated over the stages *executed so
-    /// far* behind this handle — pending stages appear only after a
-    /// terminal (or [`Dataset::take_report`]) runs them.
-    pub fn report(&self) -> &SimReport {
-        &self.report
-    }
-
-    /// Executes any pending stages, then moves the accumulated report out
-    /// of the handle (leaving it empty), so a pipeline interleaving
-    /// several handles can assemble one report in true execution order. A
-    /// later `collect` of this handle can no longer book its driver
-    /// crossing on the producing job (the stats left with the report).
-    pub fn take_report(&mut self) -> Result<SimReport, JobError> {
-        self.force()?;
-        self.producer_is_last_job = false;
-        Ok(std::mem::take(&mut self.report))
+        Ok((out, report))
     }
 }
 

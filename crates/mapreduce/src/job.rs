@@ -308,8 +308,8 @@ pub struct JobStats {
     /// Records of this job's output handed back to driver memory. The
     /// engine never books this: a stage's output stays partitioned in the
     /// runtime, and [`Dataset::collect`](crate::dataset::Dataset::collect)
-    /// / `for_each_output` book the crossing onto the producing job when
-    /// they drain it — so it is the output length for a collected stage
+    /// books the crossing onto the producing job when it drains it — so it
+    /// is the output length for a collected stage
     /// (every `Cluster::run*` job) and zero for interior ones.
     pub driver_out_records: u64,
     /// Map-phase simulated timing.

@@ -51,9 +51,8 @@
 //!
 //! A plan is a tree, and lowering returns it: each stage's depth below the
 //! terminal is its pool priority, and the tree is structurally analyzed
-//! before execution — statically empty inputs, union partition
-//! mismatches, wasted repartitions, combiner opportunities, and merge
-//! fan-in hazards surface as [`PlanDiagnostic`]s on the terminal's
+//! before execution — statically empty inputs, combiner opportunities and
+//! merge fan-in hazards surface as [`PlanDiagnostic`]s on the terminal's
 //! [`SimReport`] — or, under [`PlanCheck::Deny`], fail the terminal before
 //! any stage runs.
 

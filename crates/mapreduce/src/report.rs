@@ -42,11 +42,6 @@ impl SimReport {
         self.jobs.iter().map(|j| j.sim_total_secs).sum()
     }
 
-    /// Total real wall-clock spent executing locally.
-    pub fn total_wall_secs(&self) -> f64 {
-        self.jobs.iter().map(|j| j.wall_secs).sum()
-    }
-
     /// Sum of a counter across all jobs.
     pub fn counter(&self, name: &str) -> u64 {
         self.jobs.iter().map(|j| j.counter(name)).sum()
@@ -286,11 +281,10 @@ impl std::fmt::Display for SimReport {
 mod tests {
     use super::*;
 
-    fn stats(name: &str, sim: f64, wall: f64) -> JobStats {
+    fn stats(name: &str, sim: f64) -> JobStats {
         JobStats {
             name: name.into(),
             sim_total_secs: sim,
-            wall_secs: wall,
             ..JobStats::default()
         }
     }
@@ -298,18 +292,17 @@ mod tests {
     #[test]
     fn totals_accumulate() {
         let mut r = SimReport::new();
-        r.push(stats("a", 10.0, 0.1));
-        r.push(stats("b", 5.5, 0.2));
+        r.push(stats("a", 10.0));
+        r.push(stats("b", 5.5));
         assert_eq!(r.jobs().len(), 2);
         assert!((r.total_sim_secs() - 15.5).abs() < 1e-12);
-        assert!((r.total_wall_secs() - 0.3).abs() < 1e-12);
     }
 
     #[test]
     fn counters_sum_across_jobs() {
-        let mut a = stats("a", 1.0, 0.0);
+        let mut a = stats("a", 1.0);
         a.counters.insert("pairs", 3);
-        let mut b = stats("b", 1.0, 0.0);
+        let mut b = stats("b", 1.0);
         b.counters.insert("pairs", 4);
         let mut r = SimReport::new();
         r.push(a);
@@ -321,7 +314,7 @@ mod tests {
     #[test]
     fn display_renders_table() {
         let mut r = SimReport::new();
-        r.push(stats("tsj.shared_token", 12.0, 0.5));
+        r.push(stats("tsj.shared_token", 12.0));
         let rendered = format!("{r}");
         assert!(rendered.contains("tsj.shared_token"));
         assert!(rendered.contains("TOTAL"));
@@ -330,9 +323,9 @@ mod tests {
 
     #[test]
     fn transport_bytes_total_across_jobs() {
-        let mut a = stats("a", 1.0, 0.0);
+        let mut a = stats("a", 1.0);
         a.transport_bytes = 100;
-        let mut b = stats("b", 1.0, 0.0);
+        let mut b = stats("b", 1.0);
         b.transport_bytes = 23;
         let mut r = SimReport::new();
         r.push(a);
@@ -342,15 +335,15 @@ mod tests {
 
     #[test]
     fn transport_bytes_per_record_averages_transported_jobs_only() {
-        let mut a = stats("a", 1.0, 0.0);
+        let mut a = stats("a", 1.0);
         a.transport_bytes = 210;
         a.shuffle_records = 10;
         // An in-process job shuffles records but moves no transport bytes;
         // it must not dilute the per-record figure.
-        let mut b = stats("b", 1.0, 0.0);
+        let mut b = stats("b", 1.0);
         b.transport_bytes = 0;
         b.shuffle_records = 1000;
-        let mut c = stats("c", 1.0, 0.0);
+        let mut c = stats("c", 1.0);
         c.transport_bytes = 90;
         c.shuffle_records = 10;
         let mut r = SimReport::new();
@@ -371,19 +364,19 @@ mod tests {
     #[test]
     fn transport_bytes_per_record_is_none_without_transport() {
         let mut r = SimReport::new();
-        r.push(stats("a", 1.0, 0.0));
+        r.push(stats("a", 1.0));
         assert_eq!(r.transport_bytes_per_record(), None);
     }
 
     #[test]
     fn display_renders_scheduler_columns() {
-        let mut a = stats("a", 1.0, 0.0);
+        let mut a = stats("a", 1.0);
         a.steals = 3;
         a.speculative_launched = 2;
         a.speculative_won = 1;
         a.queue_wait_us = 1500;
         // A job the scheduler never speculated renders a blank spec cell.
-        let b = stats("b", 1.0, 0.0);
+        let b = stats("b", 1.0);
         let mut r = SimReport::new();
         r.push(a);
         r.push(b);
@@ -400,12 +393,12 @@ mod tests {
 
     #[test]
     fn display_renders_fetch_column() {
-        let mut a = stats("a", 1.0, 0.0);
+        let mut a = stats("a", 1.0);
         a.fetch_requests = 12;
         a.fetch_retries = 3;
         a.fetch_bytes = 4096;
         // A non-remote job renders a blank fetch cell.
-        let b = stats("b", 1.0, 0.0);
+        let b = stats("b", 1.0);
         let mut r = SimReport::new();
         r.push(a);
         r.push(b);
@@ -420,9 +413,9 @@ mod tests {
     #[test]
     fn extend_merges_pipelines() {
         let mut a = SimReport::new();
-        a.push(stats("x", 1.0, 0.0));
+        a.push(stats("x", 1.0));
         let mut b = SimReport::new();
-        b.push(stats("y", 2.0, 0.0));
+        b.push(stats("y", 2.0));
         a.extend(b);
         assert_eq!(a.jobs().len(), 2);
         assert!((a.total_sim_secs() - 3.0).abs() < 1e-12);

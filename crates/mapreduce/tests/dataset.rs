@@ -190,48 +190,49 @@ fn bounded_stage_output_is_spilled_not_buffered() {
 
 #[test]
 fn union_concatenates_partitions_and_reports() {
-    let c = cluster(4, 0, ShuffleConfig::unbounded());
-    let stage = |name: &str, lo: u64, hi: u64| {
-        let ids: Vec<u64> = (lo..hi).collect();
-        c.input(&ids)
+    // Eager runs both producers at their call, so the union joins two
+    // materialized sides; lazy runs all three stages at the collect.
+    for mode in [DatasetMode::Lazy, DatasetMode::Eager] {
+        let c = cluster(4, 0, ShuffleConfig::unbounded()).with_dataset_mode(mode);
+        let stage = |name: &str, lo: u64, hi: u64| {
+            let ids: Vec<u64> = (lo..hi).collect();
+            c.input(&ids)
+                .map_reduce(
+                    name,
+                    |&n: &u64, e: &mut Emitter<u64, u64>| e.emit(n % 10, n),
+                    |&k: &u64, vs: Vec<u64>, out: &mut OutputSink<(u64, u64)>| {
+                        out.emit((k, vs.iter().sum()));
+                    },
+                )
+                .unwrap()
+        };
+        let unioned = stage("left", 0, 100).union(stage("right", 100, 200));
+
+        // A stage over the union sees both sides' records.
+        let (mut totals, report) = unioned
             .map_reduce(
-                name,
-                |&n: &u64, e: &mut Emitter<u64, u64>| e.emit(n % 10, n),
+                "sum",
+                |&(k, v): &(u64, u64), e: &mut Emitter<u64, u64>| e.emit(k, v),
                 |&k: &u64, vs: Vec<u64>, out: &mut OutputSink<(u64, u64)>| {
                     out.emit((k, vs.iter().sum()));
                 },
             )
             .unwrap()
-    };
-    let mut left = stage("left", 0, 100);
-    let right = stage("right", 100, 200);
-    // records() forces the pending stage — the handle then reports it.
-    assert_eq!(left.records().unwrap(), 10);
-    assert_eq!(left.report().jobs().len(), 1);
-    let mut unioned = left.union(right);
-    assert_eq!(unioned.records().unwrap(), 20);
-    assert_eq!(unioned.report().jobs().len(), 2);
-
-    // A stage over the union sees both sides' records.
-    let (mut totals, report) = unioned
-        .map_reduce(
-            "sum",
-            |&(k, v): &(u64, u64), e: &mut Emitter<u64, u64>| e.emit(k, v),
-            |&k: &u64, vs: Vec<u64>, out: &mut OutputSink<(u64, u64)>| {
-                out.emit((k, vs.iter().sum()));
-            },
-        )
-        .unwrap()
-        .collect()
-        .unwrap();
-    totals.sort_unstable();
-    let expect: Vec<(u64, u64)> = (0..10u64)
-        .map(|k| (k, (0..200u64).filter(|n| n % 10 == k).sum()))
-        .collect();
-    assert_eq!(totals, expect);
-    assert_eq!(report.jobs().len(), 3);
-    assert_eq!(report.jobs()[2].driver_in_records, 0);
-    assert_eq!(report.jobs()[2].driver_out_records, 10);
+            .collect()
+            .unwrap();
+        totals.sort_unstable();
+        let expect: Vec<(u64, u64)> = (0..10u64)
+            .map(|k| (k, (0..200u64).filter(|n| n % 10 == k).sum()))
+            .collect();
+        assert_eq!(totals, expect, "{mode:?}");
+        let names: Vec<&str> = report.jobs().iter().map(|j| j.name.as_str()).collect();
+        assert_eq!(names, ["left", "right", "sum"], "{mode:?}");
+        assert_eq!(report.jobs()[0].output_records, 10, "{mode:?}");
+        assert_eq!(report.jobs()[1].output_records, 10, "{mode:?}");
+        assert_eq!(report.jobs()[2].input_records, 20, "{mode:?}");
+        assert_eq!(report.jobs()[2].driver_in_records, 0, "{mode:?}");
+        assert_eq!(report.jobs()[2].driver_out_records, 10, "{mode:?}");
+    }
 }
 
 #[test]
@@ -278,13 +279,18 @@ fn fully_lazy_union_executes_at_the_terminal() {
 
 #[test]
 fn repartition_rebalances_without_changing_the_record_multiset() {
-    let c = cluster(4, 0, ShuffleConfig::unbounded());
+    // Everything lands on one key, so the first stage's output is one fat
+    // partition and the next stage's map wave is a single task. Eager mode
+    // materializes that boundary; the automatic response spreads it.
     let ids: Vec<u64> = (0..500).collect();
-    let build = || {
-        c.input(&ids)
+    let run = |auto: Option<f64>| {
+        let c = cluster(4, 0, ShuffleConfig::unbounded())
+            .with_dataset_mode(DatasetMode::Eager)
+            .with_auto_repartition(auto);
+        let (mut out, report) = c
+            .input(&ids)
             .map_reduce(
                 "skewed",
-                // Everything lands on one key → one fat output partition.
                 |&n: &u64, e: &mut Emitter<u64, u64>| e.emit(7, n),
                 |_k: &u64, vs: Vec<u64>, out: &mut OutputSink<u64>| {
                     for v in vs {
@@ -293,43 +299,54 @@ fn repartition_rebalances_without_changing_the_record_multiset() {
                 },
             )
             .unwrap()
+            .map_reduce(
+                "consume",
+                |&n: &u64, e: &mut Emitter<u64, u64>| e.emit(n, n),
+                |&k: &u64, _vs: Vec<u64>, out: &mut OutputSink<u64>| out.emit(k),
+            )
+            .unwrap()
+            .collect()
+            .unwrap();
+        out.sort_unstable();
+        (out, report)
     };
-    let mut skewed = build();
-    assert_eq!(skewed.num_partitions().unwrap(), 1, "skew: one partition");
-
-    let mut repartitioned = build().repartition(6).unwrap();
-    assert!(
-        repartitioned.num_partitions().unwrap() > 1,
-        "repartition must spread the fat partition"
-    );
-    assert_eq!(repartitioned.records().unwrap(), 500);
-
+    let (plain, plain_report) = run(None);
+    let (spread, report) = run(Some(1.5));
     // Record multiset is unchanged (placement is, so compare sorted).
-    let (mut a, _) = skewed.collect().unwrap();
-    let (mut b, report) = repartitioned.collect().unwrap();
-    a.sort_unstable();
-    b.sort_unstable();
-    assert_eq!(a, b);
+    assert_eq!(spread, plain);
+    assert_eq!(plain, ids);
     let repart_job = &report.jobs()[1];
-    assert!(repart_job.name.starts_with("repartition"));
+    assert_eq!(repart_job.name, "repartition(8).auto");
     assert_eq!(repart_job.input_records, 500);
     assert_eq!(repart_job.output_records, 500);
     assert_eq!(repart_job.driver_in_records, 0, "repartition is interior");
-    assert_eq!(repart_job.driver_out_records, 500, "collected terminal");
+    assert_eq!(repart_job.driver_out_records, 0, "repartition is interior");
+    // The consumer's map wave went from one busy machine to several, so
+    // its busiest machine carries less.
+    let map_makespan = |r: &tsj_mapreduce::SimReport| r.jobs().last().unwrap().map.makespan_secs;
+    assert!(
+        map_makespan(&report) < map_makespan(&plain_report),
+        "repartition must spread the fat partition: {} vs {}",
+        map_makespan(&report),
+        map_makespan(&plain_report)
+    );
 }
 
 #[test]
 fn repartition_is_invariant_for_downstream_stages() {
-    // Inserting a repartition between two stages must not change the
-    // downstream stage's (sorted) output — across shuffle configs.
+    // An automatic repartition between two stages must not change the
+    // downstream stage's (sorted) output — across shuffle configs. Eager
+    // mode materializes the boundary it measures; a ratio barely above
+    // perfect balance makes any uneven word-count output trigger it.
     let input = docs(150);
     for shuffle in [
         ShuffleConfig::unbounded(),
         ShuffleConfig::bounded(8, 8).with_transport(Transport::MultiProcess),
     ] {
-        let c = cluster(4, 3, shuffle);
-        let run = |repartition: Option<usize>| {
-            let ds = c
+        let eager = cluster(4, 3, shuffle).with_dataset_mode(DatasetMode::Eager);
+        let run = |ratio: Option<f64>| {
+            let c = eager.clone().with_auto_repartition(ratio);
+            let (mut out, report) = c
                 .input(&input)
                 .map_reduce_combined(
                     "wordcount",
@@ -343,12 +360,7 @@ fn repartition_is_invariant_for_downstream_stages() {
                         out.emit((w.clone(), counts.iter().sum()));
                     },
                 )
-                .unwrap();
-            let ds = match repartition {
-                Some(n) => ds.repartition(n).unwrap(),
-                None => ds,
-            };
-            let (mut out, _) = ds
+                .unwrap()
                 .map_reduce_combined(
                     "histogram",
                     |&(_, n): &(String, u64), e: &mut Emitter<u64, u64>| e.emit(n, 1),
@@ -361,52 +373,22 @@ fn repartition_is_invariant_for_downstream_stages() {
                 .collect()
                 .unwrap();
             out.sort_unstable();
-            out
+            let names: Vec<&str> = report.jobs().iter().map(|j| j.name.as_str()).collect();
+            (out, names.join(","))
         };
-        let plain = run(None);
-        for n in [1usize, 4, 32] {
-            assert_eq!(run(Some(n)), plain, "repartition({n})");
-        }
+        let (plain, plain_jobs) = run(None);
+        assert_eq!(plain_jobs, "wordcount,histogram");
+        let (auto, auto_jobs) = run(Some(1.0001));
+        assert_eq!(auto_jobs, "wordcount,repartition(3).auto,histogram");
+        assert_eq!(auto, plain);
     }
-}
-
-#[test]
-fn for_each_output_streams_the_same_records_as_collect() {
-    let input = docs(120);
-    let c = cluster(2, 7, ShuffleConfig::bounded(8, 8));
-    let build = || {
-        c.input(&input)
-            .map_reduce(
-                "tokens",
-                |doc: &String, e: &mut Emitter<String, u64>| {
-                    for w in doc.split_whitespace() {
-                        e.emit(w.to_owned(), 1);
-                    }
-                },
-                |w: &String, hits: Vec<u64>, out: &mut OutputSink<(String, u64)>| {
-                    out.emit((w.clone(), hits.len() as u64));
-                },
-            )
-            .unwrap()
-    };
-    let (collected, r1) = build().collect().unwrap();
-    let mut streamed = Vec::new();
-    let r2 = build().for_each_output(|rec| streamed.push(rec)).unwrap();
-    assert_eq!(collected, streamed);
-    assert_eq!(
-        r1.jobs()[0].driver_out_records,
-        r2.jobs()[0].driver_out_records
-    );
-    assert_eq!(r1.jobs()[0].driver_out_records, collected.len() as u64);
 }
 
 #[test]
 fn collecting_a_fresh_input_roundtrips() {
     let c = cluster(2, 0, ShuffleConfig::unbounded());
     let ids: Vec<u32> = (0..50).collect();
-    let mut ds = c.input(&ids);
-    assert_eq!(ds.records().unwrap(), 50);
-    let (out, report) = ds.collect().unwrap();
+    let (out, report) = c.input(&ids).collect().unwrap();
     assert_eq!(out, ids);
     assert!(report.jobs().is_empty());
 }
@@ -672,31 +654,6 @@ fn failing_jobs_leave_the_spill_dir_empty() {
 }
 
 #[test]
-fn take_report_forces_execution_and_empties_the_handle() {
-    let c = cluster(2, 0, ShuffleConfig::unbounded());
-    let ids: Vec<u64> = (0..40).collect();
-    let mut ds = c
-        .input(&ids)
-        .map_reduce(
-            "stage",
-            |&n: &u64, e: &mut Emitter<u64, u64>| e.emit(n % 4, n),
-            |&k: &u64, vs: Vec<u64>, out: &mut OutputSink<(u64, u64)>| {
-                out.emit((k, vs.iter().sum()));
-            },
-        )
-        .unwrap();
-    assert_eq!(ds.report().jobs().len(), 0, "nothing executed yet");
-    let report = ds.take_report().unwrap();
-    assert_eq!(report.jobs().len(), 1, "take_report executed the stage");
-    assert_eq!(ds.report().jobs().len(), 0, "handle's report emptied");
-    // Collecting afterwards still yields the records; the crossing has
-    // nowhere to book (the stats left with the report) — documented.
-    let (out, rest) = ds.collect().unwrap();
-    assert_eq!(out.len(), 4);
-    assert!(rest.jobs().is_empty());
-}
-
-#[test]
 fn collecting_a_union_of_fresh_inputs_concatenates() {
     // Regression: a terminal on a union with no pending stages must
     // materialize it (left then right), not panic — in both modes.
@@ -708,7 +665,7 @@ fn collecting_a_union_of_fresh_inputs_concatenates() {
         assert_eq!(out, (0..30).collect::<Vec<u32>>(), "{mode:?}");
         assert!(report.jobs().is_empty());
         // And with one executed side: still a clean concatenation.
-        let mut left = c
+        let left = c
             .input(&a)
             .map_reduce(
                 "left",
@@ -716,47 +673,12 @@ fn collecting_a_union_of_fresh_inputs_concatenates() {
                 |&k: &u32, _vs: Vec<u32>, out: &mut OutputSink<u32>| out.emit(k),
             )
             .unwrap();
-        assert_eq!(left.records().unwrap(), 3);
-        let mut unioned = left.union(c.input(&b));
-        assert_eq!(unioned.records().unwrap(), 13, "{mode:?}");
-        assert!(unioned.num_partitions().unwrap() > 0);
-        let (out, _) = unioned.collect().unwrap();
-        assert_eq!(out.len(), 13);
+        let (out, report) = left.union(c.input(&b)).collect().unwrap();
+        assert_eq!(out.len(), 13, "{mode:?}");
+        let mut head = out[..3].to_vec();
+        head.sort_unstable();
+        assert_eq!(head, [0, 1, 2], "{mode:?}");
+        assert_eq!(out[3..], b[..], "{mode:?}");
+        assert_eq!(report.jobs().len(), 1, "{mode:?}");
     }
-}
-
-#[test]
-fn failed_handles_stay_failed_instead_of_turning_empty() {
-    // Regression: after a terminal fails, the handle is poisoned — later
-    // terminals re-surface the error rather than succeeding with an
-    // empty result.
-    let (_guard, blocker) = unusable_dir_base();
-    let shuffle = ShuffleConfig {
-        combine_threshold: Some(1_000_000),
-        spill_threshold: Some(1_000_000),
-        spill_dir: Some(blocker),
-        ..ShuffleConfig::default()
-    };
-    let c = cluster(2, 3, shuffle);
-    let ids: Vec<u64> = (0..50).collect();
-    let mut ds = c
-        .input(&ids)
-        .map_reduce(
-            "sink-fails",
-            |&n: &u64, e: &mut Emitter<u64, u64>| e.emit(n % 5, n),
-            |&k: &u64, _vs: Vec<u64>, out: &mut OutputSink<u64>| out.emit(k),
-        )
-        .unwrap()
-        .map_reduce(
-            "downstream",
-            |&n: &u64, e: &mut Emitter<u64, u64>| e.emit(n, n),
-            |&k: &u64, _vs: Vec<u64>, out: &mut OutputSink<u64>| out.emit(k),
-        )
-        .unwrap();
-    let first = ds.records().expect_err("unusable spill dir must fail");
-    assert!(matches!(first, JobError::Spill { .. }), "{first:?}");
-    let second = ds
-        .collect()
-        .expect_err("a failed handle must not silently yield empty output");
-    assert_eq!(first, second, "the original error sticks to the handle");
 }

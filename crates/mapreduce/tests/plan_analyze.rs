@@ -118,151 +118,6 @@ fn uncombined_dedup_foldable_stage_warns() {
 }
 
 #[test]
-fn union_of_mismatched_partition_counts_warns() {
-    let c = cluster();
-    let left = c.input_vec((0..40u32).collect()).repartition(4).unwrap();
-    let right = c.input_vec((40..80u32).collect()).repartition(8).unwrap();
-    let (mut out, report) = left
-        .union(right)
-        .map_reduce(
-            "downstream",
-            |&x: &u32, e: &mut Emitter<u32, u32>| e.emit(x, x),
-            |&k: &u32, _vs: Vec<u32>, out: &mut OutputSink<u32>| out.emit(k),
-        )
-        .unwrap()
-        .collect()
-        .unwrap();
-    out.sort_unstable();
-    assert_eq!(out, (0..80).collect::<Vec<u32>>());
-    assert_eq!(codes(&report), vec!["union-partition-mismatch"]);
-    match &report.plan_diagnostics()[0] {
-        PlanDiagnostic::UnionPartitionMismatch { partitions, .. } => {
-            let mut p = partitions.clone();
-            p.sort_unstable();
-            assert_eq!(p, vec![4, 8]);
-        }
-        other => panic!("unexpected diagnostic {other:?}"),
-    }
-
-    // Matching counts through the same shape: clean.
-    let left = c.input_vec((0..40u32).collect()).repartition(4).unwrap();
-    let right = c.input_vec((40..80u32).collect()).repartition(4).unwrap();
-    let (_, report) = left
-        .union(right)
-        .map_reduce(
-            "downstream",
-            |&x: &u32, e: &mut Emitter<u32, u32>| e.emit(x, x),
-            |&k: &u32, _vs: Vec<u32>, out: &mut OutputSink<u32>| out.emit(k),
-        )
-        .unwrap()
-        .collect()
-        .unwrap();
-    assert!(report.plan_diagnostics().is_empty());
-}
-
-#[test]
-fn terminal_repartition_warns() {
-    let c = cluster();
-    let (mut out, report) = c
-        .input_vec((0..30u32).collect())
-        .repartition(4)
-        .unwrap()
-        .collect()
-        .unwrap();
-    out.sort_unstable();
-    assert_eq!(out, (0..30).collect::<Vec<u32>>());
-    assert_eq!(codes(&report), vec!["terminal-repartition"]);
-}
-
-#[test]
-fn chained_repartitions_warn_once_for_the_wasted_pass() {
-    let c = cluster();
-    let (mut out, report) = c
-        .input_vec((0..30u32).collect())
-        .repartition(4)
-        .unwrap()
-        .repartition(8)
-        .unwrap()
-        .map_reduce(
-            "downstream",
-            |&x: &u32, e: &mut Emitter<u32, u32>| e.emit(x, x),
-            |&k: &u32, _vs: Vec<u32>, out: &mut OutputSink<u32>| out.emit(k),
-        )
-        .unwrap()
-        .collect()
-        .unwrap();
-    out.sort_unstable();
-    assert_eq!(out, (0..30).collect::<Vec<u32>>());
-    assert_eq!(codes(&report), vec!["redundant-repartition"]);
-    match &report.plan_diagnostics()[0] {
-        PlanDiagnostic::RedundantRepartition {
-            chained_into: Some(_),
-            ..
-        } => {}
-        other => panic!("expected the chained form, got {other:?}"),
-    }
-}
-
-#[test]
-fn repartition_to_the_producers_count_warns() {
-    let c = cluster(); // 4 machines → stages shuffle into 4 partitions
-    let (mut out, report) = c
-        .input_vec((0..30u32).collect())
-        .map_reduce(
-            "produce",
-            |&x: &u32, e: &mut Emitter<u32, u32>| e.emit(x, x),
-            |&k: &u32, _vs: Vec<u32>, out: &mut OutputSink<u32>| out.emit(k),
-        )
-        .unwrap()
-        .repartition(4)
-        .unwrap()
-        .map_reduce(
-            "downstream",
-            |&x: &u32, e: &mut Emitter<u32, u32>| e.emit(x, x),
-            |&k: &u32, _vs: Vec<u32>, out: &mut OutputSink<u32>| out.emit(k),
-        )
-        .unwrap()
-        .collect()
-        .unwrap();
-    out.sort_unstable();
-    assert_eq!(out, (0..30).collect::<Vec<u32>>());
-    assert_eq!(codes(&report), vec!["redundant-repartition"]);
-    match &report.plan_diagnostics()[0] {
-        PlanDiagnostic::RedundantRepartition {
-            chained_into: None,
-            partitions: 4,
-            ..
-        } => {}
-        other => panic!("expected the count-equal form, got {other:?}"),
-    }
-
-    // Reshaping to a different count through the same chain: clean.
-    let (_, report) = c
-        .input_vec((0..30u32).collect())
-        .map_reduce(
-            "produce",
-            |&x: &u32, e: &mut Emitter<u32, u32>| e.emit(x, x),
-            |&k: &u32, _vs: Vec<u32>, out: &mut OutputSink<u32>| out.emit(k),
-        )
-        .unwrap()
-        .repartition(8)
-        .unwrap()
-        .map_reduce(
-            "downstream",
-            |&x: &u32, e: &mut Emitter<u32, u32>| e.emit(x, x),
-            |&k: &u32, _vs: Vec<u32>, out: &mut OutputSink<u32>| out.emit(k),
-        )
-        .unwrap()
-        .collect()
-        .unwrap();
-    assert!(
-        report.plan_diagnostics().is_empty(),
-        "unexpected: {:?}",
-        report.plan_diagnostics()
-    );
-}
-
-#[test]
 fn merge_fan_in_hazard_needs_uncapped_spilling_config() {
     // 100 producer partitions feeding one stage under a spilling shuffle
     // with no merge fan-in cap: every partition's sorted runs meet in one

@@ -4,8 +4,8 @@
 //! seeded straggler is beaten by a speculative copy (first completed
 //! result wins, the loser is dropped); a reduce task over in-memory
 //! segments is never offered for speculation; and the automatic skew
-//! response inserts a `repartition` stage that routes records exactly
-//! like the manual one.
+//! response inserts a repartition stage behind a skewed materialized
+//! boundary without changing the output.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -258,35 +258,33 @@ fn straggler_without_speculation_waits_out_the_sleep() {
     assert_eq!(wordcount.speculative_won, 0);
 }
 
-/// One skewed stage (every record routed to one partition by a
-/// constant key) followed by a per-record stage whose output order
-/// exposes the routing.
-fn skewed_then_double(
+/// Eager execution materializes every stage boundary, which is where
+/// the automatic skew response can measure partition sizes.
+fn eager(auto_repartition: Option<f64>) -> Cluster {
+    cluster(4, 4, ShuffleConfig::unbounded())
+        .with_dataset_mode(DatasetMode::Eager)
+        .with_auto_repartition(auto_repartition)
+}
+
+/// A first stage whose reduce routes every record through `key(n)`,
+/// followed by a per-record doubling stage; returns the sorted output.
+fn routed_then_double(
     c: &Cluster,
     input: &[u64],
-    manual_repartition: bool,
+    key: fn(u64) -> u64,
 ) -> (Vec<u64>, tsj_mapreduce::SimReport) {
-    let mut skewed = c
+    let (mut out, report) = c
         .input(input)
         .map_reduce(
-            "skew",
-            |&n: &u64, e: &mut Emitter<u64, u64>| e.emit(0, n),
+            "route",
+            move |&n: &u64, e: &mut Emitter<u64, u64>| e.emit(key(n), n),
             |_: &u64, ns: Vec<u64>, out: &mut OutputSink<u64>| {
                 for n in ns {
                     out.emit(n);
                 }
             },
         )
-        .unwrap();
-    // Force the stage boundary to materialize inside the runtime so the
-    // planner can observe the partition-size statistics.
-    skewed.records().unwrap();
-    let skewed = if manual_repartition {
-        skewed.repartition(c.partitions()).unwrap()
-    } else {
-        skewed
-    };
-    skewed
+        .unwrap()
         .map_reduce(
             "double",
             |&n: &u64, e: &mut Emitter<u64, u64>| e.emit(n, n),
@@ -298,87 +296,40 @@ fn skewed_then_double(
         )
         .unwrap()
         .collect()
-        .unwrap()
+        .unwrap();
+    out.sort_unstable();
+    (out, report)
+}
+
+fn job_names(report: &tsj_mapreduce::SimReport) -> Vec<&str> {
+    report.jobs().iter().map(|j| j.name.as_str()).collect()
 }
 
 #[test]
-fn auto_repartition_matches_manual_repartition() {
-    // With every record of the "skew" stage in one partition
-    // (sizes [N,0,0,0] → skew 4.0), a cluster with auto-repartition
-    // enabled must insert the hidden stage and produce output
-    // byte-identical (same records, same order) to the manual
-    // `repartition(partitions)` call at the same boundary.
+fn auto_repartition_spreads_a_skewed_eager_boundary() {
+    // A constant key puts every record of the first stage in one
+    // partition (sizes [N,0,0,0] → skew 4.0): the planner must insert the
+    // hidden stage, move every record through it once, and leave the
+    // output what it is with auto-repartition off.
     let input: Vec<u64> = (0..200).collect();
-    let c = cluster(4, 4, ShuffleConfig::unbounded());
+    let (auto_out, auto_report) = routed_then_double(&eager(Some(1.5)), &input, |_| 0);
+    let (plain_out, plain_report) = routed_then_double(&eager(None), &input, |_| 0);
 
-    let auto = c.clone().with_auto_repartition(Some(1.5));
-    let (auto_out, auto_report) = skewed_then_double(&auto, &input, false);
-    let (manual_out, manual_report) = skewed_then_double(&c, &input, true);
-
-    assert!(
-        auto_report
-            .jobs()
-            .iter()
-            .any(|j| j.name == "repartition(4).auto"),
-        "auto-inserted stage missing from report: {:?}",
-        auto_report
-            .jobs()
-            .iter()
-            .map(|j| j.name.clone())
-            .collect::<Vec<_>>()
+    assert_eq!(
+        job_names(&auto_report),
+        ["route", "repartition(4).auto", "double"]
     );
-    assert!(
-        manual_report
-            .jobs()
-            .iter()
-            .any(|j| j.name == "repartition(4)"),
-        "manual repartition stage missing from its report"
-    );
-    assert_eq!(auto_out, manual_out, "auto vs manual repartition output");
+    let auto_job = &auto_report.jobs()[1];
+    assert_eq!(auto_job.input_records, 200);
+    assert_eq!(auto_job.output_records, 200);
+    assert_eq!(job_names(&plain_report), ["route", "double"]);
+    assert_eq!(auto_out, plain_out, "auto repartition changed the output");
 }
 
 #[test]
 fn auto_repartition_stays_out_of_balanced_boundaries() {
-    // A well-spread stage output must not trigger the skew response,
-    // and an explicit repartition stage must never be doubled up.
+    // A well-spread stage output must not trigger the skew response.
     let input: Vec<u64> = (0..200).collect();
-    let c = cluster(4, 4, ShuffleConfig::unbounded()).with_auto_repartition(Some(4.0));
-
-    let mut spread = c
-        .input(&input)
-        .map_reduce(
-            "spread",
-            |&n: &u64, e: &mut Emitter<u64, u64>| e.emit(n, n),
-            |_: &u64, ns: Vec<u64>, out: &mut OutputSink<u64>| {
-                for n in ns {
-                    out.emit(n);
-                }
-            },
-        )
-        .unwrap();
-    spread.records().unwrap();
-    let (_, report) = spread
-        .repartition(4)
-        .unwrap()
-        .map_reduce(
-            "double",
-            |&n: &u64, e: &mut Emitter<u64, u64>| e.emit(n, n),
-            |_: &u64, ns: Vec<u64>, out: &mut OutputSink<u64>| {
-                for n in ns {
-                    out.emit(n * 2);
-                }
-            },
-        )
-        .unwrap()
-        .collect()
-        .unwrap();
-    assert!(
-        !report.jobs().iter().any(|j| j.name.ends_with(".auto")),
-        "auto repartition fired on a balanced or already-repartitioned boundary: {:?}",
-        report
-            .jobs()
-            .iter()
-            .map(|j| j.name.clone())
-            .collect::<Vec<_>>()
-    );
+    let (_, report) = routed_then_double(&eager(Some(4.0)), &input, |n| n);
+    assert_eq!(job_names(&report), ["route", "double"]);
 }

@@ -9,10 +9,9 @@
 //!   `U + 1` segments of `y` guarantee a shared substring with any `x`
 //!   within `LD ≤ U`) and the multi-match-aware substring windows that keep
 //!   the probe side's candidate substrings to `O(U)` per segment.
-//! * [`serial`] — single-threaded PassJoin self-joins under an `LD`
-//!   threshold ([`ld_self_join_serial`]) and an `NLD` threshold
-//!   ([`nld_self_join_serial`]), used as reference implementations and by
-//!   small workloads.
+//! * [`serial`] — the single-threaded PassJoin self-join under an `NLD`
+//!   threshold ([`nld_self_join_serial`]), the reference implementation
+//!   MassJoin and the TSJ filters are tested against.
 //! * [`massjoin`] — [`MassJoin`]: the same join staged as one MapReduce
 //!   job on a [`tsj_mapreduce::Cluster`]: chunk grouping generates the
 //!   candidates, and each reduce group verifies, behind a character-set
@@ -31,7 +30,7 @@ use tsj_mapreduce::Spill;
 
 pub use massjoin::{ChunkRole, MassJoin};
 pub use segments::{even_partitions, substring_window};
-pub use serial::{ld_self_join_serial, nld_self_join_serial};
+pub use serial::nld_self_join_serial;
 
 /// A verified NLD-similar token pair produced by the joins.
 ///

@@ -1,12 +1,12 @@
-//! Serial Pass-Join self-joins (reference implementations).
+//! Serial Pass-Join self-join under an `NLD` threshold (the reference
+//! implementation [`MassJoin`](crate::MassJoin) is tested against).
 //!
-//! Both joins follow the same structure: every string is *indexed* by the
-//! segments of the even-partition scheme (playing the longer role `y`), and
-//! every string *probes* the index with the substrings selected by the
-//! multi-match-aware windows (playing the shorter role `x`, per the
-//! self-join optimization of Sec. III-G1: only `|x| ≤ |y|` is considered).
-//! Each unordered pair is therefore generated once, by its shorter member
-//! (ties broken by index).
+//! Every string is *indexed* by the segments of the even-partition scheme
+//! (playing the longer role `y`), and every string *probes* the index with
+//! the substrings selected by the multi-match-aware windows (playing the
+//! shorter role `x`, per the self-join optimization of Sec. III-G1: only
+//! `|x| ≤ |y|` is considered). Each unordered pair is therefore generated
+//! once, by its shorter member (ties broken by index).
 
 use std::collections::{HashMap, HashSet};
 
@@ -28,78 +28,6 @@ fn to_chars(s: &str) -> Vec<char> {
 
 pub(crate) fn fp_chars(slice: &[char]) -> u64 {
     fingerprint64(&slice)
-}
-
-/// Self-join under a fixed Levenshtein threshold `u`: returns all pairs
-/// `(i, j, LD)` with `i < j` and `LD(tokens[i], tokens[j]) ≤ u`.
-///
-/// Complete for any `u` (strings no longer than `u` are handled by a
-/// by-length wildcard index, since Lemma 7's partition then contains empty
-/// segments which match everywhere).
-pub fn ld_self_join_serial(tokens: &[impl AsRef<str>], u: usize) -> Vec<(u32, u32, u32)> {
-    let chars: Vec<Vec<char>> = tokens.iter().map(|t| to_chars(t.as_ref())).collect();
-    let n = chars.len();
-
-    // Wildcard index: strings too short to partition into u+1 segments.
-    let mut wildcard: HashMap<usize, Vec<u32>, FxBuildHasher> = HashMap::default();
-    // Segment index over the rest.
-    let mut index: HashMap<SegKey, Vec<u32>, FxBuildHasher> = HashMap::default();
-    for (id, y) in chars.iter().enumerate() {
-        let l = y.len();
-        if l <= u {
-            wildcard.entry(l).or_default().push(id as u32);
-        } else {
-            for (i, (start, seg_len)) in even_partitions(l, u + 1).into_iter().enumerate() {
-                let key = (l as u32, i as u16, fp_chars(&y[start..start + seg_len]));
-                index.entry(key).or_default().push(id as u32);
-            }
-        }
-    }
-
-    let mut out = Vec::new();
-    let mut cand: HashSet<u32, FxBuildHasher> = HashSet::default();
-    for (xid, x) in chars.iter().enumerate() {
-        cand.clear();
-        let lx = x.len();
-        for l in lx..=lx + u {
-            if l <= u {
-                if let Some(ids) = wildcard.get(&l) {
-                    cand.extend(ids.iter().copied());
-                }
-            } else {
-                for (i, (start, seg_len)) in even_partitions(l, u + 1).into_iter().enumerate() {
-                    let Some((lo, hi)) = substring_window(lx, l, i, start, seg_len, u) else {
-                        continue;
-                    };
-                    for p in lo..=hi {
-                        let key = (l as u32, i as u16, fp_chars(&x[p..p + seg_len]));
-                        if let Some(ids) = index.get(&key) {
-                            cand.extend(ids.iter().copied());
-                        }
-                    }
-                }
-            }
-        }
-        for &yid in cand.iter() {
-            let y = &chars[yid as usize];
-            debug_assert!(y.len() >= lx);
-            // Same-length ties: emitted once, by the larger-id probe.
-            if y.len() == lx && yid >= xid as u32 {
-                continue;
-            }
-            if let Some(d) = levenshtein_within_slices(x, y, u) {
-                let (a, b) = if (xid as u32) < yid {
-                    (xid as u32, yid)
-                } else {
-                    (yid, xid as u32)
-                };
-                out.push((a, b, d as u32));
-            }
-        }
-    }
-    debug_assert!(n == chars.len());
-    out.sort_unstable();
-    out
 }
 
 /// Self-join under an `NLD` threshold `t`: all pairs with
@@ -202,20 +130,7 @@ pub(crate) fn verify_nld(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsj_strdist::{levenshtein, nld};
-
-    fn brute_ld(tokens: &[&str], u: usize) -> Vec<(u32, u32, u32)> {
-        let mut out = Vec::new();
-        for i in 0..tokens.len() {
-            for j in i + 1..tokens.len() {
-                let d = levenshtein(tokens[i], tokens[j]);
-                if d <= u {
-                    out.push((i as u32, j as u32, d as u32));
-                }
-            }
-        }
-        out
-    }
+    use tsj_strdist::nld;
 
     fn brute_nld(tokens: &[&str], t: f64) -> Vec<(u32, u32)> {
         let mut out = Vec::new();
@@ -227,19 +142,6 @@ mod tests {
             }
         }
         out
-    }
-
-    #[test]
-    fn ld_join_matches_brute_force() {
-        let tokens = [
-            "barak", "barack", "obama", "obamma", "ubama", "chan", "chank", "kalan", "alan", "a",
-            "ab", "b", "",
-        ];
-        for u in 0..=3 {
-            let got = ld_self_join_serial(&tokens, u);
-            let expect = brute_ld(&tokens, u);
-            assert_eq!(got, expect, "u = {u}");
-        }
     }
 
     #[test]
@@ -282,7 +184,6 @@ mod tests {
     fn empty_and_singleton_inputs() {
         assert!(nld_self_join_serial(&[] as &[&str], 0.1).is_empty());
         assert!(nld_self_join_serial(&["solo"], 0.1).is_empty());
-        assert!(ld_self_join_serial(&[] as &[&str], 2).is_empty());
     }
 
     #[test]

@@ -1,5 +1,7 @@
-//! Tokenized-string-level bounds: Lemma 6 and the histogram SLD lower
-//! bound behind the TSJ pruning filter (Sec. III-E).
+//! Tokenized-string-level bounds: the sound (lower) half of Lemma 6 and
+//! the histogram SLD lower bound behind the TSJ pruning filter
+//! (Sec. III-E). The paper's Lemma 6 upper bound is unsound for token
+//! multisets; it lives in this module's tests, beside its counterexample.
 
 /// Lemma 6 (lower bound): for `L(yᵗ) ≥ L(xᵗ)`,
 /// `1 − L(xᵗ)/L(yᵗ) ≤ NSLD(xᵗ, yᵗ)`.
@@ -20,29 +22,6 @@ pub fn nsld_lower_bound_from_total_lens(total_len_x: usize, total_len_y: usize) 
         return 0.0;
     }
     1.0 - short / long
-}
-
-/// The paper's Lemma 6 *upper* bound, `2 / (L(xᵗ)/L(yᵗ) + 2)`, provided for
-/// reference only.
-///
-/// **Caveat (reproduction finding):** unlike its string analogue (Lemma 3),
-/// this bound is *not* sound for token multisets. The paper's proof asserts
-/// `SLD ≤ L(yᵗ)`, but one token cannot absorb characters from another:
-/// for `xᵗ = {"aaa"}`, `yᵗ = {"b", "b"}` we get `SLD = 4 > 3 = max(L)` and
-/// `NSLD = 8/9 > 2/(2/3 + 2) = 3/4`. The bound does hold when
-/// `T(xᵗ) = T(yᵗ) = 1` (where SLD degenerates to LD). Nothing in the TSJ
-/// algorithm relies on this upper bound, so the join is unaffected; see
-/// EXPERIMENTS.md for the full note.
-pub fn nsld_upper_bound_lemma6(total_len_x: usize, total_len_y: usize) -> f64 {
-    let (short, long) = if total_len_x <= total_len_y {
-        (total_len_x as f64, total_len_y as f64)
-    } else {
-        (total_len_y as f64, total_len_x as f64)
-    };
-    if long == 0.0 {
-        return 0.0;
-    }
-    2.0 / (short / long + 2.0)
 }
 
 /// The largest SLD compatible with `NSLD ≤ t`:
@@ -101,6 +80,29 @@ fn padded(lens: &[u32], k: usize, i: usize) -> u32 {
 mod tests {
     use super::*;
     use crate::sld::{nsld, nsld_from_sld, sld};
+
+    /// The paper's Lemma 6 *upper* bound, `2 / (L(xᵗ)/L(yᵗ) + 2)` — a
+    /// test-only baseline, kept to pin the finding below.
+    ///
+    /// **Caveat (reproduction finding):** unlike its string analogue
+    /// (Lemma 3), this bound is *not* sound for token multisets. The
+    /// paper's proof asserts `SLD ≤ L(yᵗ)`, but one token cannot absorb
+    /// characters from another: for `xᵗ = {"aaa"}`, `yᵗ = {"b", "b"}` we
+    /// get `SLD = 4 > 3 = max(L)` and `NSLD = 8/9 > 2/(2/3 + 2) = 3/4`. The
+    /// bound does hold when `T(xᵗ) = T(yᵗ) = 1` (where SLD degenerates to
+    /// LD). Nothing in the TSJ algorithm relies on this upper bound, so the
+    /// join is unaffected; see EXPERIMENTS.md for the full note.
+    fn nsld_upper_bound_lemma6(total_len_x: usize, total_len_y: usize) -> f64 {
+        let (short, long) = if total_len_x <= total_len_y {
+            (total_len_x as f64, total_len_y as f64)
+        } else {
+            (total_len_y as f64, total_len_x as f64)
+        };
+        if long == 0.0 {
+            return 0.0;
+        }
+        2.0 / (short / long + 2.0)
+    }
 
     #[test]
     fn lemma6_lower_bound_holds() {

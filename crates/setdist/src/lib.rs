@@ -18,15 +18,15 @@
 //!   [`sld_within`] on a capped bigraph that gives up as soon as the
 //!   budget is provably spent; [`nsld_within_priced`] is the same verdict
 //!   over a caller's edge pricing (TSJ's verifier prices token ids).
-//! * [`bounds`] — Lemma 6 numeric bounds and the sorted-token-length SLD
-//!   lower bound behind the TSJ histogram filter (Sec. III-E2).
+//! * [`bounds`] — the Lemma 6 length lower bound and the
+//!   sorted-token-length SLD lower bound behind the TSJ histogram filter
+//!   (Sec. III-E2).
 
 pub mod bounds;
 pub mod sld;
 
 pub use bounds::{
-    max_sld_given_nsld, nsld_lower_bound_from_total_lens, nsld_upper_bound_lemma6,
-    sld_lower_bound_sorted_lens,
+    max_sld_given_nsld, nsld_lower_bound_from_total_lens, sld_lower_bound_sorted_lens,
 };
 pub use sld::{
     nsld, nsld_from_sld, nsld_greedy, nsld_within, nsld_within_priced, sld, sld_greedy, sld_within,

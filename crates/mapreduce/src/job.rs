@@ -176,7 +176,7 @@ pub enum JobError {
     /// The shuffle transport failed to move map output to the reduce side:
     /// the stage's run server would not start, a map task could not
     /// publish its runs (an I/O error writing or finalizing its run file),
-    /// or a reduce-side ranged fetch ran out of retries or named a run
+    /// or a reduce-side fetch ran out of retries or named a run
     /// the server does not hold. Mirrors a shuffle-fetch failure on a real
     /// cluster.
     Transport { message: String },
@@ -342,20 +342,24 @@ pub struct JobStats {
     /// Total microseconds this job's tasks spent queued before a worker
     /// picked them up (scheduler observability, nondeterministic).
     pub queue_wait_us: u64,
-    /// Logical fetch requests the remote transport issued (the winning
-    /// reduce attempts' ranged reads; 0 for the other transports).
+    /// Logical fetch requests the remote transport issued, summed over the
+    /// winning reduce attempts (0 for the other transports). A reduce task
+    /// fetches the first chunk of all its runs in vectored requests of up
+    /// to `FetchConfig::chunk` (256 KiB) each, plus one request per further
+    /// chunk of a longer run, so the count scales with the bytes each
+    /// reduce task reads, not with its runs.
     /// Real-network observability (like `wall_secs`): never feeds
     /// simulated stats — `transport_bytes` carries the deterministic
     /// exchanged volume.
     pub fetch_requests: u64,
     /// Extra fetch attempts beyond each request's first (dropped
     /// connections, timeouts — including injected faults). Retries are
-    /// idempotent ranged reads, so this counter moves without the job
+    /// idempotent reads, so this counter moves without the job
     /// output ever changing. Nondeterministic, never fed into simulated
     /// stats.
     pub fetch_retries: u64,
-    /// Payload bytes the fetch client actually received (successful
-    /// ranged reads only; equals `transport_bytes` when nothing is
+    /// Run bytes the fetch clients actually received (every range of each
+    /// answered fetch; equals `transport_bytes` when nothing is
     /// dropped mid-run). Nondeterministic under faults, never fed into
     /// simulated stats.
     pub fetch_bytes: u64,

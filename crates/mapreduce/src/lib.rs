@@ -18,7 +18,7 @@
 //!   or map tasks publishing their output as run files in the spill-run
 //!   wire format that reducers read in place — from the local
 //!   filesystem ([`Transport::MultiProcess`]) or from a per-stage run
-//!   server over a socket with ranged reads, retries, and deadlines
+//!   server over a socket with vectored reads, retries, and deadlines
 //!   ([`Transport::Remote`], [`tsj_netshuffle`]), and
 //! * **A simulated cluster clock** — every map task and every reduce group
 //!   is charged its declared work (records in, records out, explicit

@@ -6,7 +6,8 @@
 //! map tasks' run files (see [`crate::spill`]), each read where it already
 //! is — a local file, or the stage's run server under the remote
 //! transport ([`crate::transport`]), through one connection per reduce
-//! task. Every partition, under every transport and shuffle bound, is
+//! task, which fetches the first buffer of every run it opens in a few
+//! vectored requests. Every partition, under every transport and shuffle bound, is
 //! reduced by merging all its segments in key-fingerprint order — the
 //! external-sort discipline real MapReduce reducers use — so a spilled
 //! partition is never materialized: at any moment the reducer holds one
@@ -45,7 +46,7 @@ use tsj_netshuffle::FetchStats;
 
 use crate::shuffle::{for_each_key_group, ShuffleRecord};
 use crate::spill::{
-    RunMeta, RunReader, RunSource, SharedFetchClient, Spill, SpillError, SpillWriter,
+    prefetch, RunMeta, RunReader, RunSource, SharedFetchClient, Spill, SpillError, SpillWriter,
 };
 
 /// One input segment of a reduce partition.
@@ -108,12 +109,14 @@ impl<K: Spill + Hash, V: Spill> Stream<K, V> {
 
 /// Turns segments into sorted record streams (in-memory segments are
 /// sorted stably here; spilled runs were sorted at write time). Remote
-/// runs all read through `client`, the reduce task's one connection.
+/// runs all read through `client`, the reduce task's one connection, and
+/// are prefetched together, so their first buffers cost a few vectored
+/// requests rather than one request each.
 fn make_streams<K: Spill + Hash, V: Spill>(
     segments: Vec<Segment<K, V>>,
     client: &mut Option<SharedFetchClient>,
-) -> Vec<Stream<K, V>> {
-    segments
+) -> Result<Vec<Stream<K, V>>, SpillError> {
+    let mut streams: Vec<Stream<K, V>> = segments
         .into_iter()
         .map(|seg| match seg {
             Segment::Mem(mut records) => {
@@ -123,7 +126,13 @@ fn make_streams<K: Spill + Hash, V: Spill>(
             }
             Segment::Spilled { source, meta } => Stream::Run(RunReader::open(source, meta, client)),
         })
-        .collect()
+        .collect();
+    let readers = streams.iter_mut().filter_map(|stream| match stream {
+        Stream::Run(reader) => Some(reader),
+        Stream::Mem(_) => None,
+    });
+    prefetch(client, readers)?;
+    Ok(streams)
 }
 
 /// The raw k-way merge: drains `streams` in `(fingerprint, stream index)`
@@ -261,7 +270,7 @@ where
                 let chunk: Vec<Segment<K, V>> = chunks.by_ref().take(cap).collect();
                 let offset = writer.offset();
                 let mut records = 0u64;
-                merge_streams(make_streams(chunk, &mut client), |(h, k, v)| {
+                merge_streams(make_streams(chunk, &mut client)?, |(h, k, v)| {
                     writer.write_record(h, &k, &v)?;
                     records += 1;
                     Ok(())
@@ -286,7 +295,7 @@ where
 
     let mut run: Vec<(K, V)> = Vec::new(); // records of the current fingerprint
     let mut run_h = 0u64;
-    merge_streams(make_streams(segments, &mut client), |(h, key, value)| {
+    merge_streams(make_streams(segments, &mut client)?, |(h, key, value)| {
         if h != run_h && !run.is_empty() {
             // The shared helper applies the same collision-grouping
             // discipline as the map-side combine (full key equality,

@@ -191,7 +191,7 @@ pub struct ShuffleConfig {
     /// [`tsj_netshuffle::FaultConfig`]). The default injects nothing;
     /// ignored by the other transports. Faults change fetch timing and
     /// retry counters, never job output — every fetch is an idempotent
-    /// ranged read.
+    /// read.
     pub net_fault: FaultConfig,
 }
 

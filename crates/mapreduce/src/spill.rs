@@ -12,7 +12,7 @@
 //! end is flushed as each partition's last run, so nothing is ever
 //! copied into a second layout. The reduce phase streams every run
 //! through a [`RunReader`] — refilled by positioned reads of the local
-//! file, or by ranged fetches from the stage's run server — and
+//! file, or by fetches from the stage's run server — and
 //! k-way-merges them (see [`crate::merge`]), so neither side ever
 //! materializes a full partition in memory. [`SpillWriter`] and
 //! [`RunReader`] are public so external tools can produce and consume
@@ -60,7 +60,7 @@
 //! tuples, `String`, `Vec<T>` and `Option<T>`. Job-specific key or value
 //! types implement it in a few lines (see `ChunkRole` in `tsj-passjoin`
 //! for an example). Read-side failures — an I/O error, a
-//! truncated/undecodable frame, or a ranged fetch that ran out of
+//! truncated/undecodable frame, or a fetch that ran out of
 //! retries — surface as a structured [`SpillError`] from
 //! [`RunReader::next`]; inside a job the runtime converts that into
 //! [`JobError::Spill`](crate::job::JobError) (`JobError::Transport` for
@@ -76,8 +76,8 @@ use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use tsj_netshuffle::protocol::MAX_FETCH_BYTES;
-use tsj_netshuffle::{FetchClient, FetchConfig, FetchError, RunKey};
+use tsj_netshuffle::protocol::{MAX_FETCH_BYTES, MAX_FETCH_RANGES};
+use tsj_netshuffle::{FetchClient, FetchConfig, FetchError, FetchRange, RunKey};
 
 use crate::hash::fingerprint64;
 use crate::shuffle::ShuffleRecord;
@@ -142,7 +142,7 @@ pub enum SpillError {
     /// The file's bytes do not parse as the wire format: a frame truncated
     /// mid-run, or a payload the [`Spill`] codec rejects.
     Corrupt(&'static str),
-    /// The run lives on a run server and a ranged fetch of it failed for
+    /// The run lives on a run server and a fetch of it failed for
     /// good (retry budget exhausted, or a definitive server refusal).
     Fetch(FetchError),
 }
@@ -471,8 +471,9 @@ fn read_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<usize> {
 pub(crate) enum RunSource {
     /// A run file on this machine, read with positioned reads.
     Local(Arc<File>),
-    /// A run published to the run server at `addr`, read with ranged
-    /// fetches.
+    /// A run published to the run server at `addr`, read with fetches:
+    /// its first chunk in a vectored request shared with its siblings
+    /// ([`prefetch`]), any further chunk with a ranged one.
     Remote { addr: SocketAddr, key: RunKey },
 }
 
@@ -538,8 +539,9 @@ impl RunReader {
 
     /// A reader over the run at `meta` of `source`. A remote run is read
     /// through `client`, connecting it first if this is the task's first
-    /// remote run; its refill size is the client's ranged-read size, so a
-    /// run no larger than [`FetchConfig::chunk`] costs one request.
+    /// remote run; its refill size is [`FetchConfig::chunk`]. Opened
+    /// alone, a run no larger than the chunk costs one request; opened
+    /// with its siblings and [`prefetch`]ed, it costs a share of one.
     pub(crate) fn open(
         source: RunSource,
         meta: RunMeta,
@@ -568,6 +570,22 @@ impl RunReader {
             buf: Vec::new(),
             pos: 0,
         }
+    }
+
+    /// The first range a fetch of this run reads — at most one chunk —
+    /// and the run's key; `None` for a local run, an empty one, or one
+    /// whose extent overflows (its first read reports that).
+    fn first_range(&self) -> Option<(RunKey, FetchRange)> {
+        let RunBytes::Remote { key, .. } = &self.bytes else {
+            return None;
+        };
+        let len = (self.end? - self.offset).min(self.chunk as u64);
+        let range = FetchRange {
+            task: key.task,
+            offset: self.offset,
+            len,
+        };
+        (len > 0).then_some((*key, range))
     }
 
     /// Appends up to `want` more bytes of the run to the buffer; returns
@@ -694,6 +712,65 @@ impl RunReader {
         self.pos += frame;
         Ok(Some((h, key, value)))
     }
+}
+
+/// Fills the first buffer of every remote reader in `readers` through
+/// `client`, the one all of them were opened with, before any is read:
+/// each run's first `min(run, FetchConfig::chunk)` bytes, packed in order
+/// into as few vectored fetches as the chunk and `MAX_FETCH_RANGES` allow
+/// — a new request starts when the next run's prefix would overflow
+/// either, or the run is of another `(job, partition)`. A run no larger
+/// than the chunk is then wholly buffered; a larger one refills its tail
+/// with single-range fetches. Local readers are left as they are.
+pub(crate) fn prefetch<'r>(
+    client: &Option<SharedFetchClient>,
+    readers: impl IntoIterator<Item = &'r mut RunReader>,
+) -> Result<(), SpillError> {
+    let Some(client) = client else {
+        return Ok(());
+    };
+    let chunk = fetch_config().chunk;
+    let mut batch: Vec<(&mut RunReader, FetchRange)> = Vec::new();
+    let (mut target, mut bytes) = ((0, 0), 0);
+    for reader in readers {
+        let Some((key, range)) = reader.first_range() else {
+            continue;
+        };
+        let full = bytes + range.len > chunk || batch.len() == MAX_FETCH_RANGES;
+        if full || (key.job, key.partition) != target {
+            fill(client, target, std::mem::take(&mut batch))?;
+            (target, bytes) = ((key.job, key.partition), 0);
+        }
+        bytes += range.len;
+        batch.push((reader, range));
+    }
+    fill(client, target, batch)
+}
+
+/// One vectored fetch for a batch of remote readers of `(job, partition)`:
+/// each reader takes its range's slice of the reply, whose length the
+/// client checked against the ranges' sum.
+fn fill(
+    client: &SharedFetchClient,
+    (job, partition): (u64, u32),
+    batch: Vec<(&mut RunReader, FetchRange)>,
+) -> Result<(), SpillError> {
+    if batch.is_empty() {
+        return Ok(());
+    }
+    let ranges = batch.iter().map(|&(_, range)| range).collect();
+    let fetched = client
+        .borrow_mut()
+        .fetch_many(job, partition, ranges)
+        .map_err(SpillError::Fetch)?;
+    let mut rest = fetched.as_slice();
+    for (reader, range) in batch {
+        let (head, tail) = rest.split_at(range.len as usize);
+        reader.buf.extend_from_slice(head);
+        reader.offset += range.len;
+        rest = tail;
+    }
+    Ok(())
 }
 
 /// Reserves a uniquely named (prefix + process id + sequence number)

@@ -21,9 +21,15 @@
 //!   through the ordinary k-way sort-merge ([`crate::merge`]). The two
 //!   differ only in what the code can observe — whether bytes cross a
 //!   socket: `MultiProcess` reads the file with positioned reads;
-//!   `Remote` also registers it with the stage's [`RunServer`] and reads
-//!   the runs with ranged fetches (retries, deadlines, one connection per
-//!   reduce task). `transport_bytes` is the full published volume — the
+//!   `Remote` also registers it with the stage's [`RunServer`] and fetches
+//!   the runs over one connection per reduce task, with retries and
+//!   deadlines. A reduce task knows every run it will read before it reads
+//!   a byte, so it asks for them together: the first chunk of all its
+//!   runs arrives in vectored requests of up to `FetchConfig::chunk`
+//!   (256 KiB) each, and only a run longer than that fetches the rest of
+//!   itself one chunk per request — MapReduce's own shuffle shape, where a
+//!   reducer pulls many map outputs per request. The request count
+//!   scales with bytes per reduce task, not with runs. `transport_bytes` is the full published volume — the
 //!   sum of the tasks' own run sizes, identical for both — charged by
 //!   [`CostModel::transport_secs_per_byte`](crate::cluster::CostModel).
 //!
@@ -34,7 +40,7 @@
 //! stamps each run with where its bytes lie (`RunSource`: the local file,
 //! or the run server's address and key). Reduce tasks never ask the run
 //! server what exists; a run it does not know surfaces from the first
-//! ranged fetch as `JobError::Transport`.
+//! fetch as `JobError::Transport`.
 //!
 //! # Determinism and equivalence
 //!
@@ -47,8 +53,8 @@
 //! identical across transports; the pipeline output is property-tested
 //! byte-identical across them in
 //! `crates/core/tests/transport_equivalence.rs`. Retries cannot perturb
-//! any of this: every fetch is an idempotent ranged read, so a retried
-//! request yields the same bytes and only the wall-clock-class
+//! any of this: every fetch is an idempotent read, so a retried request
+//! yields the same bytes and only the wall-clock-class
 //! [`FetchStats`](tsj_netshuffle::FetchStats) differ.
 
 use std::net::SocketAddr;
@@ -72,8 +78,8 @@ pub enum Transport {
     /// them from the local filesystem.
     MultiProcess,
     /// Map tasks publish the same run files to a per-stage run server
-    /// ([`tsj_netshuffle`]); reducers fetch them over a socket with ranged
-    /// reads, retries, and deadlines.
+    /// ([`tsj_netshuffle`]); reducers fetch them over a socket with
+    /// vectored reads, retries, and deadlines.
     Remote,
 }
 
@@ -368,7 +374,9 @@ mod tests {
         // ranged fetch of a run the server never heard of does.
         let unpublished = task(Some(&dir), 0, &data, partitions);
         let exchange = exchange(vec![unpublished], partitions, Some(&remote)).unwrap();
-        assert_merges_fail_as_transport_errors(exchange, |e| matches!(e, FetchError::NotFound(_)));
+        assert_merges_fail_as_transport_errors(exchange, |e| {
+            matches!(e, FetchError::NotFound { .. })
+        });
     }
 
     #[test]

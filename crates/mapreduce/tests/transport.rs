@@ -6,12 +6,13 @@
 //! network fails for good — and compose with mapper spilling and the
 //! fan-in-capped hierarchical merge.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use tsj_mapreduce::{
-    Cluster, ClusterConfig, Count, Emitter, FaultConfig, JobError, JobResult, OutputSink,
-    SchedulerConfig, ShuffleConfig, Transport,
+    fingerprint64, Cluster, ClusterConfig, Count, Emitter, FaultConfig, JobError, JobResult,
+    OutputSink, SchedulerConfig, ShuffleConfig, Transport,
 };
 use tsj_netshuffle::FetchConfig;
 
@@ -302,18 +303,75 @@ fn remote_wordcount_matches_inprocess_and_accounts_fetches() {
         &docs,
     );
     assert_eq!(remote.stats.transport, "remote");
-    assert_eq!(sorted(in_proc.output), sorted(remote.output));
+    assert_eq!(sorted(in_proc.output), sorted(remote.output.clone()));
     assert_eq!(remote.stats.shuffle_records, in_proc.stats.shuffle_records);
-    // Every byte of the exchange crossed a socket: at least one ranged
-    // read per run, and the fetched payload is exactly the exchanged
-    // volume when nothing drops.
+    // Every byte of the exchange crossed a socket: each reduce task's
+    // runs all fit one vectored fetch, so there is one request per
+    // non-empty partition, and the fetched payload is exactly the
+    // exchanged volume when nothing drops.
     assert!(remote.stats.transport_bytes > 0);
     assert!(remote.stats.transport_secs > 0.0);
-    assert!(remote.stats.fetch_requests > 0);
+    let partitions = cluster(8, 4, 0, ShuffleConfig::unbounded()).partitions() as u64;
+    let non_empty: BTreeSet<u64> = remote
+        .output
+        .iter()
+        .map(|(w, _)| fingerprint64(w) % partitions)
+        .collect();
+    assert!(non_empty.len() > 1);
+    assert_eq!(remote.stats.fetch_requests, non_empty.len() as u64);
     assert_eq!(remote.stats.fetch_bytes, remote.stats.transport_bytes);
     assert_eq!(remote.stats.fetch_retries, 0, "no faults, no retries");
     // The in-process job never touches the fetch path.
     assert_eq!(in_proc.stats.fetch_requests, 0);
+}
+
+#[test]
+fn remote_fetches_pack_run_prefixes_by_the_chunk_and_stream_long_tails() {
+    // One partition, one map task per input number, each emitting that
+    // many distinct (u64, u64) records: 18 framed bytes apiece, so the
+    // runs are 18 × count bytes. The first run is longer than a chunk
+    // (prefix plus a single-range tail); the rest sum past one (several
+    // vectored requests).
+    let counts: Vec<u64> = vec![20_000, 5_000, 5_000, 5_000, 3_000];
+    let run = |transport| {
+        cluster(
+            counts.len(),
+            2,
+            1,
+            ShuffleConfig::unbounded().with_transport(transport),
+        )
+        .run(
+            "transport.packing",
+            &counts,
+            |n: &u64, e: &mut Emitter<u64, u64>| {
+                for i in 0..*n {
+                    e.emit(n * 1_000_000 + i, i);
+                }
+            },
+            |k: &u64, vs: Vec<u64>, out: &mut OutputSink<(u64, u64)>| {
+                out.emit((*k, vs.iter().sum()));
+            },
+        )
+        .unwrap()
+    };
+    let in_proc = run(Transport::InProcess);
+    let multi = run(Transport::MultiProcess);
+    let remote = run(Transport::Remote);
+    assert_eq!(remote.output, in_proc.output, "remote vs in-process");
+    assert_eq!(remote.output, multi.output, "remote vs multi-process");
+
+    let sizes: Vec<u64> = counts.iter().map(|n| 18 * n).collect();
+    assert_eq!(remote.stats.transport_bytes, sizes.iter().sum::<u64>());
+    let chunk = FetchConfig::default().chunk;
+    assert!(sizes[0] > chunk && sizes[1..].iter().sum::<u64>() > chunk);
+    // The packing rule: the first `min(run, chunk)` bytes of every run,
+    // in segment order, in vectored fetches of at most `chunk` bytes —
+    // 256 Ki | 90 000 + 90 000 | 90 000 + 54 000 — plus one single-range
+    // fetch per further chunk of a longer run: the first run's 97 856-byte
+    // tail.
+    assert_eq!(remote.stats.fetch_requests, 4);
+    assert_eq!(remote.stats.fetch_bytes, remote.stats.transport_bytes);
+    assert_eq!(remote.stats.fetch_retries, 0);
 }
 
 #[test]

@@ -1,13 +1,15 @@
 //! The retrying fetch client.
 //!
 //! One [`FetchClient`] holds one lazily-opened connection to one server.
-//! Every logical request ([`FetchClient::dir`] / [`FetchClient::fetch`])
-//! runs under a per-request deadline and a retry budget: transport-level
-//! failures (connect refusal, timeout, dropped connection, a frame that
-//! does not decode) reconnect and retry after bounded exponential
-//! backoff with jitter; definitive server answers (`NotFound`,
-//! `RangeError`, ...) fail immediately. Retrying is safe because every
-//! request is an idempotent read — a refetched range is the same bytes.
+//! Every logical request ([`FetchClient::dir`] / [`FetchClient::fetch`] /
+//! [`FetchClient::fetch_many`]) runs under a per-request deadline and a
+//! retry budget: transport-level failures (connect refusal, timeout,
+//! dropped connection, a frame that does not decode, a fetch reply of
+//! the wrong length) reconnect and retry the whole request after bounded
+//! exponential backoff with jitter; definitive server answers
+//! (`NotFound`, `RangeError`, ...) fail immediately. Retrying is safe
+//! because every request is an idempotent read — refetched ranges are
+//! the same bytes.
 //!
 //! Errors are structured ([`FetchError`]) and every path terminates: a
 //! dead or stalled server costs `retry_budget + 1` bounded attempts and
@@ -18,8 +20,8 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use crate::protocol::{
-    read_frame, write_frame, Request, Response, RunKey, RunSpec, MAX_FETCH_BYTES,
-    MAX_RESPONSE_FRAME,
+    read_frame, write_frame, FetchRange, Request, Response, RunKey, RunSpec, MAX_FETCH_BYTES,
+    MAX_FETCH_RANGES, MAX_RESPONSE_FRAME,
 };
 use crate::server::set_deadlines;
 
@@ -39,8 +41,10 @@ pub struct FetchConfig {
     pub backoff_cap: Duration,
     /// Seed for backoff jitter (deterministic per client).
     pub jitter_seed: u64,
-    /// Largest single ranged read; bigger ranges are split by the
-    /// caller. Must stay within the protocol's `MAX_FETCH_BYTES`.
+    /// Largest fetch a caller issues, summed over its ranges: the runtime
+    /// packs the first `chunk` bytes of many runs into one vectored fetch
+    /// and reads a longer run's tail `chunk` bytes at a time. Must stay
+    /// within the protocol's `MAX_FETCH_BYTES`.
     pub chunk: u64,
 }
 
@@ -68,7 +72,8 @@ pub struct FetchStats {
     pub requests: u64,
     /// Extra attempts beyond the first, summed over all requests.
     pub retries: u64,
-    /// Payload bytes successfully fetched (ranged-read responses only).
+    /// Bytes successfully fetched: every answered fetch's ranges, summed
+    /// (directory answers are not counted).
     pub bytes: u64,
 }
 
@@ -82,8 +87,9 @@ pub enum FetchError {
     /// The peer sent a frame that does not decode (or an oversized or
     /// truncated one).
     Protocol(String),
-    /// The server does not know the requested `(job, partition, task)`.
-    NotFound(RunKey),
+    /// The server knows no run of `(job, partition)` for a requested
+    /// task (or the partition is out of range).
+    NotFound { job: u64, partition: u32 },
     /// A definitive server-side refusal (`RangeError`, `BadRequest`, or
     /// `ServerError`) — retrying would return the same answer.
     Server(&'static str),
@@ -100,10 +106,9 @@ impl std::fmt::Display for FetchError {
             FetchError::Io(e) => write!(f, "i/o failure: {e}"),
             FetchError::Timeout => write!(f, "request deadline elapsed"),
             FetchError::Protocol(what) => write!(f, "protocol violation: {what}"),
-            FetchError::NotFound(key) => write!(
+            FetchError::NotFound { job, partition } => write!(
                 f,
-                "no runs registered for job {} partition {} task {}",
-                key.job, key.partition, key.task
+                "no runs registered for a requested task of job {job} partition {partition}"
             ),
             FetchError::Server(what) => write!(f, "server refused: {what}"),
             FetchError::Exhausted { attempts, last } => {
@@ -157,36 +162,62 @@ impl FetchClient {
 
     /// The run directory of one `(job, partition, task)`.
     pub fn dir(&mut self, key: RunKey) -> Result<Vec<RunSpec>, FetchError> {
-        match self.request(&Request::Dir(key))? {
+        match self.request(&Request::Dir(key), 0)? {
             Response::Dir(specs) => Ok(specs),
-            Response::NotFound => Err(FetchError::NotFound(key)),
+            Response::NotFound => Err(FetchError::NotFound {
+                job: key.job,
+                partition: key.partition,
+            }),
             other => Err(definitive(other)),
         }
     }
 
     /// One ranged read: exactly `len` bytes at `offset` of the run file
-    /// behind `key`. The range must lie within a run the server's
-    /// directory advertised.
+    /// behind `key` — a [`FetchClient::fetch_many`] of one range.
     pub fn fetch(&mut self, key: RunKey, offset: u64, len: u64) -> Result<Vec<u8>, FetchError> {
         debug_assert!(len <= MAX_FETCH_BYTES);
-        match self.request(&Request::Fetch { key, offset, len })? {
+        let range = FetchRange {
+            task: key.task,
+            offset,
+            len,
+        };
+        self.fetch_many(key.job, key.partition, vec![range])
+    }
+
+    /// One vectored read: the bytes of every range, concatenated in order,
+    /// from one request. Each range must lie within a run its task
+    /// published for `(job, partition)`; at most [`MAX_FETCH_RANGES`]
+    /// ranges, summing to at most [`MAX_FETCH_BYTES`]. A reply of any
+    /// other length is a protocol violation, retried like a dropped
+    /// connection, so the caller never sees a short buffer.
+    pub fn fetch_many(
+        &mut self,
+        job: u64,
+        partition: u32,
+        ranges: Vec<FetchRange>,
+    ) -> Result<Vec<u8>, FetchError> {
+        debug_assert!(ranges.len() <= MAX_FETCH_RANGES);
+        // An overflowing sum is refused by the server before any reply
+        // length matters.
+        let len = ranges.iter().map(|r| r.len).fold(0, u64::saturating_add);
+        let request = Request::Fetch {
+            job,
+            partition,
+            ranges,
+        };
+        match self.request(&request, len)? {
             Response::Fetch(bytes) => {
-                if bytes.len() as u64 != len {
-                    return Err(FetchError::Protocol(format!(
-                        "ranged read returned {} bytes, requested {len}",
-                        bytes.len()
-                    )));
-                }
                 self.stats.bytes += len;
                 Ok(bytes)
             }
-            Response::NotFound => Err(FetchError::NotFound(key)),
+            Response::NotFound => Err(FetchError::NotFound { job, partition }),
             other => Err(definitive(other)),
         }
     }
 
-    /// The retry loop around one logical request.
-    fn request(&mut self, request: &Request) -> Result<Response, FetchError> {
+    /// The retry loop around one logical request; `fetch_len` is the
+    /// length a `Fetch` reply must have.
+    fn request(&mut self, request: &Request, fetch_len: u64) -> Result<Response, FetchError> {
         self.stats.requests += 1;
         let payload = request.encode();
         let mut last: Option<FetchError> = None;
@@ -195,7 +226,7 @@ impl FetchClient {
                 self.stats.retries += 1;
                 std::thread::sleep(self.backoff(attempt));
             }
-            match self.attempt(&payload) {
+            match self.attempt(&payload, fetch_len) {
                 Ok(response) => return Ok(response),
                 Err(err) => {
                     // A failed attempt leaves the stream in an unknown
@@ -215,7 +246,7 @@ impl FetchClient {
     }
 
     /// One attempt: connect if needed, write the frame, read the reply.
-    fn attempt(&mut self, payload: &[u8]) -> Result<Response, FetchError> {
+    fn attempt(&mut self, payload: &[u8], fetch_len: u64) -> Result<Response, FetchError> {
         if self.conn.is_none() {
             let conn = TcpStream::connect_timeout(&self.addr, self.config.connect_timeout)
                 .map_err(io_error)?;
@@ -227,13 +258,21 @@ impl FetchClient {
         }
         let conn = self.conn.as_mut().ok_or(FetchError::Timeout)?;
         write_frame(conn, payload).map_err(io_error)?;
-        match read_frame(conn, MAX_RESPONSE_FRAME).map_err(io_error)? {
-            None => Err(FetchError::Io(std::io::Error::new(
+        let Some(frame) = read_frame(conn, MAX_RESPONSE_FRAME).map_err(io_error)? else {
+            return Err(FetchError::Io(std::io::Error::new(
                 ErrorKind::ConnectionAborted,
                 "server closed the connection before replying",
-            ))),
-            Some(frame) => Response::decode(&frame)
-                .ok_or_else(|| FetchError::Protocol("undecodable response frame".into())),
+            )));
+        };
+        match Response::decode(frame) {
+            None => Err(FetchError::Protocol("undecodable response frame".into())),
+            Some(Response::Fetch(bytes)) if bytes.len() as u64 != fetch_len => {
+                Err(FetchError::Protocol(format!(
+                    "fetch returned {} of {fetch_len} bytes",
+                    bytes.len()
+                )))
+            }
+            Some(response) => Ok(response),
         }
     }
 

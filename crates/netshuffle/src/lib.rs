@@ -8,20 +8,25 @@
 //! * [`RunServer`] — a small blocking TCP run server that each worker
 //!   process runs. It serves runs published to a shared [`Registry`] by
 //!   `(job, partition, task)` via a length-prefixed request/response
-//!   protocol ([`protocol`]) with **ranged reads**: every fetch is a
-//!   positioned read of exactly the requested `(offset, len)` range of
-//!   the run file — the server never buffers a whole run.
+//!   protocol ([`protocol`]) with one read op, a **vectored fetch**: one
+//!   request names many `(task, offset, len)` ranges of one
+//!   `(job, partition)`, and the server answers with positioned reads of
+//!   exactly those ranges, concatenated — it never buffers a whole run.
 //! * [`FetchClient`] — the reduce-side client: per-request deadlines,
 //!   bounded exponential backoff with jitter, a retry budget, and
-//!   structured [`FetchError`]s instead of panics or hangs.
+//!   structured [`FetchError`]s instead of panics or hangs. A reducer
+//!   that knows every range it will read asks for them together
+//!   ([`FetchClient::fetch_many`]) — the request shape of MapReduce's own
+//!   shuffle, where a reducer pulls many map outputs per request — so the
+//!   request count scales with bytes, not with runs.
 //! * [`FaultConfig`] — a deterministic server-side fault-injection layer
 //!   (drop every n-th request, stall each request) so the retry path is
 //!   exercised by tests and CI rather than only by real network weather.
 //!
-//! Retries are safe by construction: a ranged read is idempotent, so a
-//! dropped connection or timeout refetches the same bytes and the run
-//! the reader sees is identical — faults change timing and the retry
-//! counters, never data.
+//! Retries are safe by construction: a fetch is idempotent, so a dropped
+//! connection or timeout refetches the same bytes — every range of the
+//! request, whole — and the runs the reader sees are identical — faults
+//! change timing and the retry counters, never data.
 //!
 //! This crate is deliberately standalone (std only, no dependency on the
 //! runtime): it moves opaque byte ranges. A published run directory
@@ -41,7 +46,7 @@ pub mod protocol;
 mod server;
 
 pub use client::{FetchClient, FetchConfig, FetchError, FetchStats};
-pub use protocol::{read_frame, write_frame, Request, Response, RunKey, RunSpec};
+pub use protocol::{read_frame, write_frame, FetchRange, Request, Response, RunKey, RunSpec};
 pub use server::{PublishedTask, Registry, RunServer};
 
 /// Deterministic server-side fault injection: exercised by tests and the

@@ -3,9 +3,10 @@
 //! One accept thread per server; one (detached) thread per connection.
 //! Connections are request/response loops over [`crate::protocol`]
 //! frames: `Dir` answers from the in-memory [`Registry`], `Fetch`
-//! answers with a positioned read of exactly the requested range —
-//! the server holds no per-connection state beyond a fixed read buffer
-//! and never materializes a whole run.
+//! answers with positioned reads of exactly the requested ranges,
+//! straight into the buffer the reply is written from — the server holds
+//! no per-connection state beyond that one buffer and never materializes
+//! a whole run.
 //!
 //! Malformed traffic is contained: a frame that does not decode gets
 //! `BadRequest`; a corrupt length prefix or mid-frame truncation costs
@@ -22,7 +23,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::protocol::{
-    read_frame, write_frame, Request, Response, RunKey, RunSpec, MAX_FETCH_BYTES, MAX_REQUEST_FRAME,
+    read_frame, write_frame, FetchRange, Request, Response, RunKey, RunSpec, MAX_FETCH_BYTES,
+    MAX_REQUEST_FRAME,
 };
 use crate::FaultConfig;
 
@@ -84,28 +86,41 @@ impl Registry {
             .cloned()
     }
 
-    /// The run file a fetch of `[offset, offset + len)` under `key` reads.
-    /// The range must fall inside a single registered run: the server
-    /// hands out exactly what the directory advertised, never arbitrary
-    /// file bytes. Checked under the lock, so only the handle is cloned.
-    fn locate(&self, key: RunKey, offset: u64, len: u64) -> Result<Arc<File>, Response> {
+    /// The run file each range of a fetch of `(job, partition)` reads, in
+    /// range order. Every range must fall inside a single run its task
+    /// registered for the partition: the server hands out exactly what the
+    /// directories advertised, never arbitrary file bytes. Checked under
+    /// one lock, so only the handles are cloned; the first range that
+    /// fails refuses the whole request.
+    fn locate(
+        &self,
+        job: u64,
+        partition: u32,
+        ranges: &[FetchRange],
+    ) -> Result<Vec<Arc<File>>, Response> {
         let guard = self.lock();
-        let task = guard.get(&(key.job, key.task)).ok_or(Response::NotFound)?;
-        let specs = task
-            .parts
-            .get(key.partition as usize)
-            .ok_or(Response::NotFound)?;
-        // A range or registered run whose end overflows u64 holds no
-        // servable bytes.
-        let end = offset.checked_add(len).ok_or(Response::RangeError)?;
-        let in_run = specs
-            .iter()
-            .any(|s| offset >= s.offset && s.offset.checked_add(s.bytes).is_some_and(|e| end <= e));
-        if !in_run {
-            return Err(Response::RangeError);
-        }
-        // A task that produced no bytes has no file, and no runs either.
-        task.file.clone().ok_or(Response::RangeError)
+        let locate = |range: &FetchRange| {
+            let task = guard.get(&(job, range.task)).ok_or(Response::NotFound)?;
+            let specs = task
+                .parts
+                .get(partition as usize)
+                .ok_or(Response::NotFound)?;
+            // A range or registered run whose end overflows u64 holds no
+            // servable bytes.
+            let end = range
+                .offset
+                .checked_add(range.len)
+                .ok_or(Response::RangeError)?;
+            let in_run = specs.iter().any(|s| {
+                range.offset >= s.offset && s.offset.checked_add(s.bytes).is_some_and(|e| end <= e)
+            });
+            if !in_run {
+                return Err(Response::RangeError);
+            }
+            // A task that produced no bytes has no file, and no runs either.
+            task.file.clone().ok_or(Response::RangeError)
+        };
+        ranges.iter().map(locate).collect()
     }
 }
 
@@ -244,19 +259,35 @@ fn respond(registry: &Registry, request: Request) -> Response {
             Some(specs) => Response::Dir(specs),
             None => Response::NotFound,
         },
-        Request::Fetch { key, offset, len } => {
-            if len > MAX_FETCH_BYTES {
+        Request::Fetch {
+            job,
+            partition,
+            ranges,
+        } => {
+            let total = ranges.iter().try_fold(0u64, |sum, range| {
+                sum.checked_add(range.len)
+                    .filter(|&sum| sum <= MAX_FETCH_BYTES)
+            });
+            let Some(total) = total else {
                 return Response::RangeError;
-            }
-            let file = match registry.locate(key, offset, len) {
-                Ok(file) => file,
+            };
+            let files = match registry.locate(job, partition, &ranges) {
+                Ok(files) => files,
                 Err(refusal) => return refusal,
             };
-            let mut buf = vec![0u8; len as usize];
-            match read_exact_at(&file, &mut buf, offset) {
-                Ok(()) => Response::Fetch(buf),
-                Err(_) => Response::ServerError,
+            // The ranges are read straight into the reply's payload, with
+            // room left for the status byte `encode` appends.
+            let mut body = Vec::with_capacity(total as usize + 1);
+            body.resize(total as usize, 0);
+            let mut rest = body.as_mut_slice();
+            for (range, file) in ranges.iter().zip(&files) {
+                let (head, tail) = rest.split_at_mut(range.len as usize);
+                if read_exact_at(file, head, range.offset).is_err() {
+                    return Response::ServerError;
+                }
+                rest = tail;
             }
+            Response::Fetch(body)
         }
     }
 }

@@ -3,13 +3,16 @@
 //! structured error in bounded time — never a hang, never a panic.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use tsj_netshuffle::protocol::{
+    MAX_FETCH_BYTES, MAX_FETCH_RANGES, MAX_REQUEST_FRAME, MAX_RESPONSE_FRAME,
+};
 use tsj_netshuffle::{
-    FaultConfig, FetchClient, FetchConfig, FetchError, PublishedTask, Registry, RunKey, RunServer,
-    RunSpec,
+    read_frame, write_frame, FaultConfig, FetchClient, FetchConfig, FetchError, FetchRange,
+    PublishedTask, Registry, Request, Response, RunKey, RunServer, RunSpec,
 };
 
 /// A registry holding one job with one task whose single run file holds
@@ -142,14 +145,20 @@ fn unknown_keys_and_bad_ranges_are_definitive_errors() {
         partition: 0,
         task: 99,
     };
-    assert!(matches!(client.dir(missing), Err(FetchError::NotFound(_))));
+    assert!(matches!(
+        client.dir(missing),
+        Err(FetchError::NotFound { .. })
+    ));
 
     let bad_part = RunKey {
         job: 7,
         partition: 5,
         task: 0,
     };
-    assert!(matches!(client.dir(bad_part), Err(FetchError::NotFound(_))));
+    assert!(matches!(
+        client.dir(bad_part),
+        Err(FetchError::NotFound { .. })
+    ));
 
     let key = RunKey {
         job: 7,
@@ -383,4 +392,189 @@ fn concurrent_clients_share_one_server() {
     for handle in handles {
         assert_eq!(handle.join().expect("no panics"), PAYLOAD);
     }
+}
+
+fn range(task: u64, offset: u64, len: u64) -> FetchRange {
+    FetchRange { task, offset, len }
+}
+
+/// Sends one framed `payload` on a fresh connection and returns the
+/// decoded reply, or `None` when the server hangs up without one.
+fn raw_request(addr: SocketAddr, payload: &[u8]) -> Option<Response> {
+    let mut raw = TcpStream::connect(addr).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(2)))
+        .expect("timeout");
+    write_frame(&mut raw, payload).expect("write");
+    match read_frame(&mut raw, MAX_RESPONSE_FRAME) {
+        Ok(Some(frame)) => Some(Response::decode(frame).expect("decodable reply")),
+        Ok(None) | Err(_) => None,
+    }
+}
+
+#[test]
+fn tcp_vectored_fetch_returns_the_ranges_concatenated_in_one_request() {
+    let (registry, _dir) = registry_with(PAYLOAD, two_run_parts());
+    let server = RunServer::bind_tcp(registry, FaultConfig::default()).expect("bind");
+    let mut client = FetchClient::new(server.addr(), tight_config());
+
+    // Both whole runs, a sub-range, and an empty range, out of file order.
+    let ranges = vec![
+        range(0, 10, 26),
+        range(0, 0, 10),
+        range(0, 12, 5),
+        range(0, 3, 0),
+    ];
+    let bytes = client.fetch_many(7, 0, ranges).expect("vectored fetch");
+    let want = [&PAYLOAD[10..], &PAYLOAD[..10], &PAYLOAD[12..17]].concat();
+    assert_eq!(bytes, want);
+    assert_eq!(client.fetch_many(7, 0, Vec::new()).expect("no ranges"), b"");
+
+    let stats = client.stats();
+    assert_eq!(stats.requests, 2);
+    assert_eq!(stats.retries, 0);
+    assert_eq!(stats.bytes, 26 + 10 + 5);
+}
+
+/// A vectored fetch is checked whole before a byte is read: any bad
+/// range, a bad range count, or an overflowing or oversized sum refuses
+/// the request with a status-only frame.
+#[test]
+fn vectored_fetches_that_break_the_rules_are_refused_whole() {
+    let (registry, _dir) = registry_with(PAYLOAD, two_run_parts());
+    let server = RunServer::bind_tcp(registry, FaultConfig::default()).expect("bind");
+    let addr = server.addr();
+    let fetch = |ranges: Vec<FetchRange>| Request::Fetch {
+        job: 7,
+        partition: 0,
+        ranges,
+    };
+    let valid = || vec![range(0, 0, 10), range(0, 10, 26)];
+    assert_eq!(
+        raw_request(addr, &fetch(valid()).encode()),
+        Some(Response::Fetch(PAYLOAD.to_vec()))
+    );
+
+    // Truncated: the frame is honest, the request inside it is cut short.
+    let mut truncated = fetch(valid()).encode();
+    truncated.pop();
+    assert_eq!(raw_request(addr, &truncated), Some(Response::BadRequest));
+    // A count that disagrees with the ranges that follow it.
+    let mut miscounted = fetch(valid()).encode();
+    miscounted[13..17].copy_from_slice(&3u32.to_le_bytes());
+    assert_eq!(raw_request(addr, &miscounted), Some(Response::BadRequest));
+    // More ranges than MAX_FETCH_RANGES cannot fit a request frame: the
+    // server hangs up on the frame before decoding it.
+    let too_many = fetch(vec![range(0, 0, 1); MAX_FETCH_RANGES + 1]).encode();
+    assert_eq!(raw_request(addr, &too_many), None);
+    let most = fetch(vec![range(0, 0, 1); MAX_FETCH_RANGES]).encode();
+    assert_eq!(
+        raw_request(addr, &most),
+        Some(Response::Fetch(vec![b'0'; MAX_FETCH_RANGES]))
+    );
+
+    // Ranges whose lengths sum past u64, or past MAX_FETCH_BYTES.
+    let overflowing = vec![range(0, 0, u64::MAX), range(0, 0, 2)];
+    assert_eq!(
+        raw_request(addr, &fetch(overflowing).encode()),
+        Some(Response::RangeError)
+    );
+    let oversized = vec![range(0, 0, MAX_FETCH_BYTES), range(0, 0, 1)];
+    assert_eq!(
+        raw_request(addr, &fetch(oversized).encode()),
+        Some(Response::RangeError)
+    );
+    // One range straddling a run boundary among valid ones, and one of a
+    // task never published: no bytes at all.
+    let mut straddling = valid();
+    straddling.insert(1, range(0, 5, 10));
+    assert_eq!(
+        raw_request(addr, &fetch(straddling.clone()).encode()),
+        Some(Response::RangeError)
+    );
+    let mut unknown = valid();
+    unknown.push(range(99, 0, 10));
+    assert_eq!(
+        raw_request(addr, &fetch(unknown.clone()).encode()),
+        Some(Response::NotFound)
+    );
+
+    // Through the client, the same refusals are definitive errors that
+    // burn no retries and count no bytes.
+    let mut client = FetchClient::new(addr, tight_config());
+    assert!(matches!(
+        client.fetch_many(7, 0, straddling),
+        Err(FetchError::Server(_))
+    ));
+    assert!(matches!(
+        client.fetch_many(7, 0, unknown),
+        Err(FetchError::NotFound {
+            job: 7,
+            partition: 0
+        })
+    ));
+    let stats = client.stats();
+    assert_eq!((stats.requests, stats.retries, stats.bytes), (2, 0, 0));
+}
+
+/// A server that answers every request one byte short: the client must
+/// treat the reply as a protocol violation and retry, and end in
+/// `Exhausted` — never hand its caller a short buffer.
+#[test]
+fn short_replies_are_retried_and_never_reach_the_caller() {
+    let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let config = tight_config();
+    let attempts = config.retry_budget as usize + 1;
+    let fake = std::thread::spawn(move || {
+        for _ in 0..attempts {
+            let (mut conn, _) = listener.accept().expect("accept");
+            let Ok(Some(payload)) = read_frame(&mut conn, MAX_REQUEST_FRAME) else {
+                panic!("expected a request frame");
+            };
+            let Some(Request::Fetch { ranges, .. }) = Request::decode(&payload) else {
+                panic!("expected a fetch");
+            };
+            let len: u64 = ranges.iter().map(|r| r.len).sum();
+            let short = Response::Fetch(vec![0; len as usize - 1]);
+            write_frame(&mut conn, &short.encode()).expect("reply");
+        }
+    });
+
+    let mut client = FetchClient::new(addr, config);
+    let err = client
+        .fetch_many(7, 0, vec![range(0, 0, 10), range(0, 10, 26)])
+        .expect_err("every reply is short");
+    match err {
+        FetchError::Exhausted { attempts: n, last } => {
+            assert_eq!(n as usize, attempts);
+            assert!(matches!(*last, FetchError::Protocol(_)), "{last}");
+        }
+        other => panic!("expected Exhausted, got {other}"),
+    }
+    let stats = client.stats();
+    assert_eq!((stats.requests, stats.bytes), (1, 0));
+    assert_eq!(stats.retries, u64::from(config.retry_budget));
+    fake.join().expect("fake server");
+}
+
+#[test]
+fn dropped_vectored_fetches_are_retried_whole_with_the_same_bytes() {
+    let (registry, _dir) = registry_with(PAYLOAD, two_run_parts());
+    let faults = FaultConfig {
+        drop_nth: 2,
+        stall_us: 0,
+        seed: 0,
+    };
+    let server = RunServer::bind_tcp(registry, faults).expect("bind");
+    let mut client = FetchClient::new(server.addr(), tight_config());
+    for _ in 0..4 {
+        let bytes = client
+            .fetch_many(7, 0, vec![range(0, 0, 10), range(0, 10, 26)])
+            .expect("fetch despite drops");
+        assert_eq!(bytes, PAYLOAD, "a retried request returns the same bytes");
+    }
+    let stats = client.stats();
+    assert_eq!(stats.requests, 4);
+    assert!(stats.retries > 0, "a 1-in-2 drop rate must force a retry");
+    assert_eq!(stats.bytes, 4 * PAYLOAD.len() as u64);
 }

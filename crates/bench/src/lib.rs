@@ -3,7 +3,7 @@
 //!
 //! Each `figN` binary prints a TSV with the same series the paper plots,
 //! plus notes comparing the measured *shape* against the paper's claims.
-//! EXPERIMENTS.md records a full paper-vs-measured comparison.
+//! EXPERIMENTS.md records what each PR measured with them.
 //!
 //! Scale: the paper joins 44.4M names on 1,000 production machines; this
 //! harness joins `TSJ_FIG_N` (default 20,000) names locally and reports

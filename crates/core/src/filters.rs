@@ -16,17 +16,21 @@
 //! callers that hold a pair and want the verdict. The Lemma 6 arithmetic
 //! lives in `passes_length` alone, so every caller rounds the same way.
 //!
-//! **Who prices what.** What candidate generation proved about one token
-//! pair — its exact LD from the [`SimilarMap`], or Lemma 10's lower bound
-//! when two eligible tokens are missing from it — is read in one place,
-//! `ld_evidence`. The histogram filter turns that into a lower bound
-//! (`pair_lower_bound`); the verifier turns it into an edge cost under the
-//! SLD budget `B` (`token_edge`): equal ids cost 0, a length gap or known
-//! bound above `B` saturates without touching text, a map hit is its
-//! stored LD, and only what is left runs a Myers kernel capped at `B`.
-//! `tsj_setdist::nsld_within_priced` owns the rest — the Lemma 6 check,
-//! `B`, the row-minima exit, the budgeted matching and the final NSLD —
-//! so the verdict is `nsld_within`'s on the texts, bit for bit.
+//! **Who prices what.** What the corpus and candidate generation proved
+//! about one token pair is read in one place, `ld_evidence`: its exact LD
+//! from the [`SimilarMap`], or else a lower bound — the larger of the
+//! length gap and the character-signature bound
+//! ([`ld_lower_bound_from_sigs`] over the corpus's
+//! [`token_sig`](Corpus::token_sig) column), raised by Lemma 10 when two
+//! eligible tokens are missing from the map. The histogram filter turns
+//! that into a lower bound (`pair_lower_bound`); the verifier turns it into
+//! an edge cost under the SLD budget `B` (`token_edge`): equal ids cost 0,
+//! a length gap, signature bound or known bound above `B` saturates without
+//! touching text, a map hit is its stored LD, and only what is left runs a
+//! Myers kernel capped at `B`. `tsj_setdist::nsld_within_priced` owns the
+//! rest — the Lemma 6 check, `B`, the row-minima exit, the budgeted
+//! matching and the final NSLD — so the verdict is `nsld_within`'s on the
+//! texts, bit for bit.
 
 use std::collections::HashMap;
 
@@ -35,7 +39,9 @@ use tsj_setdist::{
     nsld_from_sld, nsld_lower_bound_from_total_lens, nsld_within_priced,
     sld_lower_bound_sorted_lens, Aligning,
 };
-use tsj_strdist::{ld_exceeds_bound_given_nld_exceeds, levenshtein_within};
+use tsj_strdist::{
+    ld_exceeds_bound_given_nld_exceeds, ld_lower_bound_from_sigs, levenshtein_within,
+};
 use tsj_tokenize::{Corpus, StringId, TokenId};
 
 /// Exact LDs of every NLD-similar token pair among the join-eligible
@@ -66,8 +72,9 @@ pub struct FilterContext<'a> {
 enum LdEvidence {
     /// A [`SimilarMap`] hit: the LD itself.
     Exact(u64),
-    /// A lower bound: the length gap, raised by Lemma 10 for two eligible
-    /// tokens the map does not hold.
+    /// A lower bound: the larger of the length gap and the signature
+    /// bound, raised by Lemma 10 for two eligible tokens the map does not
+    /// hold.
     AtLeast(u64),
 }
 
@@ -129,9 +136,10 @@ impl<'a> FilterContext<'a> {
     /// * the sorted token-length histograms (every matching pays at least
     ///   the length difference per aligned pair), and
     /// * a per-token-pair cost matrix refined with the *known* LDs of
-    ///   similar tokens and the Lemma 10 bound for provably-dissimilar
-    ///   eligible pairs, lower-bounded by its row-minima sum (a sound
-    ///   relaxation of the assignment optimum).
+    ///   similar tokens, the character-signature bound of every other
+    ///   pair and the Lemma 10 bound for provably-dissimilar eligible
+    ///   pairs, lower-bounded by its row-minima sum (a sound relaxation of
+    ///   the assignment optimum).
     ///
     /// Prunes when `NSLD(lower bound) > T`. Always passes with the
     /// histogram filter off.
@@ -183,7 +191,7 @@ impl<'a> FilterContext<'a> {
         if x == y {
             return 0;
         }
-        match self.ld_evidence(x, y) {
+        match self.ld_evidence(x, y, self.column_bound(x, y)) {
             LdEvidence::Exact(ld) | LdEvidence::AtLeast(ld) => ld,
         }
     }
@@ -218,12 +226,12 @@ impl<'a> FilterContext<'a> {
         if x == y {
             return 0;
         }
-        let (lx, ly) = (self.corpus.token_len(x), self.corpus.token_len(y));
         let over = budget + 1;
-        if lx.abs_diff(ly) as u64 > budget {
+        let column_lb = self.column_bound(x, y);
+        if column_lb > budget {
             return over; // before the map lookup: it cannot lower this
         }
-        match self.ld_evidence(x, y) {
+        match self.ld_evidence(x, y, column_lb) {
             LdEvidence::Exact(ld) => ld,
             LdEvidence::AtLeast(lb) if lb > budget => over,
             LdEvidence::AtLeast(_) => {
@@ -233,15 +241,23 @@ impl<'a> FilterContext<'a> {
         }
     }
 
+    /// What the two tokens' own columns prove, with no map: `LD(x, y)` is
+    /// at least their length gap and at least their signature bound.
+    #[inline]
+    fn column_bound(&self, x: TokenId, y: TokenId) -> u64 {
+        let len_diff = self.corpus.token_len(x).abs_diff(self.corpus.token_len(y));
+        let sig = ld_lower_bound_from_sigs(self.corpus.token_sig(x), self.corpus.token_sig(y));
+        len_diff.max(sig) as u64
+    }
+
     /// The one reading of the [`SimilarMap`] and the Lemma 10 gate, for two
-    /// distinct tokens.
-    fn ld_evidence(&self, x: TokenId, y: TokenId) -> LdEvidence {
-        let (lx, ly) = (self.corpus.token_len(x), self.corpus.token_len(y));
-        let len_diff = lx.abs_diff(ly) as u64;
+    /// distinct tokens whose [`column_bound`](Self::column_bound)
+    /// is `column_lb`.
+    fn ld_evidence(&self, x: TokenId, y: TokenId, column_lb: u64) -> LdEvidence {
         // Without a map (exact-token-matching, or `verify_pair`) nothing
-        // was joined, so nothing beyond the length gap is proved.
+        // was joined, so nothing beyond the tokens' own columns is proved.
         let Some(similar) = self.similar else {
-            return LdEvidence::AtLeast(len_diff);
+            return LdEvidence::AtLeast(column_lb);
         };
         let key = if x.0 <= y.0 { (x.0, y.0) } else { (y.0, x.0) };
         if let Some(&ld) = similar.get(&key) {
@@ -250,16 +266,17 @@ impl<'a> FilterContext<'a> {
         }
         // Not in the similar set. If both tokens were eligible for the
         // token join, the join's completeness proves NLD(x, y) > T, so
-        // Lemma 10 applies; otherwise only the length gap is sound.
+        // Lemma 10 applies; otherwise only the columns' bound is sound.
         let both_eligible = match self.eligible {
             Some(el) => el[x.index()] && el[y.index()],
             None => true,
         };
         if both_eligible {
+            let (lx, ly) = (self.corpus.token_len(x), self.corpus.token_len(y));
             let l10 = ld_exceeds_bound_given_nld_exceeds(lx, ly, self.t) as u64 + 1;
-            LdEvidence::AtLeast(len_diff.max(l10))
+            LdEvidence::AtLeast(column_lb.max(l10))
         } else {
-            LdEvidence::AtLeast(len_diff)
+            LdEvidence::AtLeast(column_lb)
         }
     }
 }
@@ -365,10 +382,10 @@ mod tests {
 
     #[test]
     fn lemma10_component_tightens_the_bound() {
-        // Tokens of identical lengths ⇒ histogram bound is 0, but the
-        // tokens are pairwise dissimilar at small t ⇒ Lemma 10 forces a
-        // positive bound and prunes.
-        let c = corpus(&["abcde fghij", "vwxyz klmno"]);
+        // Anagram tokens of identical lengths ⇒ the histogram and
+        // signature bounds are 0, but the tokens are pairwise dissimilar at
+        // small t ⇒ Lemma 10 forces a positive bound and prunes.
+        let c = corpus(&["abcde fghij", "edcba jihgf"]);
         let t = 0.1;
         let sim = similar_map(&c, t); // empty: nothing is similar
         assert!(sim.is_empty());
@@ -398,13 +415,56 @@ mod tests {
     #[test]
     fn ineligible_tokens_disable_lemma10() {
         // With eligibility all-false, the Lemma 10 refinement must not
-        // apply (the pair survives on pure length evidence).
-        let c = corpus(&["abcde fghij", "vwxyz klmno"]);
+        // apply: the anagram pair survives on length and signature
+        // evidence, which prove nothing here, and is pruned once the same
+        // tokens are eligible.
+        let c = corpus(&["abcde fghij", "edcba jihgf"]);
         let t = 0.1;
         let sim = SimilarMap::default();
-        let eligible = vec![false; c.num_tokens()];
-        let ctx = FilterContext::new(&c, t, true, true, Some(&sim), Some(&eligible));
+        let ineligible = vec![false; c.num_tokens()];
+        let ctx = FilterContext::new(&c, t, true, true, Some(&sim), Some(&ineligible));
         assert_eq!(ctx.check(StringId(0), StringId(1)), FilterVerdict::Survives);
+        let eligible = vec![true; c.num_tokens()];
+        let ctx = FilterContext::new(&c, t, true, true, Some(&sim), Some(&eligible));
+        assert_eq!(
+            ctx.check(StringId(0), StringId(1)),
+            FilterVerdict::PrunedByHistogram
+        );
+    }
+
+    #[test]
+    fn signatures_prune_where_lemma10_may_not() {
+        // Disjoint character sets: every cross pair of tokens is at least
+        // five edits apart by signature alone, so the pair is pruned with
+        // Lemma 10 disabled.
+        let c = corpus(&["abcde fghij", "vwxyz klmno"]);
+        let sim = SimilarMap::default();
+        let ineligible = vec![false; c.num_tokens()];
+        let ctx = FilterContext::new(&c, 0.1, true, true, Some(&sim), Some(&ineligible));
+        assert_eq!(
+            ctx.check(StringId(0), StringId(1)),
+            FilterVerdict::PrunedByHistogram
+        );
+    }
+
+    /// Ten strings of one to four words, drawn from eight words of one to
+    /// seven characters over `alphabet`.
+    fn random_strings(rng: &mut StdRng, alphabet: &[char]) -> Vec<String> {
+        let words: Vec<String> = (0..8)
+            .map(|_| {
+                (0..rng.gen_range(1..=7usize))
+                    .map(|_| alphabet[rng.gen_range(0..alphabet.len())])
+                    .collect()
+            })
+            .collect();
+        (0..10)
+            .map(|_| {
+                let picks: Vec<&str> = (0..rng.gen_range(1..=4usize))
+                    .map(|_| words[rng.gen_range(0..words.len())].as_str())
+                    .collect();
+                picks.join(" ")
+            })
+            .collect()
     }
 
     proptest! {
@@ -418,23 +478,9 @@ mod tests {
         fn id_verifier_equals_the_text_verifier(seed in 0u64..100_000, t_step in 1u32..=8) {
             let t = f64::from(t_step) * 0.05;
             let mut rng = StdRng::seed_from_u64(seed);
-            // Eight words of one to seven letters over three: many pairs
-            // within one edit, so map hits, Lemma 10 and Myers all price.
-            let words: Vec<String> = (0..8)
-                .map(|_| {
-                    (0..rng.gen_range(1..=7usize))
-                        .map(|_| char::from(b'a' + rng.gen_range(0..3u8)))
-                        .collect()
-                })
-                .collect();
-            let strings: Vec<String> = (0..10)
-                .map(|_| {
-                    let picks: Vec<&str> = (0..rng.gen_range(1..=4usize))
-                        .map(|_| words[rng.gen_range(0..words.len())].as_str())
-                        .collect();
-                    picks.join(" ")
-                })
-                .collect();
+            // Over three letters: many pairs within one edit, so map hits,
+            // Lemma 10 and Myers all price.
+            let strings = random_strings(&mut rng, &['a', 'b', 'c']);
             let c = Corpus::build(&strings, &NameTokenizer::default());
             let sim = similar_map(&c, t);
             let eligible: Vec<bool> = (0..c.num_tokens()).map(|_| rng.gen_range(0..4u8) > 0).collect();
@@ -446,6 +492,38 @@ mod tests {
                         let want = on_texts(&c, a, b, t, aligning);
                         prop_assert_eq!(joined.verify(a, b, aligning), want, "{:?} vs {:?} t={}", strings[a.index()], strings[b.index()], t);
                         prop_assert_eq!(bare.verify(a, b, aligning), want);
+                    }
+                }
+            }
+        }
+
+        /// `filters_are_sound` on random corpora over an alphabet whose
+        /// characters alias modulo 64 (`á` shares `a`'s signature bit, `â`
+        /// `b`'s), at every `t` of the proptest above: no pair within `t`
+        /// is pruned with the join's map and a random eligibility bitmap,
+        /// with the map and every token eligible, or with no map.
+        #[test]
+        fn filters_are_sound_on_random_corpora(seed in 0u64..100_000) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let strings = random_strings(&mut rng, &['a', 'b', 'c', 'á', 'â']);
+            let c = Corpus::build(&strings, &NameTokenizer::default());
+            let eligible: Vec<bool> = (0..c.num_tokens()).map(|_| rng.gen_range(0..4u8) > 0).collect();
+            for t_step in 1..=8 {
+                let t = f64::from(t_step) * 0.05;
+                let sim = similar_map(&c, t);
+                let setups = [
+                    FilterContext::new(&c, t, true, true, Some(&sim), Some(&eligible)),
+                    FilterContext::new(&c, t, true, true, Some(&sim), None),
+                    FilterContext::new(&c, t, true, true, None, None),
+                ];
+                for a in c.string_ids() {
+                    for b in c.string_ids() {
+                        if nsld(&c.token_texts(a), &c.token_texts(b)) > t {
+                            continue;
+                        }
+                        for ctx in &setups {
+                            prop_assert_eq!(ctx.check(a, b), FilterVerdict::Survives, "{:?} vs {:?} t={}", strings[a.index()], strings[b.index()], t);
+                        }
                     }
                 }
             }
@@ -472,6 +550,11 @@ mod tests {
                 .expect("token is in the corpus")
         };
 
+        let sig_lb = |c: &Corpus, x: &str, y: &str| {
+            let (x, y) = (token(c, x), token(c, y));
+            ld_lower_bound_from_sigs(c.token_sig(x), c.token_sig(y))
+        };
+
         // Length gap: |abcdefgh| − |abcde| = 3 > B = 1 prices the edge
         // without text.
         let c = corpus(&["abcdefgh ab", "abcde abcde"]);
@@ -482,26 +565,40 @@ mod tests {
             0.1,
         );
 
-        // Stored LD above B: a map built at 0.5 holds LD(abcdef, abcxyz) = 3
-        // (a superset of the 0.2 map, so still complete at 0.2); B = 2.
-        let c = corpus(&["abcdef xyz", "abcxyz xyz"]);
+        // Signature: abcd and abxy are of one length and four signature
+        // bits apart, so LD ≥ 2 > B = 1, with no map to ask.
+        let c = corpus(&["abcd efgh", "abxy efgh"]);
+        assert_eq!(budget(&c, StringId(0), StringId(1), 0.2), 1);
+        assert_eq!(sig_lb(&c, "abcd", "abxy"), 2);
+        verdicts(
+            &c,
+            &FilterContext::new(&c, 0.2, true, true, None, None),
+            0.2,
+        );
+
+        // Stored LD above B: a map built at 0.5 holds LD(abcdef, abcaaa) = 3
+        // (a superset of the 0.2 map, so still complete at 0.2); B = 2, and
+        // neither the length gap nor the signature bound (2) decides.
+        let c = corpus(&["abcdef xyz", "abcaaa xyz"]);
         let sim = similar_map(&c, 0.5);
-        let key = (token(&c, "abcdef").0, token(&c, "abcxyz").0);
+        let key = (token(&c, "abcdef").0, token(&c, "abcaaa").0);
         assert_eq!(sim.get(&key), Some(&3));
         assert_eq!(budget(&c, StringId(0), StringId(1), 0.2), 2);
+        assert_eq!(sig_lb(&c, "abcdef", "abcaaa"), 2);
         verdicts(
             &c,
             &FilterContext::new(&c, 0.2, true, true, Some(&sim), None),
             0.2,
         );
 
-        // Lemma 10: abcde and vwxy are eligible, unjoined at 0.3, one
-        // length apart (the gap does not decide) and Lemma 10 proves
-        // LD > 1 = B.
-        let c = corpus(&["abcde", "vwxy"]);
+        // Lemma 10: abcde and edcb are eligible, unjoined at 0.3, one
+        // length apart and one signature bit apart (neither decides), and
+        // Lemma 10 proves LD > 1 = B.
+        let c = corpus(&["abcde", "edcb"]);
         let sim = similar_map(&c, 0.3);
         assert!(sim.is_empty());
         assert_eq!(budget(&c, StringId(0), StringId(1), 0.3), 1);
+        assert_eq!(sig_lb(&c, "abcde", "edcb"), 1);
         assert_eq!(ld_exceeds_bound_given_nld_exceeds(5, 4, 0.3), 1);
         verdicts(
             &c,

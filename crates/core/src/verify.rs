@@ -7,9 +7,10 @@
 //! soon as `B` is provably spent. Nine verified pairs in ten fail, and
 //! each exit lets a failing pair leave early:
 //!
-//! * an edge whose length gap, Lemma 10 bound or stored LD already exceeds
-//!   `B` is saturated at `B + 1` without running an edit distance; every
-//!   other unequal token pair runs a Myers kernel capped at `B`;
+//! * an edge whose length gap, character-signature bound, Lemma 10 bound
+//!   or stored LD already exceeds `B` is saturated at `B + 1` without
+//!   running an edit distance; every other unequal token pair runs a Myers
+//!   kernel capped at `B`;
 //! * the row-minima sum of the capped bigraph lower-bounds the matching,
 //!   so the fill stops the moment it passes `B`;
 //! * the Hungarian solver returns as soon as the optimum over the rows
@@ -59,8 +60,9 @@ pub fn verification_work_units(
 /// `t` under the chosen aligning.
 ///
 /// The join's verifier without its similar-token map: token pairs are
-/// priced by the length gap and a capped Myers kernel only, so no Lemma 10
-/// bound is ever applied (nothing was joined to prove one).
+/// priced by the length gap, the character-signature bound and a capped
+/// Myers kernel only, so no Lemma 10 bound is ever applied (nothing was
+/// joined to prove one).
 ///
 /// With [`Aligning::Greedy`] the distance is an upper bound on the exact
 /// NSLD, so an accepted pair is always a true positive (precision 1.0,

@@ -7,6 +7,11 @@
 //!
 //! All functions treat thresholds `t ≥ 1` as "unbounded" (every pair of
 //! strings has `NLD ≤ 1` by Lemma 2) and clamp rather than overflow.
+//!
+//! Beside them sits the one bound that reads characters rather than
+//! lengths: a token's [`char_sig`] and [`ld_lower_bound_from_sigs`], the
+//! character-set check MassJoin runs before its kernel and the TSJ filter
+//! and verifier read for every token pair.
 
 /// Lemma 3: for `|y| ≥ |x|`,
 /// `1 − |x|/|y| ≤ NLD(x, y) ≤ 2 / (|x|/|y| + 2)`.
@@ -110,10 +115,29 @@ pub fn segments_for_indexed_len(len_y: usize, t: f64) -> usize {
     (u + 1).min(len_y.max(1))
 }
 
+/// A token's character signature: its character set folded onto 64 bits,
+/// character `c` setting bit `c mod 64`. Computed once per distinct token.
+pub fn char_sig(chars: impl IntoIterator<Item = char>) -> u64 {
+    chars
+        .into_iter()
+        .fold(0, |sig, c| sig | 1 << (c as u32 & 63))
+}
+
+/// `LD(x, y) ≥ ⌈popcount(sig_x ⊕ sig_y) / 2⌉` for the [`char_sig`]s of two
+/// strings: an insertion or deletion flips at most one bit of the
+/// signature and a substitution at most two, so strings `LD` edits apart
+/// differ in at most `2·LD` bits. Characters that alias modulo 64 share a
+/// bit, which only weakens the bound.
+#[inline]
+pub fn ld_lower_bound_from_sigs(sig_x: u64, sig_y: u64) -> usize {
+    (sig_x ^ sig_y).count_ones().div_ceil(2) as usize
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{levenshtein, nld};
+    use proptest::prelude::*;
 
     #[test]
     fn lemma3_brackets_actual_nld() {
@@ -227,5 +251,52 @@ mod tests {
         assert_eq!(segments_for_indexed_len(0, 0.1), 1);
         // t = 0 still requires one segment (exact match probing).
         assert_eq!(segments_for_indexed_len(7, 0.0), 1);
+    }
+
+    #[test]
+    fn signature_bound_examples() {
+        let sig = |s: &str| char_sig(s.chars());
+        assert_eq!(sig(""), 0);
+        assert_eq!(sig("aab"), sig("ba"));
+        // Anagrams share a signature: the bound proves nothing.
+        assert_eq!(ld_lower_bound_from_sigs(sig("abcde"), sig("edcba")), 0);
+        // Disjoint five-letter sets: ten bits apart, so at least five edits.
+        assert_eq!(ld_lower_bound_from_sigs(sig("abcde"), sig("vwxyz")), 5);
+        // One odd bit rounds up: `abc` → `abcd` is one insertion.
+        assert_eq!(ld_lower_bound_from_sigs(sig("abc"), sig("abcd")), 1);
+        // `á` (U+00E1) aliases `a` modulo 64.
+        assert_eq!(sig("á"), sig("a"));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// One edit flips at most two bits, over ASCII and over characters
+        /// that alias ASCII modulo 64 (`á` shares `a`'s bit, `â` shares
+        /// `b`'s).
+        #[test]
+        fn signatures_differ_in_at_most_two_bits_per_edit(
+            x in proptest::string::string_regex("[abcdáâ]{0,7}").unwrap(),
+            y in proptest::string::string_regex("[abcdáâ]{0,7}").unwrap(),
+        ) {
+            let bits = (char_sig(x.chars()) ^ char_sig(y.chars())).count_ones() as usize;
+            let ld = levenshtein(&x, &y);
+            prop_assert!(bits <= 2 * ld, "x = {:?}, y = {:?}, LD = {}", x, y, ld);
+        }
+
+        /// `⌈popcount / 2⌉ ≤ LD` over printable ASCII and over the
+        /// aliasing alphabet.
+        #[test]
+        fn signature_bound_is_at_most_ld(
+            a in proptest::string::string_regex("[ -~]{0,12}").unwrap(),
+            b in proptest::string::string_regex("[ -~]{0,12}").unwrap(),
+            x in proptest::string::string_regex("[abcdáâ]{0,9}").unwrap(),
+            y in proptest::string::string_regex("[abcdáâ]{0,9}").unwrap(),
+        ) {
+            for (p, q) in [(&a, &b), (&x, &y)] {
+                let lb = ld_lower_bound_from_sigs(char_sig(p.chars()), char_sig(q.chars()));
+                prop_assert!(lb <= levenshtein(p, q), "{:?} vs {:?}", p, q);
+            }
+        }
     }
 }

@@ -14,7 +14,8 @@
 //!   on `[0, 1]`.
 //! * [`bounds`] — the numeric relationships of Lemmas 3, 8, 9 and 10 that the
 //!   join framework uses to carry an `NLD` threshold into `LD` space
-//!   (segment counts, length conditions, pruning lower bounds).
+//!   (segment counts, length conditions, pruning lower bounds), and the
+//!   character-signature lower bound on `LD`.
 //! * [`jaro()`] — Jaro and Jaro–Winkler similarities, needed by the
 //!   related-work measures (SoftTfIdf-style matching) that the paper
 //!   compares against in Fig. 6.
@@ -29,8 +30,8 @@ pub mod myers;
 pub mod nld;
 
 pub use bounds::{
-    ld_exceeds_bound_given_nld_exceeds, max_ld_given_nld, min_len_given_nld, nld_range_from_lens,
-    segments_for_indexed_len,
+    char_sig, ld_exceeds_bound_given_nld_exceeds, ld_lower_bound_from_sigs, max_ld_given_nld,
+    min_len_given_nld, nld_range_from_lens, segments_for_indexed_len,
 };
 pub use jaro::{jaro, jaro_winkler};
 pub use levenshtein::{

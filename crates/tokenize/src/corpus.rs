@@ -5,7 +5,10 @@
 //! distinct token and a [`StringId`] to every input string, and is the one
 //! representation of a tokenized string in the workspace. It *stores*
 //!
-//! * per token: its text, its character length, and its postings list
+//! * per token: its text, its character length, its character signature
+//!   (the set of its characters folded onto 64 bits,
+//!   [`tsj_strdist::char_sig`], from which the pruning filter and the
+//!   verifier lower-bound the LD of any two tokens), and its postings list
 //!   (token → containing strings), which drives shared-token candidate
 //!   generation and the `M`-frequency filter;
 //! * per string: its raw text, `L` (aggregate token length), and one row of
@@ -22,6 +25,8 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
+
+use tsj_strdist::char_sig;
 
 use crate::tokenizer::Tokenizer;
 
@@ -56,6 +61,7 @@ pub struct Corpus {
     // ---- token columns ----
     token_text: Vec<Box<str>>,
     token_len: Vec<u32>,
+    token_sig: Vec<u64>,
     /// Postings: for each token, the *distinct* strings containing it,
     /// sorted ascending. `postings[t].len()` is the token's document
     /// frequency (the paper's "number of tokenized strings sharing the
@@ -177,6 +183,13 @@ impl Corpus {
         self.token_len[id.index()] as usize
     }
 
+    /// Character signature of a token, [`tsj_strdist::char_sig`] of its
+    /// text.
+    #[inline]
+    pub fn token_sig(&self, id: TokenId) -> u64 {
+        self.token_sig[id.index()]
+    }
+
     /// Document frequency: how many *distinct* strings contain this token.
     #[inline]
     pub fn df(&self, id: TokenId) -> usize {
@@ -235,7 +248,10 @@ impl CorpusBuilder {
                 Some(&tid) => tid,
                 None => {
                     let tid = TokenId(self.lookup.len() as u32);
-                    c.token_len.push(tok.chars().count() as u32);
+                    let mut len = 0;
+                    let sig = char_sig(tok.chars().inspect(|_| len += 1));
+                    c.token_len.push(len);
+                    c.token_sig.push(sig);
                     c.postings.push(Vec::new());
                     self.lookup.insert(tok.into_boxed_str(), tid);
                     tid
@@ -298,6 +314,7 @@ mod tests {
     fn same_columns(a: &Corpus, b: &Corpus) -> bool {
         a.token_text == b.token_text
             && a.token_len == b.token_len
+            && a.token_sig == b.token_sig
             && a.postings == b.postings
             && a.raw == b.raw
             && a.total_len == b.total_len
@@ -396,7 +413,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// The row table's invariants: the three views of a row agree with
-        /// each other and with the token columns.
+        /// each other and with the token columns, and the length and
+        /// signature columns with the token texts.
         #[test]
         fn row_table_invariants(
             strings in proptest::collection::vec(
@@ -421,6 +439,11 @@ mod tests {
                     c.token_texts(id),
                     tokenizer.tokenize(&strings[id.index()])
                 );
+            }
+            for t in c.token_ids() {
+                let text = c.token_text(t);
+                prop_assert_eq!(c.token_len(t), text.chars().count());
+                prop_assert_eq!(c.token_sig(t), char_sig(text.chars()));
             }
 
             let mut b = CorpusBuilder::new();

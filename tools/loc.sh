@@ -4,7 +4,8 @@
 #   tools/loc.sh [ROOT]        (ROOT defaults to this checkout)
 #
 # Per crate under ROOT/crates/*/src: every *.rs line before the file's first
-# `#[cfg(test)]`, minus blank lines and lines whose first non-blank
+# line that starts with a `#[cfg(test)]` attribute (a mention of it inside a
+# comment or string does not count), minus blank lines and lines whose first non-blank
 # characters are `//` (comments and doc comments). One row per crate, then
 # the total.
 set -euo pipefail
@@ -14,7 +15,7 @@ total=0
 for src in "$root"/crates/*/src; do
   n=$(find "$src" -name '*.rs' -print0 | xargs -0 awk '
     FNR == 1 { tests = 0 }
-    /#\[cfg\(test\)\]/ { tests = 1 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { tests = 1 }
     !tests && !/^[[:space:]]*$/ && !/^[[:space:]]*\/\// { n++ }
     END { print n + 0 }')
   printf '%-12s %6d\n' "$(basename "$(dirname "$src")")" "$n"

@@ -508,6 +508,7 @@ pub fn fig_shuffle(p: &FigParams) -> FigData {
 
 /// The fastest of three runs' wall-clock seconds (the usual best-of-n
 /// discipline for wall measurements), with the last run's result.
+#[expect(clippy::disallowed_methods, reason = "a wall-clock measurement")]
 fn best_of_three<T>(mut run: impl FnMut() -> T) -> (f64, T) {
     let mut timed = || {
         let start = std::time::Instant::now();

@@ -142,6 +142,7 @@ impl FigParams {
     /// Defaults with the `TSJ_FIG_*` environment overrides applied; an
     /// invalid value or an unknown `TSJ_FIG_` name warns on stderr like
     /// the runtime's knobs do.
+    #[expect(clippy::disallowed_methods, reason = "the figure harness's knob table")]
     pub fn from_env() -> Self {
         let mut warn = |msg: String| eprintln!("tsj-bench: {msg}");
         env::check_names(

@@ -156,10 +156,8 @@ impl<'a> FilterContext<'a> {
             return false;
         }
 
-        // Component 2: Lemma 10-refined row-minima bound (fuzzy mode only).
-        if self.similar.is_none() {
-            return true;
-        }
+        // Component 2: row-minima bound over the per-token-pair evidence
+        // (Lemma 10 refines it only where a `SimilarMap` exists).
         let ta = self.corpus.tokens(a);
         let tb = self.corpus.tokens(b);
         let k = ta.len().max(tb.len());
@@ -443,6 +441,12 @@ mod tests {
         let ctx = FilterContext::new(&c, 0.1, true, true, Some(&sim), Some(&ineligible));
         assert_eq!(
             ctx.check(StringId(0), StringId(1)),
+            FilterVerdict::PrunedByHistogram
+        );
+        // Nor do they need a map: exact-token-matching prunes it too.
+        let map_less = FilterContext::new(&c, 0.1, true, true, None, None);
+        assert_eq!(
+            map_less.check(StringId(0), StringId(1)),
             FilterVerdict::PrunedByHistogram
         );
     }

@@ -376,6 +376,7 @@ mod tests {
                 *freq.entry(t).or_insert(0) += 1;
             }
         }
+        #[expect(clippy::disallowed_methods, reason = "sorted on the next line")]
         let mut counts: Vec<u32> = freq.values().copied().collect();
         counts.sort_unstable_by(|a, b| b.cmp(a));
         // Head token should be orders of magnitude above the median.

@@ -829,6 +829,7 @@ where
 /// stage's partitions become ready as its reduce tasks finish, which is
 /// exactly the cross-stage overlap. Returns the task outputs in ordinal
 /// order and when the first item arrived (the stage's wall-clock start).
+#[expect(clippy::disallowed_methods, reason = "the stage's real start time")]
 fn map_wave<'f, I, K, V, O>(
     stage: &Arc<Stage<'f, I, K, V, O>>,
     input: &Feed<I>,
@@ -1027,6 +1028,7 @@ fn reduce_accounting<I, K, V, O>(
 }
 
 /// Adds one task's user counters into the stage's.
+#[expect(clippy::iter_over_hash_type, reason = "an order-free sum")]
 fn add_counters(total: &mut HashMap<&'static str, u64>, task: HashMap<&'static str, u64>) {
     for (name, n) in task {
         *total.entry(name).or_insert(0) += n;

@@ -349,7 +349,7 @@ fn repartition_spec<'a, T: Spill + 'a>(
     };
     let reduce = |_h: &u64, blobs: Vec<Vec<u8>>, out: &mut OutputSink<T>| {
         for blob in blobs {
-            // tsjlint:allow(no-panic-in-data-plane) decoding bytes this stage's own map encoded
+            #[expect(clippy::expect_used, reason = "bytes this stage's own map encoded")]
             out.emit(T::restore(&mut blob.as_slice()).expect("repartition wire round-trip"));
         }
     };
@@ -678,7 +678,7 @@ impl<'a, T: Send + Sync + Spill + 'a> Dataset<'a, T> {
             // crossing to book (they never left the driver).
             Plan::Input(records) => return Ok((records, report)),
             Plan::Materialized { parts, guards } => (parts, guards),
-            // tsjlint:allow(no-panic-in-data-plane) force() above leaves only Input/Materialized
+            #[expect(clippy::unreachable, reason = "force() leaves only Input/Materialized")]
             Plan::Stage(_) | Plan::Union(..) => unreachable!("forced above"),
         };
         let mut out = Vec::new();

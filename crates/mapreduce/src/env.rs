@@ -341,6 +341,7 @@ pub(crate) fn from_lookup(
 }
 
 /// The process environment, resolved and warned about once per process.
+#[expect(clippy::disallowed_methods, reason = "the runtime's knob table")]
 pub(crate) fn ambient() -> &'static Settings {
     static AMBIENT: OnceLock<Settings> = OnceLock::new();
     AMBIENT.get_or_init(|| {

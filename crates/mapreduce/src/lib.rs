@@ -60,6 +60,28 @@
 // lives in the workspace `clippy.toml`, and CI runs clippy with
 // `-D warnings`.
 #![warn(clippy::too_many_lines)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    reason = "a panic in the job path kills the process or passes for a logic bug; \
+              worker failures surface as structured `JobError` / `SpillError` values"
+)]
+#![warn(
+    clippy::let_underscore_must_use,
+    reason = "a discarded `Result` turns an I/O failure into silent data loss"
+)]
+#![warn(
+    clippy::iter_over_hash_type,
+    reason = "hash order is arbitrary; in output it breaks every byte-identity test"
+)]
+#![warn(
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason,
+    reason = "a stale `#[expect]` fails the build; a stale `#[allow]` waves the next one through"
+)]
 
 pub mod cluster;
 mod dag;

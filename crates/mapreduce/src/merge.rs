@@ -171,8 +171,9 @@ where
         .collect();
 
     while let Some(Reverse((h, i))) = heap.pop() {
-        // tsjlint:allow(no-panic-in-data-plane) a heap entry is pushed only
-        // when stream i has a head; skipping silently would hide corruption
+        // A heap entry is pushed only when stream i has a head; skipping
+        // silently would hide corruption.
+        #[expect(clippy::expect_used, reason = "a heap entry implies a head")]
         let (head_h, key, value) = heads[i].take().expect("heap entry implies a head");
         debug_assert_eq!(head_h, h);
         heads[i] = streams[i].next()?;
@@ -314,6 +315,10 @@ where
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests make their scratch dirs under the system temp dir"
+)]
 mod tests {
     use super::*;
     use crate::spill::{create_job_spill_dir, SpillDirGuard, SpillWriter};

@@ -52,6 +52,17 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Runs `f`, surviving a panic that escapes it. Submitters capture their
+/// tasks' panics and signal their own completion, so all a pool thread
+/// owes an escaped panic is to outlive it.
+fn contain(f: impl FnOnce()) {
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "dropping an escaped panic's payload is the containment"
+    )]
+    let _ = catch_unwind(AssertUnwindSafe(f));
+}
+
 /// How the shared worker pool schedules tasks (`TSJ_SCHEDULER`, or
 /// [`Cluster::with_scheduler`](crate::cluster::Cluster::with_scheduler)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -251,8 +262,7 @@ impl<'t> Pool<'t> {
         let mut coord = lock(&self.coord);
         if coord.shutdown && coord.live_workers == 0 {
             drop(coord);
-            // Swallow an escaped panic exactly like a worker would.
-            let _ = catch_unwind(AssertUnwindSafe(|| (task.job)(0)));
+            contain(|| (task.job)(0));
             return;
         }
         let seq = coord.next_seq;
@@ -260,6 +270,7 @@ impl<'t> Pool<'t> {
         let target = coord.next_worker % self.deques.len();
         coord.next_worker = coord.next_worker.wrapping_add(1);
         coord.queued += 1;
+        #[expect(clippy::disallowed_methods, reason = "queue wait is real time")]
         lock(&self.deques[target]).push_back(QueuedTask {
             task,
             priority,
@@ -320,7 +331,7 @@ impl<'t> Pool<'t> {
                     // Speculative attempts are never registered as running
                     // (no speculation of speculation) and report through
                     // the task's own first-wins cell.
-                    let _ = catch_unwind(AssertUnwindSafe(|| job(1)));
+                    contain(|| job(1));
                 }
                 Decision::Exit => return,
             }
@@ -376,6 +387,7 @@ impl<'t> Pool<'t> {
     /// unspeculated attempt past the threshold, or how long until the
     /// earliest one ripens. Marks the chosen entry and books the launch.
     fn pick_straggler(&self, coord: &mut Coord<'t>) -> Straggler<'t> {
+        #[expect(clippy::disallowed_methods, reason = "straggler timing is real time")]
         let now = Instant::now();
         let mut ripe: Option<usize> = None;
         let mut next_ripen: Option<Duration> = None;
@@ -431,6 +443,7 @@ impl<'t> Pool<'t> {
             let mut coord = lock(&self.coord);
             let id = coord.next_run_id;
             coord.next_run_id += 1;
+            #[expect(clippy::disallowed_methods, reason = "straggler timing is real time")]
             coord.running.push(RunningEntry {
                 id,
                 job: Arc::clone(&job),
@@ -444,7 +457,7 @@ impl<'t> Pool<'t> {
             self.ready.notify_all();
             id
         });
-        let _ = catch_unwind(AssertUnwindSafe(|| job(0)));
+        contain(|| job(0));
         if let Some(id) = id {
             lock(&self.coord).running.retain(|e| e.id != id);
         }
@@ -555,8 +568,8 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, AtomicUsize};
-    use std::sync::Barrier;
+    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
+    use std::sync::{mpsc, Barrier};
 
     /// A non-replayable task whose body ignores the attempt number.
     fn once<'t>(f: impl Fn() + Send + Sync + 't) -> Task<'t> {
@@ -577,7 +590,7 @@ mod tests {
 
     #[test]
     fn zero_tasks() {
-        let out: Vec<u32> = run_indexed(0, 4, |_| unreachable!()).unwrap();
+        let out: Vec<u32> = run_indexed(0, 4, |_| panic!("no task to run")).unwrap();
         assert!(out.is_empty());
     }
 
@@ -696,6 +709,40 @@ mod tests {
     }
 
     #[test]
+    fn a_task_body_holds_no_pool_lock() {
+        // Task A blocks until task B, submitted only once A runs, has run.
+        // A pool that held `coord` or a deque lock across A's body would
+        // stall B's submit or dequeue; A then gives up at the timeout, so
+        // the test fails in bounded time instead of hanging. (The barrier
+        // test above cannot see this: its barrier releases before wave two
+        // is submitted.)
+        for sched in all_modes() {
+            let (started_tx, started_rx) = mpsc::channel();
+            let (b_tx, b_rx) = mpsc::channel();
+            let b_rx = Mutex::new(b_rx);
+            let saw_b = AtomicBool::new(false);
+            let pool = Pool::new(2, sched);
+            std::thread::scope(|s| {
+                for w in 0..2 {
+                    let pool = &pool;
+                    s.spawn(move || pool.run_worker(w));
+                }
+                let (b_rx, saw_b) = (&b_rx, &saw_b);
+                let task_a = move || {
+                    started_tx.send(()).unwrap();
+                    let b = lock(b_rx).recv_timeout(Duration::from_secs(10));
+                    saw_b.store(b.is_ok(), Ordering::SeqCst);
+                };
+                pool.submit(once(task_a), 0, None);
+                started_rx.recv().unwrap();
+                pool.submit(once(move || b_tx.send(()).unwrap()), 0, None);
+                pool.shutdown();
+            });
+            assert!(saw_b.load(Ordering::SeqCst), "B ran while A's body ran");
+        }
+    }
+
+    #[test]
     fn shared_pool_survives_a_panicking_task() {
         for sched in all_modes() {
             let ran = AtomicU64::new(0);
@@ -733,7 +780,7 @@ mod tests {
                     .collect();
                 pool.shutdown();
                 for w in workers {
-                    let _ = w.join();
+                    w.join().unwrap();
                 }
                 // Every worker has exited; the submit must run inline.
                 let ran = &ran;

@@ -245,8 +245,8 @@ impl ShuffleConfig {
     /// for a filesystem location — every job path goes through here, so
     /// the fallback stays a documented config-layer concern rather than a
     /// scattering of `std::env::temp_dir()` calls in the data plane.
+    #[expect(clippy::disallowed_methods, reason = "the one temp-dir fallback")]
     pub fn spill_base(&self) -> PathBuf {
-        // tsjlint:allow(no-ambient-env) the config layer owns the temp-dir fallback
         self.spill_dir.clone().unwrap_or_else(std::env::temp_dir)
     }
 }
@@ -628,6 +628,10 @@ fn flush_run<K: Clone, V>(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests make their scratch dirs under the system temp dir"
+)]
 mod tests {
     use super::*;
 

@@ -67,6 +67,11 @@
 //! the fetch), so a lost or corrupt disk or a dead run server fails the
 //! *job*, never the process.
 
+#![warn(
+    clippy::cast_possible_truncation,
+    reason = "a truncated wire length wraps, and the reader trusts a prefix that lies"
+)]
+
 use std::cell::RefCell;
 use std::fs::File;
 use std::hash::Hash;
@@ -630,7 +635,7 @@ impl RunReader {
         self.buf.drain(..self.pos);
         self.pos = 0;
         while self.buf.len() < n {
-            let remaining = (end - self.offset) as usize;
+            let remaining = usize::try_from(end - self.offset).unwrap_or(usize::MAX);
             if remaining == 0 {
                 break;
             }
@@ -682,7 +687,7 @@ impl RunReader {
     /// surfaces that as a structured [`JobError`](crate::job::JobError).
     // Not `Iterator`: the record type is chosen per *call*, and one frame
     // format serves any (K, V) the caller restores it as.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(clippy::should_implement_trait, reason = "the record type is per call")]
     pub fn next<K: Spill + Hash, V: Spill>(
         &mut self,
     ) -> Result<Option<ShuffleRecord<K, V>>, SpillError> {
@@ -765,7 +770,9 @@ fn fill(
         .map_err(SpillError::Fetch)?;
     let mut rest = fetched.as_slice();
     for (reader, range) in batch {
-        let (head, tail) = rest.split_at(range.len as usize);
+        let len = usize::try_from(range.len)
+            .map_err(|_| SpillError::Corrupt("fetch range exceeds address space"))?;
+        let (head, tail) = rest.split_at(len);
         reader.buf.extend_from_slice(head);
         reader.offset += range.len;
         rest = tail;
@@ -823,6 +830,10 @@ impl Drop for SpillDirGuard {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests make their scratch dirs under the system temp dir"
+)]
 mod tests {
     use super::*;
 
@@ -918,7 +929,7 @@ mod tests {
         let big = "x".repeat(1000);
         let run: Vec<ShuffleRecord<u64, String>> = (0..500).map(|i| (i, i, big.clone())).collect();
         let meta = w.write_run(&run).unwrap();
-        assert!(meta.bytes as usize > 4 * READ_CHUNK);
+        assert!(meta.bytes > 4 * READ_CHUNK as u64);
         let (file, _) = w.into_reader().unwrap();
         let mut r = RunReader::new(file, meta);
         let mut n = 0u64;

@@ -57,6 +57,11 @@
 //! yields the same bytes and only the wall-clock-class
 //! [`FetchStats`](tsj_netshuffle::FetchStats) differ.
 
+#![warn(
+    clippy::cast_possible_truncation,
+    reason = "a truncated wire length wraps, and the reader trusts a prefix that lies"
+)]
+
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -214,6 +219,10 @@ pub(crate) fn exchange<K, V>(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests make their scratch dirs under the system temp dir"
+)]
 mod tests {
     use super::*;
     use crate::shuffle::PartitionedBuffer;
@@ -448,7 +457,7 @@ mod tests {
                 let mut last = 0u64;
                 while let Some((h, _, _)) = r.next::<u64, u64>().unwrap() {
                     assert!(h >= last, "published run not sorted");
-                    assert_eq!((h % partitions as u64) as usize, p);
+                    assert_eq!(h % partitions as u64, p as u64);
                     last = h;
                     records += 1;
                 }

@@ -7,6 +7,10 @@ use std::path::{Path, PathBuf};
 pub struct Dir(PathBuf);
 
 impl Dir {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test scratch dirs live under the system temp dir"
+    )]
     pub fn new(prefix: &str) -> Self {
         use std::sync::atomic::{AtomicU64, Ordering};
         static SEQ: AtomicU64 = AtomicU64::new(0);

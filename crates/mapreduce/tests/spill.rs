@@ -3,6 +3,11 @@
 //! unbounded configuration, never hold more than the threshold in a
 //! mapper's buffer, and account the spilled volume in `JobStats`.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests make their scratch dirs under the system temp dir"
+)]
+
 use std::path::PathBuf;
 
 use tsj_mapreduce::{

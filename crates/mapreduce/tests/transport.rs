@@ -6,6 +6,12 @@
 //! network fails for good — and compose with mapper spilling and the
 //! fan-in-capped hierarchical merge.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests create their own scratch dirs under the system temp dir and time \
+              the fetch deadline"
+)]
+
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;

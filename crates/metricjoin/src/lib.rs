@@ -249,7 +249,7 @@ impl<'c> HmjJoiner<'c> {
 
 /// Verifies one partition: window-pruned all-pairs, or recursive
 /// sub-partitioning when oversized.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "the recursion's state")]
 fn verify_partition(
     corpus: &Corpus,
     partition: u32,

@@ -212,8 +212,10 @@ mod tests {
     use super::*;
     use tsj_setdist::nsld;
 
-    // `&Vec<String>` because `VpTree::build` wants `Fn(&T, &T)`.
-    #[allow(clippy::ptr_arg)]
+    #[expect(
+        clippy::ptr_arg,
+        reason = "`&Vec<String>` because `VpTree::build` wants `Fn(&T, &T)`"
+    )]
     fn name_dist(a: &Vec<String>, b: &Vec<String>) -> f64 {
         nsld(a, b)
     }

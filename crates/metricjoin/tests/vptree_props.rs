@@ -5,9 +5,10 @@ use proptest::prelude::*;
 use tsj_metricjoin::VpTree;
 use tsj_setdist::nsld;
 
-// `&Vec<String>` (not `&[String]`) because `VpTree::build` wants
-// `Fn(&T, &T)` with `T = Vec<String>`.
-#[allow(clippy::ptr_arg)]
+#[expect(
+    clippy::ptr_arg,
+    reason = "`&Vec<String>` because `VpTree::build` wants `Fn(&T, &T)` with `T = Vec<String>`"
+)]
 fn dist(a: &Vec<String>, b: &Vec<String>) -> f64 {
     nsld(a, b)
 }

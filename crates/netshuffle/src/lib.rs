@@ -39,15 +39,32 @@
 //!
 //! Timing note: deadlines, backoff, and stall injection are real-time by
 //! design — this crate lives outside the runtime's deterministic
-//! planning/merge modules (see the `tsj-lint` scope notes).
+//! planning/merge modules, whose wall-clock reads `clippy.toml`'s
+//! `disallowed-methods` refuses.
+
+#![warn(
+    clippy::let_underscore_must_use,
+    reason = "a discarded `Result` turns an I/O failure into silent data loss"
+)]
+#![warn(
+    clippy::iter_over_hash_type,
+    reason = "hash order is arbitrary; in output it breaks every byte-identity test"
+)]
+#![warn(
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason,
+    reason = "a stale `#[expect]` fails the build; a stale `#[allow]` waves the next one through"
+)]
 
 mod client;
 pub mod protocol;
+mod registry;
 mod server;
 
 pub use client::{FetchClient, FetchConfig, FetchError, FetchStats};
 pub use protocol::{read_frame, write_frame, FetchRange, Request, Response, RunKey, RunSpec};
-pub use server::{PublishedTask, Registry, RunServer};
+pub use registry::{PublishedTask, Registry};
+pub use server::RunServer;
 
 /// Deterministic server-side fault injection: exercised by tests and the
 /// `remote-shuffle` CI job via `TSJ_NET_FAULT_DROP_NTH` /

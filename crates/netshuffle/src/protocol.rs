@@ -42,6 +42,11 @@
 //! any allocation, so garbage on the socket costs one connection, never
 //! memory.
 
+#![warn(
+    clippy::cast_possible_truncation,
+    reason = "a truncated wire length wraps, and the reader trusts a prefix that lies"
+)]
+
 use std::io::{IoSlice, Read, Write};
 
 /// Most ranges one vectored fetch may carry.
@@ -60,6 +65,7 @@ pub const MAX_FETCH_BYTES: u64 = 4 * 1024 * 1024;
 /// Largest response payload a client accepts: a full fetch, or a run
 /// directory (24 bytes per run — this bounds runs per directory far
 /// above any real spill count).
+#[expect(clippy::cast_possible_truncation, reason = "4 MiB + 64 fits any usize")]
 pub const MAX_RESPONSE_FRAME: usize = MAX_FETCH_BYTES as usize + 64;
 
 /// Addresses one map task's runs for one reduce partition.

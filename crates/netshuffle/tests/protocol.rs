@@ -2,6 +2,12 @@
 //! deliberately broken) sockets. Every failure mode must surface as a
 //! structured error in bounded time — never a hang, never a panic.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests make their run files under the system temp dir and time the \
+              client's deadlines"
+)]
+
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;

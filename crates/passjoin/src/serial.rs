@@ -94,6 +94,7 @@ pub fn nld_self_join_serial(tokens: &[impl AsRef<str>], t: f64) -> Vec<SimilarTo
                 }
             }
         }
+        #[expect(clippy::disallowed_methods, reason = "`out` is sorted before return")]
         for &yid in cand.iter() {
             let y = &chars[yid as usize];
             if y.len() == lx && yid >= xid as u32 {

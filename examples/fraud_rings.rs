@@ -84,6 +84,7 @@ fn main() {
     for id in 0..corpus.len() as u32 {
         clusters.entry(uf.find(id)).or_default().push(id);
     }
+    #[expect(clippy::disallowed_methods, reason = "only the count is printed")]
     let flagged: Vec<&Vec<u32>> = clusters.values().filter(|c| c.len() >= 3).collect();
     println!("flagged {} suspicious clusters (size ≥ 3)", flagged.len());
 

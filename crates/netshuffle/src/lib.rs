@@ -92,3 +92,29 @@ impl FaultConfig {
         self.drop_nth > 0 || self.stall_us > 0
     }
 }
+
+#[cfg(test)]
+mod tests {
+    /// The registry's guard cannot reach I/O: `registry.rs` performs none,
+    /// and its `lock` is private, so no caller can name the guard, let
+    /// alone hold it across `write_frame`.
+    #[test]
+    fn guard_held_across_file_io_is_flagged() {
+        let code: Vec<&str> = include_str!("registry.rs")
+            .lines()
+            .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
+            .filter(|l| !l.trim_start().starts_with("//"))
+            .collect();
+        for io in ["std::io", "std::net", "_frame", ".read", ".write", "flush("] {
+            assert!(
+                !code.iter().any(|l| l.contains(io)),
+                "registry.rs performs I/O: {io}"
+            );
+        }
+        let lock = code.iter().find(|l| l.contains("fn lock(")).unwrap();
+        assert!(
+            lock.trim_start().starts_with("fn lock("),
+            "the registry guard is nameable: {lock}"
+        );
+    }
+}

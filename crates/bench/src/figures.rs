@@ -682,10 +682,10 @@ pub fn fig_overlap(p: &FigParams) -> FigData {
     // ---- Straggler / speculation series --------------------------------
     // A seeded *environmental* straggler: map task 0 of the candidates
     // stage sleeps `TSJ_FIG_STRAGGLE_US` (default 300 ms) on its primary
-    // attempt, simulating one slow node. Plain work stealing has no answer
-    // — the map wave barrier (and every downstream task behind it) waits
-    // out the sleep — so it is the no-mitigation baseline: same queue
-    // discipline, same injection, only speculation differs. The
+    // attempt, simulating one slow node. The non-speculative policy has no
+    // answer — the map wave barrier (and every downstream task behind it)
+    // waits out the sleep — so it is the no-mitigation baseline: same
+    // ready queue, same injection, only speculation differs. The
     // speculative scheduler launches a second copy of the
     // stalled task on an idle worker once it has run `straggle/2`; the
     // copy wins (`speculative_won ≥ 1`, asserted), the barrier releases,
@@ -719,7 +719,7 @@ pub fn fig_overlap(p: &FigParams) -> FigData {
                 let (best, (out, report)) = best_of_three(|| run_pipeline(&c));
                 (best, out.iter().map(|&n| n as usize).sum::<usize>(), report)
             };
-            let (steal_secs, steal_pairs, _) = timed(SchedulerConfig {
+            let (plain_secs, plain_pairs, _) = timed(SchedulerConfig {
                 mode: SchedulerMode::Stealing,
                 straggle: straggle.clone(),
                 ..SchedulerConfig::default()
@@ -730,7 +730,7 @@ pub fn fig_overlap(p: &FigParams) -> FigData {
                 straggle: straggle.clone(),
             });
             assert_eq!(
-                steal_pairs, spec_pairs,
+                plain_pairs, spec_pairs,
                 "speculative re-execution must not change the result"
             );
             assert!(
@@ -738,9 +738,9 @@ pub fn fig_overlap(p: &FigParams) -> FigData {
                 "the speculative copy should beat a {straggle_us} µs straggler"
             );
             rows.push(Row {
-                series: "straggler stealing (no mitigation)".into(),
+                series: "straggler no speculation".into(),
                 x: threads as f64,
-                y: steal_secs,
+                y: plain_secs,
             });
             rows.push(Row {
                 series: "straggler speculative".into(),
@@ -749,10 +749,9 @@ pub fn fig_overlap(p: &FigParams) -> FigData {
             });
             notes.push(format!(
                 "straggler ({straggle_us} µs on overlap.candidates) threads={threads}: \
-                 stealing {steal_secs:.3}s vs speculative {spec_secs:.3}s ({:+.1}% wall-clock; \
-                 steals={}, speculative launched/won={}/{})",
-                100.0 * (spec_secs / steal_secs - 1.0),
-                spec_report.total_steals(),
+                 no speculation {plain_secs:.3}s vs speculative {spec_secs:.3}s \
+                 ({:+.1}% wall-clock; speculative launched/won={}/{})",
+                100.0 * (spec_secs / plain_secs - 1.0),
                 spec_report.total_speculative_launched(),
                 spec_report.total_speculative_won(),
             ));

@@ -161,7 +161,7 @@ fn figoverlap_runs_and_modes_agree() {
     // The straggler series: the harness itself asserts the speculative
     // copy won and the pairs agree; here we check both series rendered
     // and the notes carry the scheduler counters.
-    let strag_base = fig.series("straggler stealing (no mitigation)");
+    let strag_base = fig.series("straggler no speculation");
     let strag_spec = fig.series("straggler speculative");
     assert_eq!(strag_base.len(), strag_spec.len());
     assert!(!strag_base.is_empty());

@@ -137,8 +137,8 @@ fn assert_driver_accounting(report: &SimReport, n_strings: u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// The scheduler-mode guarantee: the priority work-stealing
-    /// scheduler and speculative re-execution (with a millisecond
+    /// The scheduler-mode guarantee: the priority scheduler and
+    /// speculative re-execution (with a millisecond
     /// speculation threshold, so copies really launch) both produce
     /// *byte-identical* verified join output — across threads ×
     /// partitions × both transports × bounded/unbounded shuffles — and

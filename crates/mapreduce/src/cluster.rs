@@ -64,17 +64,13 @@ pub(crate) type ReduceFn<'f, K, V, O> =
 pub(crate) struct StageSpec<'f, I, K, V, O> {
     pub(crate) name: String,
     pub(crate) group_overhead_secs: f64,
-    /// Shuffle partition count for this stage: always the cluster's
-    /// [`partitions`](Cluster::partitions).
-    pub(crate) partitions: usize,
     pub(crate) map: MapFn<'f, I, K, V>,
     pub(crate) combine: Option<CombineFn<'f, K, V>>,
     pub(crate) reduce: ReduceFn<'f, K, V, O>,
 }
 
 impl<'f, I, K, V, O> StageSpec<'f, I, K, V, O> {
-    /// An ordinary stage: the cluster's partition count and per-group
-    /// overhead. The variants override fields by struct update.
+    /// An ordinary stage: the cluster's per-group overhead. The variants override fields by struct update.
     pub(crate) fn new(
         cluster: &Cluster,
         name: &str,
@@ -85,7 +81,6 @@ impl<'f, I, K, V, O> StageSpec<'f, I, K, V, O> {
         Self {
             name: name.to_owned(),
             group_overhead_secs: cluster.cfg.cost.reduce_group_overhead_secs,
-            partitions: cluster.partitions(),
             map,
             combine,
             reduce,
@@ -287,7 +282,7 @@ impl Cluster {
     /// Pins the worker-pool scheduling policy (exactly as given — no
     /// environment override). Output is byte-identical across modes; only
     /// wall-clock behaviour and the scheduler observability counters
-    /// ([`JobStats::steals`] and friends) change.
+    /// ([`JobStats::queue_wait_us`] and friends) change.
     pub fn with_scheduler(mut self, scheduler: SchedulerConfig) -> Self {
         self.scheduler = scheduler;
         self
@@ -678,6 +673,12 @@ impl<'p, 'f, T: Send + 'f> Wave<'p, 'f, T> {
 struct Stage<'f, I, K, V, O> {
     spec: StageSpec<'f, I, K, V, O>,
     shuffle: ShuffleConfig,
+    /// Whether map tasks publish their output as run files (every
+    /// transport but the in-process handoff).
+    publish: bool,
+    /// Shuffle partition count: the cluster's
+    /// [`partitions`](Cluster::partitions).
+    partitions: usize,
     machines: usize,
     /// The cluster's cost model with this stage's per-group overhead.
     cost: CostModel,
@@ -725,6 +726,7 @@ impl<'f, I, K, V, O> Stage<'f, I, K, V, O> {
         scheduler: &SchedulerConfig,
     ) -> Result<(Self, Option<RunServer>), JobError> {
         let shuffle = cluster.shuffle.clone();
+        let publish = shuffle.transport != Transport::InProcess;
         let mut cost = cluster.cfg.cost;
         cost.reduce_group_overhead_secs = spec.group_overhead_secs;
         let straggle = scheduler
@@ -736,8 +738,7 @@ impl<'f, I, K, V, O> Stage<'f, I, K, V, O> {
         // subdirectories; each is RAII-guarded so a job that fails mid-wave
         // still removes everything it created.
         let dir_base = shuffle.spill_base();
-        let job_dir = (shuffle.spill_threshold.is_some()
-            || shuffle.transport != Transport::InProcess)
+        let job_dir = (shuffle.spill_threshold.is_some() || publish)
             .then(|| SpillDirGuard(reserve_job_spill_dir(&dir_base)));
         let (run_server, remote) = match shuffle.transport {
             Transport::Remote => {
@@ -757,6 +758,8 @@ impl<'f, I, K, V, O> Stage<'f, I, K, V, O> {
         let stage = Self {
             spec,
             shuffle,
+            publish,
+            partitions: cluster.partitions(),
             machines: cluster.cfg.machines,
             cost,
             priority,
@@ -816,7 +819,6 @@ where
     reduce_accounting(&stage, reduce_tasks, &mut stats);
     stats.wall_secs = wall_start.elapsed().as_secs_f64();
     let sched = &stage.sched_stats;
-    stats.steals = sched.steals.load(Ordering::Relaxed);
     stats.speculative_launched = sched.speculative_launched.load(Ordering::Relaxed);
     stats.speculative_won = sched.speculative_won.load(Ordering::Relaxed);
     stats.queue_wait_us = sched.queue_wait_us.load(Ordering::Relaxed);
@@ -890,7 +892,6 @@ fn shuffle_exchange<I, K, V, O>(
     let (cost, machines) = (&stage.cost, stage.machines);
     let map_loads = proportional_loads(map_tasks.iter().map(|t| t.work), cost);
     stats.map = phase_sim(&map_loads, machines.min(map_tasks.len().max(1)));
-    let published = stage.shuffle.transport != Transport::InProcess;
     let mut outputs: Vec<MapOutput<K, V>> = Vec::with_capacity(map_tasks.len());
     for task in map_tasks {
         stats.input_records += task.input;
@@ -903,13 +904,13 @@ fn shuffle_exchange<I, K, V, O>(
             stats.spill_bytes += spill.bytes;
             stats.spill_runs += spill.spill_runs;
             // A published run file is all exchange volume.
-            if published {
+            if stage.publish {
                 stats.transport_bytes += spill.runs.iter().flatten().map(|r| r.bytes).sum::<u64>();
             }
         }
         outputs.push(task.output);
     }
-    let partition_segments = exchange(outputs, stage.spec.partitions, stage.remote.as_ref())?;
+    let partition_segments = exchange(outputs, stage.partitions, stage.remote.as_ref())?;
     // Each volume cost is spread across the simulated machines.
     let spread = machines as f64;
     stats.shuffle_secs = cost.shuffle_secs_per_record * stats.shuffle_records as f64 / spread;
@@ -1050,7 +1051,7 @@ where
     K: Hash + Eq + Send + Spill,
     V: Send + Spill,
 {
-    let (spec, shuffle, partitions) = (&stage.spec, &stage.shuffle, stage.spec.partitions);
+    let (spec, shuffle, partitions) = (&stage.spec, &stage.shuffle, stage.partitions);
     let mut emitter = match &stage.job_dir {
         Some(guard) => Emitter::with_buffer(PartitionedBuffer::with_spill(
             partitions,
@@ -1125,10 +1126,9 @@ where
     // transport the file is registered with the stage's run server,
     // servable the moment the task finishes. `spill.records` counts only
     // what the memory bound spilled, so the work term ignores the flush.
-    let publish = shuffle.transport != Transport::InProcess;
     let spill = emitter
         .buffer
-        .finish_spill(publish)
+        .finish_spill(stage.publish)
         .map_err(|(publishing, e)| {
             if publishing {
                 JobError::Transport {

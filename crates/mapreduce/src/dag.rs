@@ -46,7 +46,7 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use crate::dataset::DataPartition;
 use crate::job::{JobError, JobStats};
-use crate::pool::{lock, Pool, SchedulerConfig};
+use crate::pool::{self, lock, Pool, SchedulerConfig};
 use crate::report::SimReport;
 use crate::spill::SpillDirGuard;
 
@@ -247,28 +247,23 @@ impl<'a> Builder<'a> {
 /// `sched`) plus one driver thread per stage, all scoped. Returns when
 /// every driver has finished and the pool has drained.
 pub(crate) fn execute(threads: usize, sched: SchedulerConfig, thunks: Vec<DriverThunk<'_>>) {
-    let threads = threads.max(1);
-    let pool = Pool::new(threads, sched);
-    std::thread::scope(|scope| {
-        for worker in 0..threads {
-            let pool = &pool;
-            scope.spawn(move || pool.run_worker(worker));
-        }
-        let drivers: Vec<_> = thunks
-            .into_iter()
-            .map(|thunk| scope.spawn(|| thunk(&pool)))
-            .collect();
-        for driver in drivers {
-            // Driver bodies capture their own panics; a join error here
-            // would mean the thunk wrapper itself panicked, which the
-            // wrappers are written not to do. Either way the feeds'
-            // Drop/close discipline keeps the remaining drivers exiting —
-            // but a wrapper panic is a bug worth hearing about.
-            if driver.join().is_err() {
-                eprintln!("tsj-mapreduce: a stage driver panicked outside its capture wrapper");
+    pool::scoped(threads, sched, |pool| {
+        std::thread::scope(|scope| {
+            let drivers: Vec<_> = thunks
+                .into_iter()
+                .map(|thunk| scope.spawn(|| thunk(pool)))
+                .collect();
+            for driver in drivers {
+                // Driver bodies capture their own panics; a join error here
+                // would mean the thunk wrapper itself panicked, which the
+                // wrappers are written not to do. Either way the feeds'
+                // Drop/close discipline keeps the remaining drivers exiting
+                // — but a wrapper panic is a bug worth hearing about.
+                if driver.join().is_err() {
+                    eprintln!("tsj-mapreduce: a stage driver panicked outside its capture wrapper");
+                }
             }
-        }
-        pool.shutdown();
+        });
     });
 }
 

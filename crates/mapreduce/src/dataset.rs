@@ -288,7 +288,7 @@ where
         out.register_producer();
         let info = StageInfo {
             name: self.spec.name.clone(),
-            partitions: self.spec.partitions,
+            partitions: cluster.partitions(),
             combined: self.spec.combine.is_some(),
             value_is_zst: std::mem::size_of::<V>() == 0,
             depth,
@@ -468,9 +468,15 @@ fn build_plan<'a, T: Send + Sync + Spill + 'a>(
 }
 
 /// What executing a plan yields: its output partitions (ordinal-sorted),
-/// the guards keeping spilled ones alive, and the executed stages' report
-/// in topological order.
-type Executed<T> = (Vec<DataPartition<T>>, Vec<Arc<SpillDirGuard>>, SimReport);
+/// the guards keeping spilled ones alive, the executed stages' report in
+/// topological order, and whether the last of those jobs produced the
+/// partitions (the terminal is a stage, not a union or a driver input).
+type Executed<T> = (
+    Vec<DataPartition<T>>,
+    Vec<Arc<SpillDirGuard>>,
+    SimReport,
+    bool,
+);
 
 /// Builds and runs a plan's pending stages on a shared pool (one worker
 /// per configured thread), with cross-stage overlap.
@@ -478,6 +484,7 @@ fn execute_plan<'a, T: Send + Sync + Spill + 'a>(
     cluster: &'a Cluster,
     plan: Plan<'a, T>,
 ) -> Result<Executed<T>, JobError> {
+    let terminal_is_stage = matches!(plan, Plan::Stage(_));
     let mut b = Builder::new();
     let out: Feed<T> = Feed::new();
     let shape = build_plan(plan, cluster, &mut b, out.clone(), 0);
@@ -497,7 +504,7 @@ fn execute_plan<'a, T: Send + Sync + Spill + 'a>(
     let mut report = dag::gather(&slots)?;
     report.add_plan_diagnostics(diagnostics);
     let (parts, guards) = out.drain_terminal();
-    Ok((parts, guards, report))
+    Ok((parts, guards, report, terminal_is_stage))
 }
 
 impl<'a, T: Send + Sync + Spill + 'a> Dataset<'a, T> {
@@ -640,24 +647,43 @@ impl<'a, T: Send + Sync + Spill + 'a> Dataset<'a, T> {
         }
     }
 
-    /// Executes every pending stage behind this handle (`collect` calls
-    /// this, and so does [`DatasetMode::Eager`] after every recorded stage)
-    /// and flattens unions, leaving the handle materialized. A failure
-    /// consumes the handle: its error is the caller's result.
-    fn force(mut self) -> Result<Self, JobError> {
-        let terminal_is_stage = match &self.plan {
-            Plan::Input(_) | Plan::Materialized { .. } => return Ok(self),
-            Plan::Stage(_) => true,
-            Plan::Union(..) => false,
-        };
-        // Unions go through the same build path even when no stage is
-        // pending: the feed preload flattens Materialized/Input sides in
-        // left-then-right ordinal order with zero thunks to run.
-        let (parts, guards, run_report) = execute_plan(self.cluster, self.plan)?;
-        self.plan = Plan::Materialized { parts, guards };
-        self.report.extend(run_report);
-        self.producer_is_last_job = terminal_is_stage;
-        Ok(self)
+    /// The one executor behind [`DatasetMode::Eager`] stages and
+    /// `collect`: runs every pending stage behind this handle and flattens
+    /// unions, returning the handle's partitions, their guards and its
+    /// whole report.
+    fn execute(self) -> Result<Executed<T>, JobError> {
+        let mut report = self.report;
+        match self.plan {
+            // Never ran anything: the records never left the driver, and
+            // no job produced them.
+            Plan::Input(records) => Ok((vec![DataPartition::Mem(records)], vec![], report, false)),
+            Plan::Materialized { parts, guards } => {
+                Ok((parts, guards, report, self.producer_is_last_job))
+            }
+            // Unions go through the same build path even when no stage is
+            // pending: the feed preload flattens Materialized/Input sides
+            // in left-then-right ordinal order with zero thunks to run.
+            plan @ (Plan::Stage(_) | Plan::Union(..)) => {
+                let (parts, guards, run_report, terminal_is_stage) =
+                    execute_plan(self.cluster, plan)?;
+                report.extend(run_report);
+                Ok((parts, guards, report, terminal_is_stage))
+            }
+        }
+    }
+
+    /// Executes a freshly recorded stage at once ([`DatasetMode::Eager`]),
+    /// leaving the handle materialized. A failure consumes the handle: its
+    /// error is the caller's result.
+    fn force(self) -> Result<Self, JobError> {
+        let cluster = self.cluster;
+        let (parts, guards, report, producer_is_last_job) = self.execute()?;
+        Ok(Dataset {
+            cluster,
+            plan: Plan::Materialized { parts, guards },
+            report,
+            producer_is_last_job,
+        })
     }
 
     /// Brings every record back into driver memory (concatenated in
@@ -667,20 +693,7 @@ impl<'a, T: Send + Sync + Spill + 'a> Dataset<'a, T> {
     /// job's
     /// [`driver_out_records`](crate::job::JobStats::driver_out_records).
     pub fn collect(self) -> Result<(Vec<T>, SimReport), JobError> {
-        let Dataset {
-            plan,
-            mut report,
-            producer_is_last_job,
-            ..
-        } = self.force()?;
-        let (parts, guards) = match plan {
-            // Never ran anything: hand the records straight back, no
-            // crossing to book (they never left the driver).
-            Plan::Input(records) => return Ok((records, report)),
-            Plan::Materialized { parts, guards } => (parts, guards),
-            #[expect(clippy::unreachable, reason = "force() leaves only Input/Materialized")]
-            Plan::Stage(_) | Plan::Union(..) => unreachable!("forced above"),
-        };
+        let (parts, guards, mut report, producer_is_last_job) = self.execute()?;
         let mut out = Vec::new();
         for part in parts {
             part.drain_into(&mut out)?;

@@ -328,10 +328,6 @@ pub struct JobStats {
     pub sim_total_secs: f64,
     /// Real wall-clock the local execution took.
     pub wall_secs: f64,
-    /// Tasks of this job a pool worker stole from a peer's deque.
-    /// Real-scheduler observability (like `wall_secs`): depends on timing,
-    /// thread count, and scheduler mode — never feeds simulated stats.
-    pub steals: u64,
     /// Speculative re-executions launched for this job's straggling tasks
     /// (scheduler observability, nondeterministic; 0 outside
     /// [`SchedulerMode::Speculative`](crate::pool::SchedulerMode)).

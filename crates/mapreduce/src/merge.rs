@@ -37,7 +37,6 @@
 //! distinct keys that share a fingerprint in first-occurrence order within
 //! the merged run.
 
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::hash::Hash;
 use std::path::PathBuf;
@@ -157,34 +156,47 @@ where
         }
         return Ok(());
     }
-    // One lookahead record per stream; the heap orders stream heads by
-    // (fingerprint, stream index) so equal-fingerprint records drain
-    // stream-by-stream in segment order.
-    let mut heads: Vec<Option<ShuffleRecord<K, V>>> = streams
-        .iter_mut()
-        .map(Stream::next)
-        .collect::<Result<_, _>>()?;
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = heads
-        .iter()
-        .enumerate()
-        .filter_map(|(i, head)| head.as_ref().map(|(h, _, _)| Reverse((*h, i))))
-        .collect();
-
-    while let Some(Reverse((h, i))) = heap.pop() {
-        // A heap entry is pushed only when stream i has a head; skipping
-        // silently would hide corruption.
-        #[expect(clippy::expect_used, reason = "a heap entry implies a head")]
-        let (head_h, key, value) = heads[i].take().expect("heap entry implies a head");
-        debug_assert_eq!(head_h, h);
-        heads[i] = streams[i].next()?;
-        if let Some((next_h, _, _)) = &heads[i] {
-            debug_assert!(*next_h >= h, "segment not sorted by fingerprint");
-            heap.push(Reverse((*next_h, i)));
+    // One lookahead record per stream, held in the heap itself.
+    let mut heap = BinaryHeap::with_capacity(streams.len());
+    for (i, stream) in streams.iter_mut().enumerate() {
+        if let Some(record) = stream.next()? {
+            heap.push(Head(record, i));
         }
-        on_record((h, key, value))?;
+    }
+    while let Some(Head(record, i)) = heap.pop() {
+        if let Some(next) = streams[i].next()? {
+            debug_assert!(next.0 >= record.0, "segment not sorted by fingerprint");
+            heap.push(Head(next, i));
+        }
+        on_record(record)?;
     }
     Ok(())
 }
+
+/// A stream's lookahead record and the stream's index. The merge heap
+/// pops the smallest `(fingerprint, stream index)` first, so
+/// equal-fingerprint records drain stream by stream in segment order.
+struct Head<K, V>(ShuffleRecord<K, V>, usize);
+
+impl<K, V> Ord for Head<K, V> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (other.0 .0, other.1).cmp(&(self.0 .0, self.1))
+    }
+}
+
+impl<K, V> PartialOrd for Head<K, V> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<K, V> PartialEq for Head<K, V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl<K, V> Eq for Head<K, V> {}
 
 /// Merges `segments` in `(fingerprint, segment index)` order and invokes
 /// `each_group` exactly once per distinct key with that key's full value

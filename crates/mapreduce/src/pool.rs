@@ -1,31 +1,25 @@
-//! Worker pools for the runtime's task execution.
+//! The runtime's one worker pool.
 //!
-//! Two shapes live here:
+//! `Pool` (crate-internal) is the shared scheduler behind the lazy
+//! [`dataset`](crate::dataset) executor: tasks are submitted dynamically
+//! (a downstream stage's map task becomes ready the moment an upstream
+//! reduce task finishes its partition) and any number of concurrently
+//! executing stages share one fixed set of worker threads, so
+//! cross-stage overlap never oversubscribes the machine. [`run_indexed`]
+//! — "run `n` independent tasks on all cores, results in task order" — is
+//! a thin wrapper that submits its tasks to the same pool.
 //!
-//! * [`run_indexed`] — the original "N independent tasks, run them on all
-//!   cores" helper with work stealing via an atomic cursor, panic capture,
-//!   and deterministic result placement by task index. Still the simplest
-//!   tool for standalone waves.
-//! * `Pool` (crate-internal) — the shared scheduler behind the lazy
-//!   [`dataset`](crate::dataset) executor: tasks are submitted dynamically
-//!   (a downstream stage's map task becomes ready the moment an upstream
-//!   reduce task finishes its partition) and any number of concurrently
-//!   executing stages share one fixed set of worker threads, so
-//!   cross-stage overlap never oversubscribes the machine.
+//! # Scheduling
 //!
-//! # The shared scheduler
-//!
-//! Under [`SchedulerMode::Stealing`] (the default) each worker owns a
-//! deque; submissions are distributed round-robin and every task carries a
-//! priority (the submitting stage's critical-path depth in the lowered
-//! plan, so upstream stages outrank downstream ones). A worker pops its
-//! *own newest* highest-priority task first (LIFO-local: hot caches, and a
-//! stage's freshly readied partitions keep flowing) and, when its deque is
-//! empty, steals the *globally oldest* highest-priority task from a peer
-//! (FIFO-steal: stragglers' oldest obligations drain first).
-//! [`SchedulerMode::Speculative`] is the same policy plus straggler
-//! mitigation: an idle worker re-executes the oldest primary attempt that
-//! has been running longer than [`SchedulerConfig::speculate_after`].
+//! There is one ready queue. Every task carries a priority (the
+//! submitting stage's critical-path depth in the lowered plan, so
+//! upstream stages outrank the downstream work their output unblocks); an
+//! idle worker takes the highest-priority task, the oldest submission
+//! first among equals. Stage drivers, not workers, submit every task, so
+//! there is no per-worker locality for per-worker queues to preserve.
+//! [`SchedulerMode::Speculative`] adds straggler mitigation: an idle
+//! worker re-executes the oldest primary attempt that has been running
+//! longer than [`SchedulerConfig::speculate_after`].
 //! There is one task shape, `Task`: a re-callable `job(attempt)` plus a
 //! `replayable` flag saying whether a second attempt may run beside the
 //! first. Outside speculative mode — and for tasks not flagged — the pool
@@ -39,9 +33,10 @@
 //! decisions only — never simulated stats — so the deterministic-sim
 //! discipline of the data plane is untouched.
 
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -67,11 +62,13 @@ fn contain(f: impl FnOnce()) {
 /// [`Cluster::with_scheduler`](crate::cluster::Cluster::with_scheduler)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SchedulerMode {
-    /// Per-worker deques with LIFO-local pop and FIFO-steal, ordered by
-    /// critical-path priority (the default).
+    /// The non-speculative policy (the default): one ready queue, highest
+    /// critical-path priority first, oldest submission first among equals.
+    /// The name predates the single queue; `TSJ_SCHEDULER=stealing` spells
+    /// it.
     #[default]
     Stealing,
-    /// [`SchedulerMode::Stealing`] plus speculative re-execution of
+    /// [`SchedulerMode::Stealing`]'s queue plus speculative re-execution of
     /// straggling tasks: an idle worker re-runs the oldest primary attempt
     /// older than [`SchedulerConfig::speculate_after`]; the first finished
     /// attempt wins and the loser's output is dropped at the engine's
@@ -135,8 +132,6 @@ impl Default for SchedulerConfig {
 /// [`JobStats`](crate::job::JobStats) at the end of the stage).
 #[derive(Debug, Default)]
 pub(crate) struct SchedStats {
-    /// Tasks a worker took from another worker's deque.
-    pub(crate) steals: AtomicU64,
     /// Speculative attempts launched for this stage's tasks.
     pub(crate) speculative_launched: AtomicU64,
     /// Speculative attempts that finished before their primary.
@@ -167,19 +162,21 @@ pub(crate) struct Task<'t> {
 /// One queued task with its scheduling metadata.
 struct QueuedTask<'t> {
     task: Task<'t>,
-    /// Critical-path depth of the submitting stage: higher = more
-    /// upstream = scheduled first.
-    priority: u32,
-    /// Global submission sequence number (FIFO-steal tiebreak).
-    seq: u64,
     queued_at: Instant,
     sched: Option<Arc<SchedStats>>,
 }
 
+/// A queued task's place in the ready queue: the submitting stage's
+/// critical-path depth (higher = more upstream = first), then its
+/// submission sequence number (older first). Ascending key order is
+/// dequeue order.
+type QueueKey = (Reverse<u32>, u64);
+
 /// A primary attempt currently executing on some worker — what idle
 /// workers scan for speculation candidates.
 struct RunningEntry<'t> {
-    id: u64,
+    /// The task's submission sequence number.
+    seq: u64,
     job: TaskFn<'t>,
     sched: Option<Arc<SchedStats>>,
     started: Instant,
@@ -188,54 +185,65 @@ struct RunningEntry<'t> {
 }
 
 /// Shared scheduler coordination: every queue/running mutation happens
-/// under this lock, so `queued` is always the exact total deque length and
-/// the submit/exit race has no window.
+/// under this one lock, so the submit/exit race has no window.
 struct Coord<'t> {
-    /// Total tasks across all deques.
-    queued: usize,
+    /// The ready queue.
+    queue: BTreeMap<QueueKey, QueuedTask<'t>>,
     shutdown: bool,
     /// Workers currently inside [`Pool::run_worker`].
     live_workers: usize,
-    /// Round-robin submission target.
-    next_worker: usize,
     next_seq: u64,
-    next_run_id: u64,
     /// Primary attempts currently executing ([`SchedulerMode::Speculative`]
     /// only).
     running: Vec<RunningEntry<'t>>,
 }
 
 /// What a worker decided to do after inspecting the coordinator state.
-/// `Run` carries the dequeued task and whether it was stolen from a peer.
 enum Decision<'t> {
-    Run(QueuedTask<'t>, bool),
+    Run(u64, QueuedTask<'t>),
     Speculate(TaskFn<'t>),
     Exit,
 }
 
-/// The shared scheduler behind the lazy dataset executor (see the module
-/// docs). Workers run [`Pool::run_worker`] on scoped threads; stage
-/// drivers feed it with [`Pool::submit`] as partitions become ready and
-/// are woken by their own per-wave completion latches.
+/// The shared scheduler (see the module docs). Workers run
+/// [`Pool::run_worker`] on scoped threads ([`scoped`] spawns them);
+/// stage drivers feed it with [`Pool::submit`] as partitions become ready
+/// and are woken by their own per-wave completion latches.
 pub(crate) struct Pool<'t> {
-    deques: Vec<Mutex<VecDeque<QueuedTask<'t>>>>,
     coord: Mutex<Coord<'t>>,
     ready: Condvar,
     sched: SchedulerConfig,
 }
 
+/// Runs `body` against a pool of `workers` threads (at least one), then
+/// shuts the pool down and returns once every queued task has run and
+/// every worker has exited.
+pub(crate) fn scoped<'t, R>(
+    workers: usize,
+    sched: SchedulerConfig,
+    body: impl FnOnce(&Pool<'t>) -> R,
+) -> R {
+    let pool = Pool::new(sched);
+    std::thread::scope(|scope| {
+        for _ in 0..workers.max(1) {
+            scope.spawn(|| pool.run_worker());
+        }
+        // Shut down even if `body` panics, or the scope would wait on
+        // workers that never exit.
+        let out = catch_unwind(AssertUnwindSafe(|| body(&pool)));
+        pool.shutdown();
+        out.unwrap_or_else(|p| resume_unwind(p))
+    })
+}
+
 impl<'t> Pool<'t> {
-    pub(crate) fn new(workers: usize, sched: SchedulerConfig) -> Self {
-        let workers = workers.max(1);
+    pub(crate) fn new(sched: SchedulerConfig) -> Self {
         Self {
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             coord: Mutex::new(Coord {
-                queued: 0,
+                queue: BTreeMap::new(),
                 shutdown: false,
                 live_workers: 0,
-                next_worker: 0,
                 next_seq: 0,
-                next_run_id: 0,
                 running: Vec::new(),
             }),
             ready: Condvar::new(),
@@ -252,7 +260,7 @@ impl<'t> Pool<'t> {
     ///
     /// Wake-and-run guarantee: a task submitted here always executes, even
     /// after [`Pool::shutdown`]. Workers only exit when `shutdown` is set
-    /// *and* the queues are empty — both checked under the coordinator
+    /// *and* the queue is empty — both checked under the coordinator
     /// lock — so as long as any worker is live the task will be drained;
     /// when the last worker has already exited, the task runs inline on
     /// the submitting thread instead of silently rotting in the queue
@@ -267,23 +275,20 @@ impl<'t> Pool<'t> {
         }
         let seq = coord.next_seq;
         coord.next_seq += 1;
-        let target = coord.next_worker % self.deques.len();
-        coord.next_worker = coord.next_worker.wrapping_add(1);
-        coord.queued += 1;
         #[expect(clippy::disallowed_methods, reason = "queue wait is real time")]
-        lock(&self.deques[target]).push_back(QueuedTask {
+        let queued_at = Instant::now();
+        let task = QueuedTask {
             task,
-            priority,
-            seq,
-            queued_at: Instant::now(),
+            queued_at,
             sched,
-        });
+        };
+        coord.queue.insert((Reverse(priority), seq), task);
         drop(coord);
         self.ready.notify_one();
     }
 
     /// A worker loop: runs queued tasks until [`Pool::shutdown`] *and* the
-    /// queues are drained; under [`SchedulerMode::Speculative`] an
+    /// queue is drained; under [`SchedulerMode::Speculative`] an
     /// otherwise-idle worker launches speculative copies of straggling
     /// primaries. Tasks are expected to capture their own panics; as a
     /// last line of defence a panic that escapes a task is swallowed here
@@ -291,20 +296,16 @@ impl<'t> Pool<'t> {
     /// hold a Drop-armed `WaveTicket`, so even an escaped panic records a
     /// failure and the submitting wave still terminates — new task shapes
     /// must keep an equivalent Drop-based latch.)
-    pub(crate) fn run_worker(&self, me: usize) {
-        let me = me.min(self.deques.len().saturating_sub(1));
+    pub(crate) fn run_worker(&self) {
         lock(&self.coord).live_workers += 1;
         loop {
             let decision = {
                 let mut coord = lock(&self.coord);
                 loop {
-                    if coord.queued > 0 {
-                        if let Some((task, stolen)) = self.dequeue(me) {
-                            coord.queued -= 1;
-                            break Decision::Run(task, stolen);
-                        }
+                    if let Some(((_, seq), task)) = coord.queue.pop_first() {
+                        break Decision::Run(seq, task);
                     }
-                    if coord.shutdown && coord.queued == 0 {
+                    if coord.shutdown {
                         coord.live_workers -= 1;
                         break Decision::Exit;
                     }
@@ -326,7 +327,7 @@ impl<'t> Pool<'t> {
                 }
             };
             match decision {
-                Decision::Run(task, stolen) => self.run_task(task, stolen),
+                Decision::Run(seq, task) => self.run_task(seq, task),
                 Decision::Speculate(job) => {
                     // Speculative attempts are never registered as running
                     // (no speculation of speculation) and report through
@@ -338,49 +339,10 @@ impl<'t> Pool<'t> {
         }
     }
 
-    /// Tells workers to exit once the queues are empty.
+    /// Tells workers to exit once the queue is empty.
     pub(crate) fn shutdown(&self) {
         lock(&self.coord).shutdown = true;
         self.ready.notify_all();
-    }
-
-    /// Picks the next task for worker `me`. Caller holds the coordinator
-    /// lock (every deque mutation happens under it, so a `queued > 0`
-    /// observation guarantees the scan finds a task).
-    fn dequeue(&self, me: usize) -> Option<(QueuedTask<'t>, bool)> {
-        // LIFO-local: the newest of this worker's highest-priority tasks
-        // (hot caches; a stage's freshly readied partitions keep flowing).
-        {
-            let mut own = lock(&self.deques[me]);
-            if let Some(max) = own.iter().map(|t| t.priority).max() {
-                if let Some(idx) = own.iter().rposition(|t| t.priority == max) {
-                    return own.remove(idx).map(|t| (t, false));
-                }
-            }
-        }
-        // FIFO-steal: the globally oldest of the highest-priority tasks on
-        // any peer deque (stragglers' oldest obligations drain first).
-        let mut choice: Option<(usize, usize)> = None;
-        let mut best_prio = 0u32;
-        let mut best_seq = u64::MAX;
-        for (d, deque) in self.deques.iter().enumerate() {
-            if d == me {
-                continue;
-            }
-            let q = lock(deque);
-            for (i, t) in q.iter().enumerate() {
-                if choice.is_none()
-                    || t.priority > best_prio
-                    || (t.priority == best_prio && t.seq < best_seq)
-                {
-                    choice = Some((d, i));
-                    best_prio = t.priority;
-                    best_seq = t.seq;
-                }
-            }
-        }
-        let (d, i) = choice?;
-        lock(&self.deques[d]).remove(i).map(|t| (t, true))
     }
 
     /// Scans the running primaries for a speculation candidate: the oldest
@@ -423,13 +385,9 @@ impl<'t> Pool<'t> {
         }
     }
 
-    /// Runs one dequeued task, booking its steal/queue-wait observability
-    /// first.
-    fn run_task(&self, task: QueuedTask<'t>, stolen: bool) {
+    /// Runs one dequeued task, booking its queue wait first.
+    fn run_task(&self, seq: u64, task: QueuedTask<'t>) {
         if let Some(s) = &task.sched {
-            if stolen {
-                s.steals.fetch_add(1, Ordering::Relaxed);
-            }
             s.queue_wait_us.fetch_add(
                 u64::try_from(task.queued_at.elapsed().as_micros()).unwrap_or(u64::MAX),
                 Ordering::Relaxed,
@@ -439,27 +397,22 @@ impl<'t> Pool<'t> {
         // Only a replayable task under speculation is registered as
         // running; everything else is attempt 0 and nothing more.
         let speculable = replayable && self.sched.mode == SchedulerMode::Speculative;
-        let id = speculable.then(|| {
-            let mut coord = lock(&self.coord);
-            let id = coord.next_run_id;
-            coord.next_run_id += 1;
+        if speculable {
             #[expect(clippy::disallowed_methods, reason = "straggler timing is real time")]
-            coord.running.push(RunningEntry {
-                id,
+            lock(&self.coord).running.push(RunningEntry {
+                seq,
                 job: Arc::clone(&job),
                 sched: task.sched.clone(),
                 started: Instant::now(),
                 speculated: false,
             });
-            drop(coord);
             // Idle workers may be parked in a plain wait; wake them so they
             // switch to the speculation timeout.
             self.ready.notify_all();
-            id
-        });
+        }
         contain(|| job(0));
-        if let Some(id) = id {
-            lock(&self.coord).running.retain(|e| e.id != id);
+        if speculable {
+            lock(&self.coord).running.retain(|e| e.seq != seq);
         }
     }
 }
@@ -477,82 +430,53 @@ enum Straggler<'t> {
 /// Runs `f(0..n_tasks)` on up to `threads` worker threads and returns the
 /// results in task order.
 ///
-/// If any task panics, the panic message of the first observed panic is
-/// returned as `Err` after all in-flight tasks finish; remaining queued
-/// tasks are abandoned (workers re-check the failure flag *after*
-/// claiming an index, so a claim that raced the panic report is abandoned
-/// too, not silently executed).
+/// The tasks go through the shared pool, all at one priority, so they
+/// start in submission order. If any task panics, the panic message of
+/// the first observed panic is returned as `Err` after all in-flight
+/// tasks finish; tasks that had not started yet are abandoned (each
+/// checks the failure flag before calling `f`).
 pub fn run_indexed<R, F>(n_tasks: usize, threads: usize, f: F) -> Result<Vec<R>, String>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    if n_tasks == 0 {
-        return Ok(Vec::new());
-    }
-    let threads = threads.max(1).min(n_tasks);
-    if threads == 1 {
-        // Fast path, also keeps single-threaded debugging simple.
-        let mut out = Vec::with_capacity(n_tasks);
-        for i in 0..n_tasks {
-            match catch_unwind(AssertUnwindSafe(|| f(i))) {
-                Ok(r) => out.push(r),
-                Err(p) => return Err(panic_message(p)),
-            }
-        }
-        return Ok(out);
-    }
-
-    let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = (0..n_tasks).map(|_| Mutex::new(None)).collect();
     let failure: Mutex<Option<String>> = Mutex::new(None);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                if lock(&failure).is_some() {
-                    return; // abandon queued work after a failure
-                }
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n_tasks {
-                    return;
-                }
-                // Re-check after the claim: a panic may have been recorded
-                // between the check above and the fetch_add, and "remaining
-                // queued tasks are abandoned" must hold for the claimed
-                // index too (its slot stays empty; the failure return path
-                // never reads the slots).
-                if lock(&failure).is_some() {
-                    return;
+    scoped(threads.min(n_tasks), SchedulerConfig::default(), |pool| {
+        for (i, slot) in slots.iter().enumerate() {
+            let (f, failure) = (&f, &failure);
+            let job = move |_attempt| {
+                if lock(failure).is_some() {
+                    return; // abandoned after a failure
                 }
                 match catch_unwind(AssertUnwindSafe(|| f(i))) {
-                    Ok(r) => *lock(&slots[i]) = Some(r),
+                    Ok(r) => *lock(slot) = Some(r),
                     Err(p) => {
-                        let mut guard = lock(&failure);
-                        if guard.is_none() {
-                            *guard = Some(panic_message(p));
-                        }
-                        return;
+                        lock(failure).get_or_insert_with(|| panic_message(p));
                     }
                 }
-            });
+            };
+            let task = Task {
+                job: Arc::new(job),
+                replayable: false,
+            };
+            pool.submit(task, 0, None);
         }
     });
-
     if let Some(msg) = failure.into_inner().unwrap_or_else(|e| e.into_inner()) {
         return Err(msg);
     }
-    let mut out = Vec::with_capacity(n_tasks);
-    for s in slots {
-        match s.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            Some(r) => out.push(r),
-            // Every slot is filled unless a worker failed, and failures
-            // returned above; surface the impossible gap as an error
-            // instead of killing the process.
-            None => return Err("a task slot was left unfilled without a failure".to_owned()),
-        }
-    }
-    Ok(out)
+    // Every slot is filled unless a task failed, and failures returned
+    // above; surface the impossible gap as an error instead of killing
+    // the process.
+    slots
+        .into_iter()
+        .map(|s| {
+            s.into_inner()
+                .unwrap_or_else(|e| e.into_inner())
+                .ok_or_else(|| "a task slot was left unfilled without a failure".to_owned())
+        })
+        .collect()
 }
 
 pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -664,11 +588,11 @@ mod tests {
         for sched in all_modes() {
             let sum = AtomicU64::new(0);
             let rendezvous = Barrier::new(2);
-            let pool = Pool::new(4, sched);
+            let pool = Pool::new(sched);
             std::thread::scope(|s| {
-                for w in 0..4 {
+                for _ in 0..4 {
                     let pool = &pool;
-                    s.spawn(move || pool.run_worker(w));
+                    s.spawn(move || pool.run_worker());
                 }
                 // Submit in two waves; a barrier task proves workers are
                 // live and draining the queue before wave two (no sleep
@@ -711,8 +635,8 @@ mod tests {
     #[test]
     fn a_task_body_holds_no_pool_lock() {
         // Task A blocks until task B, submitted only once A runs, has run.
-        // A pool that held `coord` or a deque lock across A's body would
-        // stall B's submit or dequeue; A then gives up at the timeout, so
+        // A pool that held `coord` across A's body would stall B's submit
+        // or dequeue; A then gives up at the timeout, so
         // the test fails in bounded time instead of hanging. (The barrier
         // test above cannot see this: its barrier releases before wave two
         // is submitted.)
@@ -721,11 +645,11 @@ mod tests {
             let (b_tx, b_rx) = mpsc::channel();
             let b_rx = Mutex::new(b_rx);
             let saw_b = AtomicBool::new(false);
-            let pool = Pool::new(2, sched);
+            let pool = Pool::new(sched);
             std::thread::scope(|s| {
-                for w in 0..2 {
+                for _ in 0..2 {
                     let pool = &pool;
-                    s.spawn(move || pool.run_worker(w));
+                    s.spawn(move || pool.run_worker());
                 }
                 let (b_rx, saw_b) = (&b_rx, &saw_b);
                 let task_a = move || {
@@ -746,10 +670,10 @@ mod tests {
     fn shared_pool_survives_a_panicking_task() {
         for sched in all_modes() {
             let ran = AtomicU64::new(0);
-            let pool = Pool::new(1, sched);
+            let pool = Pool::new(sched);
             std::thread::scope(|s| {
                 let pool = &pool;
-                s.spawn(move || pool.run_worker(0));
+                s.spawn(move || pool.run_worker());
                 pool.submit(once(|| panic!("escaped panic")), 0, None);
                 let ran = &ran;
                 pool.submit(
@@ -772,12 +696,10 @@ mod tests {
         // the queue forever, stalling its wave on the Drop-armed ticket.
         for sched in all_modes() {
             let ran = AtomicU64::new(0);
-            let pool = Pool::new(2, sched);
+            let pool = Pool::new(sched);
             std::thread::scope(|s| {
                 let pool = &pool;
-                let workers: Vec<_> = (0..2)
-                    .map(|w| s.spawn(move || pool.run_worker(w)))
-                    .collect();
+                let workers: Vec<_> = (0..2).map(|_| s.spawn(move || pool.run_worker())).collect();
                 pool.shutdown();
                 for w in workers {
                     w.join().unwrap();
@@ -807,10 +729,10 @@ mod tests {
         // only exit when shutdown AND empty, decided under one lock).
         let ran = AtomicU64::new(0);
         let gate = Barrier::new(2);
-        let pool = Pool::new(1, SchedulerConfig::default());
+        let pool = Pool::new(SchedulerConfig::default());
         std::thread::scope(|s| {
             let pool = &pool;
-            s.spawn(move || pool.run_worker(0));
+            s.spawn(move || pool.run_worker());
             let g = &gate;
             pool.submit(
                 once(move || {
@@ -838,7 +760,7 @@ mod tests {
         // One worker, tasks queued before it starts: the depth-3 task must
         // run before depth-0 ones despite being submitted last.
         let order = Mutex::new(Vec::new());
-        let pool = Pool::new(1, SchedulerConfig::default());
+        let pool = Pool::new(SchedulerConfig::default());
         for (label, priority) in [("low-a", 0u32), ("low-b", 0), ("high", 3)] {
             let order = &order;
             pool.submit(
@@ -852,44 +774,34 @@ mod tests {
         pool.shutdown();
         std::thread::scope(|s| {
             let pool = &pool;
-            s.spawn(move || pool.run_worker(0));
+            s.spawn(move || pool.run_worker());
         });
         assert_eq!(lock(&order)[0], "high");
     }
 
     #[test]
-    fn stealing_drains_a_peer_deque() {
-        // Two workers, but only worker 1 runs; everything lands on both
-        // deques round-robin and worker 1 must steal worker 0's share.
-        let sum = AtomicU64::new(0);
-        let stats = Arc::new(SchedStats::default());
-        let pool = Pool::new(
-            2,
-            SchedulerConfig {
-                mode: SchedulerMode::Stealing,
-                ..SchedulerConfig::default()
-            },
-        );
-        for i in 0..10u64 {
-            let sum = &sum;
+    fn priority_is_global_across_workers() {
+        // Two tasks queued before the one running worker starts: the
+        // priority-3 task runs before the older priority-0 one, wherever
+        // the queue put them.
+        let order = Mutex::new(Vec::new());
+        let pool = Pool::new(SchedulerConfig::default());
+        for (label, priority) in [("low", 0u32), ("high", 3)] {
+            let order = &order;
             pool.submit(
                 once(move || {
-                    sum.fetch_add(i, Ordering::SeqCst);
+                    lock(order).push(label);
                 }),
-                0,
-                Some(Arc::clone(&stats)),
+                priority,
+                None,
             );
         }
         pool.shutdown();
         std::thread::scope(|s| {
             let pool = &pool;
-            s.spawn(move || pool.run_worker(1));
+            s.spawn(move || pool.run_worker());
         });
-        assert_eq!(sum.load(Ordering::SeqCst), (0..10).sum::<u64>());
-        assert!(
-            stats.steals.load(Ordering::Relaxed) >= 1,
-            "worker 1 must have stolen worker 0's tasks"
-        );
+        assert_eq!(*lock(&order), ["high", "low"]);
     }
 
     #[test]
@@ -899,18 +811,15 @@ mod tests {
         // first-wins cell empty and drops its result.
         let winner: Mutex<Option<usize>> = Mutex::new(None);
         let stats = Arc::new(SchedStats::default());
-        let pool = Pool::new(
-            2,
-            SchedulerConfig {
-                mode: SchedulerMode::Speculative,
-                speculate_after: Duration::from_millis(1),
-                straggle: None,
-            },
-        );
+        let pool = Pool::new(SchedulerConfig {
+            mode: SchedulerMode::Speculative,
+            speculate_after: Duration::from_millis(1),
+            straggle: None,
+        });
         std::thread::scope(|s| {
             let pool = &pool;
-            for w in 0..2 {
-                s.spawn(move || pool.run_worker(w));
+            for _ in 0..2 {
+                s.spawn(move || pool.run_worker());
             }
             let winner = &winner;
             pool.submit(

@@ -117,10 +117,11 @@ impl SimReport {
         self.total_driver_in_records() + self.total_driver_out_records()
     }
 
-    /// Total tasks workers stole from a peer's deque across all jobs
-    /// (real-scheduler observability — nondeterministic, like wall-clock).
+    /// Always 0: the pool has one ready queue, so no worker takes a task
+    /// from a peer. Kept because the benchmark harness still reports it as
+    /// `mapreduce.pool.steals`.
     pub fn total_steals(&self) -> u64 {
-        self.jobs.iter().map(|j| j.steals).sum()
+        0
     }
 
     /// Total speculative re-executions launched across all jobs.
@@ -208,7 +209,7 @@ impl std::fmt::Display for SimReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "{:<28} {:>10} {:>12} {:>12} {:>12} {:>12} {:>12} {:>11} {:>10} {:>10} {:>10} {:>8} {:>7} {:>9} {:>9} {:>16}",
+            "{:<28} {:>10} {:>12} {:>12} {:>12} {:>12} {:>12} {:>11} {:>10} {:>10} {:>10} {:>8} {:>9} {:>9} {:>16}",
             "job",
             "input",
             "emitted",
@@ -221,7 +222,6 @@ impl std::fmt::Display for SimReport {
             "output",
             "sim(s)",
             "skew",
-            "steals",
             "spec(l/w)",
             "qwait(ms)",
             "fetch(rpc/retry)"
@@ -229,7 +229,7 @@ impl std::fmt::Display for SimReport {
         for j in &self.jobs {
             writeln!(
                 f,
-                "{:<28} {:>10} {:>12} {:>12} {:>12} {:>12} {:>12} {:>11} {:>10} {:>10} {:>10.2} {:>8.2} {:>7} {:>9} {:>9.1} {:>16}",
+                "{:<28} {:>10} {:>12} {:>12} {:>12} {:>12} {:>12} {:>11} {:>10} {:>10} {:>10.2} {:>8.2} {:>9} {:>9.1} {:>16}",
                 j.name,
                 j.input_records,
                 j.map_output_records,
@@ -242,7 +242,6 @@ impl std::fmt::Display for SimReport {
                 j.output_records,
                 j.sim_total_secs,
                 j.reduce.skew,
-                j.steals,
                 speculation_cell(j.speculative_launched, j.speculative_won),
                 j.queue_wait_us as f64 / 1e3,
                 fetch_cell(j.fetch_requests, j.fetch_retries),
@@ -250,7 +249,7 @@ impl std::fmt::Display for SimReport {
         }
         write!(
             f,
-            "{:<28} {:>10} {:>12} {:>12} {:>12} {:>12} {:>12} {:>11} {:>10} {:>10} {:>10.2} {:>8} {:>7} {:>9} {:>9.1} {:>16}",
+            "{:<28} {:>10} {:>12} {:>12} {:>12} {:>12} {:>12} {:>11} {:>10} {:>10} {:>10.2} {:>8} {:>9} {:>9.1} {:>16}",
             "TOTAL",
             "",
             self.total_map_output_records(),
@@ -265,7 +264,6 @@ impl std::fmt::Display for SimReport {
             "",
             self.total_sim_secs(),
             "",
-            self.total_steals(),
             speculation_cell(self.total_speculative_launched(), self.total_speculative_won()),
             self.total_queue_wait_us() as f64 / 1e3,
             fetch_cell(self.total_fetch_requests(), self.total_fetch_retries()),
@@ -371,7 +369,6 @@ mod tests {
     #[test]
     fn display_renders_scheduler_columns() {
         let mut a = stats("a", 1.0);
-        a.steals = 3;
         a.speculative_launched = 2;
         a.speculative_won = 1;
         a.queue_wait_us = 1500;
@@ -381,11 +378,11 @@ mod tests {
         r.push(a);
         r.push(b);
         let rendered = format!("{r}");
-        assert!(rendered.contains("steals"));
+        assert!(!rendered.contains("steals"));
         assert!(rendered.contains("spec(l/w)"));
         assert!(rendered.contains("qwait(ms)"));
         assert!(rendered.contains("2/1"), "{rendered}");
-        assert_eq!(r.total_steals(), 3);
+        assert_eq!(r.total_steals(), 0);
         assert_eq!(r.total_speculative_launched(), 2);
         assert_eq!(r.total_speculative_won(), 1);
         assert_eq!(r.total_queue_wait_us(), 1500);

@@ -1,6 +1,6 @@
 //! Integration tests of the worker-pool scheduler: both scheduling
-//! policies (priority work stealing, with and without speculative
-//! re-execution) produce byte-identical output at every thread count; a
+//! policies (the priority-ordered ready queue, with and without
+//! speculative re-execution) produce byte-identical output at every thread count; a
 //! seeded straggler is beaten by a speculative copy (first completed
 //! result wins, the loser is dropped); a reduce task over in-memory
 //! segments is never offered for speculation; and the automatic skew
@@ -229,7 +229,7 @@ fn speculation_beats_a_seeded_straggler() {
 
 #[test]
 fn straggler_without_speculation_waits_out_the_sleep() {
-    // Control for the test above: same injection under plain stealing
+    // Control for the test above: same injection without speculation
     // has nothing to rescue the wave, so the stage wall clock eats the
     // whole sleep. This pins that the injection actually fires.
     let input = docs(16);

@@ -46,6 +46,21 @@ while [ $# -gt 0 ]; do
   shift 2
 done
 
+# Building `bench/` rewrites a stale `bench/Cargo.lock`, so each tree's
+# dirty state is taken before the first build, and the lock file of every
+# tree that was clean is restored on exit: a paired run leaves both
+# checkouts as committed.
+clean_trees=()
+for tree in "$parent" "$here"; do
+  if git -C "$tree" diff --quiet HEAD; then clean_trees+=("$tree"); fi
+done
+restore_locks() {
+  for tree in "${clean_trees[@]}"; do git -C "$tree" checkout -- bench/Cargo.lock; done
+}
+trap restore_locks EXIT
+dirty=+dirty
+for tree in "${clean_trees[@]}"; do [ "$tree" = "$here" ] && dirty=; done
+
 for tree in "$parent" "$here"; do
   CARGO_TARGET_DIR="$tree/.bench_build" cargo build --release --offline --quiet \
     --manifest-path "$tree/bench/Cargo.toml" >&2
@@ -71,7 +86,7 @@ for pair in $(seq 1 "$pairs"); do
   done
 done
 
-echo "# tools/ab.sh: parent $(git -C "$parent" rev-parse --short HEAD) vs change $(git -C "$here" rev-parse --short HEAD)$(git -C "$here" diff --quiet HEAD || echo '+dirty'), seed $seed, $pairs pairs, $(nproc) cores"
+echo "# tools/ab.sh: parent $(git -C "$parent" rev-parse --short HEAD) vs change $(git -C "$here" rev-parse --short HEAD)$dirty, seed $seed, $pairs pairs, $(nproc) cores"
 python3 - "$here/BENCHMARK.json" "$runs" <<'PY'
 import json, statistics, sys
 from collections import defaultdict

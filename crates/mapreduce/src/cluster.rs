@@ -70,7 +70,8 @@ pub(crate) struct StageSpec<'f, I, K, V, O> {
 }
 
 impl<'f, I, K, V, O> StageSpec<'f, I, K, V, O> {
-    /// An ordinary stage: the cluster's per-group overhead. The variants override fields by struct update.
+    /// An ordinary stage: the cluster's per-group overhead. The variants
+    /// override fields by struct update.
     pub(crate) fn new(
         cluster: &Cluster,
         name: &str,

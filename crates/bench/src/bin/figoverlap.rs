@@ -1,6 +1,7 @@
-//! Measures the cross-stage overlap win: real wall-clock of the default
-//! figure join under lazy DAG execution vs eager stage-at-a-time
-//! execution, per worker thread count (see EXPERIMENTS.md). Env knobs as
+//! Measures the cross-stage overlap win: real wall-clock of a
+//! candidate→verify pipeline run as one lazy job graph vs chained through
+//! the driver, and of speculation against a seeded straggler, per worker
+//! thread count (see EXPERIMENTS.md). Env knobs as
 //! in the other figure bins (`TSJ_FIG_N`, `TSJ_FIG_SEED`, …).
 fn main() {
     let params = tsj_bench::FigParams::from_env();

@@ -3,9 +3,10 @@
 use tsj::{recall, ApproximationScheme, DedupStrategy, JoinOutput, TsjConfig, TsjJoiner};
 use tsj_datagen::{roc_dataset, workload};
 use tsj_fuzzyset::{fuzzy_distance, roc_curve, FuzzyMeasure, TokenWeights};
+use tsj_mapreduce::{Cluster, ClusterConfig, Dataset, Emitter, OutputSink};
 use tsj_metricjoin::{HmjConfig, HmjJoiner};
 use tsj_setdist::nsld;
-use tsj_tokenize::{Corpus, NameTokenizer, Tokenizer};
+use tsj_tokenize::{Corpus, NameTokenizer, StringId, Tokenizer};
 
 use crate::params::FigParams;
 
@@ -524,159 +525,137 @@ fn best_of_three<T>(mut run: impl FnMut() -> T) -> (f64, T) {
     (best, out)
 }
 
-/// **Overlap figure** (EXPERIMENTS.md) — real wall-clock of the default
-/// figure join under lazy DAG execution (cross-stage overlap on the
-/// shared worker pool) vs eager stage-at-a-time execution, per thread
-/// count. Both modes produce byte-identical pairs (asserted); the delta
-/// is pure scheduling: an upstream stage's reduce tail no longer idles
-/// cores that the downstream map wave could use. Wall-clock is the
-/// minimum of three runs per point (the usual best-of-n discipline for
-/// wall measurements).
-pub fn fig_overlap(p: &FigParams) -> FigData {
-    use tsj_mapreduce::DatasetMode;
+/// Stage A of the overlap figure's candidate→verify pipeline: groups
+/// postings by token and emits candidate pairs, charging each group a
+/// blocking stall of `stall_us` per grouped record (modeled remote-storage
+/// latency, the dominant tail on real clusters).
+fn overlap_candidates<'a>(
+    data: Dataset<'a, u32>,
+    corpus: &'a Corpus,
+    stall_us: u64,
+) -> Dataset<'a, (u32, u32)> {
+    data.map_reduce(
+        "overlap.candidates",
+        |&s, e: &mut Emitter<u32, u32>| {
+            for &t in corpus.tokens(StringId(s)) {
+                e.emit(t.0, s);
+            }
+        },
+        move |_t: &u32, mut sids: Vec<u32>, out: &mut OutputSink<(u32, u32)>| {
+            // Modeled remote read: latency per grouped posting (a real
+            // blocking wait, like a storage fetch on the paper's cluster).
+            std::thread::sleep(std::time::Duration::from_micros(
+                stall_us * sids.len() as u64,
+            ));
+            sids.sort_unstable();
+            sids.dedup();
+            for i in 0..sids.len().min(24) {
+                for j in i + 1..sids.len().min(24) {
+                    out.emit((sids[i], sids[j]));
+                }
+            }
+        },
+    )
+}
 
+/// Stage B of the overlap figure's pipeline: *map-side* verifies every
+/// candidate with a real NSLD computation and counts the survivors.
+fn overlap_map_verify<'a>(
+    candidates: Dataset<'a, (u32, u32)>,
+    corpus: &'a Corpus,
+    t: f64,
+) -> Dataset<'a, u64> {
+    candidates.map_reduce(
+        "overlap.map_verify",
+        move |&(a, b): &(u32, u32), e: &mut Emitter<u8, u8>| {
+            let ta = corpus.token_texts(StringId(a));
+            let tb = corpus.token_texts(StringId(b));
+            if nsld(&ta, &tb) <= t {
+                e.emit(0, 1);
+            }
+        },
+        |_k: &u8, vs: Vec<u8>, out: &mut OutputSink<u64>| out.emit(vs.len() as u64),
+    )
+}
+
+/// **Overlap figure** (EXPERIMENTS.md) — real wall-clock of a
+/// candidate→verify pipeline over the figure corpus run as one lazy job
+/// graph (cross-stage overlap on the shared worker pool) vs the same two
+/// stages chained through the driver (stage A collected, its candidates
+/// re-lifted with [`Cluster::input_vec`]), per thread count; and of the
+/// lazy graph with a seeded straggler, without vs with speculative
+/// re-execution. Every pair of runs produces the same verified count
+/// (asserted). Wall-clock is the minimum of three runs per point (the
+/// usual best-of-n discipline for wall measurements).
+pub fn fig_overlap(p: &FigParams) -> FigData {
     let corpus = build_corpus(p);
-    let cfg = TsjConfig {
-        threshold: p.default_t,
-        max_token_frequency: Some(p.default_m),
-        ..TsjConfig::default()
-    };
     let mut rows = Vec::new();
     let mut notes = Vec::new();
     let threads_sweep: Vec<usize> = [1usize, 2, 4, 8]
         .into_iter()
         .filter(|&t| p.threads == 0 || t <= p.threads)
         .collect();
-    for &threads in &threads_sweep {
-        let mut cluster = p.cluster(p.default_machines);
-        let mut cluster_cfg = *cluster.config();
-        cluster_cfg.threads = threads;
-        cluster = tsj_mapreduce::Cluster::new(cluster_cfg)
-            .with_shuffle_config(cluster.shuffle_config().clone());
-        let timed = |mode: DatasetMode| {
-            let c = cluster.clone().with_dataset_mode(mode);
-            let joiner = TsjJoiner::new(&c);
-            best_of_three(|| joiner.self_join(&corpus, &cfg).expect("join completes"))
-        };
-        let (lazy_secs, lazy) = timed(DatasetMode::Lazy);
-        let (eager_secs, eager) = timed(DatasetMode::Eager);
-        assert_eq!(
-            lazy.pairs, eager.pairs,
-            "overlap must not change the join result"
-        );
-        rows.push(Row {
-            series: "lazy (overlapped)".into(),
-            x: threads as f64,
-            y: lazy_secs,
-        });
-        rows.push(Row {
-            series: "eager (stage barriers)".into(),
-            x: threads as f64,
-            y: eager_secs,
-        });
-        notes.push(format!(
-            "threads={threads}: lazy {lazy_secs:.3}s vs eager {eager_secs:.3}s \
-             ({:+.1}% wall-clock)",
-            100.0 * (lazy_secs / eager_secs - 1.0),
-        ));
-    }
     // ---- Stall-bound series --------------------------------------------
-    // The join above is pure compute, so on a single-core host (or a
-    // fully load-balanced wave) there is no idle capacity for the
-    // scheduler to reclaim and lazy ≈ eager. The regime the DAG exploits
-    // is *underutilized* workers: a straggling upstream reduce task —
-    // here stalled on modeled remote-storage latency, the dominant tail
-    // on real clusters — while finished partitions' downstream work sits
-    // behind the stage barrier. This series runs a candidate→verify
-    // pipeline over the same corpus: stage A groups postings by token and
-    // emits candidate pairs, charging each group a blocking stall of
-    // `TSJ_FIG_STALL_US` (default 20 µs) per grouped record; stage B
-    // *map-side verifies* every candidate with a real NSLD computation.
-    // With `partitions = threads`, token skew makes one reduce task a
-    // straggler, and the lazy scheduler verifies finished partitions
-    // inside its stall window.
+    // The regime the DAG exploits is *underutilized* workers: a
+    // straggling upstream reduce task — stalled on `TSJ_FIG_STALL_US`
+    // (default 20 µs) per grouped record — while finished partitions'
+    // downstream work could already run. With `partitions = threads`,
+    // token skew makes one reduce task a straggler, and the lazy scheduler
+    // verifies finished partitions inside its stall window. The baseline
+    // chains the two stages through the driver, so stage B starts only
+    // after stage A's last reduce task: a stage barrier plus one driver
+    // copy of the candidates.
     let stall_us = p.stall_us;
     let string_ids: Vec<u32> = (0..corpus.len() as u32).collect();
-    // The two-stage candidate→verify pipeline the remaining series run on
-    // a given cluster (the scheduling regime under test lives entirely in
-    // the cluster's configuration).
-    let run_pipeline = |c: &tsj_mapreduce::Cluster| {
-        let corpus = &corpus;
-        c.input(&string_ids)
-            .map_reduce(
-                "overlap.candidates",
-                |&s, e: &mut tsj_mapreduce::Emitter<u32, u32>| {
-                    for &t in corpus.tokens(tsj_tokenize::StringId(s)) {
-                        e.emit(t.0, s);
-                    }
-                },
-                |_t: &u32, mut sids: Vec<u32>, out: &mut tsj_mapreduce::OutputSink<(u32, u32)>| {
-                    // Modeled remote read: latency per grouped
-                    // posting (a real blocking wait, like a
-                    // storage fetch on the paper's cluster).
-                    std::thread::sleep(std::time::Duration::from_micros(
-                        stall_us * sids.len() as u64,
-                    ));
-                    sids.sort_unstable();
-                    sids.dedup();
-                    for i in 0..sids.len().min(24) {
-                        for j in i + 1..sids.len().min(24) {
-                            out.emit((sids[i], sids[j]));
-                        }
-                    }
-                },
-            )
-            .unwrap()
-            .map_reduce(
-                "overlap.map_verify",
-                // Map-side verification: real NSLD per candidate.
-                |&(a, b): &(u32, u32), e: &mut tsj_mapreduce::Emitter<u8, u8>| {
-                    let ta = corpus.token_texts(tsj_tokenize::StringId(a));
-                    let tb = corpus.token_texts(tsj_tokenize::StringId(b));
-                    if nsld(&ta, &tb) <= p.default_t {
-                        e.emit(0, 1);
-                    }
-                },
-                |_k: &u8, vs: Vec<u8>, out: &mut tsj_mapreduce::OutputSink<u64>| {
-                    out.emit(vs.len() as u64);
-                },
-            )
-            .unwrap()
+    let verified = |out: Vec<u64>| out.iter().map(|&n| n as usize).sum::<usize>();
+    // The lazy two-stage graph; the scheduling regime under test lives
+    // entirely in the cluster's configuration.
+    let run_pipeline = |c: &Cluster| {
+        let candidates = overlap_candidates(c.input(&string_ids), &corpus, stall_us);
+        overlap_map_verify(candidates, &corpus, p.default_t)
             .collect()
-            .unwrap()
+            .expect("overlap pipeline completes")
+    };
+    let run_driver_chained = |c: &Cluster| {
+        let (candidates, _) = overlap_candidates(c.input(&string_ids), &corpus, stall_us)
+            .collect()
+            .expect("overlap candidates complete");
+        overlap_map_verify(c.input_vec(candidates), &corpus, p.default_t)
+            .collect()
+            .expect("overlap verify completes")
     };
     for &threads in &threads_sweep {
         if threads < 2 {
             continue; // one worker has no idle capacity to reclaim
         }
-        let cluster = tsj_mapreduce::Cluster::new(tsj_mapreduce::ClusterConfig {
+        let cluster = Cluster::new(ClusterConfig {
             machines: threads,
             threads,
             partitions: threads,
             ..*p.cluster(p.default_machines).config()
         });
-        let timed = |mode: DatasetMode| {
-            let c = cluster.clone().with_dataset_mode(mode);
-            let (best, (out, _)) = best_of_three(|| run_pipeline(&c));
-            (best, out.iter().map(|&n| n as usize).sum::<usize>())
-        };
-        let (lazy_secs, lazy_pairs) = timed(DatasetMode::Lazy);
-        let (eager_secs, eager_pairs) = timed(DatasetMode::Eager);
-        assert_eq!(lazy_pairs, eager_pairs, "overlap must not change results");
+        let (lazy_secs, (lazy, _)) = best_of_three(|| run_pipeline(&cluster));
+        let (chained_secs, (chained, _)) = best_of_three(|| run_driver_chained(&cluster));
+        let lazy_pairs = verified(lazy);
+        assert_eq!(
+            lazy_pairs,
+            verified(chained),
+            "overlap must not change results"
+        );
         rows.push(Row {
             series: "stall-bound lazy (overlapped)".into(),
             x: threads as f64,
             y: lazy_secs,
         });
         rows.push(Row {
-            series: "stall-bound eager (stage barriers)".into(),
+            series: "stall-bound driver-chained (barrier)".into(),
             x: threads as f64,
-            y: eager_secs,
+            y: chained_secs,
         });
         notes.push(format!(
             "stall-bound ({stall_us} µs/record) threads={threads}: lazy {lazy_secs:.3}s vs \
-             eager {eager_secs:.3}s ({:+.1}% wall-clock, {lazy_pairs} verified)",
-            100.0 * (lazy_secs / eager_secs - 1.0),
+             driver-chained {chained_secs:.3}s ({:+.1}% wall-clock, {lazy_pairs} verified)",
+            100.0 * (lazy_secs / chained_secs - 1.0),
         ));
     }
     // ---- Straggler / speculation series --------------------------------
@@ -703,13 +682,12 @@ pub fn fig_overlap(p: &FigParams) -> FigData {
             if threads < 2 {
                 continue; // the speculative copy needs an idle worker
             }
-            let cluster = tsj_mapreduce::Cluster::new(tsj_mapreduce::ClusterConfig {
+            let cluster = Cluster::new(ClusterConfig {
                 machines: threads,
                 threads,
                 partitions: threads,
                 ..*p.cluster(p.default_machines).config()
-            })
-            .with_dataset_mode(DatasetMode::Lazy);
+            });
             let straggle = Some(StraggleInjection {
                 stage: "overlap.candidates".into(),
                 micros: straggle_us,
@@ -717,7 +695,7 @@ pub fn fig_overlap(p: &FigParams) -> FigData {
             let timed = |sched: SchedulerConfig| {
                 let c = cluster.clone().with_scheduler(sched);
                 let (best, (out, report)) = best_of_three(|| run_pipeline(&c));
-                (best, out.iter().map(|&n| n as usize).sum::<usize>(), report)
+                (best, verified(out), report)
             };
             let (plain_secs, plain_pairs, _) = timed(SchedulerConfig {
                 mode: SchedulerMode::Stealing,
@@ -758,7 +736,7 @@ pub fn fig_overlap(p: &FigParams) -> FigData {
         }
     }
     FigData {
-        title: "Cross-stage overlap: join wall-clock, lazy vs eager".into(),
+        title: "Cross-stage overlap: pipeline wall-clock, lazy vs driver-chained".into(),
         xlabel: "worker threads".into(),
         ylabel: "wall seconds (best of 3)".into(),
         rows,

@@ -148,14 +148,15 @@ fn fig_shuffle_volumes_are_ordered_and_spill_engages() {
 
 #[test]
 fn figoverlap_runs_and_modes_agree() {
-    // The harness itself asserts lazy == eager pairs; here we check the
-    // structure: both series present, every point positive.
+    // The harness itself asserts the lazy and driver-chained pipelines
+    // verify the same pairs; here we check the structure: both series
+    // present, every point positive.
     let fig = figures::fig_overlap(&smoke());
-    let lazy = fig.series("lazy (overlapped)");
-    let eager = fig.series("eager (stage barriers)");
-    assert_eq!(lazy.len(), eager.len());
+    let lazy = fig.series("stall-bound lazy (overlapped)");
+    let chained = fig.series("stall-bound driver-chained (barrier)");
+    assert_eq!(lazy.len(), chained.len());
     assert!(!lazy.is_empty());
-    for (threads, secs) in lazy.iter().chain(&eager) {
+    for (threads, secs) in lazy.iter().chain(&chained) {
         assert!(*secs > 0.0, "non-positive wall-clock at {threads} threads");
     }
     // The straggler series: the harness itself asserts the speculative

@@ -56,9 +56,9 @@
 //! collect early, so the report lists jobs in true execution order
 //! (token_stats, massjoin.candidates, then the lazily-run candidate stages
 //! and the verifier). `tests/dataset_equivalence.rs` pins this lazy execution
-//! byte-identical to stage-at-a-time execution
-//! ([`DatasetMode::Eager`](tsj_mapreduce::DatasetMode)) and to the
-//! brute-force [`reference`](crate::reference) join.
+//! byte-identical across thread counts, partition counts, transports and
+//! scheduler modes, and equal to the brute-force
+//! [`reference`](crate::reference) join.
 
 use tsj_mapreduce::{
     fingerprint64, Cluster, Count, Dedup, Emitter, JobError, OutputSink, SimReport, Spill,
@@ -212,7 +212,7 @@ impl<'c> TsjJoiner<'c> {
             token_stats_map(corpus),
             &Count,
             token_stats_reduce(),
-        )?;
+        );
         let (stats_output, mut stats_report) = stats.collect()?;
         let (eligible, dropped_tokens) = apply_m_filter(corpus, cfg, stats_output);
         stats_report.jobs_mut()[0]
@@ -262,7 +262,7 @@ impl<'c> TsjJoiner<'c> {
             "tsj.shared_token",
             shared_token_map(corpus, &eligible),
             shared_token_reduce(&filter),
-        )?;
+        );
 
         // ---- Stage 2b: similar-token candidates (Sec. III-D) ------------
         // Expand similar token pairs through the postings, then union
@@ -277,7 +277,7 @@ impl<'c> TsjJoiner<'c> {
                     expand_similar_map(corpus, &filter),
                     &Dedup,
                     expand_similar_reduce(),
-                )?;
+                );
                 shared.union(expanded)
             }
         };
@@ -294,7 +294,7 @@ impl<'c> TsjJoiner<'c> {
                 |&pair, _hits: Vec<()>, out: &mut OutputSink<SimilarPair>| {
                     check_and_verify(corpus, &filter, aligning, [pair], out);
                 },
-            )?,
+            ),
             DedupStrategy::OneString => candidates.map_reduce_combined_with_group_overhead(
                 "tsj.dedup_verify.one_string",
                 verify_overhead,
@@ -306,7 +306,7 @@ impl<'c> TsjJoiner<'c> {
                 |&key, values: Vec<u32>, out: &mut OutputSink<SimilarPair>| {
                     one_string_dedup(corpus, &filter, aligning, key, values, out);
                 },
-            )?,
+            ),
         };
         // The graph's terminal: shared_token, expand_similar, and
         // dedup_verify all execute here, cross-stage overlapped; the
@@ -663,7 +663,7 @@ mod tests {
                 &Dedup,
                 expand_similar_reduce(),
             )
-            .and_then(|expanded| expanded.collect())
+            .collect()
             .unwrap();
         pairs.sort_unstable();
         (

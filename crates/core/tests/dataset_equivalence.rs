@@ -1,12 +1,11 @@
 //! The dataset differential harness: the dataset-chained TSJ pipeline
-//! ([`TsjJoiner::self_join`]) — which since the lazy DAG executor runs
-//! its recorded stages with partition-level cross-stage overlap — must
-//! produce output *byte-identical* to eager stage-at-a-time execution
-//! ([`DatasetMode::Eager`]), itself pinned to the brute-force join
-//! ([`brute_force_self_join`]), across real thread counts, shuffle
-//! partition counts, both transports, and bounded/unbounded shuffle
-//! memory — while its interior candidate-carrying stages move
-//! **zero** records across the driver boundary. A chaining or scheduling
+//! ([`TsjJoiner::self_join`]) — whose lazy DAG executor runs its recorded
+//! stages with partition-level cross-stage overlap — must produce output
+//! *byte-identical* across real thread counts, shuffle partition counts,
+//! both transports, and bounded/unbounded shuffle memory, equal to the
+//! brute-force join ([`brute_force_self_join`]) — while its interior
+//! candidate-carrying stages move **zero** records across the driver
+//! boundary. A chaining or scheduling
 //! bug does not crash; it silently corrupts join output, silently
 //! reorders a wave, or silently re-materializes the candidate set — this
 //! harness is the deliverable that makes the lazy dataset layer
@@ -20,8 +19,8 @@ use tsj::{
 };
 use tsj_datagen::workload;
 use tsj_mapreduce::{
-    Cluster, ClusterConfig, DatasetMode, Emitter, OutputSink, SchedulerConfig, SchedulerMode,
-    ShuffleConfig, SimReport, StraggleInjection, Transport,
+    Cluster, ClusterConfig, SchedulerConfig, SchedulerMode, ShuffleConfig, SimReport,
+    StraggleInjection, Transport,
 };
 use tsj_tokenize::{Corpus, NameTokenizer};
 
@@ -60,32 +59,24 @@ fn chained(cluster: &Cluster, corpus: &Corpus, t: f64) -> tsj::JoinOutput {
         .unwrap()
 }
 
-/// The same pipeline with every dataset stage forced at its call site —
-/// the pre-DAG semantics the lazy scheduler must reproduce exactly.
-fn chained_eager(cluster: &Cluster, corpus: &Corpus, t: f64) -> tsj::JoinOutput {
-    TsjJoiner::new(&cluster.clone().with_dataset_mode(DatasetMode::Eager))
-        .self_join(corpus, &config(t))
-        .unwrap()
-}
-
 fn ids(pairs: &[SimilarPair]) -> Vec<(u32, u32)> {
     pairs.iter().map(|p| (p.a.0, p.b.0)).collect()
 }
 
 /// The reference every swept configuration must reproduce byte for byte:
-/// the eager run on the plain 4-thread in-process cluster, itself equal
-/// to the brute-force join (`config`'s scheme generates complete
-/// candidates and verifies exactly, and `M` = 100 cannot bite on 100
-/// strings).
+/// the run on the plain 4-thread in-process cluster, itself equal to the
+/// brute-force join (`config`'s scheme generates complete candidates and
+/// verifies exactly, and `M` = 100 cannot bite on 100 strings).
 fn reference_pairs(corpus: &Corpus, t: f64) -> Vec<SimilarPair> {
     let cluster = cluster_with(4, 0, 16, ShuffleConfig::unbounded());
-    let reference = chained_eager(&cluster, corpus, t).pairs;
+    let out = chained(&cluster, corpus, t);
+    assert_driver_accounting(&out.report, corpus.len() as u64);
     assert_eq!(
-        ids(&reference),
+        ids(&out.pairs),
         ids(&brute_force_self_join(corpus, t, 4)),
-        "eager reference vs brute force"
+        "reference vs brute force"
     );
-    reference
+    out.pairs
 }
 
 /// The shuffle configurations of the sweep: both transports, unbounded
@@ -207,11 +198,10 @@ proptest! {
     }
 
     /// The acceptance guarantee: lazy DAG execution (cross-stage
-    /// overlap) and eager stage-at-a-time execution produce
-    /// *byte-identical* verified join output (ids and distances), equal
-    /// to the brute-force join — across ≥3 real thread counts × ≥3
-    /// partition counts × both transports × bounded/unbounded shuffles —
-    /// and interior stages cross zero driver records in every
+    /// overlap) produces *byte-identical* verified join output (ids and
+    /// distances), equal to the brute-force join — across ≥3 real thread
+    /// counts × ≥3 partition counts × both transports × bounded/unbounded
+    /// shuffles — and interior stages cross zero driver records in every
     /// configuration.
     #[test]
     fn chained_join_is_byte_identical_to_eager_and_brute_force(
@@ -226,20 +216,14 @@ proptest! {
             for threads in [1usize, 2, 8] {
                 let cluster = cluster_with(threads, 0, 16, shuffle.clone());
                 let out = chained(&cluster, &corpus, t);
-                prop_assert_eq!(&out.pairs, &reference, "lazy, threads = {}", threads);
+                prop_assert_eq!(&out.pairs, &reference, "threads = {}", threads);
                 assert_driver_accounting(&out.report, n);
-                let eager = chained_eager(&cluster, &corpus, t);
-                prop_assert_eq!(&eager.pairs, &reference, "eager, threads = {}", threads);
-                assert_driver_accounting(&eager.report, n);
             }
             for partitions in [1usize, 5, 64] {
                 let cluster = cluster_with(4, partitions, 16, shuffle.clone());
                 let out = chained(&cluster, &corpus, t);
-                prop_assert_eq!(&out.pairs, &reference, "lazy, partitions = {}", partitions);
+                prop_assert_eq!(&out.pairs, &reference, "partitions = {}", partitions);
                 assert_driver_accounting(&out.report, n);
-                let eager = chained_eager(&cluster, &corpus, t);
-                prop_assert_eq!(&eager.pairs, &reference, "eager, partitions = {}", partitions);
-                assert_driver_accounting(&eager.report, n);
             }
         }
     }
@@ -306,10 +290,11 @@ fn chained_report_accounts_for_the_driver_boundary() {
 
 /// Both dedup strategies and all three approximation schemes survive the
 /// chaining (exercising the group-overhead dataset stages, the
-/// SharedOnly graph without a union, and greedy verification): lazy ==
-/// eager byte for byte, and against brute force the exact scheme is equal
-/// while the two approximations (greedy aligning, shared-token-only
-/// candidates) may only lose pairs.
+/// SharedOnly graph without a union, and greedy verification): the
+/// in-process and the spilling multi-process run agree byte for byte, and
+/// against brute force the exact scheme is equal while the two
+/// approximations (greedy aligning, shared-token-only candidates) may only
+/// lose pairs.
 #[test]
 fn all_schemes_and_dedups_match_eager_and_brute_force() {
     let w = workload(120, 0.3, 99);
@@ -336,12 +321,18 @@ fn all_schemes_and_dedups_match_eager_and_brute_force() {
             dedup,
             ..TsjConfig::default()
         };
-        let eager_cluster = cluster_with(4, 0, 16, ShuffleConfig::unbounded())
-            .with_dataset_mode(DatasetMode::Eager);
-        let reference = TsjJoiner::new(&eager_cluster)
-            .self_join(&corpus, &cfg)
-            .unwrap()
-            .pairs;
+        let run = |shuffle| {
+            let cluster = cluster_with(4, 0, 16, shuffle);
+            let out = TsjJoiner::new(&cluster).self_join(&corpus, &cfg).unwrap();
+            assert_driver_accounting(&out.report, corpus.len() as u64);
+            out.pairs
+        };
+        let reference = run(ShuffleConfig::unbounded());
+        assert_eq!(
+            run(ShuffleConfig::bounded(16, 32).with_transport(Transport::MultiProcess)),
+            reference,
+            "scheme {scheme:?}, dedup {dedup:?}"
+        );
         if scheme == ApproximationScheme::FuzzyTokenMatching {
             assert_eq!(ids(&reference), truth, "scheme {scheme:?} vs brute force");
         } else {
@@ -351,18 +342,6 @@ fn all_schemes_and_dedups_match_eager_and_brute_force() {
                     .all(|p| truth.binary_search(p).is_ok()),
                 "scheme {scheme:?} found a pair brute force did not"
             );
-        }
-        for shuffle in [
-            ShuffleConfig::unbounded(),
-            ShuffleConfig::bounded(16, 32).with_transport(Transport::MultiProcess),
-        ] {
-            let cluster = cluster_with(4, 0, 16, shuffle);
-            let chained = TsjJoiner::new(&cluster).self_join(&corpus, &cfg).unwrap();
-            assert_eq!(
-                chained.pairs, reference,
-                "scheme {scheme:?}, dedup {dedup:?}"
-            );
-            assert_driver_accounting(&chained.report, corpus.len() as u64);
         }
     }
 }
@@ -393,79 +372,5 @@ fn invalid_configs_error_instead_of_panicking() {
             matches!(err, tsj::JoinError::Config(_)),
             "expected a config error, got {err:?}"
         );
-    }
-}
-
-/// Repartition invariance on real workload data: the automatic skew
-/// response re-routing a candidate stream by record hash between two
-/// pipeline-shaped stages changes partition placement only — the
-/// downstream stage's (sorted) output is byte-identical with and without
-/// it, across partition counts, transports, and bounded/unbounded
-/// shuffles. Eager mode materializes the boundary the response measures;
-/// a ratio barely above perfect balance makes it fire on any uneven
-/// stream.
-#[test]
-fn repartition_between_stages_is_output_invariant() {
-    let w = workload(150, 0.35, 11);
-    let corpus = Corpus::build(&w.strings, &NameTokenizer::default());
-    let string_ids: Vec<u32> = (0..corpus.len() as u32).collect();
-    for shuffle in [
-        ShuffleConfig::unbounded(),
-        ShuffleConfig::bounded(8, 8).with_transport(Transport::MultiProcess),
-    ] {
-        let run = |partitions: usize, auto: bool| {
-            let cluster = cluster_with(4, partitions, 16, shuffle.clone())
-                .with_dataset_mode(DatasetMode::Eager)
-                .with_auto_repartition(auto.then_some(1.0001));
-            let (mut out, report) = cluster
-                .input(&string_ids)
-                .map_reduce(
-                    "cand.shared_token",
-                    |&s, e: &mut Emitter<u32, u32>| {
-                        for &t in corpus.tokens(tsj_tokenize::StringId(s)) {
-                            e.emit(t.0, s);
-                        }
-                    },
-                    |_t: &u32, mut sids: Vec<u32>, out: &mut OutputSink<(u32, u32)>| {
-                        sids.sort_unstable();
-                        sids.dedup();
-                        for i in 0..sids.len() {
-                            for j in i + 1..sids.len() {
-                                out.emit((sids[i], sids[j]));
-                            }
-                        }
-                    },
-                )
-                .unwrap()
-                .map_reduce_combined(
-                    "cand.dedup",
-                    |&pair: &(u32, u32), e: &mut Emitter<(u32, u32), ()>| e.emit(pair, ()),
-                    &tsj_mapreduce::Dedup,
-                    |&pair: &(u32, u32), _hits: Vec<()>, out: &mut OutputSink<(u32, u32)>| {
-                        out.emit(pair);
-                    },
-                )
-                .unwrap()
-                .collect()
-                .unwrap();
-            out.sort_unstable();
-            let second = &report.jobs()[1];
-            if auto {
-                assert_eq!(second.name, format!("repartition({partitions}).auto"));
-                assert_eq!(
-                    second.input_records, second.output_records,
-                    "repartition({partitions}) must move every record exactly once"
-                );
-                assert_eq!(second.driver_in_records + second.driver_out_records, 0);
-            } else {
-                assert_eq!(second.name, "cand.dedup");
-            }
-            out
-        };
-        for partitions in [3usize, 32] {
-            let plain = run(partitions, false);
-            assert!(!plain.is_empty());
-            assert_eq!(run(partitions, true), plain, "repartition({partitions})");
-        }
     }
 }

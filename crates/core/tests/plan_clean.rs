@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tsj::{TsjConfig, TsjJoiner};
 use tsj_datagen::{generate_names, plant_rings, NameGenConfig, RingConfig};
-use tsj_mapreduce::{Cluster, DatasetMode, PlanCheck, ShuffleConfig};
+use tsj_mapreduce::{Cluster, PlanCheck, ShuffleConfig};
 use tsj_passjoin::MassJoin;
 use tsj_tokenize::{Corpus, NameTokenizer};
 
@@ -32,19 +32,16 @@ fn workload() -> Vec<String> {
 fn tsj_pipeline_analyzes_clean() {
     let strings = workload();
     let corpus = Corpus::build(&strings, &NameTokenizer::default());
-    for mode in [DatasetMode::Lazy, DatasetMode::Eager] {
-        let cluster = strict_cluster().with_dataset_mode(mode);
-        // Deny mode: any diagnostic fails the join outright.
-        let out = TsjJoiner::new(&cluster)
-            .self_join(&corpus, &TsjConfig::default())
-            .expect("shipped TSJ graph must analyze clean");
-        assert!(
-            out.report.plan_diagnostics().is_empty(),
-            "mode {mode:?}: {:?}",
-            out.report.plan_diagnostics()
-        );
-        assert!(!out.pairs.is_empty(), "workload has planted rings");
-    }
+    // Deny mode: any diagnostic fails the join outright.
+    let out = TsjJoiner::new(&strict_cluster())
+        .self_join(&corpus, &TsjConfig::default())
+        .expect("shipped TSJ graph must analyze clean");
+    assert!(
+        out.report.plan_diagnostics().is_empty(),
+        "{:?}",
+        out.report.plan_diagnostics()
+    );
+    assert!(!out.pairs.is_empty(), "workload has planted rings");
 }
 
 #[test]

@@ -23,7 +23,7 @@ use crate::dag::analyze::PlanCheck;
 use crate::dag::{Feed, Recv};
 use crate::dataset::{DataPartition, DatasetMode};
 use crate::env;
-use crate::job::{Emitter, JobError, JobResult, JobStats, OutputSink, PhaseSim};
+use crate::job::{Counters, Emitter, JobError, JobResult, JobStats, OutputSink, PhaseSim};
 use crate::merge::{merge_segments_capped, MergeEffort, Segment};
 use crate::pool::{lock, panic_message, Pool, SchedStats, SchedulerConfig, Task};
 use crate::report::SimReport;
@@ -207,34 +207,24 @@ pub struct Cluster {
     cfg: ClusterConfig,
     /// Shuffle memory knobs shared by every job this cluster runs.
     shuffle: ShuffleConfig,
-    /// Whether [`Dataset`](crate::dataset::Dataset) stages execute lazily
-    /// (the default) or at each `map_reduce*` call.
-    dataset_mode: DatasetMode,
     /// Whether diagnosed [`Dataset`](crate::dataset::Dataset) plans still
     /// execute (warn, the default) or fail before running (deny).
     plan_check: PlanCheck,
     /// Worker-pool scheduling policy (mode, speculation threshold, seeded
     /// straggler) shared by every job this cluster runs.
     scheduler: SchedulerConfig,
-    /// Automatic skew response: when a materialized dataset stage
-    /// boundary's partition sizes exceed `max/mean > ratio`, the planner
-    /// inserts a repartition stage behind the scenes. `None` (the default)
-    /// disables it.
-    auto_repartition: Option<f64>,
 }
 
 impl Cluster {
     /// Builds a cluster that starts from the process environment: the
     /// `TSJ_*` variables tabulated in [`crate::env`] (resolved, and warned
-    /// about, once per process) override the default shuffle, scheduler
-    /// and dataset mode, so an entire binary can be forced through the
-    /// spill path, another transport or another scheduling policy without
+    /// about, once per process) override the default shuffle and
+    /// scheduler, so an entire binary can be forced through the spill
+    /// path, another transport or another scheduling policy without
     /// touching code. Each [`Cluster::with_shuffle_config`] /
-    /// [`Cluster::with_scheduler`] / [`Cluster::with_dataset_mode`] pins an
-    /// explicit configuration that ignores the environment; plan checking
-    /// ([`Cluster::with_plan_check`]) and automatic repartitioning
-    /// ([`Cluster::with_auto_repartition`]) have no variable and start at
-    /// warn and off.
+    /// [`Cluster::with_scheduler`] pins an explicit configuration that
+    /// ignores the environment; plan checking ([`Cluster::with_plan_check`])
+    /// has no variable and starts at warn.
     pub fn new(cfg: ClusterConfig) -> Self {
         let mut cfg = cfg;
         cfg.machines = cfg.machines.max(1);
@@ -242,10 +232,8 @@ impl Cluster {
         Self {
             cfg,
             shuffle: env.shuffle.clone(),
-            dataset_mode: env.dataset_mode,
             plan_check: PlanCheck::default(),
             scheduler: env.scheduler.clone(),
-            auto_repartition: None,
         }
     }
 
@@ -264,10 +252,9 @@ impl Cluster {
         self
     }
 
-    /// Pins the dataset execution mode (exactly as given — no environment
-    /// override).
-    pub fn with_dataset_mode(mut self, mode: DatasetMode) -> Self {
-        self.dataset_mode = mode;
+    /// Has no effect: [`DatasetMode`] has one mode. Kept only for the
+    /// benchmark crate's pin; ROADMAP item 5 deletes it.
+    pub fn with_dataset_mode(self, _mode: DatasetMode) -> Self {
         self
     }
 
@@ -289,16 +276,9 @@ impl Cluster {
         self
     }
 
-    /// Enables (or, with `None`, disables) automatic skew response: when a
-    /// [`Dataset`](crate::dataset::Dataset) stage's output partition sizes
-    /// cross `max/mean > ratio`, the planner inserts a record-hash
-    /// repartition stage behind the scenes before the next stage. It
-    /// engages only at a materialized boundary, whose sizes are known when
-    /// the next stage is recorded — that is, under
-    /// [`DatasetMode::Eager`]. Ratios ≤ 1.0 are treated as disabled (1.0 is
-    /// perfect balance — nothing to fix).
-    pub fn with_auto_repartition(mut self, ratio: Option<f64>) -> Self {
-        self.auto_repartition = ratio.filter(|r| r.is_finite() && *r > 1.0);
+    /// Has no effect: there is no automatic skew response. Kept only for
+    /// the benchmark crate's pin; ROADMAP item 5 deletes it.
+    pub fn with_auto_repartition(self, _ratio: Option<f64>) -> Self {
         self
     }
 
@@ -311,10 +291,10 @@ impl Cluster {
         &self.shuffle
     }
 
-    /// How [`Dataset`](crate::dataset::Dataset) stages execute (lazy DAG
-    /// vs stage-at-a-time).
+    /// Always [`DatasetMode::Lazy`], the one mode. Kept only for the
+    /// benchmark crate's pin; ROADMAP item 5 deletes it.
     pub fn dataset_mode(&self) -> DatasetMode {
-        self.dataset_mode
+        DatasetMode::Lazy
     }
 
     /// Whether diagnosed [`Dataset`](crate::dataset::Dataset) plans still
@@ -328,9 +308,10 @@ impl Cluster {
         &self.scheduler
     }
 
-    /// The automatic-repartition skew ratio, if enabled.
+    /// Always `None`: there is no automatic skew response. Kept only for
+    /// the benchmark crate's pin; ROADMAP item 5 deletes it.
     pub fn auto_repartition(&self) -> Option<f64> {
-        self.auto_repartition
+        None
     }
 
     pub fn machines(&self) -> usize {
@@ -405,8 +386,10 @@ impl Cluster {
         M: Fn(&I, &mut Emitter<K, V>) + Sync,
         R: Fn(&K, Vec<V>, &mut OutputSink<O>) + Sync,
     {
-        let stage = self.input(input).map_reduce(name, &map, &reduce)?;
-        stage.collect().map(job_result)
+        self.input(input)
+            .map_reduce(name, &map, &reduce)
+            .collect()
+            .map(job_result)
     }
 
     /// [`Cluster::run`] with a map-side [`Combiner`]: each map task folds
@@ -439,8 +422,7 @@ impl Cluster {
         let combine: CombineFn<'_, K, V> =
             Box::new(move |buffer: &mut PartitionedBuffer<K, V>| buffer.combine(combiner));
         let spec = StageSpec::new(self, name, Box::new(&map), Some(combine), Box::new(&reduce));
-        let stage = self.input(input).record(spec)?;
-        stage.collect().map(job_result)
+        self.input(input).record(spec).collect().map(job_result)
     }
 }
 
@@ -472,7 +454,7 @@ struct MapTaskOut<K, V> {
     /// file if it wrote one (then holding everything, under a publishing
     /// transport).
     output: MapOutput<K, V>,
-    counters: HashMap<&'static str, u64>,
+    counters: Counters,
 }
 
 /// A reduce task's output and counts (one per non-empty partition).
@@ -491,7 +473,7 @@ struct ReduceTaskOut<O> {
     /// The finished output partition (`None` when the task emitted
     /// nothing), taken by the winning attempt's delivery.
     part: Option<DataPartition<O>>,
-    counters: HashMap<&'static str, u64>,
+    counters: Counters,
 }
 
 /// Per-wave completion latch: task results keyed for deterministic
@@ -1030,9 +1012,8 @@ fn reduce_accounting<I, K, V, O>(
 }
 
 /// Adds one task's user counters into the stage's.
-#[expect(clippy::iter_over_hash_type, reason = "an order-free sum")]
-fn add_counters(total: &mut HashMap<&'static str, u64>, task: HashMap<&'static str, u64>) {
-    for (name, n) in task {
+fn add_counters(total: &mut HashMap<&'static str, u64>, task: Counters) {
+    for (name, n) in task.into_vec() {
         *total.entry(name).or_insert(0) += n;
     }
 }
@@ -1157,7 +1138,7 @@ where
             parts: emitter.buffer.into_parts(),
             spill,
         },
-        counters: emitter.counters.into_map(),
+        counters: emitter.counters,
     })
 }
 
@@ -1243,7 +1224,7 @@ where
         merge,
         emitted: sink.emitted,
         part,
-        counters: sink.counters.into_map(),
+        counters: sink.counters,
     })
 }
 

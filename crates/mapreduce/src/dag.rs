@@ -26,9 +26,11 @@
 //! item carries a deterministic ordinal (producer build order × task
 //! index), consumers re-order their map-task outputs by ordinal at the
 //! shuffle barrier, and everything downstream of that barrier is the
-//! engine's existing deterministic machinery. Output is byte-identical to
-//! executing the stages one at a time (property-tested in
-//! `crates/core/tests/dataset_equivalence.rs`).
+//! engine's existing deterministic machinery. Output is therefore
+//! byte-identical across thread counts and scheduler modes, equal to the
+//! same stages chained through driver `Vec`s, and — for the TSJ graph —
+//! to the brute-force join (tested in `crates/mapreduce/tests/dataset.rs`
+//! and `crates/core/tests/dataset_equivalence.rs`).
 //!
 //! # Failure
 //!
@@ -75,8 +77,8 @@ struct FeedState<I> {
 
 /// The typed channel between producer waves and the consumer stage (or
 /// the terminal collector). Every item is a [`DataPartition`]: an upstream
-/// reduce task's output, a materialized dataset partition, or a chunk of a
-/// driver input the dataset layer lifted into the runtime. Cheap to clone;
+/// reduce task's output, or a chunk of a driver input the dataset layer
+/// lifted into the runtime. Cheap to clone;
 /// one consumer, any number of registered producers.
 pub(crate) struct Feed<I> {
     inner: Arc<(Mutex<FeedState<I>>, Condvar)>,
@@ -226,8 +228,8 @@ impl<'a> Builder<'a> {
 
     /// The next producer's ordinal base: items are tagged
     /// `base << 32 | task_index`, so sorting by ordinal reproduces
-    /// "producers in build order, tasks in index order" — exactly the
-    /// partition order one-stage-at-a-time execution would see.
+    /// "producers in build order, tasks in index order" whatever order the
+    /// partitions arrived in.
     pub(crate) fn next_base(&mut self) -> u64 {
         let base = self.next_base;
         self.next_base += 1;

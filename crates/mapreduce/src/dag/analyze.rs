@@ -2,9 +2,8 @@
 //! graphs.
 //!
 //! A plan is a tree — every handle is consumed by the one stage or union
-//! that wraps it — and lowering returns that tree as `PlanShape`s (inputs,
-//! materialized partition sets, stages; a union is its consumer having
-//! several producers). `analyze_plan` walks it and runs a set of structural
+//! that wraps it — and lowering returns that tree as `PlanShape`s (inputs
+//! and stages; a union is its consumer having several producers). `analyze_plan` walks it and runs a set of structural
 //! checks *before* any stage executes:
 //!
 //! * **`empty-input`** — a stage whose transitive static inputs carry zero
@@ -71,13 +70,6 @@ pub(crate) enum NodeKind {
         /// Map tasks the consuming stage will chunk it into.
         tasks: usize,
     },
-    /// Already-executed stage output resident in the runtime.
-    Materialized {
-        /// Non-empty partitions held.
-        partitions: usize,
-        /// Total records across them.
-        records: u64,
-    },
     /// A recorded, not-yet-executed stage.
     Stage(StageInfo),
 }
@@ -97,30 +89,9 @@ impl PlanShape {
     fn output_partitions(&self) -> usize {
         match &self.kind {
             NodeKind::Input { tasks, .. } => *tasks,
-            NodeKind::Materialized { partitions, .. } => *partitions,
             NodeKind::Stage(s) => s.partitions,
         }
     }
-}
-
-/// Partition skew of a materialized boundary: the largest partition's
-/// record count over the mean across the given (non-empty) partitions.
-/// `1.0` means perfectly balanced; the auto-repartition response
-/// ([`Cluster::with_auto_repartition`](crate::cluster::Cluster::with_auto_repartition))
-/// triggers when this crosses its configured ratio. Degenerate inputs
-/// (fewer than two partitions, or no records) report `1.0` — never
-/// skewed.
-pub(crate) fn partition_skew(records: &[u64]) -> f64 {
-    if records.len() < 2 {
-        return 1.0;
-    }
-    let total: u64 = records.iter().sum();
-    if total == 0 {
-        return 1.0;
-    }
-    let max = records.iter().copied().max().unwrap_or(0);
-    let mean = total as f64 / records.len() as f64;
-    max as f64 / mean
 }
 
 /// One structural finding about a lowered plan. Stable codes (see
@@ -269,7 +240,7 @@ fn pre_order(nodes: &[PlanShape], f: &mut impl FnMut(&PlanShape)) {
 /// before its consumer.
 fn static_records(node: &PlanShape, diags: &mut Vec<PlanDiagnostic>) -> Option<u64> {
     match &node.kind {
-        NodeKind::Input { records, .. } | NodeKind::Materialized { records, .. } => Some(*records),
+        NodeKind::Input { records, .. } => Some(*records),
         NodeKind::Stage(s) => {
             let mut input_records = Some(0);
             for producer in node.producers.iter().rev() {
@@ -347,17 +318,6 @@ mod tests {
         );
         // Spilling with a cap: clean again.
         assert!(analyze_plan(&plan, &spilling.with_merge_fan_in(8)).is_empty());
-    }
-
-    #[test]
-    fn partition_skew_is_max_over_mean() {
-        assert_eq!(partition_skew(&[]), 1.0);
-        assert_eq!(partition_skew(&[100]), 1.0);
-        assert_eq!(partition_skew(&[0, 0]), 1.0);
-        assert_eq!(partition_skew(&[10, 10, 10, 10]), 1.0);
-        // One fat partition: 40 vs mean 10 → skew 4.
-        assert_eq!(partition_skew(&[40, 0, 0, 0]), 4.0);
-        assert!((partition_skew(&[30, 5, 5]) - 2.25).abs() < 1e-12);
     }
 
     #[test]

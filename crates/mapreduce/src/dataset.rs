@@ -23,11 +23,11 @@
 //!   instead of idling cores at a stage barrier. `union` is fused into
 //!   its producers' waves (pure feed plumbing — no stage of its own).
 //!
-//! Laziness changes *when* stages run, never what they compute: output is
-//! byte-identical to executing each stage at its call site
-//! ([`DatasetMode::Eager`], the differential baseline) and to chaining
-//! the same jobs through driver `Vec`s — property-tested in
-//! `crates/core/tests/dataset_equivalence.rs`.
+//! Recording a stage cannot fail; every execution error surfaces at the
+//! terminal. Laziness changes *when* stages run, never what they compute:
+//! a graph's output equals the same jobs chained through driver `Vec`s
+//! (`crates/mapreduce/tests/dataset.rs`), and the TSJ graph's equals the
+//! brute-force join (`crates/core/tests/dataset_equivalence.rs`).
 //!
 //! Interior stages move records worker-to-worker: per-reduce-task
 //! partitions are in-memory buffers, or (under a bounded shuffle)
@@ -65,7 +65,6 @@
 //!             out.emit((w.clone(), counts.iter().sum()));
 //!         },
 //!     )
-//!     .unwrap()
 //!     .map_reduce_combined(
 //!         "histogram",
 //!         |&(_, n): &(String, u64), e: &mut Emitter<u64, u64>| e.emit(n, 1),
@@ -74,7 +73,6 @@
 //!             out.emit((n, ones.iter().sum()));
 //!         },
 //!     )
-//!     .unwrap()
 //!     .collect()
 //!     .unwrap();
 //! let mut histogram = histogram;
@@ -94,40 +92,24 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use crate::cluster::{run_stage_streamed, Cluster, CombineFn, StageFailure, StageSpec};
-use crate::dag::analyze::{
-    analyze_plan, partition_skew, NodeKind, PlanCheck, PlanShape, StageInfo,
-};
+use crate::dag::analyze::{analyze_plan, NodeKind, PlanCheck, PlanShape, StageInfo};
 use crate::dag::{self, Builder, Feed, StatsSlot};
-use crate::hash::fingerprint64;
 use crate::job::{Emitter, JobError, OutputSink};
 use crate::pool::panic_message;
 use crate::report::SimReport;
 use crate::shuffle::Combiner;
-use crate::spill::{RunMeta, RunReader, Spill, SpillDirGuard, SpillError};
+use crate::spill::{RunMeta, RunReader, Spill, SpillError};
 
-/// How [`Dataset`] stages execute (`TSJ_DATASET_MODE`, or
-/// [`Cluster::with_dataset_mode`]).
+/// How [`Dataset`] stages execute: there is one way, [`DatasetMode::Lazy`].
+/// This type and the [`Cluster::with_dataset_mode`] / [`Cluster::dataset_mode`]
+/// pair naming it have no effect; they remain only because the benchmark
+/// crate pins them, and ROADMAP item 5 deletes them with that pin.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DatasetMode {
     /// Record stages in a job DAG; execute at a terminal with
-    /// partition-level cross-stage overlap (the default).
+    /// partition-level cross-stage overlap.
     #[default]
     Lazy,
-    /// Execute every stage at its `map_reduce*` call, one stage at a time
-    /// — the pre-DAG behaviour, kept as the differential baseline the
-    /// lazy scheduler is property-tested against (and for debugging:
-    /// errors surface at the call that caused them).
-    Eager,
-}
-
-impl DatasetMode {
-    /// Stable lowercase name (what `TSJ_DATASET_MODE` accepts).
-    pub const fn name(&self) -> &'static str {
-        match self {
-            DatasetMode::Lazy => "lazy",
-            DatasetMode::Eager => "eager",
-        }
-    }
 }
 
 /// One partition of a stage's output, resident in the runtime: the
@@ -146,16 +128,6 @@ pub enum DataPartition<T> {
         /// The run's location (the whole file, for stage output).
         meta: RunMeta,
     },
-}
-
-impl<T> DataPartition<T> {
-    /// Records in this partition.
-    pub fn records(&self) -> u64 {
-        match self {
-            DataPartition::Mem(v) => v.len() as u64,
-            DataPartition::Spilled { meta, .. } => meta.records,
-        }
-    }
 }
 
 impl<T: Spill> DataPartition<T> {
@@ -193,20 +165,13 @@ trait PlanNode<'a, T>: Send {
     ) -> PlanShape;
 }
 
-/// Where a dataset's records currently live (or how to compute them).
+/// Where a dataset's records live (or how to compute them).
 enum Plan<'a, T> {
     /// Driver memory, not yet through any stage ([`Cluster::input`]). The
     /// first stage chunks it into one map task per simulated machine
     /// (`Cluster::slice_chunking`) and books the records as
     /// `driver_in_records`.
     Input(Vec<T>),
-    /// Partitioned output of an already-executed stage, resident in the
-    /// runtime ([`DatasetMode::Eager`] forces every stage at its call).
-    Materialized {
-        parts: Vec<DataPartition<T>>,
-        /// Directory guards keeping spilled stage-output runs alive.
-        guards: Vec<Arc<SpillDirGuard>>,
-    },
     /// A recorded, not-yet-executed stage (and its upstream subtree).
     Stage(Box<dyn PlanNode<'a, T> + 'a>),
     /// Concatenation of two plans' output partitions (left first).
@@ -218,25 +183,16 @@ enum Plan<'a, T> {
 pub struct Dataset<'a, T> {
     cluster: &'a Cluster,
     plan: Plan<'a, T>,
-    /// Stats of stages already executed behind this handle.
-    report: SimReport,
-    /// True when the current `Materialized` partitions were produced by
-    /// the last job in `report` — `collect` books its driver crossing
-    /// there, mirroring the stage-at-a-time semantics. Cleared by `union`
-    /// (two producers).
-    producer_is_last_job: bool,
 }
 
 impl<T> std::fmt::Debug for Dataset<'_, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let resident = match &self.plan {
             Plan::Input(records) => format!("driver({} records)", records.len()),
-            Plan::Materialized { parts, .. } => format!("runtime({} partitions)", parts.len()),
             Plan::Stage(_) | Plan::Union(..) => "pending".to_owned(),
         };
         f.debug_struct("Dataset")
             .field("resident", &resident)
-            .field("executed_jobs", &self.report.jobs().len())
             .finish()
     }
 }
@@ -258,8 +214,6 @@ impl Cluster {
         Dataset {
             cluster: self,
             plan: Plan::Input(records),
-            report: SimReport::new(),
-            producer_is_last_job: false,
         }
     }
 }
@@ -333,69 +287,6 @@ where
     }
 }
 
-/// The repartitioning stage [`maybe_auto_repartition`] inserts: every
-/// record travels as its [`Spill`] wire encoding, keyed by that encoding's
-/// `fingerprint64`, and is decoded back on the reduce side — so the stage
-/// needs no `T: Clone`, and record placement is a pure function of the
-/// data.
-fn repartition_spec<'a, T: Spill + 'a>(
-    cluster: &Cluster,
-    name: &str,
-) -> StageSpec<'a, T, u64, Vec<u8>, T> {
-    let map = |record: &T, e: &mut Emitter<u64, Vec<u8>>| {
-        let mut bytes = Vec::new();
-        record.spill(&mut bytes);
-        e.emit(fingerprint64(&bytes), bytes);
-    };
-    let reduce = |_h: &u64, blobs: Vec<Vec<u8>>, out: &mut OutputSink<T>| {
-        for blob in blobs {
-            #[expect(clippy::expect_used, reason = "bytes this stage's own map encoded")]
-            out.emit(T::restore(&mut blob.as_slice()).expect("repartition wire round-trip"));
-        }
-    };
-    StageSpec::new(cluster, name, Box::new(map), None, Box::new(reduce))
-}
-
-/// The automatic skew response ([`Cluster::with_auto_repartition`]): when
-/// the child feeding a freshly recorded
-/// stage is a *materialized* boundary whose partition sizes cross the
-/// configured `max/mean` ratio, insert the repartition stage
-/// behind the scenes so the fat partition is spread before the consumer's
-/// map wave. Only materialized boundaries qualify — a still-lazy upstream
-/// stage's partition sizes are unknown at plan time — so the response
-/// engages under [`DatasetMode::Eager`], where every boundary is
-/// materialized.
-fn maybe_auto_repartition<'a, T: Send + Sync + Spill + 'a>(
-    cluster: &'a Cluster,
-    plan: Plan<'a, T>,
-) -> Plan<'a, T> {
-    let Some(ratio) = cluster.auto_repartition() else {
-        return plan;
-    };
-    let skew = match &plan {
-        Plan::Materialized { parts, .. } => {
-            let mut sizes: Vec<u64> = parts.iter().map(DataPartition::records).collect();
-            // Empty partitions never materialize (their reduce tasks are
-            // skipped outright), so a stage that hashed everything into
-            // one partition surfaces here as a single part. Pad to the
-            // cluster's parallelism: output concentrated in fewer
-            // partitions than the cluster would use *is* the imbalance
-            // being measured.
-            if sizes.len() < cluster.partitions() {
-                sizes.resize(cluster.partitions(), 0);
-            }
-            partition_skew(&sizes)
-        }
-        _ => return plan,
-    };
-    if skew <= ratio {
-        return plan;
-    }
-    let name = format!("repartition({}).auto", cluster.partitions());
-    let spec = repartition_spec(cluster, &name);
-    Plan::Stage(Box::new(StagePlan { child: plan, spec }))
-}
-
 /// Lowers a plan tree into the builder, delivering its output into `out`,
 /// and returns the producers it registered there (several for a union) as
 /// the lowered tree. `depth` is theirs: 0 when `out` is the collected
@@ -435,29 +326,10 @@ fn build_plan<'a, T: Send + Sync + Spill + 'a>(
             out.close_producer(true);
             shape
         }
-        Plan::Materialized { parts, guards } => {
-            let base = b.next_base();
-            out.register_producer();
-            let shape = leaf(NodeKind::Materialized {
-                partitions: parts.iter().filter(|p| p.records() > 0).count(),
-                records: parts.iter().map(DataPartition::records).sum(),
-            });
-            for guard in guards {
-                out.add_guard(guard);
-            }
-            for (idx, part) in parts.into_iter().enumerate() {
-                if part.records() > 0 {
-                    out.push(base | idx as u64, part);
-                }
-            }
-            out.close_producer(true);
-            shape
-        }
         Plan::Stage(node) => vec![node.build(cluster, b, out, depth)],
         Plan::Union(left, right) => {
             // Left registers (and gets its ordinal base) first, so the
-            // consumer's ordinal sort reproduces left-then-right — the
-            // same concatenation order stage-at-a-time union used. Both
+            // consumer's ordinal sort reproduces left-then-right. Both
             // sides share the consumer and its depth: a union is feed
             // plumbing, not a plan node of its own.
             let mut shapes = build_plan(*left, cluster, b, out.clone(), depth);
@@ -467,23 +339,16 @@ fn build_plan<'a, T: Send + Sync + Spill + 'a>(
     }
 }
 
-/// What executing a plan yields: its output partitions (ordinal-sorted),
-/// the guards keeping spilled ones alive, the executed stages' report in
-/// topological order, and whether the last of those jobs produced the
-/// partitions (the terminal is a stage, not a union or a driver input).
-type Executed<T> = (
-    Vec<DataPartition<T>>,
-    Vec<Arc<SpillDirGuard>>,
-    SimReport,
-    bool,
-);
-
 /// Builds and runs a plan's pending stages on a shared pool (one worker
-/// per configured thread), with cross-stage overlap.
+/// per configured thread), with cross-stage overlap, and drains the
+/// output partitions into driver memory in ordinal order. The report lists
+/// the executed stages in topological order, with the outbound driver
+/// crossing booked on the producing job when the terminal is a stage (a
+/// union has no single producer, so it books nothing).
 fn execute_plan<'a, T: Send + Sync + Spill + 'a>(
     cluster: &'a Cluster,
     plan: Plan<'a, T>,
-) -> Result<Executed<T>, JobError> {
+) -> Result<(Vec<T>, SimReport), JobError> {
     let terminal_is_stage = matches!(plan, Plan::Stage(_));
     let mut b = Builder::new();
     let out: Feed<T> = Feed::new();
@@ -504,23 +369,24 @@ fn execute_plan<'a, T: Send + Sync + Spill + 'a>(
     let mut report = dag::gather(&slots)?;
     report.add_plan_diagnostics(diagnostics);
     let (parts, guards) = out.drain_terminal();
-    Ok((parts, guards, report, terminal_is_stage))
+    let mut records = Vec::new();
+    for part in parts {
+        part.drain_into(&mut records)?;
+    }
+    drop(guards);
+    // Slot order is build order, so the terminal stage's job is the last.
+    if let (true, Some(last)) = (terminal_is_stage, report.jobs_mut().last_mut()) {
+        last.driver_out_records += records.len() as u64;
+    }
+    Ok((records, report))
 }
 
 impl<'a, T: Send + Sync + Spill + 'a> Dataset<'a, T> {
     /// Records one MapReduce stage over this dataset; the stage executes
     /// at the next terminal, and its output stays partitioned in the
-    /// runtime (see the [module docs](self)).
-    ///
-    /// Under [`DatasetMode::Lazy`] (the default) this cannot fail — the
-    /// `Result` carries execution errors only in eager mode, where the
-    /// stage runs immediately. Terminal calls surface lazy-mode errors.
-    pub fn map_reduce<K, V, O, M, R>(
-        self,
-        name: &str,
-        map: M,
-        reduce: R,
-    ) -> Result<Dataset<'a, O>, JobError>
+    /// runtime (see the [module docs](self)). Recording cannot fail: the
+    /// terminal surfaces every execution error.
+    pub fn map_reduce<K, V, O, M, R>(self, name: &str, map: M, reduce: R) -> Dataset<'a, O>
     where
         K: Hash + Eq + Send + Spill + 'a,
         V: Send + Spill + 'a,
@@ -541,7 +407,7 @@ impl<'a, T: Send + Sync + Spill + 'a> Dataset<'a, T> {
         map: M,
         combiner: &C,
         reduce: R,
-    ) -> Result<Dataset<'a, O>, JobError>
+    ) -> Dataset<'a, O>
     where
         K: Hash + Eq + Clone + Send + Spill + 'a,
         V: Send + Spill + 'a,
@@ -565,7 +431,7 @@ impl<'a, T: Send + Sync + Spill + 'a> Dataset<'a, T> {
         map: M,
         combiner: &C,
         reduce: R,
-    ) -> Result<Dataset<'a, O>, JobError>
+    ) -> Dataset<'a, O>
     where
         K: Hash + Eq + Clone + Send + Spill + 'a,
         V: Send + Spill + 'a,
@@ -591,40 +457,27 @@ impl<'a, T: Send + Sync + Spill + 'a> Dataset<'a, T> {
 
     /// The one stage recorder, behind every `map_reduce*` variant and
     /// [`Cluster::run*`](Cluster::run): wraps this plan in a [`StagePlan`]
-    /// node (and, in eager mode, executes it immediately).
-    pub(crate) fn record<K, V, O>(
-        self,
-        spec: StageSpec<'a, T, K, V, O>,
-    ) -> Result<Dataset<'a, O>, JobError>
+    /// node.
+    pub(crate) fn record<K, V, O>(self, spec: StageSpec<'a, T, K, V, O>) -> Dataset<'a, O>
     where
         K: Hash + Eq + Send + Spill + 'a,
         V: Send + Spill + 'a,
         O: Send + Sync + Spill + 'a,
     {
-        let Dataset {
-            cluster,
-            plan,
-            report,
-            ..
-        } = self;
-        let plan = maybe_auto_repartition(cluster, plan);
-        let next = Dataset {
-            cluster,
-            plan: Plan::Stage(Box::new(StagePlan { child: plan, spec })),
-            report,
-            producer_is_last_job: false,
-        };
-        match cluster.dataset_mode() {
-            DatasetMode::Eager => next.force(),
-            DatasetMode::Lazy => Ok(next),
+        Dataset {
+            cluster: self.cluster,
+            plan: Plan::Stage(Box::new(StagePlan {
+                child: self.plan,
+                spec,
+            })),
         }
     }
 
     /// Concatenates two datasets' output partitions (candidate streams
     /// merging into one downstream stage) — pure graph plumbing, fused
-    /// into the producers' waves at execution time. Already-executed
-    /// reports are concatenated too, `self`'s jobs first. Both handles
-    /// must come from the same [`Cluster`].
+    /// into the producers' waves at execution time; `self`'s jobs come
+    /// first in the report. Both handles must come from the same
+    /// [`Cluster`].
     ///
     /// Driver-boundary accounting stays exact for every shape: a fresh
     /// input folded in by the union books its records as
@@ -637,53 +490,10 @@ impl<'a, T: Send + Sync + Spill + 'a> Dataset<'a, T> {
             std::ptr::eq(self.cluster, other.cluster),
             "union requires datasets of the same cluster"
         );
-        let mut report = self.report;
-        report.extend(other.report);
         Dataset {
             cluster: self.cluster,
             plan: Plan::Union(Box::new(self.plan), Box::new(other.plan)),
-            report,
-            producer_is_last_job: false,
         }
-    }
-
-    /// The one executor behind [`DatasetMode::Eager`] stages and
-    /// `collect`: runs every pending stage behind this handle and flattens
-    /// unions, returning the handle's partitions, their guards and its
-    /// whole report.
-    fn execute(self) -> Result<Executed<T>, JobError> {
-        let mut report = self.report;
-        match self.plan {
-            // Never ran anything: the records never left the driver, and
-            // no job produced them.
-            Plan::Input(records) => Ok((vec![DataPartition::Mem(records)], vec![], report, false)),
-            Plan::Materialized { parts, guards } => {
-                Ok((parts, guards, report, self.producer_is_last_job))
-            }
-            // Unions go through the same build path even when no stage is
-            // pending: the feed preload flattens Materialized/Input sides
-            // in left-then-right ordinal order with zero thunks to run.
-            plan @ (Plan::Stage(_) | Plan::Union(..)) => {
-                let (parts, guards, run_report, terminal_is_stage) =
-                    execute_plan(self.cluster, plan)?;
-                report.extend(run_report);
-                Ok((parts, guards, report, terminal_is_stage))
-            }
-        }
-    }
-
-    /// Executes a freshly recorded stage at once ([`DatasetMode::Eager`]),
-    /// leaving the handle materialized. A failure consumes the handle: its
-    /// error is the caller's result.
-    fn force(self) -> Result<Self, JobError> {
-        let cluster = self.cluster;
-        let (parts, guards, report, producer_is_last_job) = self.execute()?;
-        Ok(Dataset {
-            cluster,
-            plan: Plan::Materialized { parts, guards },
-            report,
-            producer_is_last_job,
-        })
     }
 
     /// Brings every record back into driver memory (concatenated in
@@ -693,18 +503,14 @@ impl<'a, T: Send + Sync + Spill + 'a> Dataset<'a, T> {
     /// job's
     /// [`driver_out_records`](crate::job::JobStats::driver_out_records).
     pub fn collect(self) -> Result<(Vec<T>, SimReport), JobError> {
-        let (parts, guards, mut report, producer_is_last_job) = self.execute()?;
-        let mut out = Vec::new();
-        for part in parts {
-            part.drain_into(&mut out)?;
+        match self.plan {
+            // Never ran anything: the records never left the driver.
+            Plan::Input(records) => Ok((records, SimReport::new())),
+            // Unions go through the build path even when no stage is
+            // pending: the feed flattens their inputs in left-then-right
+            // ordinal order with zero thunks to run.
+            plan => execute_plan(self.cluster, plan),
         }
-        drop(guards);
-        if producer_is_last_job {
-            if let Some(last) = report.jobs_mut().last_mut() {
-                last.driver_out_records += out.len() as u64;
-            }
-        }
-        Ok((out, report))
     }
 }
 
@@ -718,7 +524,6 @@ mod tests {
             |&x: &u32, e: &mut Emitter<u32, u32>| e.emit(x, x),
             |&k: &u32, _vs: Vec<u32>, out: &mut OutputSink<u32>| out.emit(k),
         )
-        .unwrap()
     }
 
     /// Lowers `data`'s plan and lists its stages' depths in report order
@@ -740,7 +545,7 @@ mod tests {
 
     #[test]
     fn stage_priority_is_its_depth_below_the_terminal() {
-        let cluster = Cluster::with_machines(4).with_dataset_mode(DatasetMode::Lazy);
+        let cluster = Cluster::with_machines(4);
         // A three-stage chain: upstream stages outrank their consumers.
         let chain = passthrough(
             passthrough(passthrough(cluster.input_vec(vec![1, 2, 3]), "a"), "b"),

@@ -23,7 +23,6 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 use std::time::Duration;
 
-use crate::dataset::DatasetMode;
 use crate::pool::{SchedulerConfig, SchedulerMode, StraggleInjection};
 use crate::shuffle::ShuffleConfig;
 use crate::transport::Transport;
@@ -185,17 +184,14 @@ pub fn render_markdown<S>(title: &str, knobs: &[Knob<S>]) -> String {
 pub(crate) struct Settings {
     pub(crate) shuffle: ShuffleConfig,
     pub(crate) scheduler: SchedulerConfig,
-    pub(crate) dataset_mode: DatasetMode,
     /// The straggler arrives as two variables and only counts when both
     /// do: [`from_lookup`] moves the pair into `scheduler.straggle`.
     straggle_stage: Option<String>,
     straggle_us: Option<u64>,
 }
 
-const SPILL_LEGS: &str = "CI `spill-path`, `multi-process-shuffle`, `remote-shuffle`, \
-                          `eager-dataset-baseline`, `scheduler`";
-const EXCHANGE_LEGS: &str =
-    "CI `multi-process-shuffle`, `remote-shuffle`, `eager-dataset-baseline`";
+const SPILL_LEGS: &str = "CI `spill-path`, `multi-process-shuffle`, `remote-shuffle`, `scheduler`";
+const EXCHANGE_LEGS: &str = "CI `multi-process-shuffle`, `remote-shuffle`";
 
 /// The runtime's knobs.
 const KNOBS: &[Knob<Settings>] = &[
@@ -260,20 +256,6 @@ const KNOBS: &[Knob<Settings>] = &[
         default: "0 (off)",
         set_by: "CI `remote-shuffle` fault smoke",
         doc: "The run server sleeps this many microseconds before each request.",
-    },
-    Knob {
-        name: "TSJ_DATASET_MODE",
-        kind: Kind::Choice(&[
-            (DatasetMode::Lazy.name(), |d| {
-                d.dataset_mode = DatasetMode::Lazy
-            }),
-            (DatasetMode::Eager.name(), |d| {
-                d.dataset_mode = DatasetMode::Eager
-            }),
-        ]),
-        default: "lazy",
-        set_by: "CI `eager-dataset-baseline`",
-        doc: "Whether dataset stages run as one overlapped DAG or one at a time.",
     },
     Knob {
         name: "TSJ_SCHEDULER",
@@ -408,13 +390,6 @@ mod tests {
             "TSJ_MERGE_FAN_IN" => ("8", shuffle(|s| s.merge_fan_in = Some(8))),
             "TSJ_NET_FAULT_DROP_NTH" => ("5", shuffle(|s| s.net_fault.drop_nth = 5)),
             "TSJ_NET_FAULT_STALL_US" => ("200", shuffle(|s| s.net_fault.stall_us = 200)),
-            "TSJ_DATASET_MODE" => (
-                "eager",
-                Settings {
-                    dataset_mode: DatasetMode::Eager,
-                    ..Settings::default()
-                },
-            ),
             "TSJ_SCHEDULER" => (
                 "speculative",
                 scheduler(|s| s.mode = SchedulerMode::Speculative),
@@ -553,6 +528,7 @@ mod tests {
         let names = [
             "TSJ_SPILL_TRESHOLD", // misspelt
             "TSJ_PLAN_CHECK",     // pruned: `Cluster::with_plan_check` is the knob
+            "TSJ_DATASET_MODE",   // pruned: stages always run as one lazy graph
             "TSJ_SPILL_THRESHOLD",
             "TSJ_FIG_N",
             "TSJFOO",
@@ -562,9 +538,10 @@ mod tests {
         check_names(names.map(OsString::from), owns, KNOBS, &mut |m| {
             warnings.push(m)
         });
-        assert_eq!(warnings.len(), 2, "{warnings:?}");
+        assert_eq!(warnings.len(), 3, "{warnings:?}");
         assert!(warnings[0].contains("TSJ_SPILL_TRESHOLD"), "{warnings:?}");
         assert!(warnings[1].contains("TSJ_PLAN_CHECK"), "{warnings:?}");
+        assert!(warnings[2].contains("TSJ_DATASET_MODE"), "{warnings:?}");
     }
 
     /// Every CI leg, spelt and valued as `.github/workflows/ci.yml` sets
@@ -622,24 +599,6 @@ mod tests {
                     seed: 0,
                 });
             }),
-        );
-        leg(
-            "eager-dataset-baseline",
-            &[
-                ("TSJ_DATASET_MODE", "eager"),
-                ("TSJ_SHUFFLE_TRANSPORT", "multiprocess"),
-                ("TSJ_COMBINE_THRESHOLD", "32"),
-                ("TSJ_SPILL_THRESHOLD", "48"),
-                ("TSJ_MERGE_FAN_IN", "8"),
-            ],
-            Settings {
-                dataset_mode: DatasetMode::Eager,
-                ..shuffle(|s| {
-                    *s = tiny()
-                        .with_transport(Transport::MultiProcess)
-                        .with_merge_fan_in(8);
-                })
-            },
         );
         leg(
             "scheduler",

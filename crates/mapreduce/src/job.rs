@@ -9,8 +9,8 @@ use crate::spill::Spill;
 /// One task's user counters. A task bumps a handful of `&'static str`
 /// names, once per *record* on the pipelines' hot paths, so a bump is a
 /// scan of a short list — the same literal matches by address, the same
-/// name from another site by content — not a hash of the name. Task
-/// hand-off converts to the map [`JobStats::counters`] aggregates.
+/// name from another site by content — not a hash of the name. The stage
+/// folds each task's list into the map [`JobStats::counters`] aggregates.
 #[derive(Debug, Default)]
 pub(crate) struct Counters(Vec<(&'static str, u64)>);
 
@@ -24,6 +24,11 @@ impl Counters {
             }
         }
         self.0.push((name, delta));
+    }
+
+    /// The `(name, total)` list, in first-bump order.
+    pub(crate) fn into_vec(self) -> Vec<(&'static str, u64)> {
+        self.0
     }
 
     pub(crate) fn into_map(self) -> HashMap<&'static str, u64> {

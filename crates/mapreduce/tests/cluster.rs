@@ -3,8 +3,8 @@
 //! behaviour (scaling, skew), and failure injection.
 
 use tsj_mapreduce::{
-    Cluster, ClusterConfig, CostModel, DatasetMode, Emitter, JobError, OutputSink, PlanCheck,
-    SchedulerConfig, SchedulerMode, ShuffleConfig,
+    Cluster, ClusterConfig, CostModel, Emitter, JobError, OutputSink, PlanCheck, SchedulerConfig,
+    SchedulerMode, ShuffleConfig,
 };
 
 fn test_cluster(machines: usize) -> Cluster {
@@ -548,16 +548,13 @@ fn dedup_combiner_preserves_distinct_values() {
 fn output_identical_across_threads_and_partitions() {
     use tsj_mapreduce::Count;
     let input: Vec<u64> = (0..5000).collect();
-    // The job is a one-stage plan, so the stage-at-a-time baseline is one
-    // more axis its output must be invariant over.
-    let run_with = |threads: usize, partitions: usize, mode: DatasetMode| {
+    let run_with = |threads: usize, partitions: usize| {
         let cluster = Cluster::new(ClusterConfig {
             machines: 32,
             threads,
             partitions,
             cost: CostModel::default(),
-        })
-        .with_dataset_mode(mode);
+        });
         let mut out = cluster
             .run_combined(
                 "invariance",
@@ -573,22 +570,16 @@ fn output_identical_across_threads_and_partitions() {
         out.sort_unstable();
         out
     };
-    let reference = run_with(1, 0, DatasetMode::Lazy);
+    let reference = run_with(1, 0);
     for threads in [2, 8] {
-        assert_eq!(
-            run_with(threads, 0, DatasetMode::Lazy),
-            reference,
-            "threads = {threads}"
-        );
+        assert_eq!(run_with(threads, 0), reference, "threads = {threads}");
     }
     for partitions in [1, 7, 32, 100] {
-        for mode in [DatasetMode::Lazy, DatasetMode::Eager] {
-            assert_eq!(
-                run_with(4, partitions, mode),
-                reference,
-                "partitions = {partitions}, mode = {mode:?}"
-            );
-        }
+        assert_eq!(
+            run_with(4, partitions),
+            reference,
+            "partitions = {partitions}"
+        );
     }
 }
 

@@ -1,18 +1,16 @@
 //! Integration tests of the lazy dataset job-graph API: recorded stages
 //! execute at a terminal with cross-stage overlap, keep records inside
 //! the runtime (driver counters prove it), spill their output under a
-//! bounded shuffle, and produce output identical both to eager
-//! stage-at-a-time execution and to the same jobs chained through driver
-//! `Vec`s — while failures surface as structured `JobError`s and leave no
-//! temp files behind.
+//! bounded shuffle, and produce output identical to the same jobs chained
+//! through driver `Vec`s — while failures surface as structured
+//! `JobError`s and leave no temp files behind.
 
 use std::path::PathBuf;
 
 mod helpers;
 
 use tsj_mapreduce::{
-    Cluster, ClusterConfig, Count, DatasetMode, Dedup, Emitter, JobError, OutputSink,
-    ShuffleConfig, Transport,
+    Cluster, ClusterConfig, Count, Dedup, Emitter, JobError, OutputSink, ShuffleConfig, Transport,
 };
 
 fn cluster(threads: usize, partitions: usize, shuffle: ShuffleConfig) -> Cluster {
@@ -23,7 +21,6 @@ fn cluster(threads: usize, partitions: usize, shuffle: ShuffleConfig) -> Cluster
         ..ClusterConfig::default()
     })
     .with_shuffle_config(shuffle)
-    .with_dataset_mode(DatasetMode::Lazy)
 }
 
 /// The two-stage pipeline under test (word count → count histogram),
@@ -43,7 +40,6 @@ fn chained(c: &Cluster, docs: &[String]) -> (Vec<(u64, u64)>, tsj_mapreduce::Sim
                 out.emit((w.clone(), counts.iter().sum()));
             },
         )
-        .unwrap()
         .map_reduce_combined(
             "histogram",
             |&(_, n): &(String, u64), e: &mut Emitter<u64, u64>| e.emit(n, 1),
@@ -52,7 +48,6 @@ fn chained(c: &Cluster, docs: &[String]) -> (Vec<(u64, u64)>, tsj_mapreduce::Sim
                 out.emit((n, ones.iter().sum()));
             },
         )
-        .unwrap()
         .collect()
         .unwrap();
     out.sort_unstable();
@@ -102,11 +97,10 @@ fn docs(n: usize) -> Vec<String> {
 }
 
 #[test]
-fn lazy_matches_eager_and_collected_chaining() {
-    // The acceptance triangle at the runtime level: the lazy DAG
-    // scheduler (cross-stage overlap), eager stage-at-a-time execution,
-    // and driver-`Vec` chaining all produce byte-identical output across
-    // the shuffle matrix.
+fn lazy_graph_matches_collected_chaining() {
+    // The lazy DAG scheduler (cross-stage overlap) and driver-`Vec`
+    // chaining of the same jobs produce byte-identical output across the
+    // shuffle matrix.
     let input = docs(200);
     for shuffle in [
         ShuffleConfig::unbounded(),
@@ -118,16 +112,10 @@ fn lazy_matches_eager_and_collected_chaining() {
             for partitions in [0usize, 3, 64] {
                 let c = cluster(threads, partitions, shuffle.clone());
                 let (lazy, _) = chained(&c, &input);
-                let eager_cluster = c.clone().with_dataset_mode(DatasetMode::Eager);
-                let (eager, _) = chained(&eager_cluster, &input);
                 let reference = collected(&c, &input);
                 assert_eq!(
                     lazy, reference,
                     "lazy vs collected: threads={threads} partitions={partitions} shuffle={shuffle:?}"
-                );
-                assert_eq!(
-                    eager, reference,
-                    "eager vs collected: threads={threads} partitions={partitions} shuffle={shuffle:?}"
                 );
             }
         }
@@ -190,69 +178,60 @@ fn bounded_stage_output_is_spilled_not_buffered() {
 
 #[test]
 fn union_concatenates_partitions_and_reports() {
-    // Eager runs both producers at their call, so the union joins two
-    // materialized sides; lazy runs all three stages at the collect.
-    for mode in [DatasetMode::Lazy, DatasetMode::Eager] {
-        let c = cluster(4, 0, ShuffleConfig::unbounded()).with_dataset_mode(mode);
-        let stage = |name: &str, lo: u64, hi: u64| {
-            let ids: Vec<u64> = (lo..hi).collect();
-            c.input(&ids)
-                .map_reduce(
-                    name,
-                    |&n: &u64, e: &mut Emitter<u64, u64>| e.emit(n % 10, n),
-                    |&k: &u64, vs: Vec<u64>, out: &mut OutputSink<(u64, u64)>| {
-                        out.emit((k, vs.iter().sum()));
-                    },
-                )
-                .unwrap()
-        };
-        let unioned = stage("left", 0, 100).union(stage("right", 100, 200));
+    let c = cluster(4, 0, ShuffleConfig::unbounded());
+    let stage = |name: &str, lo: u64, hi: u64| {
+        let ids: Vec<u64> = (lo..hi).collect();
+        c.input(&ids).map_reduce(
+            name,
+            |&n: &u64, e: &mut Emitter<u64, u64>| e.emit(n % 10, n),
+            |&k: &u64, vs: Vec<u64>, out: &mut OutputSink<(u64, u64)>| {
+                out.emit((k, vs.iter().sum()));
+            },
+        )
+    };
+    let unioned = stage("left", 0, 100).union(stage("right", 100, 200));
 
-        // A stage over the union sees both sides' records.
-        let (mut totals, report) = unioned
-            .map_reduce(
-                "sum",
-                |&(k, v): &(u64, u64), e: &mut Emitter<u64, u64>| e.emit(k, v),
-                |&k: &u64, vs: Vec<u64>, out: &mut OutputSink<(u64, u64)>| {
-                    out.emit((k, vs.iter().sum()));
-                },
-            )
-            .unwrap()
-            .collect()
-            .unwrap();
-        totals.sort_unstable();
-        let expect: Vec<(u64, u64)> = (0..10u64)
-            .map(|k| (k, (0..200u64).filter(|n| n % 10 == k).sum()))
-            .collect();
-        assert_eq!(totals, expect, "{mode:?}");
-        let names: Vec<&str> = report.jobs().iter().map(|j| j.name.as_str()).collect();
-        assert_eq!(names, ["left", "right", "sum"], "{mode:?}");
-        assert_eq!(report.jobs()[0].output_records, 10, "{mode:?}");
-        assert_eq!(report.jobs()[1].output_records, 10, "{mode:?}");
-        assert_eq!(report.jobs()[2].input_records, 20, "{mode:?}");
-        assert_eq!(report.jobs()[2].driver_in_records, 0, "{mode:?}");
-        assert_eq!(report.jobs()[2].driver_out_records, 10, "{mode:?}");
-    }
+    // A stage over the union sees both sides' records.
+    let (mut totals, report) = unioned
+        .map_reduce(
+            "sum",
+            |&(k, v): &(u64, u64), e: &mut Emitter<u64, u64>| e.emit(k, v),
+            |&k: &u64, vs: Vec<u64>, out: &mut OutputSink<(u64, u64)>| {
+                out.emit((k, vs.iter().sum()));
+            },
+        )
+        .collect()
+        .unwrap();
+    totals.sort_unstable();
+    let expect: Vec<(u64, u64)> = (0..10u64)
+        .map(|k| (k, (0..200u64).filter(|n| n % 10 == k).sum()))
+        .collect();
+    assert_eq!(totals, expect);
+    let names: Vec<&str> = report.jobs().iter().map(|j| j.name.as_str()).collect();
+    assert_eq!(names, ["left", "right", "sum"]);
+    assert_eq!(report.jobs()[0].output_records, 10);
+    assert_eq!(report.jobs()[1].output_records, 10);
+    assert_eq!(report.jobs()[2].input_records, 20);
+    assert_eq!(report.jobs()[2].driver_in_records, 0);
+    assert_eq!(report.jobs()[2].driver_out_records, 10);
 }
 
 #[test]
 fn fully_lazy_union_executes_at_the_terminal() {
-    // Same graph as above but with *nothing* forced before collect: both
-    // producers and the consumer stage run in one scheduled execution
-    // (left's and right's reduce waves overlap sum's map wave).
+    // The same graph over inputs the caller keeps: both producers and the
+    // consumer stage run in one scheduled execution at the collect (left's
+    // and right's reduce waves overlap sum's map wave).
     let c = cluster(4, 0, ShuffleConfig::unbounded());
     let ids_a: Vec<u64> = (0..100).collect();
     let ids_b: Vec<u64> = (100..200).collect();
     let stage = |ids: &[u64], name: &str| {
-        c.input(ids)
-            .map_reduce(
-                name,
-                |&n: &u64, e: &mut Emitter<u64, u64>| e.emit(n % 10, n),
-                |&k: &u64, vs: Vec<u64>, out: &mut OutputSink<(u64, u64)>| {
-                    out.emit((k, vs.iter().sum()));
-                },
-            )
-            .unwrap()
+        c.input(ids).map_reduce(
+            name,
+            |&n: &u64, e: &mut Emitter<u64, u64>| e.emit(n % 10, n),
+            |&k: &u64, vs: Vec<u64>, out: &mut OutputSink<(u64, u64)>| {
+                out.emit((k, vs.iter().sum()));
+            },
+        )
     };
     let (mut totals, report) = stage(&ids_a, "left")
         .union(stage(&ids_b, "right"))
@@ -263,7 +242,6 @@ fn fully_lazy_union_executes_at_the_terminal() {
                 out.emit((k, vs.iter().sum()));
             },
         )
-        .unwrap()
         .collect()
         .unwrap();
     totals.sort_unstable();
@@ -275,113 +253,6 @@ fn fully_lazy_union_executes_at_the_terminal() {
     let names: Vec<&str> = report.jobs().iter().map(|j| j.name.as_str()).collect();
     assert_eq!(names, vec!["left", "right", "sum"]);
     assert_eq!(report.jobs()[2].driver_in_records, 0);
-}
-
-#[test]
-fn repartition_rebalances_without_changing_the_record_multiset() {
-    // Everything lands on one key, so the first stage's output is one fat
-    // partition and the next stage's map wave is a single task. Eager mode
-    // materializes that boundary; the automatic response spreads it.
-    let ids: Vec<u64> = (0..500).collect();
-    let run = |auto: Option<f64>| {
-        let c = cluster(4, 0, ShuffleConfig::unbounded())
-            .with_dataset_mode(DatasetMode::Eager)
-            .with_auto_repartition(auto);
-        let (mut out, report) = c
-            .input(&ids)
-            .map_reduce(
-                "skewed",
-                |&n: &u64, e: &mut Emitter<u64, u64>| e.emit(7, n),
-                |_k: &u64, vs: Vec<u64>, out: &mut OutputSink<u64>| {
-                    for v in vs {
-                        out.emit(v);
-                    }
-                },
-            )
-            .unwrap()
-            .map_reduce(
-                "consume",
-                |&n: &u64, e: &mut Emitter<u64, u64>| e.emit(n, n),
-                |&k: &u64, _vs: Vec<u64>, out: &mut OutputSink<u64>| out.emit(k),
-            )
-            .unwrap()
-            .collect()
-            .unwrap();
-        out.sort_unstable();
-        (out, report)
-    };
-    let (plain, plain_report) = run(None);
-    let (spread, report) = run(Some(1.5));
-    // Record multiset is unchanged (placement is, so compare sorted).
-    assert_eq!(spread, plain);
-    assert_eq!(plain, ids);
-    let repart_job = &report.jobs()[1];
-    assert_eq!(repart_job.name, "repartition(8).auto");
-    assert_eq!(repart_job.input_records, 500);
-    assert_eq!(repart_job.output_records, 500);
-    assert_eq!(repart_job.driver_in_records, 0, "repartition is interior");
-    assert_eq!(repart_job.driver_out_records, 0, "repartition is interior");
-    // The consumer's map wave went from one busy machine to several, so
-    // its busiest machine carries less.
-    let map_makespan = |r: &tsj_mapreduce::SimReport| r.jobs().last().unwrap().map.makespan_secs;
-    assert!(
-        map_makespan(&report) < map_makespan(&plain_report),
-        "repartition must spread the fat partition: {} vs {}",
-        map_makespan(&report),
-        map_makespan(&plain_report)
-    );
-}
-
-#[test]
-fn repartition_is_invariant_for_downstream_stages() {
-    // An automatic repartition between two stages must not change the
-    // downstream stage's (sorted) output — across shuffle configs. Eager
-    // mode materializes the boundary it measures; a ratio barely above
-    // perfect balance makes any uneven word-count output trigger it.
-    let input = docs(150);
-    for shuffle in [
-        ShuffleConfig::unbounded(),
-        ShuffleConfig::bounded(8, 8).with_transport(Transport::MultiProcess),
-    ] {
-        let eager = cluster(4, 3, shuffle).with_dataset_mode(DatasetMode::Eager);
-        let run = |ratio: Option<f64>| {
-            let c = eager.clone().with_auto_repartition(ratio);
-            let (mut out, report) = c
-                .input(&input)
-                .map_reduce_combined(
-                    "wordcount",
-                    |doc: &String, e: &mut Emitter<String, u64>| {
-                        for w in doc.split_whitespace() {
-                            e.emit(w.to_owned(), 1);
-                        }
-                    },
-                    &Count,
-                    |w: &String, counts: Vec<u64>, out: &mut OutputSink<(String, u64)>| {
-                        out.emit((w.clone(), counts.iter().sum()));
-                    },
-                )
-                .unwrap()
-                .map_reduce_combined(
-                    "histogram",
-                    |&(_, n): &(String, u64), e: &mut Emitter<u64, u64>| e.emit(n, 1),
-                    &Count,
-                    |&n: &u64, ones: Vec<u64>, out: &mut OutputSink<(u64, u64)>| {
-                        out.emit((n, ones.iter().sum()));
-                    },
-                )
-                .unwrap()
-                .collect()
-                .unwrap();
-            out.sort_unstable();
-            let names: Vec<&str> = report.jobs().iter().map(|j| j.name.as_str()).collect();
-            (out, names.join(","))
-        };
-        let (plain, plain_jobs) = run(None);
-        assert_eq!(plain_jobs, "wordcount,histogram");
-        let (auto, auto_jobs) = run(Some(1.0001));
-        assert_eq!(auto_jobs, "wordcount,repartition(3).auto,histogram");
-        assert_eq!(auto, plain);
-    }
 }
 
 #[test]
@@ -404,13 +275,11 @@ fn empty_input_chains_cleanly() {
             |&n: &u64, e: &mut Emitter<u64, u64>| e.emit(n, n),
             |&k: &u64, _vs: Vec<u64>, out: &mut OutputSink<u64>| out.emit(k),
         )
-        .unwrap()
         .map_reduce(
             "b",
             |&n: &u64, e: &mut Emitter<u64, u64>| e.emit(n, n),
             |&k: &u64, _vs: Vec<u64>, out: &mut OutputSink<u64>| out.emit(k),
         )
-        .unwrap()
         .collect()
         .unwrap();
     assert!(out.is_empty());
@@ -436,7 +305,6 @@ fn dedup_combiner_composes_with_chaining() {
             &Dedup,
             |&pair: &(u32, u32), _hits: Vec<()>, out: &mut OutputSink<(u32, u32)>| out.emit(pair),
         )
-        .unwrap()
         .map_reduce(
             "fanless",
             |&(a, b): &(u32, u32), e: &mut Emitter<u32, u32>| e.emit(a, b),
@@ -448,7 +316,6 @@ fn dedup_combiner_composes_with_chaining() {
                 }
             },
         )
-        .unwrap()
         .collect()
         .unwrap();
     out.sort_unstable();
@@ -474,7 +341,6 @@ fn union_of_fresh_inputs_books_driver_in_on_next_stage() {
                 out.emit((k, vs.iter().sum()));
             },
         )
-        .unwrap()
         .collect()
         .unwrap();
     assert_eq!(out.len(), 3);
@@ -518,13 +384,11 @@ fn stage_output_sink_failure_surfaces_as_spill_error() {
             |&n: &u64, e: &mut Emitter<u64, u64>| e.emit(n % 5, n),
             |&k: &u64, _vs: Vec<u64>, out: &mut OutputSink<u64>| out.emit(k),
         )
-        .unwrap()
         .map_reduce(
             "never-runs",
             |&n: &u64, e: &mut Emitter<u64, u64>| e.emit(n, n),
             |&k: &u64, _vs: Vec<u64>, out: &mut OutputSink<u64>| out.emit(k),
         )
-        .unwrap()
         .collect()
         .expect_err("unwritable stage-output dir must fail the job");
     assert!(
@@ -550,13 +414,11 @@ fn worker_panic_in_a_lazy_graph_surfaces_once_and_skips_downstream() {
             },
             |&k: &u64, _vs: Vec<u64>, out: &mut OutputSink<u64>| out.emit(k),
         )
-        .unwrap()
         .map_reduce(
             "downstream",
             |&n: &u64, e: &mut Emitter<u64, u64>| e.emit(n, n),
             |&k: &u64, _vs: Vec<u64>, out: &mut OutputSink<u64>| out.emit(k),
         )
-        .unwrap()
         .collect()
         .expect_err("upstream panic must fail the graph");
     match err {
@@ -632,13 +494,11 @@ fn failing_jobs_leave_the_spill_dir_empty() {
                 out.emit(k + vs.len() as u64);
             },
         )
-        .unwrap()
         .map_reduce(
             "chain-dies",
             |&n: &u64, e: &mut Emitter<u64, u64>| e.emit(n, n),
             |_k: &u64, _vs: Vec<u64>, _out: &mut OutputSink<u64>| panic!("chain poison"),
         )
-        .unwrap()
         .collect()
         .expect_err("chained reduce panic must fail the graph");
     assert!(matches!(err, JobError::WorkerPanic { .. }));
@@ -656,29 +516,24 @@ fn failing_jobs_leave_the_spill_dir_empty() {
 #[test]
 fn collecting_a_union_of_fresh_inputs_concatenates() {
     // Regression: a terminal on a union with no pending stages must
-    // materialize it (left then right), not panic — in both modes.
-    for mode in [DatasetMode::Lazy, DatasetMode::Eager] {
-        let c = cluster(2, 0, ShuffleConfig::unbounded()).with_dataset_mode(mode);
-        let a: Vec<u32> = (0..20).collect();
-        let b: Vec<u32> = (20..30).collect();
-        let (out, report) = c.input(&a).union(c.input(&b)).collect().unwrap();
-        assert_eq!(out, (0..30).collect::<Vec<u32>>(), "{mode:?}");
-        assert!(report.jobs().is_empty());
-        // And with one executed side: still a clean concatenation.
-        let left = c
-            .input(&a)
-            .map_reduce(
-                "left",
-                |&n: &u32, e: &mut Emitter<u32, u32>| e.emit(n % 3, n),
-                |&k: &u32, _vs: Vec<u32>, out: &mut OutputSink<u32>| out.emit(k),
-            )
-            .unwrap();
-        let (out, report) = left.union(c.input(&b)).collect().unwrap();
-        assert_eq!(out.len(), 13, "{mode:?}");
-        let mut head = out[..3].to_vec();
-        head.sort_unstable();
-        assert_eq!(head, [0, 1, 2], "{mode:?}");
-        assert_eq!(out[3..], b[..], "{mode:?}");
-        assert_eq!(report.jobs().len(), 1, "{mode:?}");
-    }
+    // flatten it (left then right), not panic.
+    let c = cluster(2, 0, ShuffleConfig::unbounded());
+    let a: Vec<u32> = (0..20).collect();
+    let b: Vec<u32> = (20..30).collect();
+    let (out, report) = c.input(&a).union(c.input(&b)).collect().unwrap();
+    assert_eq!(out, (0..30).collect::<Vec<u32>>());
+    assert!(report.jobs().is_empty());
+    // And with a stage on one side: still a clean concatenation.
+    let left = c.input(&a).map_reduce(
+        "left",
+        |&n: &u32, e: &mut Emitter<u32, u32>| e.emit(n % 3, n),
+        |&k: &u32, _vs: Vec<u32>, out: &mut OutputSink<u32>| out.emit(k),
+    );
+    let (out, report) = left.union(c.input(&b)).collect().unwrap();
+    assert_eq!(out.len(), 13);
+    let mut head = out[..3].to_vec();
+    head.sort_unstable();
+    assert_eq!(head, [0, 1, 2]);
+    assert_eq!(out[3..], b[..]);
+    assert_eq!(report.jobs().len(), 1);
 }

@@ -4,20 +4,15 @@
 //! execution with a structured [`JobError::Plan`].
 
 use tsj_mapreduce::{
-    Cluster, ClusterConfig, DatasetMode, Dedup, Emitter, JobError, OutputSink, PlanCheck,
-    PlanDiagnostic, ShuffleConfig, SimReport, MERGE_FAN_IN_BUDGET,
+    Cluster, ClusterConfig, Dedup, Emitter, JobError, OutputSink, PlanCheck, PlanDiagnostic,
+    ShuffleConfig, SimReport, MERGE_FAN_IN_BUDGET,
 };
 
 fn cluster() -> Cluster {
     // Warn mode is the default and no environment variable changes it;
     // it is spelled out because the warn-path assertions depend on it
-    // (deny-mode tests opt in explicitly). Lazy execution does have a
-    // variable, so it is pinned: multi-stage diagnostics need the whole
-    // plan at the terminal, which an ambient TSJ_DATASET_MODE=eager never
-    // builds.
-    Cluster::with_machines(4)
-        .with_plan_check(PlanCheck::Warn)
-        .with_dataset_mode(DatasetMode::Lazy)
+    // (deny-mode tests opt in explicitly).
+    Cluster::with_machines(4).with_plan_check(PlanCheck::Warn)
 }
 
 fn codes(report: &SimReport) -> Vec<&'static str> {
@@ -35,7 +30,7 @@ fn passthrough(
             name,
             |&x: &u32, e: &mut Emitter<u32, u32>| e.emit(x, x),
             |&k: &u32, _vs: Vec<u32>, out: &mut OutputSink<u32>| out.emit(k),
-        )?
+        )
         .collect()
 }
 
@@ -62,13 +57,11 @@ fn empty_input_warns_and_propagates() {
             |&x: &u32, e: &mut Emitter<u32, u32>| e.emit(x, x),
             |&k: &u32, _vs: Vec<u32>, out: &mut OutputSink<u32>| out.emit(k),
         )
-        .unwrap()
         .map_reduce(
             "second",
             |&x: &u32, e: &mut Emitter<u32, u32>| e.emit(x, x),
             |&k: &u32, _vs: Vec<u32>, out: &mut OutputSink<u32>| out.emit(k),
         )
-        .unwrap()
         .collect()
         .unwrap();
     assert!(out.is_empty());
@@ -97,7 +90,6 @@ fn uncombined_dedup_foldable_stage_warns() {
             |&x: &u32, e: &mut Emitter<u32, ()>| e.emit(x % 5, ()),
             |&k: &u32, _vs: Vec<()>, out: &mut OutputSink<u32>| out.emit(k),
         )
-        .unwrap()
         .collect()
         .unwrap();
     assert_eq!(codes(&report), vec!["uncombined-dedup-foldable"]);
@@ -111,7 +103,6 @@ fn uncombined_dedup_foldable_stage_warns() {
             &Dedup,
             |&k: &u32, _vs: Vec<()>, out: &mut OutputSink<u32>| out.emit(k),
         )
-        .unwrap()
         .collect()
         .unwrap();
     assert!(report.plan_diagnostics().is_empty());
@@ -130,7 +121,6 @@ fn merge_fan_in_hazard_needs_uncapped_spilling_config() {
         })
         .with_shuffle_config(shuffle)
         .with_plan_check(PlanCheck::Warn)
-        .with_dataset_mode(DatasetMode::Lazy)
     };
     // 50 input records → 50 map tasks (one per machine, capped by len),
     // under the budget; only the 100-partition wide→narrow edge exceeds it.
@@ -140,12 +130,12 @@ fn merge_fan_in_hazard_needs_uncapped_spilling_config() {
                 "wide",
                 |&x: &u32, e: &mut Emitter<u32, u32>| e.emit(x, x),
                 |&k: &u32, _vs: Vec<u32>, out: &mut OutputSink<u32>| out.emit(k),
-            )?
+            )
             .map_reduce(
                 "narrow",
                 |&x: &u32, e: &mut Emitter<u32, u32>| e.emit(x % 3, x),
                 |&k: &u32, _vs: Vec<u32>, out: &mut OutputSink<u32>| out.emit(k),
-            )?
+            )
             .collect()
     };
 

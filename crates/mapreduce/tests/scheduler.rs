@@ -2,18 +2,16 @@
 //! policies (the priority-ordered ready queue, with and without
 //! speculative re-execution) produce byte-identical output at every thread count; a
 //! seeded straggler is beaten by a speculative copy (first completed
-//! result wins, the loser is dropped); a reduce task over in-memory
-//! segments is never offered for speculation; and the automatic skew
-//! response inserts a repartition stage behind a skewed materialized
-//! boundary without changing the output.
+//! result wins, the loser is dropped); and a reduce task over in-memory
+//! segments is never offered for speculation.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::Duration;
 
 use tsj_mapreduce::{
-    Cluster, ClusterConfig, Count, DatasetMode, Emitter, OutputSink, SchedulerConfig,
-    SchedulerMode, ShuffleConfig, StraggleInjection, Transport,
+    Cluster, ClusterConfig, Count, Emitter, OutputSink, SchedulerConfig, SchedulerMode,
+    ShuffleConfig, StraggleInjection, Transport,
 };
 
 fn cluster(threads: usize, partitions: usize, shuffle: ShuffleConfig) -> Cluster {
@@ -24,7 +22,6 @@ fn cluster(threads: usize, partitions: usize, shuffle: ShuffleConfig) -> Cluster
         ..ClusterConfig::default()
     })
     .with_shuffle_config(shuffle)
-    .with_dataset_mode(DatasetMode::Lazy)
 }
 
 fn stealing() -> SchedulerConfig {
@@ -51,7 +48,6 @@ fn chained(c: &Cluster, docs: &[String]) -> (Vec<(u64, u64)>, tsj_mapreduce::Sim
                 out.emit((w.clone(), counts.iter().sum()));
             },
         )
-        .unwrap()
         .map_reduce_combined(
             "histogram",
             |&(_, n): &(String, u64), e: &mut Emitter<u64, u64>| e.emit(n, 1),
@@ -60,7 +56,6 @@ fn chained(c: &Cluster, docs: &[String]) -> (Vec<(u64, u64)>, tsj_mapreduce::Sim
                 out.emit((n, ones.iter().sum()));
             },
         )
-        .unwrap()
         .collect()
         .unwrap()
 }
@@ -140,7 +135,6 @@ fn in_memory_reduce_tasks_are_never_speculated() {
                     out.emit((w.clone(), counts.iter().sum()));
                 },
             )
-            .unwrap()
             .map_reduce(
                 "histogram",
                 |&(_, n): &(String, u64), e: &mut Emitter<u64, u64>| e.emit(n, 1),
@@ -149,7 +143,6 @@ fn in_memory_reduce_tasks_are_never_speculated() {
                     out.emit((n, ones.iter().sum()));
                 },
             )
-            .unwrap()
             .collect()
             .unwrap();
         (out, report, reduced.into_inner().unwrap())
@@ -256,80 +249,4 @@ fn straggler_without_speculation_waits_out_the_sleep() {
     );
     assert_eq!(wordcount.speculative_launched, 0);
     assert_eq!(wordcount.speculative_won, 0);
-}
-
-/// Eager execution materializes every stage boundary, which is where
-/// the automatic skew response can measure partition sizes.
-fn eager(auto_repartition: Option<f64>) -> Cluster {
-    cluster(4, 4, ShuffleConfig::unbounded())
-        .with_dataset_mode(DatasetMode::Eager)
-        .with_auto_repartition(auto_repartition)
-}
-
-/// A first stage whose reduce routes every record through `key(n)`,
-/// followed by a per-record doubling stage; returns the sorted output.
-fn routed_then_double(
-    c: &Cluster,
-    input: &[u64],
-    key: fn(u64) -> u64,
-) -> (Vec<u64>, tsj_mapreduce::SimReport) {
-    let (mut out, report) = c
-        .input(input)
-        .map_reduce(
-            "route",
-            move |&n: &u64, e: &mut Emitter<u64, u64>| e.emit(key(n), n),
-            |_: &u64, ns: Vec<u64>, out: &mut OutputSink<u64>| {
-                for n in ns {
-                    out.emit(n);
-                }
-            },
-        )
-        .unwrap()
-        .map_reduce(
-            "double",
-            |&n: &u64, e: &mut Emitter<u64, u64>| e.emit(n, n),
-            |_: &u64, ns: Vec<u64>, out: &mut OutputSink<u64>| {
-                for n in ns {
-                    out.emit(n * 2);
-                }
-            },
-        )
-        .unwrap()
-        .collect()
-        .unwrap();
-    out.sort_unstable();
-    (out, report)
-}
-
-fn job_names(report: &tsj_mapreduce::SimReport) -> Vec<&str> {
-    report.jobs().iter().map(|j| j.name.as_str()).collect()
-}
-
-#[test]
-fn auto_repartition_spreads_a_skewed_eager_boundary() {
-    // A constant key puts every record of the first stage in one
-    // partition (sizes [N,0,0,0] → skew 4.0): the planner must insert the
-    // hidden stage, move every record through it once, and leave the
-    // output what it is with auto-repartition off.
-    let input: Vec<u64> = (0..200).collect();
-    let (auto_out, auto_report) = routed_then_double(&eager(Some(1.5)), &input, |_| 0);
-    let (plain_out, plain_report) = routed_then_double(&eager(None), &input, |_| 0);
-
-    assert_eq!(
-        job_names(&auto_report),
-        ["route", "repartition(4).auto", "double"]
-    );
-    let auto_job = &auto_report.jobs()[1];
-    assert_eq!(auto_job.input_records, 200);
-    assert_eq!(auto_job.output_records, 200);
-    assert_eq!(job_names(&plain_report), ["route", "double"]);
-    assert_eq!(auto_out, plain_out, "auto repartition changed the output");
-}
-
-#[test]
-fn auto_repartition_stays_out_of_balanced_boundaries() {
-    // A well-spread stage output must not trigger the skew response.
-    let input: Vec<u64> = (0..200).collect();
-    let (_, report) = routed_then_double(&eager(Some(4.0)), &input, |n| n);
-    assert_eq!(job_names(&report), ["route", "double"]);
 }

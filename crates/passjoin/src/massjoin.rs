@@ -171,7 +171,7 @@ impl<'c> MassJoin<'c> {
                 candidate_map(&chars, t),
                 &Dedup,
                 candidate_reduce(&chars, t),
-            )?
+            )
             .collect()?;
         pairs.sort_unstable_by_key(|p| (p.a, p.b));
         Ok((pairs, report))

@@ -27,10 +27,11 @@
 //! index), consumers re-order their map-task outputs by ordinal at the
 //! shuffle barrier, and everything downstream of that barrier is the
 //! engine's existing deterministic machinery. Output is therefore
-//! byte-identical across thread counts and scheduler modes, equal to the
-//! same stages chained through driver `Vec`s, and — for the TSJ graph —
-//! to the brute-force join (tested in `crates/mapreduce/tests/dataset.rs`
-//! and `crates/core/tests/dataset_equivalence.rs`).
+//! byte-identical across thread counts and scheduler modes; it holds the
+//! same records as the same stages chained through driver `Vec`s, and —
+//! for the TSJ graph — the brute-force join's pairs (tested in
+//! `crates/mapreduce/tests/dataset.rs` and
+//! `crates/core/tests/dataset_equivalence.rs`).
 //!
 //! # Failure
 //!

@@ -25,9 +25,10 @@
 //!
 //! Recording a stage cannot fail; every execution error surfaces at the
 //! terminal. Laziness changes *when* stages run, never what they compute:
-//! a graph's output equals the same jobs chained through driver `Vec`s
-//! (`crates/mapreduce/tests/dataset.rs`), and the TSJ graph's equals the
-//! brute-force join (`crates/core/tests/dataset_equivalence.rs`).
+//! a graph's output holds the same records as the same jobs chained
+//! through driver `Vec`s (`crates/mapreduce/tests/dataset.rs`), and the
+//! TSJ graph's equals the brute-force join
+//! (`crates/core/tests/dataset_equivalence.rs`).
 //!
 //! Interior stages move records worker-to-worker: per-reduce-task
 //! partitions are in-memory buffers, or (under a bounded shuffle)
